@@ -6,9 +6,8 @@ Output length per block is chosen from the input min-entropy rate, either
 by the leftover-hash-lemma bound (with an explicit security parameter) or
 as the plain entropy-rate fraction.
 
-The production multiply packs each matrix row into 64-bit words and uses
-popcount parity; a naive O(n*m) multiply and an FFT convolution route are
-kept as independent witnesses, both required to agree bit-for-bit.
+The production multiply is a chunked real FFT convolution of each block
+with the seed; a naive O(n*m) dense multiply is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from . import rng
 from .errors import (FormatError, InsufficientEntropyError,
                      InsufficientInputError, ParameterError)
 
-_WORD = 64
 DEFAULT_EPSILON = 2.0 ** -50
 
 
@@ -176,41 +174,21 @@ class ExtractResult(NamedTuple):
     discarded_bits: int
 
 
-def _pack_words(bits: np.ndarray, total_bits: int) -> np.ndarray:
-    """Pack 0/1 bits (padded with zeros to total_bits) into MSB-first uint64."""
-    padded = np.zeros(((total_bits + _WORD - 1) // _WORD) * _WORD, dtype=np.uint8)
-    padded[:bits.size] = bits
-    packed = np.packbits(padded)
-    return np.frombuffer(packed.tobytes(), dtype=">u8").astype(np.uint64)
+#: Blocks per batched FFT; bounds the float64 working set to a few MB.
+_CHUNK_BLOCKS = 64
 
 
-def _row_windows(spec: ToeplitzSpec) -> np.ndarray:
-    """Rows of T packed into words: row i is seed[i+n-1] .. seed[i].
-
-    Every row is a length-n window of the reversed seed at bit offset
-    m - 1 - i, so the packed rows come from 64 shifted copies of the
-    reversed seed gathered at per-row word offsets.
-    """
-    n, m = spec.input_block_bits, spec.output_block_bits
-    words_per_row = (n + _WORD - 1) // _WORD
-    rev = spec.seed_bits[::-1]
-    # Pad so every window read below stays in bounds.
-    base = _pack_words(rev, (m - 1) + words_per_row * _WORD + _WORD)
-    shifted = np.empty((_WORD, base.size), dtype=np.uint64)
-    shifted[0] = base
-    nxt = np.roll(base, -1)
-    nxt[-1] = 0
-    for r in range(1, _WORD):
-        shifted[r] = (base << np.uint64(r)) | (nxt >> np.uint64(_WORD - r))
-    offsets = (m - 1) - np.arange(m)                  # bit offset of each row
-    word_idx = offsets // _WORD
-    rows = shifted[offsets % _WORD]                   # (m, base words)
-    cols = word_idx[:, None] + np.arange(words_per_row)[None, :]
-    return np.take_along_axis(rows, cols, axis=1)
-
-
-def extract(bits: BitStream, spec: ToeplitzSpec, block_chunk: int = 32) -> ExtractResult:
+def extract(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
     """Hash consecutive n-bit blocks to m-bit blocks with the seeded matrix.
+
+    Output block y = T.x is coefficients n-1 .. n+m-2 of the polynomial
+    product seed * x, reduced mod 2.  The product is a real circular
+    convolution of length L >= n + m - 1, computed by rFFT over chunks of
+    whole blocks; at that length the needed coefficients do not alias.
+    The exact coefficients are integers in [0, n], and float64 FFT error is
+    about 1e-12 at n = 4000, so rounding is exact for every valid spec; a
+    residue of 0.25 or more raises FloatingPointError instead of emitting
+    bits.
 
     The trailing partial block is discarded (its size is reported, never
     zero-padded into a biased block).  Output blocks appear in input order.
@@ -221,19 +199,23 @@ def extract(bits: BitStream, spec: ToeplitzSpec, block_chunk: int = 32) -> Extra
             f"need at least one {n}-bit block, got {bits.bit_length} bits")
     blocks = bits.bit_length // n
     discarded = bits.bit_length - blocks * n
-    words_per_row = (n + _WORD - 1) // _WORD
-
-    rows = _row_windows(spec)                         # (m, words_per_row)
-    padded = np.zeros((blocks, words_per_row * _WORD), dtype=np.uint8)
-    padded[:, :n] = bits.to_bits()[:blocks * n].reshape(blocks, n)
-    xw_all = np.frombuffer(np.packbits(padded, axis=1).tobytes(),
-                           dtype=">u8").astype(np.uint64).reshape(blocks, words_per_row)
+    size = next_fast_len(n + m - 1, real=True)
+    seed_spectrum = rfft(spec.seed_bits.astype(np.float64), size)
+    packed = np.frombuffer(bits.data, dtype=np.uint8)
     out = np.empty((blocks, m), dtype=np.uint8)
-    for start in range(0, blocks, block_chunk):
-        stop = min(start + block_chunk, blocks)
-        ones = np.bitwise_count(rows[None, :, :] & xw_all[start:stop, None, :])
-        parity = ones.sum(axis=2, dtype=np.uint32) & 1
-        out[start:stop] = parity.astype(np.uint8)
+    for start in range(0, blocks, _CHUNK_BLOCKS):
+        stop = min(start + _CHUNK_BLOCKS, blocks)
+        lo, hi = start * n, stop * n
+        x = np.unpackbits(packed[lo // 8:(hi + 7) // 8],
+                          count=lo % 8 + hi - lo)[lo % 8:]
+        x = x.reshape(stop - start, n).astype(np.float64)
+        conv = irfft(rfft(x, size, axis=1) * seed_spectrum, size,
+                     axis=1)[:, n - 1:n + m - 1]
+        coeffs = np.rint(conv)
+        if np.max(np.abs(conv - coeffs)) >= 0.25:
+            raise FloatingPointError(
+                "Toeplitz FFT product is not within 0.25 of an integer")
+        out[start:stop] = coeffs.astype(np.int64) & 1
     return ExtractResult(bits=BitStream.from_bits(out.ravel()),
                          blocks=blocks, discarded_bits=discarded)
 
@@ -250,27 +232,6 @@ def extract_naive(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
     x = bits.to_bits()[:blocks * n].reshape(blocks, n).astype(np.int64)
     y = (x @ matrix.T) & 1
     return ExtractResult(bits=BitStream.from_bits(y.astype(np.uint8).ravel()),
-                         blocks=blocks, discarded_bits=discarded)
-
-
-def extract_fft(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
-    """FFT route: y equals coefficients n-1 .. n+m-2 of (seed * x) mod 2.
-
-    The Toeplitz product is a slice of the carryless polynomial product of
-    the seed and the block, so a real convolution followed by rounding and
-    parity gives the identical output.
-    """
-    n, m = spec.input_block_bits, spec.output_block_bits
-    if bits.bit_length < n:
-        raise InsufficientInputError(
-            f"need at least one {n}-bit block, got {bits.bit_length} bits")
-    blocks = bits.bit_length // n
-    discarded = bits.bit_length - blocks * n
-    x = bits.to_bits()[:blocks * n].reshape(blocks, n).astype(np.float64)
-    seed = spec.seed_bits.astype(np.float64)[None, :]
-    conv = fftconvolve(x, seed, axes=1)
-    window = np.rint(conv[:, n - 1:n + m - 1]).astype(np.int64) & 1
-    return ExtractResult(bits=BitStream.from_bits(window.astype(np.uint8).ravel()),
                          blocks=blocks, discarded_bits=discarded)
 
 

@@ -12,14 +12,12 @@ counter-based generator.  Randomness is always requested through
 
 Each (seed, stream, block) triple keys an independent Philox instance via
 ``numpy.random.SeedSequence``, so a long array of draws is *defined* as the
-concatenation of its blocks.  Sequential and partitioned (thread-parallel)
-generation therefore produce bit-identical output, which is what the
+concatenation of its blocks.  Sequential and windowed generation
+therefore produce bit-identical output, which is what the
 reproducibility contract requires.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,6 +40,28 @@ def check_seed(seed: int) -> int:
     return int(seed) & (2**64 - 1)
 
 
+def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,
+               draw) -> np.ndarray:
+    """Elements ``start:stop`` of the concatenation of the stream's blocks.
+
+    ``draw(gen, size)`` produces the first ``size`` draws of a block.  Only
+    the blocks overlapping the range are generated.
+    """
+    start, stop = int(start), int(stop)
+    if start < 0 or stop < start:
+        raise ParameterError(f"need 0 <= start <= stop, got {start}, {stop}")
+    seed = check_seed(seed)
+    out = np.empty(stop - start, dtype=dtype)
+    for block in range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)):
+        lo = block * BLOCK_SIZE
+        draws = draw(_block_generator(seed, stream, block),
+                     min(BLOCK_SIZE, stop - lo))
+        src_lo = max(start - lo, 0)
+        dst_lo = lo + src_lo - start
+        out[dst_lo:dst_lo + draws.size - src_lo] = draws[src_lo:]
+    return out
+
+
 def standard_normals(count: int, seed: int, stream: int = 0) -> np.ndarray:
     """Return ``count`` i.i.d. standard normal draws for (seed, stream).
 
@@ -49,16 +69,7 @@ def standard_normals(count: int, seed: int, stream: int = 0) -> np.ndarray:
     by its own Philox instance, so any contiguous partition of the block
     range can be generated independently.
     """
-    if count < 0:
-        raise ParameterError("count must be non-negative")
-    seed = check_seed(seed)
-    out = np.empty(count, dtype=np.float64)
-    for block in range(0, -(-count // BLOCK_SIZE) if count else 0):
-        lo = block * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, count)
-        gen = _block_generator(seed, stream, block)
-        out[lo:hi] = gen.standard_normal(hi - lo)
-    return out
+    return standard_normals_range(0, count, seed, stream)
 
 
 def standard_normals_range(start: int, stop: int, seed: int,
@@ -68,56 +79,12 @@ def standard_normals_range(start: int, stop: int, seed: int,
     Generates only the blocks overlapping the range, so a long stream can
     be consumed in windows without materializing it.
     """
-    start, stop = int(start), int(stop)
-    if start < 0 or stop < start:
-        raise ParameterError(f"need 0 <= start <= stop, got {start}, {stop}")
-    seed = check_seed(seed)
-    out = np.empty(stop - start, dtype=np.float64)
-    if stop == start:
-        return out
-    for block in range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)):
-        lo = block * BLOCK_SIZE
-        gen = _block_generator(seed, stream, block)
-        draws = gen.standard_normal(min(BLOCK_SIZE, stop - lo))
-        src_lo = max(start - lo, 0)
-        dst_lo = lo + src_lo - start
-        out[dst_lo:dst_lo + draws.size - src_lo] = draws[src_lo:]
-    return out
-
-
-def standard_normals_parallel(count: int, seed: int, stream: int = 0,
-                              workers: int = 4) -> np.ndarray:
-    """Thread-partitioned variant of :func:`standard_normals`.
-
-    Exists to demonstrate (and let tests assert) that partitioned generation
-    is bit-identical to the sequential path.
-    """
-    if count < 0:
-        raise ParameterError("count must be non-negative")
-    seed = check_seed(seed)
-    out = np.empty(count, dtype=np.float64)
-    blocks = -(-count // BLOCK_SIZE) if count else 0
-
-    def fill(block: int) -> None:
-        lo = block * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, count)
-        gen = _block_generator(seed, stream, block)
-        out[lo:hi] = gen.standard_normal(hi - lo)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, range(blocks)))
-    return out
+    return _blockwise(start, stop, seed, stream, np.float64,
+                      lambda gen, size: gen.standard_normal(size))
 
 
 def random_bits(count: int, seed: int, stream: int = 0) -> np.ndarray:
     """Return ``count`` uniform bits (uint8 0/1) for (seed, stream)."""
-    if count < 0:
-        raise ParameterError("count must be non-negative")
-    seed = check_seed(seed)
-    out = np.empty(count, dtype=np.uint8)
-    for block in range(0, -(-count // BLOCK_SIZE) if count else 0):
-        lo = block * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, count)
-        gen = _block_generator(seed, stream, block)
-        out[lo:hi] = gen.integers(0, 2, size=hi - lo, dtype=np.uint8)
-    return out
+    return _blockwise(0, count, seed, stream, np.uint8,
+                      lambda gen, size: gen.integers(0, 2, size=size,
+                                                     dtype=np.uint8))

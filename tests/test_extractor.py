@@ -167,8 +167,7 @@ class TestExtract:
                              + int(gen.integers(0, spec.input_block_bits))))
             fast = ext.extract(x, spec)
             naive = ext.extract_naive(x, spec)
-            fft = ext.extract_fft(x, spec)
-            assert fast.bits == naive.bits == fft.bits
+            assert fast.bits == naive.bits
             assert fast.blocks == naive.blocks == blocks
             assert fast.discarded_bits == naive.discarded_bits
 
@@ -199,13 +198,28 @@ class TestExtract:
         out = ext.extract(ext.BitStream.from_bits(np.zeros(50, np.uint8)), spec)
         assert not np.any(out.bits.to_bits())
 
-    def test_block_chunking_invariant(self):
+    def test_chunks_unpack_at_unaligned_offsets(self):
+        # n = 97 puts every block after the first at a non-byte-aligned bit
+        # offset; the blocks span two full FFT chunks plus a partial one of
+        # 22 blocks, and 50 tail bits are discarded.
         gen = np.random.default_rng(5)
-        spec = ext.ToeplitzSpec.from_rng(96, 48, seed=2)
-        x = ext.BitStream.from_bits(gen.integers(0, 2, 96 * 100))
-        assert (ext.extract(x, spec, block_chunk=1).bits
-                == ext.extract(x, spec, block_chunk=7).bits
-                == ext.extract(x, spec).bits)
+        spec = ext.ToeplitzSpec.from_rng(97, 41, seed=2)
+        blocks = 2 * ext._CHUNK_BLOCKS + 22
+        x = ext.BitStream.from_bits(gen.integers(0, 2, 97 * blocks + 50))
+        fast = ext.extract(x, spec)
+        naive = ext.extract_naive(x, spec)
+        assert fast.bits == naive.bits
+        assert fast.blocks == naive.blocks == blocks
+        assert fast.discarded_bits == naive.discarded_bits == 50
+
+    def test_inexact_product_raises(self, monkeypatch):
+        # The rounding guard: a product off an integer by 0.25 or more is
+        # refused rather than turned into bits.
+        irfft = ext.irfft
+        monkeypatch.setattr(ext, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+        spec = ext.ToeplitzSpec.from_rng(32, 16, seed=8)
+        with pytest.raises(FloatingPointError):
+            ext.extract(ext.BitStream.from_bits(np.zeros(32, np.uint8)), spec)
 
     def test_blocks_processed_in_order(self):
         spec = ext.ToeplitzSpec.from_rng(32, 16, seed=3)
@@ -231,7 +245,7 @@ class TestExtract:
     def test_insufficient_input(self):
         spec = ext.ToeplitzSpec.from_rng(32, 16, seed=5)
         short = ext.BitStream.from_bits(np.zeros(31, np.uint8))
-        for fn in (ext.extract, ext.extract_naive, ext.extract_fft):
+        for fn in (ext.extract, ext.extract_naive):
             with pytest.raises(InsufficientInputError):
                 fn(short, spec)
 

@@ -160,6 +160,19 @@ class TestFullRun:
             stream=pipeline.EXTRACTOR_SEED_STREAM)
         np.testing.assert_array_equal(spec.seed_bits, expected.seed_bits)
 
+    def test_known_answer_artifacts(self, full_run):
+        # Pins the seed contract and every output bit of the chain, so a
+        # refactor that changes one draw or one extracted bit fails here.
+        # Measured with numpy 2.4.6 while the extractor still used the
+        # popcount kernel; the FFT kernel reproduces them bit for bit.
+        _, outdir, _ = full_run
+        assert sha256(os.path.join(outdir, "trace.iqt")) == (
+            "3f9d5452de0ec7b6b4e216781a22588e43214242001caf5a7685a5254f2e47e6")
+        assert sha256(os.path.join(outdir, "toeplitz_seed.bin")) == (
+            "6336382d95fa9fac8faeaa0818ea76c81812a51046a0e2208b64af52d94442bf")
+        assert sha256(os.path.join(outdir, "extracted.bin")) == (
+            "c6cd6283e865129fbf064c1ac0a8e6b2412e989d0f43436d804ef86b3a8fd442")
+
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
         report = json.load(open(os.path.join(outdir, "test_report.json")))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -51,12 +53,6 @@ def test_range_empty():
     assert rng.standard_normals_range(50, 50, seed=1).size == 0
 
 
-def test_parallel_identical_to_sequential():
-    n = 3 * rng.BLOCK_SIZE + 123
-    assert_array_equal(rng.standard_normals_parallel(n, seed=9, workers=4),
-                       rng.standard_normals(n, seed=9))
-
-
 def test_block_boundary_continuity_statistics():
     # draws spanning a block boundary stay i.i.d.: mean/var sanity
     x = rng.standard_normals_range(rng.BLOCK_SIZE - 5000,
@@ -98,3 +94,17 @@ def test_negative_count_rejected():
 def test_zero_count():
     assert rng.standard_normals(0, seed=0).size == 0
     assert rng.random_bits(0, seed=0).size == 0
+
+
+def test_known_answers_across_a_block_boundary():
+    # Seed contract pinned: any change to one draw changes these digests.
+    # Measured with numpy 2.4.6 before the block loops were merged; a numpy
+    # whose Philox, SeedSequence or sampling algorithms changed would change
+    # them as well.
+    def digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+    n = rng.BLOCK_SIZE + 7
+    assert digest(rng.standard_normals(n, seed=1)) == (
+        "c829aaa8bd8526cbb6eb9c69fcf8f7599dad939ca61c4943b10864735661f87e")
+    assert digest(rng.random_bits(n, seed=1, stream=100)) == (
+        "dfd2777f7d96a432e59bb522b8ddebc8688b408fe3af7657db08b3b965de5332")
