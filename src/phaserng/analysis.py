@@ -130,15 +130,6 @@ class ReferenceLaw:
             raise DegenerateDataError("zero-variance data cannot be gaussian-fitted")
         return cls("gaussian", (float(arr.mean()), var))
 
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.kind == "gaussian":
-            return (-math.inf, math.inf)
-        if self.kind == "uniform":
-            return self.params
-        amp = self.params[0]
-        return (-amp, amp)
-
     def pdf(self, x):
         arr = np.asarray(x, dtype=np.float64)
         if self.kind == "gaussian":

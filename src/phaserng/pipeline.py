@@ -25,7 +25,7 @@ STAGES = ("simulate", "ingest", "reconstruct", "analyze", "extract", "test")
 
 ARTIFACTS = {
     "trace": "trace.iqt",
-    "phases": "phases.csv",
+    "symbols": "symbols.bin",
     "hist_i": "hist_channel_i.csv",
     "hist_q": "hist_channel_q.csv",
     "hist_phase": "hist_phase.csv",
@@ -40,7 +40,7 @@ ARTIFACTS = {
 #: RNG stream for a generated extractor seed (simulation uses streams 0-5).
 EXTRACTOR_SEED_STREAM = 100
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _path(outdir: str, key: str) -> str:
@@ -131,74 +131,50 @@ def ingest_stage(cfg: ExperimentConfig, outdir: str, input_path: str,
             "rejected_rows": trace.metadata.rejected_rows}
 
 
-def reconstruct_stage(cfg: ExperimentConfig, outdir: str) -> dict:
-    trace = traceio.read_trace_binary(_require_artifact(outdir, "trace", "reconstruct"))
+def _reconstruct(cfg: ExperimentConfig, trace):
+    """Normalize, reconstruct and quantize: the one path from trace to symbols."""
     norm = reconstruction.normalize_iq(trace, method=cfg.analysis.normalize)
     series = reconstruction.reconstruct_phase(norm.trace)
     symbols = reconstruction.quantize_phase(series, cfg.analysis.phase_bits)
-    lines = [f"# config_digest={cfg.digest}",
-             f"# source_digest={series.source_digest}",
-             f"# bits_per_symbol={symbols.bits_per_symbol}",
-             "phase,symbol"]
-    lines.extend(f"{p!r},{s}" for p, s in
-                 zip(series.phases.tolist(), symbols.symbols.tolist()))
-    traceio.atomic_write_bytes(_path(outdir, "phases"),
-                               ("\n".join(lines) + "\n").encode())
+    return norm, series, symbols
+
+
+def reconstruct_stage(cfg: ExperimentConfig, outdir: str) -> dict:
+    trace = traceio.read_trace_binary(_require_artifact(outdir, "trace", "reconstruct"))
+    norm, series, symbols = _reconstruct(cfg, trace)
+    out = _path(outdir, "symbols")
+    traceio.atomic_write_bytes(out, traceio.encode_symbols(symbols))
+    _write_sidecar(out, cfg.digest)
     return {"samples": len(series), "zero_vectors": series.zero_vector_count,
             "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q}
 
 
-def _read_phases(outdir: str, stage: str):
-    path = _require_artifact(outdir, "phases", stage)
-    phases, symbols = [], []
-    bits_per_symbol = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# bits_per_symbol="):
-                bits_per_symbol = int(line.split("=", 1)[1])
-            if not line or line.startswith("#") or line == "phase,symbol":
-                continue
-            p, s = line.split(",")
-            phases.append(float(p))
-            symbols.append(int(s))
-    if bits_per_symbol is None:
-        raise DependencyError(f"{path!r} lacks the bits_per_symbol header")
-    series = reconstruction.PhaseSeries(phases=np.asarray(phases))
-    stream = reconstruction.SymbolStream(
-        symbols=np.asarray(symbols, dtype=np.uint16),
-        bits_per_symbol=bits_per_symbol)
-    return series, stream
-
-
 def analyze_stage(cfg: ExperimentConfig, outdir: str) -> dict:
     trace = traceio.read_trace_binary(_require_artifact(outdir, "trace", "analyze"))
-    series, symbols = _read_phases(outdir, "analyze")
+    norm, series, symbols = _reconstruct(cfg, trace)
     bins = cfg.analysis.histogram_bins
     digest = cfg.digest
 
-    norm = reconstruction.normalize_iq(trace, method=cfg.analysis.normalize)
     adc_bits = cfg.detector_i.adc_bits
     code_i = reconstruction.quantize_uniform(norm.trace.v_i, adc_bits, -1.0, 1.0)
     code_q = reconstruction.quantize_uniform(norm.trace.v_q, adc_bits, -1.0, 1.0)
     hmin_i = analysis.min_entropy(analysis.symbol_counts(code_i, 1 << adc_bits))
     hmin_q = analysis.min_entropy(analysis.symbol_counts(code_q, 1 << adc_bits))
-    hmin_phase = analysis.min_entropy(
-        analysis.symbol_counts(symbols.symbols, 1 << symbols.bits_per_symbol))
+    sym_counts = analysis.symbol_counts(symbols.symbols, 1 << symbols.bits_per_symbol)
+    hmin_phase = analysis.min_entropy(sym_counts)
 
     hist_i = analysis.Histogram.from_data(norm.trace.v_i, bins, (-1.1, 1.1))
     hist_q = analysis.Histogram.from_data(norm.trace.v_q, bins, (-1.1, 1.1))
     hist_phase = analysis.Histogram.from_data(series.phases, bins, (-np.pi, np.pi))
-    sym_counts = analysis.symbol_counts(symbols.symbols, 1 << symbols.bits_per_symbol)
     hist_symbols = analysis.Histogram(
         bin_edges=np.arange((1 << symbols.bits_per_symbol) + 1, dtype=np.float64),
         counts=sym_counts, total=int(sym_counts.sum()))
 
     arc = analysis.ReferenceLaw.arcsine(1.0)
+    uniform = analysis.ReferenceLaw.uniform(-np.pi, np.pi)
     _write_hist_csv(_path(outdir, "hist_i"), hist_i, arc, digest)
     _write_hist_csv(_path(outdir, "hist_q"), hist_q, arc, digest)
-    _write_hist_csv(_path(outdir, "hist_phase"), hist_phase,
-                    analysis.ReferenceLaw.uniform(-np.pi, np.pi), digest)
+    _write_hist_csv(_path(outdir, "hist_phase"), hist_phase, uniform, digest)
     _write_hist_csv(_path(outdir, "hist_symbols"), hist_symbols, None, digest)
 
     klds = {
@@ -206,8 +182,7 @@ def analyze_stage(cfg: ExperimentConfig, outdir: str) -> dict:
                                              analysis.ReferenceLaw.gaussian(0.0, 1.0)),
         "vs_moment_fit_gaussian": analysis.kld(hist_phase,
                                                analysis.ReferenceLaw.gaussian_fit(series.phases)),
-        "vs_uniform": analysis.kld(hist_phase,
-                                   analysis.ReferenceLaw.uniform(-np.pi, np.pi)),
+        "vs_uniform": analysis.kld(hist_phase, uniform),
     }
     autocorr = analysis.autocorrelation(series.phases, cfg.analysis.max_lag)
     warnings = optics.validate_timing(cfg.laser, cfg.interferometer,
@@ -248,7 +223,8 @@ def _extraction_spec(cfg: ExperimentConfig, outdir: str) -> extractor.ToeplitzSp
 
 
 def extract_stage(cfg: ExperimentConfig, outdir: str) -> dict:
-    _, symbols = _read_phases(outdir, "extract")
+    with open(_require_artifact(outdir, "symbols", "extract"), "rb") as fh:
+        symbols = traceio.decode_symbols(fh.read())
     spec = _extraction_spec(cfg, outdir)
     raw_bits = extractor.symbols_to_bits(symbols)
     result = extractor.extract(raw_bits, spec)
@@ -273,8 +249,8 @@ def test_stage(cfg: ExperimentConfig, outdir: str) -> dict:
     all_bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:need]
     sequences = all_bits.reshape(tc.sequence_count, tc.sequence_bits)
     report = stattests.run_battery(list(sequences), tc)
-    payload = report.to_dict()
-    payload["config_digest"] = cfg.digest
+    payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
+               "config_digest": cfg.digest}
     _write_json(_path(outdir, "test"), payload)
     return {"passed": report.passed,
             "proportions": {r.name: r.proportion for r in report.results}}

@@ -7,7 +7,6 @@ recovers the optical phase as the two-argument arctangent of (V_Q, V_I) in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -21,14 +20,13 @@ _MIN_NORMALIZE_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class PhaseSeries:
-    """Reconstructed phases in [-pi, pi) plus provenance.
+    """Reconstructed phases in [-pi, pi).
 
     ``zero_vector_count`` tallies exact (0, 0) input samples, which carry
     no phase information and were mapped to 0 by convention.
     """
 
     phases: np.ndarray = field(repr=False)
-    source_digest: str = ""
     zero_vector_count: int = 0
 
     def __post_init__(self):
@@ -76,14 +74,6 @@ class NormalizedIQ(NamedTuple):
     amplitude_q: float
 
 
-def trace_digest(trace: IQTrace) -> str:
-    """SHA-256 over both channels' raw samples (order: I then Q)."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(trace.v_i).tobytes())
-    h.update(np.ascontiguousarray(trace.v_q).tobytes())
-    return h.hexdigest()
-
-
 def _estimate_amplitude(values: np.ndarray, method: str) -> float:
     if method == "percentile":
         lo, hi = np.quantile(values, (0.001, 0.999))
@@ -128,8 +118,7 @@ def reconstruct_phase(trace: IQTrace) -> PhaseSeries:
     zeros = int(np.count_nonzero((trace.v_i == 0.0) & (trace.v_q == 0.0)))
     phases = np.arctan2(trace.v_q, trace.v_i)
     np.copyto(phases, -np.pi, where=(phases == np.pi))
-    return PhaseSeries(phases=phases, source_digest=trace_digest(trace),
-                       zero_vector_count=zeros)
+    return PhaseSeries(phases=phases, zero_vector_count=zeros)
 
 
 def quantize_uniform(values, n_bits: int, lo: float, hi: float) -> np.ndarray:

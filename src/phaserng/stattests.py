@@ -294,14 +294,17 @@ def uniformity_p(p_values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StreamResult:
-    """Acceptance bookkeeping for one p-value stream of one test."""
+    """Acceptance bookkeeping for one p-value stream of one test.
+
+    ``uniformity_p`` is None below 10 p-values, where it is not computed.
+    """
 
     name: str
     p_values: np.ndarray = field(repr=False)
     proportion: float
     proportion_bound: float
     proportion_passed: bool
-    uniformity_p: float
+    uniformity_p: float | None
     uniformity_passed: bool
 
     @property
@@ -329,7 +332,6 @@ class TestReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "alpha": self.config.alpha,
             "sequence_bits": self.config.sequence_bits,
             "sequence_count": self.config.sequence_count,
@@ -385,10 +387,10 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
     for s in order:
         p_values = np.asarray(per_stream[s], dtype=np.float64)
         proportion = float(np.mean(p_values >= config.alpha))
-        unif = uniformity_p(p_values) if p_values.size >= 10 else 1.0
+        unif = uniformity_p(p_values) if p_values.size >= 10 else None
         results.append(StreamResult(
             name=s, p_values=p_values, proportion=proportion,
             proportion_bound=bound, proportion_passed=proportion > bound,
             uniformity_p=unif,
-            uniformity_passed=unif > config.uniformity_threshold))
+            uniformity_passed=unif is None or unif > config.uniformity_threshold))
     return TestReport(results=tuple(results), config=config)

@@ -1,4 +1,4 @@
-"""Trace file formats: compact binary and human-readable CSV.
+"""Trace and symbol file formats: compact binary and human-readable CSV.
 
 Binary layout (little-endian throughout), 32-byte header:
 
@@ -30,12 +30,17 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 from .optics import IQTrace, TraceMetadata
+from .reconstruction import SymbolStream
 
 MAGIC = b"IQT1"
 VERSION = 1
 HEADER_SIZE = 32
 _HEADER = struct.Struct("<4sBBBBQdd")
 _SAMPLE_PAIR_BYTES = 8            # two float32s
+
+SYMBOL_MAGIC = b"SYM1"
+SYMBOL_VERSION = 1
+_SYMBOL_HEADER = struct.Struct("<4sBBHQ")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -67,6 +72,12 @@ def write_trace_binary(trace: IQTrace, path: str) -> None:
     atomic_write_bytes(path, encode_trace(trace))
 
 
+def _check_size(blob: bytes, expected: int) -> None:
+    if len(blob) != expected:
+        kind = "truncated payload" if len(blob) < expected else "trailing data"
+        raise FormatError(f"{kind}: expected {expected} bytes, got {len(blob)}")
+
+
 def decode_trace(blob: bytes) -> IQTrace:
     """Parse the binary format; strict about every header field."""
     if len(blob) < HEADER_SIZE:
@@ -89,13 +100,7 @@ def decode_trace(blob: bytes) -> IQTrace:
         raise FormatError(f"invalid sample rate {rate!r} at byte 16")
     if not (fullscale > 0.0) or not math.isfinite(fullscale):
         raise FormatError(f"invalid full-scale {fullscale!r} at byte 24")
-    expected = HEADER_SIZE + count * _SAMPLE_PAIR_BYTES
-    if len(blob) < expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(blob)}")
-    if len(blob) > expected:
-        raise FormatError(
-            f"trailing data: expected {expected} bytes, got {len(blob)}")
+    _check_size(blob, HEADER_SIZE + count * _SAMPLE_PAIR_BYTES)
     if count == 0:
         raise FormatError("empty trace: declared sample count is 0")
     payload = np.frombuffer(blob, dtype="<f4", offset=HEADER_SIZE)
@@ -115,6 +120,39 @@ def decode_trace(blob: bytes) -> IQTrace:
 def read_trace_binary(path: str) -> IQTrace:
     with open(path, "rb") as fh:
         return decode_trace(fh.read())
+
+
+def encode_symbols(stream: SymbolStream) -> bytes:
+    """Serialize symbols: a 16-byte ``<4sBBHQ`` header (magic "SYM1", version,
+    bits per symbol, reserved 0, count), then ``count`` uint16 symbols."""
+    header = _SYMBOL_HEADER.pack(SYMBOL_MAGIC, SYMBOL_VERSION,
+                                 stream.bits_per_symbol, 0, len(stream))
+    return header + stream.symbols.astype("<u2").tobytes()
+
+
+def decode_symbols(blob: bytes) -> SymbolStream:
+    """Parse the symbol format; strict about every field and every symbol."""
+    size = _SYMBOL_HEADER.size
+    if len(blob) < size:
+        raise FormatError(f"truncated header: expected {size} bytes, got {len(blob)}")
+    magic, version, bits, reserved, count = _SYMBOL_HEADER.unpack_from(blob)
+    if magic != SYMBOL_MAGIC:
+        raise FormatError(f"bad magic {magic!r} at byte 0, expected {SYMBOL_MAGIC!r}")
+    if version != SYMBOL_VERSION:
+        raise FormatError(f"unsupported version {version} at byte 4")
+    if not (1 <= bits <= 16):
+        raise FormatError(f"bits per symbol {bits} at byte 5 not in [1, 16]")
+    if reserved != 0:
+        raise FormatError(f"nonzero reserved field 0x{reserved:04x} at byte 6")
+    if count == 0:
+        raise FormatError("empty stream: symbol count is 0 at byte 8")
+    _check_size(blob, size + 2 * count)
+    symbols = np.frombuffer(blob, dtype="<u2", offset=size)
+    over = np.flatnonzero(symbols >> bits) if bits < 16 else []
+    if len(over):
+        k = int(over[0])
+        raise FormatError(f"symbol {symbols[k]} at byte {size + 2 * k} exceeds {bits} bits")
+    return SymbolStream(symbols=symbols, bits_per_symbol=bits)
 
 
 def write_trace_csv(trace: IQTrace, path: str, comments: tuple[str, ...] = ()) -> None:

@@ -79,7 +79,8 @@ def check_pvalue_ranges(seed=3, rounds=40):
 
 
 def check_trace_roundtrips(tmpdir, seed=4, rounds=25):
-    """Binary and CSV serialization preserve every finite float32 sample."""
+    """Binary and CSV serialization preserve every finite float32 sample,
+    and the symbol format preserves every symbol and its width."""
     gen = np.random.default_rng(seed)
     for k in range(rounds):
         count = int(gen.integers(1, 500))
@@ -95,6 +96,14 @@ def check_trace_roundtrips(tmpdir, seed=4, rounds=25):
         csv_back = traceio.read_trace_csv(path, sample_rate=trace.sample_rate)
         np.testing.assert_array_equal(csv_back.v_i, trace.v_i)
         np.testing.assert_array_equal(csv_back.v_q, trace.v_q)
+        bits = int(gen.integers(1, 17))
+        stream = reconstruction.SymbolStream(
+            symbols=gen.integers(0, 1 << bits, count), bits_per_symbol=bits)
+        blob = traceio.encode_symbols(stream)
+        sym_back = traceio.decode_symbols(blob)
+        np.testing.assert_array_equal(sym_back.symbols, stream.symbols)
+        assert sym_back.bits_per_symbol == bits
+        assert traceio.encode_symbols(sym_back) == blob
 
 
 _PIPELINE_INI = """\

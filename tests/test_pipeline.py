@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -65,7 +67,7 @@ def full_run(tmp_path_factory):
 class TestFullRun:
     def test_summary_structure(self, full_run):
         cfg, outdir, summary = full_run
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == pipeline.SCHEMA_VERSION
         assert summary["config_digest"] == cfg.digest
         assert summary["stages"] == ["simulate", "reconstruct", "analyze",
                                      "extract", "test"]
@@ -85,7 +87,8 @@ class TestFullRun:
 
     def test_sidecars(self, full_run):
         cfg, outdir, _ = full_run
-        for name in ("trace.iqt", "toeplitz_seed.bin", "extracted.bin"):
+        for name in ("trace.iqt", "symbols.bin", "toeplitz_seed.bin",
+                     "extracted.bin"):
             side = json.load(open(os.path.join(outdir, name + ".meta.json")))
             assert side["artifact"] == name
             assert side["config_digest"] == cfg.digest
@@ -98,16 +101,14 @@ class TestFullRun:
         assert sim["sample_rate"] == 200e6
         assert sim["oversample_factor"] == 1
 
-    def test_phases_artifact(self, full_run):
-        cfg, outdir, _ = full_run
-        lines = open(os.path.join(outdir, "phases.csv")).read().splitlines()
-        assert lines[0] == f"# config_digest={cfg.digest}"
-        assert lines[2] == "# bits_per_symbol=10"
-        assert lines[3] == "phase,symbol"
-        assert len(lines) == 4 + 30000
-        phase, symbol = lines[4].split(",")
-        assert -math.pi <= float(phase) < math.pi
-        assert 0 <= int(symbol) < 1024
+    def test_symbols_artifact(self, full_run):
+        _, outdir, _ = full_run
+        blob = open(os.path.join(outdir, "symbols.bin"), "rb").read()
+        assert struct.unpack("<4sBBHQ", blob[:16]) == (b"SYM1", 1, 10, 0, 30000)
+        assert len(blob) == 16 + 2 * 30000
+        stream = traceio.decode_symbols(blob)
+        assert len(stream) == 30000
+        assert stream.bits_per_symbol == 10
 
     def test_analysis_report(self, full_run):
         cfg, outdir, _ = full_run
@@ -172,11 +173,29 @@ class TestFullRun:
             "6336382d95fa9fac8faeaa0818ea76c81812a51046a0e2208b64af52d94442bf")
         assert sha256(os.path.join(outdir, "extracted.bin")) == (
             "c6cd6283e865129fbf064c1ac0a8e6b2412e989d0f43436d804ef86b3a8fd442")
+        hists = {
+            "hist_channel_i.csv":
+                "448d5be97ba0f38d0b5023c9d3d68e5ea6cc103e3e3670dbb68e3b6bb7b2b7b7",
+            "hist_channel_q.csv":
+                "c959db819bffa309dcaac3cf27c82f93b1990bbe90f9a64593f6328c483ea8b6",
+            "hist_phase.csv":
+                "fb5cc2c3a33db4590c5a825b1a11dcc74a0eb66ca93cb9f2cc16238b599b174c",
+            "hist_symbols.csv":
+                "a6f3bac6d51a085037a35440d33db757c0e27f338c92979db27e2a2bf74e678a",
+        }
+        for name, digest in hists.items():
+            assert sha256(os.path.join(outdir, name)) == digest, name
+        # The symbol payload equals the symbol column of the text artifact
+        # it replaced, as little-endian uint16.
+        payload = open(os.path.join(outdir, "symbols.bin"), "rb").read()[16:]
+        assert hashlib.sha256(payload).hexdigest() == (
+            "270008fdc44888c5e6b805d56226ac623a01bfa185d6f85b746c9c05ac99719f")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
         report = json.load(open(os.path.join(outdir, "test_report.json")))
         assert report["config_digest"] == cfg.digest
+        assert report["schema_version"] == pipeline.SCHEMA_VERSION
         assert len(report["streams"]) == 10
         assert summary["stage_outputs"]["test"]["passed"] is True
 
@@ -189,7 +208,7 @@ class TestDeterminism:
             cfg, ["simulate", "reconstruct", "analyze", "extract", "test"],
             again)
         assert summary2 == summary
-        for name in ("trace.iqt", "extracted.bin", "phases.csv"):
+        for name in ("trace.iqt", "extracted.bin", "symbols.bin"):
             assert sha256(os.path.join(again, name)) == \
                 sha256(os.path.join(outdir, name)), name
 
@@ -210,10 +229,19 @@ class TestStagedExecution:
         assert s1["stages"] == ["simulate"]
         assert list(s1["artifacts"]) == ["trace.iqt"]
         s2 = pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
-        assert "phases.csv" in s2["artifacts"]
+        assert "symbols.bin" in s2["artifacts"]
         s3 = pipeline.run_pipeline(cfg, ["analyze", "extract"], outdir)
         assert s3["stages"] == ["analyze", "extract"]
         assert "extracted.bin" in s3["artifacts"]
+
+    def test_analyze_needs_only_the_trace(self, tmp_path):
+        outdir = str(tmp_path / "run")
+        cfg = make_config()
+        pipeline.run_pipeline(cfg, ["simulate"], outdir)
+        summary = pipeline.run_pipeline(cfg, ["analyze"], outdir)
+        assert summary["stages"] == ["analyze"]
+        assert "analysis_report.json" in summary["artifacts"]
+        assert "symbols.bin" not in summary["artifacts"]
 
     def test_stage_order_is_canonical(self, tmp_path):
         outdir = str(tmp_path / "run")
@@ -224,7 +252,7 @@ class TestStagedExecution:
     @pytest.mark.parametrize("stage,missing", [
         ("reconstruct", "trace.iqt"),
         ("analyze", "trace.iqt"),
-        ("extract", "phases.csv"),
+        ("extract", "symbols.bin"),
         ("test", "extracted.bin"),
     ])
     def test_missing_dependency(self, tmp_path, stage, missing):
@@ -328,7 +356,7 @@ class TestCli:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["stages"] == ["simulate", "reconstruct"]
-        assert os.path.exists(os.path.join(outdir, "phases.csv"))
+        assert os.path.exists(os.path.join(outdir, "symbols.bin"))
 
     def test_single_stage_subcommand(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -379,13 +407,17 @@ class TestCli:
         assert code == 3
         assert "cannot read or write" in capsys.readouterr().err
 
-    def test_exit_3_corrupt_trace(self, tmp_path, capsys):
+    @pytest.mark.parametrize("artifact,stage", [
+        ("trace.iqt", "reconstruct"),
+        ("symbols.bin", "extract"),
+    ])
+    def test_exit_3_corrupt_trace(self, tmp_path, capsys, artifact, stage):
         config = self.write_config(tmp_path)
         outdir = str(tmp_path / "out")
         os.makedirs(outdir)
-        with open(os.path.join(outdir, "trace.iqt"), "wb") as fh:
-            fh.write(b"not a trace at all, sorry")
-        code = cli.main(["reconstruct", "-c", config, "-o", outdir])
+        with open(os.path.join(outdir, artifact), "wb") as fh:
+            fh.write(b"not an artifact at all, sorry")
+        code = cli.main([stage, "-c", config, "-o", outdir])
         assert code == 3
 
     def test_exit_4_missing_dependency(self, tmp_path, capsys):
@@ -409,3 +441,18 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+def test_readme_quick_start_yields_enough_bits():
+    # The README's example config must run end to end: the extracted bits
+    # have to cover the test stage's sequences.
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8").read()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = cfg_mod.parse_config(block)
+    ext = cfg.extraction
+    n, m = extractor.derive_params(ext.min_entropy_rate, ext.input_bits,
+                                   epsilon=2.0 ** -ext.epsilon_exponent,
+                                   mode=ext.mode)
+    raw_bits = cfg.simulation.sample_count * cfg.analysis.phase_bits
+    assert (raw_bits // n) * m >= cfg.test.sequence_bits * cfg.test.sequence_count

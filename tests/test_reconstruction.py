@@ -49,14 +49,6 @@ class TestReconstructPhase:
         assert series.zero_vector_count == 2
         assert series.phases[0] == 0.0
 
-    def test_source_digest_tracks_trace(self):
-        theta = np.linspace(-1, 1, 64)
-        t1 = trace_from_phases(theta)
-        t2 = trace_from_phases(theta + 0.1)
-        assert rec.reconstruct_phase(t1).source_digest == rec.trace_digest(t1)
-        assert (rec.reconstruct_phase(t1).source_digest
-                != rec.reconstruct_phase(t2).source_digest)
-
     def test_quadrant_signs(self):
         trace = optics.IQTrace(v_i=np.array([1.0, -1.0, -1.0, 1.0]),
                                v_q=np.array([1.0, 1.0, -1.0, -1.0]),

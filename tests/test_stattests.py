@@ -302,8 +302,9 @@ class TestBattery:
         seqs = [rng.random_bits(2048, seed=58, stream=i) for i in range(3)]
         report = st.run_battery(seqs, config)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["schema_version"] == 1
         assert len(payload["streams"]) == 10
+        # three sequences are too few for the 10-bin uniformity check
+        assert all(s["uniformity_p"] is None for s in payload["streams"])
         assert payload["not_implemented"] == list(st.NOT_IMPLEMENTED)
 
     def test_stream_accessor(self):
