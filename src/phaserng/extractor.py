@@ -79,17 +79,6 @@ class BitStream:
                              count=self.bit_length)
 
 
-def split_bits(bits: BitStream, piece_bits: int) -> list[BitStream]:
-    """Cut a stream into consecutive equal pieces; the partial tail is dropped."""
-    piece_bits = int(piece_bits)
-    if piece_bits < 1:
-        raise ParameterError("piece_bits must be >= 1")
-    pieces = bits.bit_length // piece_bits
-    unpacked = bits.to_bits()
-    return [BitStream.from_bits(unpacked[k * piece_bits:(k + 1) * piece_bits])
-            for k in range(pieces)]
-
-
 @dataclass(frozen=True)
 class ToeplitzSpec:
     """Extractor geometry plus the seed bits defining the matrix."""

@@ -83,14 +83,20 @@ class TestConfig:
 
 
 def _as_bits(bits) -> np.ndarray:
+    """Validated 0/1 uint8 view of ``bits``; a uint8 array is not copied."""
     if isinstance(bits, BitStream):
         return bits.to_bits()
     arr = np.asarray(bits)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("bits must be a non-empty 1-D array")
-    if not np.all((arr == 0) | (arr == 1)):
+    if arr.dtype == np.uint8:
+        valid = arr.max() <= 1
+    else:
+        valid = np.all((arr == 0) | (arr == 1))
+        arr = arr.astype(np.uint8)
+    if not valid:
         raise ParameterError("bits must be 0 or 1")
-    return arr.astype(np.uint8)
+    return arr
 
 
 def _require(bits: np.ndarray, minimum: int, test: str) -> None:
@@ -177,25 +183,51 @@ def _cusum_p(z: int, n: int) -> float:
 
 
 def cumulative_sums(bits) -> list[float]:
-    """Maximum partial-sum excursion, forward and backward."""
+    """Maximum partial-sum excursion, forward and backward.
+
+    One walk S_1..S_n serves both directions: the backward partial sums
+    are S_n - S_j for j = 0..n-1, so their largest magnitude follows from
+    the total and the extremes of the forward walk (S_0 = 0 included).
+    """
     b = _as_bits(bits)
     _require(b, 10, "cumulative-sums")
-    steps = 2.0 * b.astype(np.float64) - 1.0
-    n = b.size
-    fwd = int(np.abs(np.cumsum(steps)).max())
-    bwd = int(np.abs(np.cumsum(steps[::-1])).max())
-    return [_cusum_p(fwd, n), _cusum_p(bwd, n)]
+    walk = np.cumsum(b.view(np.int8) * 2 - 1, dtype=np.int32)
+    low, high, total = min(0, int(walk.min())), max(0, int(walk.max())), int(walk[-1])
+    fwd, bwd = max(high, -low), max(total - low, high - total)
+    return [_cusum_p(fwd, b.size), _cusum_p(bwd, b.size)]
 
 
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of all 2^m overlapping m-bit patterns, circularly extended."""
-    n = b.size
-    ext = np.concatenate([b, b[:m - 1]]) if m > 1 else b
-    codes = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        codes <<= 1
-        codes |= ext[j:j + n]
+    """Counts of all 2^m overlapping m-bit patterns, circularly extended.
+
+    Codes are built by doubling: the w-bit codes at i and i + s combine
+    into the (w + s)-bit codes at i, so m bits take ceil(log2 m) passes.
+    """
+    codes = np.concatenate([b, b[:m - 1]]).astype(np.uint32)
+    width = 1
+    while width < m:
+        step = min(width, m - width)
+        head = codes[:-step] << step
+        head |= codes[step:] if step == width else codes[step:] & ((1 << step) - 1)
+        codes = head
+        width += step
     return np.bincount(codes, minlength=1 << m)
+
+
+def _leading_counts(b: np.ndarray, m: int, counts: np.ndarray | None) -> np.ndarray:
+    """m-bit pattern counts of ``b``, summed from wider ``counts`` if given.
+
+    Summing the counts of a wider circular pattern over its trailing bits
+    gives the exact counts of its leading m bits.
+    """
+    if counts is None:
+        return _pattern_counts(b, m)
+    size = counts.size
+    if size < 1 << m or size & (size - 1) or counts.sum() != b.size:
+        raise ParameterError(
+            f"counts must be the circular pattern counts of these bits, "
+            f"at least {m} bits wide")
+    return counts.reshape(1 << m, -1).sum(axis=1)
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
@@ -203,15 +235,20 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
     return float(c.size / n * np.sum(c * c) - n)
 
 
-def serial(bits, pattern_bits: int = 16) -> list[float]:
-    """Overlapping m-bit pattern uniformity, first and second differences."""
+def serial(bits, pattern_bits: int = 16, *,
+           counts: np.ndarray | None = None) -> list[float]:
+    """Overlapping m-bit pattern uniformity, first and second differences.
+
+    ``counts`` may carry ``_pattern_counts(bits, k)`` for any k >= m, so a
+    battery counts patterns once for this test and approximate entropy.
+    """
     b = _as_bits(bits)
     m = int(pattern_bits)
     if m < 2:
         raise ParameterError("serial needs pattern_bits >= 2")
     _require(b, 1 << (m + 2), "serial")
     n = b.size
-    counts_m = _pattern_counts(b, m)
+    counts_m = _leading_counts(b, m, counts)
     counts_m1 = counts_m.reshape(-1, 2).sum(axis=1)
     counts_m2 = counts_m1.reshape(-1, 2).sum(axis=1)
     psi_m = _psi_sq(counts_m, n)
@@ -223,19 +260,23 @@ def serial(bits, pattern_bits: int = 16) -> list[float]:
             float(gammaincc(2.0 ** (m - 3), d2 / 2.0))]
 
 
-def approximate_entropy(bits, pattern_bits: int = 10) -> list[float]:
-    """phi(m) - phi(m+1) compared against log 2."""
+def approximate_entropy(bits, pattern_bits: int = 10, *,
+                        counts: np.ndarray | None = None) -> list[float]:
+    """phi(m) - phi(m+1) compared against log 2.
+
+    ``counts`` may carry ``_pattern_counts(bits, k)`` for any k >= m + 1.
+    """
     b = _as_bits(bits)
     m = int(pattern_bits)
     _require(b, 1 << (m + 6), "approximate-entropy")
     n = b.size
 
-    def phi(mm: int) -> float:
-        counts = _pattern_counts(b, mm)
-        c = counts[counts > 0].astype(np.float64) / n
+    def phi(c: np.ndarray) -> float:
+        c = c[c > 0].astype(np.float64) / n
         return float(np.sum(c * np.log(c)))
 
-    ap_en = phi(m) - phi(m + 1)
+    counts_m1 = _leading_counts(b, m + 1, counts)
+    ap_en = phi(counts_m1.reshape(-1, 2).sum(axis=1)) - phi(counts_m1)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
     return [float(gammaincc(2.0 ** (m - 1), chi_sq / 2.0))]
 
@@ -254,16 +295,17 @@ def dft_spectral(bits) -> list[float]:
     return [float(erfc(abs(d) / math.sqrt(2.0)))]
 
 
+# Each runner takes (bits, config, shared pattern counts or None).
 _RUNNERS = {
-    "monobit": lambda b, c: monobit(b),
-    "block-frequency": lambda b, c: block_frequency(b, c.block_frequency_block),
-    "runs": lambda b, c: runs(b),
-    "longest-run": lambda b, c: longest_run(b),
-    "cumulative-sums": lambda b, c: cumulative_sums(b),
-    "serial": lambda b, c: serial(b, c.serial_pattern_bits),
+    "monobit": lambda b, c, k: monobit(b),
+    "block-frequency": lambda b, c, k: block_frequency(b, c.block_frequency_block),
+    "runs": lambda b, c, k: runs(b),
+    "longest-run": lambda b, c, k: longest_run(b),
+    "cumulative-sums": lambda b, c, k: cumulative_sums(b),
+    "serial": lambda b, c, k: serial(b, c.serial_pattern_bits, counts=k),
     "approximate-entropy":
-        lambda b, c: approximate_entropy(b, c.approx_entropy_pattern_bits),
-    "dft-spectral": lambda b, c: dft_spectral(b),
+        lambda b, c, k: approximate_entropy(b, c.approx_entropy_pattern_bits, counts=k),
+    "dft-spectral": lambda b, c, k: dft_spectral(b),
 }
 
 _STREAM_NAMES = {
@@ -279,7 +321,7 @@ def run_test(name: str, bits, config: TestConfig | None = None) -> list[float]:
     if config is None:
         b = _as_bits(bits)
         config = TestConfig(sequence_bits=max(100, b.size), sequence_count=1)
-    return _RUNNERS[name](bits, config)
+    return _RUNNERS[name](bits, config, None)
 
 
 def uniformity_p(p_values: np.ndarray) -> float:
@@ -355,7 +397,9 @@ class TestReport:
 def run_battery(sequences, config: TestConfig) -> TestReport:
     """Run every implemented test over all sequences and gate the results.
 
-    All sequences must have exactly ``config.sequence_bits`` bits.  A
+    All sequences must have exactly ``config.sequence_bits`` bits.  Each
+    sequence goes through every test before the next one starts, with one
+    circular pattern count shared by serial and approximate entropy.  A
     stream passes when its pass proportion exceeds the configured bound and
     its p-values look uniform at the configured threshold.
     """
@@ -370,16 +414,14 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
                 f"all sequences must have {config.sequence_bits} bits; "
                 f"found one with {arr.size}")
 
-    per_stream: dict[str, list[float]] = {}
-    order: list[str] = []
-    for name in TEST_NAMES:
-        stream_names = _STREAM_NAMES.get(name, (name,))
-        for s in stream_names:
-            per_stream[s] = []
-            order.append(s)
-        for arr in arrays:
-            values = _RUNNERS[name](arr, config)
-            for s, p in zip(stream_names, values):
+    order = [s for name in TEST_NAMES for s in _STREAM_NAMES.get(name, (name,))]
+    per_stream: dict[str, list[float]] = {s: [] for s in order}
+    shared_bits = max(config.serial_pattern_bits, config.approx_entropy_pattern_bits + 1)
+    for arr in arrays:
+        counts = _pattern_counts(arr, shared_bits)
+        for name in TEST_NAMES:
+            values = _RUNNERS[name](arr, config, counts)
+            for s, p in zip(_STREAM_NAMES.get(name, (name,)), values):
                 per_stream[s].append(p)
 
     bound = config.proportion_bound()

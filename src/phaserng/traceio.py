@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -44,9 +44,14 @@ _SYMBOL_HEADER = struct.Struct("<4sBBHQ")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a sibling temp file and rename."""
+    """Write ``data`` to ``path`` via a sibling temp file and rename.
+
+    The temp file is created with mode 0666 less the umask, as ``open``
+    would create ``path`` itself.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trace-")
+    tmp = os.path.join(directory, f".trace-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -63,16 +63,6 @@ class TestBitStream:
         assert stream.data == b""
 
 
-def test_split_bits():
-    stream = ext.BitStream.from_bits([1, 0, 1, 1, 0, 0, 1, 1, 0, 1])
-    pieces = ext.split_bits(stream, 4)
-    assert len(pieces) == 2  # 2 bits of tail dropped
-    assert_array_equal(pieces[0].to_bits(), [1, 0, 1, 1])
-    assert_array_equal(pieces[1].to_bits(), [0, 0, 1, 1])
-    with pytest.raises(ParameterError):
-        ext.split_bits(stream, 0)
-
-
 class TestToeplitzSpec:
     def test_matrix_layout(self):
         # n=3, m=2: T[i, j] = seed[i - j + 2]

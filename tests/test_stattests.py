@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -36,6 +37,45 @@ P_VALUE_TABLE = {
 }
 
 MONOBIT_ALL_ONES_100 = 1.523970604832105e-23
+
+# sha256 of each stream's p-values (float64 bytes, report order) for
+# run_battery on 12 x 300,000 bits (random_bits seed 2024, streams 0-11)
+# with the default pattern bits.  The kernels' arithmetic is exact, so
+# any reordering of the battery must reproduce these bit for bit.
+BATTERY_KNOWN_ANSWERS = {
+    "monobit": "9d86ef291be2cba7be014f56234933cef0d4a0fdb62d803539ae4342b560eaeb",
+    "block-frequency": "189ee19c8f15cfe0373f91c6ff1cadc5209705e3365a06c6cff5006b7b7bf86a",
+    "runs": "7912a6f823cc6448a6265bbfe78be36ec9338821575c2dd22a2a51e8609454e8",
+    "longest-run": "4ca2b877b0229da209d2242fae30b78013aa168bf15a37cfe24221b158549572",
+    "cumulative-sums-forward":
+        "92d44907f50d0928b7274d724a848772ebd8770f9cc2388d505c7862b54aecff",
+    "cumulative-sums-backward":
+        "87f2325ffcbcc6fdc90b8777dadd27e537fc68a7c53a26485624ac08439c9e0d",
+    "serial-first": "871a4a902c2f508c79846b55c3827288bfc07f3ec40a433d6f8c2064d1378a7f",
+    "serial-second": "e5838d465498f51f08dd60ff28051fadd40756c09c2e3040bcef4fdb8d7e4a22",
+    "approximate-entropy":
+        "1c8b4b76b76ebd2a235eb5ed039f4dd0600c5119365b619536ac0b346327dfcb",
+    "dft-spectral": "efd13022d5c61c4ab5a71601880be847357dee802a6bed61c9035ee06f0e7da3",
+}
+
+
+def pattern_counts_oracle(b, m):
+    """One shift-and-or pass per pattern bit over int64 codes."""
+    n = b.size
+    ext = np.concatenate([b, b[:m - 1]]) if m > 1 else b
+    codes = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        codes <<= 1
+        codes |= ext[j:j + n]
+    return np.bincount(codes, minlength=1 << m)
+
+
+def cumulative_sums_oracle(b):
+    """Forward and backward float64 walks, each scanned for its extreme."""
+    steps = 2.0 * np.asarray(b).astype(np.float64) - 1.0
+    fwd = int(np.abs(np.cumsum(steps)).max())
+    bwd = int(np.abs(np.cumsum(steps[::-1])).max())
+    return [st._cusum_p(fwd, b.size), st._cusum_p(bwd, b.size)]
 
 
 def bits(pattern: str) -> np.ndarray:
@@ -159,6 +199,41 @@ class TestIndividualBehaviors:
         assert st.runs(seq) == st.runs(comp)
         n_runs = lambda b: int(np.count_nonzero(np.diff(b.astype(np.int8)))) + 1
         assert n_runs(seq) == n_runs(comp)
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 16, 17, 24])
+    def test_pattern_counts_match_oracle(self, m):
+        for n in (m, m + 1, 1000):
+            b = rng.random_bits(n, seed=70 + m, stream=n)
+            np.testing.assert_array_equal(st._pattern_counts(b, m),
+                                          pattern_counts_oracle(b, m),
+                                          err_msg=f"m={m} n={n}")
+
+    @pytest.mark.parametrize("seq", [
+        rng.random_bits(10, seed=71),
+        np.ones(1000, dtype=np.uint8),
+        np.zeros(1000, dtype=np.uint8),
+        np.tile(np.array([1, 0], dtype=np.uint8), 500),
+        rng.random_bits(100_000, seed=72),
+    ], ids=["n10", "ones", "zeros", "alternating", "random1e5"])
+    def test_cumulative_sums_match_oracle(self, seq):
+        assert st.cumulative_sums(seq) == cumulative_sums_oracle(seq)
+
+    @pytest.mark.parametrize("serial_m,apen_m", [(16, 10), (5, 11)])
+    def test_shared_count_gives_identical_p_values(self, serial_m, apen_m):
+        b = rng.random_bits(1 << 18, seed=73)
+        counts = st._pattern_counts(b, max(serial_m, apen_m + 1))
+        assert st.serial(b, serial_m, counts=counts) == st.serial(b, serial_m)
+        assert (st.approximate_entropy(b, apen_m, counts=counts)
+                == st.approximate_entropy(b, apen_m))
+
+    def test_shared_count_must_fit(self):
+        b = rng.random_bits(4096, seed=74)
+        with pytest.raises(ParameterError):
+            st.serial(b, 8, counts=st._pattern_counts(b, 7))   # too narrow
+        with pytest.raises(ParameterError):
+            st.approximate_entropy(b, 3, counts=st._pattern_counts(b[:-1], 8))
 
 
 class TestSequenceLengthFloors:
@@ -341,6 +416,45 @@ class TestBattery:
         bad = [rng.random_bits(2048, seed=62), rng.random_bits(2047, seed=63)]
         with pytest.raises(ParameterError):
             st.run_battery(bad, config)
+
+
+class TestBatteryKnownAnswers:
+    def test_p_values_pinned_and_equal_to_run_test(self):
+        config = st.TestConfig(sequence_bits=300_000, sequence_count=12)
+        seqs = [rng.random_bits(300_000, seed=2024, stream=i) for i in range(12)]
+        report = st.run_battery(seqs, config)
+        got = {r.name: hashlib.sha256(r.p_values.astype("<f8").tobytes()).hexdigest()
+               for r in report.results}
+        assert got == BATTERY_KNOWN_ANSWERS
+        for i, seq in enumerate(seqs):
+            for name in st.TEST_NAMES:
+                streams = st._STREAM_NAMES.get(name, (name,))
+                battery = [float(report.stream(s).p_values[i]) for s in streams]
+                assert battery == st.run_test(name, seq, config), (i, name)
+
+    def test_inputs_are_left_unmodified(self):
+        config = small_battery_config()
+        seqs = [rng.random_bits(2048, seed=75, stream=i) for i in range(10)]
+        copies = [s.copy() for s in seqs]
+        st.run_battery(seqs, config)
+        for seq, copy in zip(seqs, copies):
+            np.testing.assert_array_equal(seq, copy)
+
+    def test_uint8_value_above_one_rejected(self):
+        seqs = [rng.random_bits(2048, seed=76, stream=i) for i in range(10)]
+        seqs[3][100] = 2
+        with pytest.raises(ParameterError):
+            st.run_battery(seqs, small_battery_config())
+        with pytest.raises(ParameterError):
+            st.monobit(seqs[3])
+
+    def test_bool_and_int64_inputs_give_identical_p_values(self):
+        config = small_battery_config()
+        seqs = [rng.random_bits(2048, seed=77, stream=i) for i in range(10)]
+        want = st.run_battery(seqs, config).to_dict()
+        for dtype in (bool, np.int64):
+            got = st.run_battery([s.astype(dtype) for s in seqs], config).to_dict()
+            assert got == want, dtype
 
 
 class TestNullCalibration:

@@ -197,6 +197,16 @@ class TestAtomicWrite:
         with open(path, "rb") as fh:
             assert fh.read() == b"y"
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        path = str(tmp_path / "blob.bin")
+        old = os.umask(umask)
+        try:
+            traceio.atomic_write_bytes(path, b"abc")
+        finally:
+            os.umask(old)
+        assert os.stat(path).st_mode & 0o777 == mode
+
 
 class TestCsv:
     def test_roundtrip_is_float32_exact(self, tmp_path):
