@@ -22,6 +22,9 @@ from .errors import DegenerateDataError, ParameterError
 
 _TWO_PI = 2.0 * np.pi
 
+#: Samples per chunk of :func:`autocorrelation`'s lag sums.
+_ACF_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Histogram:
@@ -231,7 +234,9 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
 
     R(k) = sum_i (x_i - mean)(x_{i+k} - mean) / (N * variance); R(0) is 1
     exactly.  The biased normalization keeps the sequence positive
-    semidefinite.  Computed via FFT in O(N log N).
+    semidefinite.  The lag sums accumulate over chunks of C = ``_ACF_CHUNK``
+    samples, each the FFT correlation of x[s:s+C] with x[s:s+C+max_lag], so
+    memory stays O(C + max_lag) beyond the input.
     """
     x = np.asarray(series, dtype=np.float64)
     max_lag = int(max_lag)
@@ -241,9 +246,12 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
         raise ParameterError(
             f"need series length > max_lag >= 0, got {x.size} and {max_lag}")
     x = x - x.mean()
-    nfft = sp_fft.next_fast_len(2 * x.size)
-    spectrum = sp_fft.rfft(x, nfft)
-    acov = sp_fft.irfft(spectrum * np.conj(spectrum), nfft)[:max_lag + 1]
+    nfft = sp_fft.next_fast_len(_ACF_CHUNK + max_lag, real=True)
+    acov = np.zeros(max_lag + 1)
+    for s in range(0, x.size, _ACF_CHUNK):
+        head = sp_fft.rfft(x[s:s + _ACF_CHUNK], nfft)
+        span = sp_fft.rfft(x[s:s + _ACF_CHUNK + max_lag], nfft)
+        acov += sp_fft.irfft(np.conj(head) * span, nfft)[:max_lag + 1]
     if acov[0] <= 0.0:
         raise DegenerateDataError("series variance is zero")
     out = acov / acov[0]

@@ -18,12 +18,28 @@ Reduced modulo 2*pi onto [-pi, pi) the increment follows the wrapped
 
 This module provides the variance law, the wrapped density, the wrapping
 map, and a reproducible generator of time-correlated increment sequences.
+
+Draw order of :func:`sample_phase_path` (part of the seed contract, schema
+3).  Sample i covers (a_i, b_i] with b_i = i*T_s and a_i = b_i - T_d.  If
+T_s >= T_d, sample i is sigma times normal i of the stream.  Otherwise let
+h = min(floor(T_d/T_s), count - 1); the 2*count times in increasing order
+are
+
+    a_0 .. a_h                                  head, T_s apart,
+    b_0, a_{h+1}, b_1, a_{h+2}, .., b_{count-h-1}   body,
+    b_{count-h} .. b_{count-1}                  tail, T_s apart,
+
+where each body gap into a b-time is T_d - h*T_s and each gap into an
+a-time is T_s minus that.  The phase is 0 at a_0, and normal k of the
+stream times sqrt(2*gap_k/tau_c) is its increment over gap k, so a path
+consumes 2*count - 1 normals whatever the ratio.  A delay that is a whole
+number of periods gives zero-length gaps, which still consume their
+normal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +53,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: are below 1e-20 for sigma^2 <= 100.
 DEFAULT_K_MAX = 10
 
-#: Grid steps generated per chunk when streaming long correlated paths.
+#: Gaps of the merged time grid (one normal each) generated per chunk when
+#: streaming long correlated paths.
 _CHUNK_GRID_STEPS = 1 << 22
 
 _TWO_PI = 2.0 * np.pi
@@ -138,8 +155,9 @@ def phase_variance(delay_length: float, fiber_index: float,
 def wrap_phase(x):
     """Map phase(s) onto the half-open interval [-pi, pi).
 
-    The output is congruent to ``x`` modulo 2*pi; the boundary convention
-    sends +pi to -pi.  Accepts scalars or arrays.
+    The output is congruent to ``x`` modulo 2*pi, and equal to it when
+    already in range; the boundary convention sends +pi to -pi.  Accepts
+    scalars or arrays.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -147,6 +165,7 @@ def wrap_phase(x):
     wrapped = np.mod(arr + np.pi, _TWO_PI) - np.pi
     # Guard against round-off landing exactly on +pi.
     wrapped = np.where(wrapped >= np.pi, wrapped - _TWO_PI, wrapped)
+    wrapped = np.where((arr >= -np.pi) & (arr < np.pi), arr, wrapped)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(wrapped)
     return wrapped
@@ -181,50 +200,18 @@ def wrapped_gaussian_pdf(x, sigma_sq: float, k_max: int = DEFAULT_K_MAX):
     return dens
 
 
-def _grid_ratio(sample_period: float, delay_time_: float,
-                max_steps_per_sample: int = 64) -> tuple[int, int]:
-    """Choose grid steps per sample period (M) and per delay (D).
-
-    Finds a small rational approximation M/D to sample_period/delay_time so
-    the Wiener path can be built on a common grid: each output sample
-    advances M grid steps and spans a window of D steps.  The lag-1
-    correlation of the windowed increments is then 1 - M/D, within the
-    approximation error of the fraction (at most ~1/denominator_limit).
-    """
-    ratio = sample_period / delay_time_
-    best = None
-    for limit in (4096, 1024, 256, 64, 16, 4):
-        frac = Fraction(ratio).limit_denominator(limit)
-        if frac.numerator == 0:
-            continue
-        if frac.numerator <= max_steps_per_sample:
-            best = frac
-            break
-    if best is None:
-        best = Fraction(1, max(1, round(1.0 / ratio)))
-    if best.denominator > 100_000_000:
-        raise ParameterError(
-            f"delay_time / sample_period ratio {1.0 / ratio:.3g} is too extreme "
-            "to realize on a common grid")
-    return best.numerator, best.denominator
-
-
 def sample_phase_path(laser: LaserParams, delay_time: float,
                       sample_period: float, count: int, seed: int,
                       stream: int = 0) -> PhasePath:
     """Generate ``count`` correlated delay-line phase increments.
 
-    The underlying laser phase is a Wiener process with diffusion 2/tau_c,
-    realized on a grid that subdivides both the sample period and the delay
-    (see :func:`_grid_ratio`).  Sample i is the window sum
-    phi(t_i) - phi(t_i - delay_time), so
-
-    * each increment is N(0, 2*delay_time/tau_c) exactly, and
-    * adjacent increments have correlation max(0, 1 - sample_period/delay_time)
-      in expectation (overlapping Brownian windows).
-
-    When sample_period >= delay_time the windows are disjoint and the
-    increments are drawn i.i.d. directly.
+    Sample i is phi(t_i) - phi(t_i - delay_time) for a Wiener phase phi with
+    diffusion 2/tau_c and t_i = i*sample_period, so each increment is
+    N(0, 2*delay_time/tau_c) exactly and increments k samples apart have
+    correlation max(0, 1 - k*sample_period/delay_time).  Disjoint windows
+    are drawn i.i.d.; overlapping ones come from phi drawn exactly at the
+    merged window edges (draw order in the module docstring), streamed in
+    chunks of ``_CHUNK_GRID_STEPS`` gaps.
     """
     count = int(count)
     if count < 1:
@@ -237,34 +224,42 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
         raise ParameterError(f"sample_period must be > 0, got {sample_period}")
     seed = rng.check_seed(seed)
 
-    sigma_sq = 2.0 * delay_time / laser.coherence_time
-    sigma = np.sqrt(sigma_sq)
-
     if sample_period >= delay_time:
+        sigma = np.sqrt(2.0 * delay_time / laser.coherence_time)
         increments = sigma * rng.standard_normals(count, seed, stream)
     else:
-        m_steps, d_steps = _grid_ratio(sample_period, delay_time)
-        step_sigma = sigma / np.sqrt(d_steps)
-        increments = np.empty(count, dtype=np.float64)
-        # Windowed prefix sums over the grid, streamed in chunks; adjacent
-        # chunks re-derive the d_steps of overlap from the same stream, and
-        # ``carry`` propagates the walk value at each chunk boundary.
-        chunk = max(1, _CHUNK_GRID_STEPS // m_steps)
-        carry = 0.0
-        for a in range(0, count, chunk):
-            b = min(a + chunk, count)
-            g0 = a * m_steps
-            seg = rng.standard_normals_range(g0, (b - 1) * m_steps + d_steps,
-                                             seed, stream)
-            seg *= step_sigma
-            walk = np.empty(seg.size + 1, dtype=np.float64)
-            walk[0] = 0.0
-            np.cumsum(seg, out=walk[1:])
-            walk += carry
-            starts = np.arange(b - a, dtype=np.intp) * m_steps
-            increments[a:b] = walk[starts + d_steps] - walk[starts]
-            if b < count:
-                carry = walk[b * m_steps - g0]
+        ratio = delay_time / sample_period
+        head = min(int(ratio), count - 1)
+        unit = 2.0 * sample_period / laser.coherence_time
+        gaps = 2 * count - 1
+        body_end = gaps - head
+        # (first gap, stop, stride, first sample, step sigma, op) of the gaps
+        # ending at head a-times, body b-times, body a-times (none when head
+        # < floor(ratio), so the clipped length is unused) and tail b-times.
+        regions = (
+            (0, head, 1, 1, np.sqrt(unit), np.subtract),
+            (head, body_end, 2, 0, np.sqrt(unit * (ratio - head)), np.add),
+            (head + 1, body_end, 2, head + 1,
+             np.sqrt(unit * max(head + 1 - ratio, 0.0)), np.subtract),
+            (body_end, gaps, 1, count - head, np.sqrt(unit), np.add))
+        increments = np.zeros(count, dtype=np.float64)
+        carry = 0.0  # the phase at a_0 is the origin of the walk
+        for k0 in range(0, gaps, _CHUNK_GRID_STEPS):
+            k1 = min(k0 + _CHUNK_GRID_STEPS, gaps)
+            walk = rng.standard_normals_range(k0, k1, seed, stream)
+            parts = []
+            for first, stop, stride, sample, sigma, op in regions:
+                j0 = max(0, -(-(k0 - first) // stride))
+                j1 = -(-(min(stop, k1) - first) // stride)
+                if j0 < j1:
+                    src = slice(first + j0 * stride - k0, min(stop, k1) - k0, stride)
+                    walk[src] *= sigma
+                    parts.append((src, slice(sample + j0, sample + j1), op))
+            walk[0] += carry
+            np.cumsum(walk, out=walk)
+            carry = walk[-1]
+            for src, dst, op in parts:
+                op(increments[dst], walk[src], out=increments[dst])
 
     return PhasePath(increments=increments, sample_period=sample_period,
                      delay_time=delay_time, rng_seed=seed)

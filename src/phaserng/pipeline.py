@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, extractor, optics, phasenoise, reconstruction, stattests, traceio
 from .config import ExperimentConfig
-from .errors import DependencyError, InsufficientInputError, ParameterError
+from .errors import DependencyError, FormatError, InsufficientInputError, ParameterError
 
 STAGES = ("simulate", "ingest", "reconstruct", "analyze", "extract", "test")
 
@@ -40,7 +40,7 @@ ARTIFACTS = {
 #: RNG stream for a generated extractor seed (simulation uses streams 0-5).
 EXTRACTOR_SEED_STREAM = 100
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _path(outdir: str, key: str) -> str:
@@ -56,11 +56,28 @@ def _sha256_file(path: str) -> str:
 
 
 def _require_artifact(outdir: str, key: str, stage: str) -> str:
+    """Path of an upstream artifact, refused if missing or of another schema.
+
+    An artifact with a sidecar must carry this build's ``SCHEMA_VERSION``:
+    older bytes would otherwise flow silently into a newer run.
+    """
     path = _path(outdir, key)
     if not os.path.exists(path):
         raise DependencyError(
             f"stage {stage!r} requires missing artifact {ARTIFACTS[key]!r} "
             f"(run its producing stage first)")
+    sidecar = path + ".meta.json"
+    if os.path.exists(sidecar):
+        with open(sidecar, "rb") as fh:
+            try:
+                version = json.loads(fh.read()).get("schema_version")
+            except (ValueError, AttributeError) as exc:
+                raise FormatError(f"sidecar {sidecar!r} is not a JSON object") from exc
+        if version != SCHEMA_VERSION:
+            raise DependencyError(
+                f"stage {stage!r} refuses artifact {ARTIFACTS[key]!r} of "
+                f"schema_version {version}, expected {SCHEMA_VERSION} "
+                f"(rerun its producing stage)")
     return path
 
 

@@ -240,6 +240,12 @@ class TestAutocorrelation:
         assert_allclose(an.autocorrelation(x, 50), autocorr_direct(x, 50),
                         atol=1e-16)
 
+    def test_lags_spanning_several_chunks(self, monkeypatch):
+        monkeypatch.setattr(an, "_ACF_CHUNK", 16)
+        x = np.random.default_rng(31).normal(size=1001)
+        assert_allclose(an.autocorrelation(x, 50), autocorr_direct(x, 50),
+                        atol=1e-16)
+
     def test_affine_invariance(self):
         x = np.random.default_rng(20).normal(size=10_000)
         base = an.autocorrelation(x, 30)

@@ -87,6 +87,11 @@ class TestWrapPhase:
         w = pn.wrap_phase(x)
         assert_array_equal(pn.wrap_phase(w), w)
 
+    def test_in_range_values_unchanged(self):
+        x = np.linspace(-np.pi, np.pi, 10001, endpoint=False)
+        assert_array_equal(pn.wrap_phase(x), x)
+        assert pn.wrap_phase(0.6) == 0.6
+
     def test_boundary_convention(self):
         assert pn.wrap_phase(np.pi) == -np.pi
         assert pn.wrap_phase(-np.pi) == -np.pi
@@ -141,6 +146,23 @@ class TestWrappedGaussianPdf:
             pn.wrapped_gaussian_pdf(0.0, 0.0)
         with pytest.raises(ParameterError):
             pn.wrapped_gaussian_pdf(0.0, 1.0, k_max=0)
+
+
+def dense_phase_path(laser, delay, period, count, seed):
+    """Oracle: sort all 2*count window edges, one sqrt per gap, one walk.
+
+    Times are in sample periods and extended precision, so a delay that is
+    a whole number of periods gives exact ties (zero-length gaps).
+    """
+    i = np.arange(count, dtype=np.longdouble)
+    times = np.concatenate([i - np.longdouble(delay / period), i])
+    order = np.argsort(times, kind="stable")
+    gaps = np.diff(times[order]).astype(np.float64)
+    steps = np.sqrt(2.0 * period * gaps / laser.coherence_time)
+    walk = np.empty(2 * count)
+    walk[order] = np.concatenate(
+        [[0.0], np.cumsum(steps * rng.standard_normals(2 * count - 1, seed))])
+    return walk[count:] - walk[:count]
 
 
 class TestSamplePhasePath:
@@ -201,9 +223,45 @@ class TestSamplePhasePath:
         with pytest.raises(ParameterError):
             pn.sample_phase_path(self.LASER, self.T_D, 0.0, 10, seed=0)
 
-    def test_extreme_ratio_rejected(self):
-        with pytest.raises(ParameterError):
-            pn.sample_phase_path(self.LASER, 1.0, 1e-12, 10, seed=0)
+    def test_extreme_ratio_draws_at_most_two_normals_per_sample(self, monkeypatch):
+        requested = []
+        draw = rng.standard_normals_range
+
+        def spy(start, stop, *args):
+            requested.append(stop - start)
+            return draw(start, stop, *args)
+
+        monkeypatch.setattr(rng, "standard_normals_range", spy)
+        path = pn.sample_phase_path(self.LASER, 1.0, 1e-12, 10, seed=0)
+        assert len(path) == 10
+        assert np.all(np.isfinite(path.increments))
+        assert sum(requested) <= 20
+
+    @pytest.mark.parametrize("delay,period,count,chunk", [
+        (6 * 4e-9, 4e-9, 500, None),                           # tie, f = 0
+        (pn.delay_time(20.0, 1.5), 1 / 400e6, 3000, None),     # 20 m point
+        (30e-9, 5e-9, 4, None),                                # q + 1 >= count
+        (30e-9, 5e-9, 6, None),
+        (30e-9, 5e-9, 1, None),
+        (pn.delay_time(20.0, 1.5), 1 / 400e6, 300, 7),         # chunked
+        (6 * 4e-9, 4e-9, 300, 8),
+    ])
+    def test_matches_sorted_oracle(self, monkeypatch, delay, period, count, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(pn, "_CHUNK_GRID_STEPS", chunk)
+        path = pn.sample_phase_path(self.LASER, delay, period, count, seed=21)
+        assert_allclose(path.increments,
+                        dense_phase_path(self.LASER, delay, period, count, 21),
+                        rtol=0.0, atol=1e-12)
+
+    def test_lag_k_correlation_incommensurate(self):
+        delay, period = 30.0207e-9, 7.3e-9
+        x = pn.sample_phase_path(self.LASER, delay, period, 200_000,
+                                 seed=12).increments
+        for k in (1, 2, 3):
+            rho = np.corrcoef(x[:-k], x[k:])[0, 1]
+            assert rho == pytest.approx(max(0.0, 1.0 - k * period / delay),
+                                        abs=0.01), k
 
 
 def test_phase_path_validation():

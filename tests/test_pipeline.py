@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from phaserng import cli, config as cfg_mod, extractor, pipeline, traceio
-from phaserng.errors import (DependencyError, InsufficientInputError,
-                             ParameterError)
+from phaserng.errors import (DependencyError, FormatError,
+                             InsufficientInputError, ParameterError)
 
 BASE_INI = """\
 [laser]
@@ -164,32 +164,31 @@ class TestFullRun:
     def test_known_answer_artifacts(self, full_run):
         # Pins the seed contract and every output bit of the chain, so a
         # refactor that changes one draw or one extracted bit fails here.
-        # Measured with numpy 2.4.6 while the extractor still used the
-        # popcount kernel; the FFT kernel reproduces them bit for bit.
+        # Schema 3 (merged-time phase sampler), measured with numpy 2.4.6;
+        # the Toeplitz seed is drawn on its own stream and did not move.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt")) == (
-            "3f9d5452de0ec7b6b4e216781a22588e43214242001caf5a7685a5254f2e47e6")
+            "c571b2b37e7acdf7ac2b97f9f19e6e9338e7e60679d29bc0f8f4ec41c4a5f332")
         assert sha256(os.path.join(outdir, "toeplitz_seed.bin")) == (
             "6336382d95fa9fac8faeaa0818ea76c81812a51046a0e2208b64af52d94442bf")
         assert sha256(os.path.join(outdir, "extracted.bin")) == (
-            "c6cd6283e865129fbf064c1ac0a8e6b2412e989d0f43436d804ef86b3a8fd442")
+            "7aee3fac9103ee50711c5a4ba15ff3d15da96732dd0a2b5e5a4daedf030c2ce4")
         hists = {
             "hist_channel_i.csv":
-                "448d5be97ba0f38d0b5023c9d3d68e5ea6cc103e3e3670dbb68e3b6bb7b2b7b7",
+                "413a37156ad10363e7d91c8ce5e6090056898d76867caef9cf12fe9f011b2d03",
             "hist_channel_q.csv":
-                "c959db819bffa309dcaac3cf27c82f93b1990bbe90f9a64593f6328c483ea8b6",
+                "cfbccd673b4ce68b54380c337ad583456c33dd9061ac9b6f3c1d3e869d489a08",
             "hist_phase.csv":
-                "fb5cc2c3a33db4590c5a825b1a11dcc74a0eb66ca93cb9f2cc16238b599b174c",
+                "859804f016b019f3f9da61e5f7cf80d58f715df02caa4d9e1d89966594b8de1d",
             "hist_symbols.csv":
-                "a6f3bac6d51a085037a35440d33db757c0e27f338c92979db27e2a2bf74e678a",
+                "e0b78c0ac74c6f8dbf1a86be52c50717297f1e25ec9e28d2a9b47b4b8c7141c1",
         }
         for name, digest in hists.items():
             assert sha256(os.path.join(outdir, name)) == digest, name
-        # The symbol payload equals the symbol column of the text artifact
-        # it replaced, as little-endian uint16.
+        # The symbol payload, little-endian uint16 after the 16-byte header.
         payload = open(os.path.join(outdir, "symbols.bin"), "rb").read()[16:]
         assert hashlib.sha256(payload).hexdigest() == (
-            "270008fdc44888c5e6b805d56226ac623a01bfa185d6f85b746c9c05ac99719f")
+            "082edc7630c15efb65c72a5bd59c4f68a964068bdbfb6b3c41737cf240bd5709")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -259,6 +258,34 @@ class TestStagedExecution:
         with pytest.raises(DependencyError, match=missing):
             pipeline.run_pipeline(make_config(), [stage],
                                   str(tmp_path / "empty"))
+
+    @pytest.mark.parametrize("stage,artifact", [
+        ("reconstruct", "trace.iqt"),
+        ("analyze", "trace.iqt"),
+        ("extract", "symbols.bin"),
+    ])
+    def test_stale_schema_refused(self, tmp_path, stage, artifact):
+        outdir = str(tmp_path / "run")
+        cfg = make_config()
+        pipeline.run_pipeline(cfg, ["simulate", "reconstruct"], outdir)
+        sidecar = os.path.join(outdir, artifact + ".meta.json")
+        meta = json.load(open(sidecar))
+        meta["schema_version"] = 2
+        with open(sidecar, "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(DependencyError, match=(
+                rf"{re.escape(artifact)}.*schema_version 2, "
+                rf"expected {pipeline.SCHEMA_VERSION}")):
+            pipeline.run_pipeline(cfg, [stage], outdir)
+
+    def test_unreadable_sidecar_is_a_format_error(self, tmp_path):
+        outdir = str(tmp_path / "run")
+        cfg = make_config()
+        pipeline.run_pipeline(cfg, ["simulate"], outdir)
+        with open(os.path.join(outdir, "trace.iqt.meta.json"), "w") as fh:
+            fh.write("[2]")
+        with pytest.raises(FormatError, match="trace.iqt.meta.json"):
+            pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
 
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(ParameterError, match="unknown stages: transmogrify"):
