@@ -171,11 +171,6 @@ class ReferenceLaw:
         return np.diff(self.cdf(edges))
 
 
-def reference_pdf(ref: ReferenceLaw, x):
-    """Density of a reference law at ``x`` (scalar or array)."""
-    return ref.pdf(x)
-
-
 def symbol_counts(symbols, alphabet_size: int) -> np.ndarray:
     """Occurrences of each symbol value in [0, alphabet_size)."""
     arr = np.asarray(symbols)

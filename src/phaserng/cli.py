@@ -23,16 +23,6 @@ EXIT_FORMAT = 3
 EXIT_DEPENDENCY = 4
 EXIT_ENTROPY = 5
 
-_STAGE_HELP = {
-    "simulate": "generate an I/Q trace from the configured optics model",
-    "ingest": "import an oscilloscope capture as the trace artifact",
-    "reconstruct": "recover phases from the trace and quantize them",
-    "analyze": "histograms, min-entropy, divergence, autocorrelation",
-    "extract": "Toeplitz-hash the quantized symbols into output bits",
-    "test": "run the statistical battery on the extracted bits",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaserng",
@@ -48,18 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the configured simulation seed")
 
-    for name in ("simulate", "reconstruct", "analyze", "extract", "test"):
-        common(sub.add_parser(name, help=_STAGE_HELP[name]))
-
-    sp = sub.add_parser("ingest", help=_STAGE_HELP["ingest"])
-    common(sp)
-    sp.add_argument("--input", required=True, help="capture file to ingest")
-    sp.add_argument("--format", choices=("binary", "csv"), default="binary")
+    for name, help_text in pipeline.STAGES.items():
+        sp = sub.add_parser(name, help=help_text)
+        common(sp)
+        if name == "ingest":
+            sp.add_argument("--input", required=True, help="capture file to ingest")
+            sp.add_argument("--format", choices=("binary", "csv"), default="binary")
 
     sp = sub.add_parser("pipeline", help="run several stages in order")
     common(sp)
     sp.add_argument("--stages",
-                    default="simulate,reconstruct,analyze,extract,test",
+                    default=",".join(s for s in pipeline.STAGES if s != "ingest"),
                     help="comma-separated subset of: " + ",".join(pipeline.STAGES))
     sp.add_argument("--input", default=None,
                     help="capture file (required when stages include ingest)")

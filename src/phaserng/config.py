@@ -2,11 +2,15 @@
 
 Grammar: INI sections ``[laser]``, ``[interferometer]``, ``[detector_i]``,
 ``[detector_q]``, ``[simulation]``, ``[analysis]``, ``[extraction]``,
-``[test]``.  Keys are fixed per section; an unknown section or key is an
-error (fail-fast against typos), as is a missing required key.  Values are
-plain scalars; booleans accept on/off, true/false, yes/no, 1/0.  ``#`` and
-``;`` start comments.  ``[detector_q]`` may be omitted to mirror
-``[detector_i]``.
+``[test]``, each backed by one section dataclass (``_SECTIONS``).  A
+section's keys, their defaults and their types are that dataclass's fields:
+a field's default is the key's default, a field without one is a required
+key, and its annotation (float, int, str or bool) picks the converter.  Two
+special cases: the ``NoiseSwitches`` fields are ``[simulation]`` keys with
+the ``noise_`` prefix, and an absent or empty ``[detector_q]`` mirrors
+``[detector_i]``.  An unknown section or key is an error (fail-fast against
+typos), as is a missing required key.  Booleans accept on/off, true/false,
+yes/no, 1/0.  ``#`` and ``;`` start comments.
 
 The digest is a sha256 over a canonical rendering of the *resolved*
 configuration, so two files that spell the same experiment differently
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import FormatError, ParameterError
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
@@ -28,6 +32,9 @@ from .stattests import TestConfig
 
 _BOOL = {"on": True, "true": True, "yes": True, "1": True,
          "off": False, "false": False, "no": False, "0": False}
+
+# Field annotation -> converter of the stripped INI value.
+_CONVERTERS = {float: float, int: int, str: str, bool: lambda text: _BOOL[text.lower()]}
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,12 @@ class SimulationParams:
             raise ParameterError("oversample_factor must be >= 1")
 
 
+_SECTIONS = (("laser", LaserParams), ("interferometer", InterferometerParams),
+             ("detector_i", DetectorParams), ("detector_q", DetectorParams),
+             ("simulation", SimulationParams), ("analysis", AnalysisParams),
+             ("extraction", ExtractionParams), ("test", TestConfig))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     laser: LaserParams
@@ -103,66 +116,54 @@ class ExperimentConfig:
     simulation: SimulationParams
     analysis: AnalysisParams = AnalysisParams()
     extraction: ExtractionParams = ExtractionParams()
-    test: TestConfig = TestConfig(sequence_bits=1_000_000, sequence_count=100)
+    test: TestConfig = TestConfig()
 
     def canonical_text(self) -> str:
-        """Deterministic rendering of every resolved field."""
-        out = io.StringIO()
+        """Deterministic rendering of every resolved field, section by section.
 
-        def block(name, obj, skip=()):
-            out.write(f"[{name}]\n")
-            for f in fields(obj):
-                if f.name in skip:
-                    continue
-                out.write(f"{f.name} = {getattr(obj, f.name)!r}\n")
-
-        block("laser", self.laser)
-        block("interferometer", self.interferometer)
-        block("detector_i", self.detector_i)
-        block("detector_q", self.detector_q)
-        block("simulation", self.simulation, skip=("switches",))
-        block("switches", self.simulation.switches)
-        block("analysis", self.analysis)
-        block("extraction", self.extraction)
-        block("test", self.test)
-        return out.getvalue()
+        The noise switches render as their own ``[switches]`` block after
+        ``[simulation]``.
+        """
+        blocks = []
+        for name, _ in _SECTIONS:
+            blocks.append((name, getattr(self, name)))
+            if name == "simulation":
+                blocks.append(("switches", self.simulation.switches))
+        lines = []
+        for name, obj in blocks:
+            lines.append(f"[{name}]")
+            lines += [f"{f.name} = {getattr(obj, f.name)!r}"
+                      for f in fields(obj) if f.name != "switches"]
+        return "\n".join(lines) + "\n"
 
     @property
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-class _Section:
-    """One INI section with consumption tracking for unknown-key errors."""
+def _build(name: str, cls, raw: dict[str, str], prefix: str = "", given=None):
+    """``cls`` from the keys ``prefix + field`` of section ``name``.
 
-    def __init__(self, name: str, raw: dict[str, str]):
-        self.name = name
-        self.raw = dict(raw)
-        self.seen: set[str] = set()
-
-    def get(self, key, default=None, *, required=False, conv=str):
-        if key not in self.raw:
-            if required:
-                raise FormatError(f"[{self.name}] is missing required key {key!r}")
-            return default
-        self.seen.add(key)
-        text = self.raw[key].strip()
+    Fields in ``given`` are taken from it, not read.  Every key read is
+    popped from ``raw``, so what is left there is unknown.
+    """
+    values = dict(given or {})
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        key = prefix + f.name
+        if f.name in values:
+            continue
+        if key not in raw:
+            if f.default is MISSING:
+                raise FormatError(f"[{name}] is missing required key {key!r}")
+            continue
+        convert = _CONVERTERS[hints[f.name]]
+        text = raw.pop(key).strip()
         try:
-            if conv is bool:
-                return _BOOL[text.lower()]
-            return conv(text)
+            values[f.name] = convert(text)
         except (KeyError, ValueError):
-            raise FormatError(
-                f"[{self.name}] key {key!r}: cannot parse {text!r}") from None
-
-    def finish(self):
-        unknown = sorted(set(self.raw) - self.seen)
-        if unknown:
-            raise FormatError(f"[{self.name}] has unknown keys: {', '.join(unknown)}")
-
-
-_KNOWN_SECTIONS = ("laser", "interferometer", "detector_i", "detector_q",
-                   "simulation", "analysis", "extraction", "test")
+            raise FormatError(f"[{name}] key {key!r}: cannot parse {text!r}") from None
+    return cls(**values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -172,100 +173,24 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise FormatError(f"config syntax error: {exc}") from None
-    unknown = sorted(set(parser.sections()) - set(_KNOWN_SECTIONS))
+    unknown = sorted(set(parser.sections()) - {name for name, _ in _SECTIONS})
     if unknown:
         raise FormatError(f"unknown config sections: {', '.join(unknown)}")
-
-    def section(name):
-        return _Section(name, dict(parser[name]) if parser.has_section(name) else {})
-
-    sec = section("laser")
-    laser = LaserParams(
-        linewidth=sec.get("linewidth", 0.0, conv=float),
-        coherence_time=sec.get("coherence_time", 0.0, conv=float),
-        mean_power=sec.get("mean_power", 1.0, conv=float),
-        intensity_sigma=sec.get("intensity_sigma", 0.0, conv=float))
-    sec.finish()
-
-    sec = section("interferometer")
-    ifm = InterferometerParams(
-        delay_length=sec.get("delay_length", required=True, conv=float),
-        fiber_index=sec.get("fiber_index", 1.5, conv=float),
-        delay_loss=sec.get("delay_loss", 1.0, conv=float),
-        bs_transmittance=sec.get("bs_transmittance", 0.5, conv=float),
-        static_phase=sec.get("static_phase", 0.0, conv=float),
-        drift_phase=sec.get("drift_phase", 0.0, conv=float),
-        drift_mode=sec.get("drift_mode", "fixed"),
-        drift_step=sec.get("drift_step", 0.0, conv=float))
-    sec.finish()
-
-    def detector(name, fallback=None):
-        sec = section(name)
-        if not sec.raw and fallback is not None:
-            return fallback
-        det = DetectorParams(
-            transimpedance=sec.get("transimpedance", required=True, conv=float),
-            responsivity=sec.get("responsivity", 1.0, conv=float),
-            electrical_noise_sigma=sec.get("electrical_noise_sigma", 0.0, conv=float),
-            response_time=sec.get("response_time", 625e-12, conv=float),
-            adc_bits=sec.get("adc_bits", 10, conv=int),
-            adc_fullscale=sec.get("adc_fullscale", 1.0, conv=float))
-        sec.finish()
-        return det
-
-    det_i = detector("detector_i")
-    det_q = detector("detector_q", fallback=det_i)
-
-    sec = section("simulation")
-    switches = NoiseSwitches(
-        intensity=sec.get("noise_intensity", False, conv=bool),
-        electrical=sec.get("noise_electrical", False, conv=bool),
-        drift=sec.get("noise_drift", False, conv=bool),
-        mismatch=sec.get("noise_mismatch", False, conv=bool),
-        bandwidth_limit=sec.get("noise_bandwidth_limit", False, conv=bool))
-    sim = SimulationParams(
-        sample_count=sec.get("sample_count", required=True, conv=int),
-        sample_rate=sec.get("sample_rate", required=True, conv=float),
-        seed=sec.get("seed", required=True, conv=int),
-        switches=switches,
-        adc_quantize=sec.get("adc_quantize", False, conv=bool),
-        oversample_factor=sec.get("oversample_factor", 1, conv=int))
-    sec.finish()
-
-    sec = section("analysis")
-    analysis = AnalysisParams(
-        phase_bits=sec.get("phase_bits", 10, conv=int),
-        histogram_bins=sec.get("histogram_bins", 256, conv=int),
-        max_lag=sec.get("max_lag", 50, conv=int),
-        normalize=sec.get("normalize", "percentile"))
-    sec.finish()
-
-    sec = section("extraction")
-    extraction = ExtractionParams(
-        input_bits=sec.get("input_bits", 4000, conv=int),
-        output_bits=sec.get("output_bits", 0, conv=int),
-        min_entropy_rate=sec.get("min_entropy_rate", 0.98, conv=float),
-        epsilon_exponent=sec.get("epsilon_exponent", 50, conv=int),
-        mode=sec.get("mode", "lemma"),
-        seed_file=sec.get("seed_file", ""))
-    sec.finish()
-
-    sec = section("test")
-    test = TestConfig(
-        sequence_bits=sec.get("sequence_bits", 1_000_000, conv=int),
-        sequence_count=sec.get("sequence_count", 100, conv=int),
-        alpha=sec.get("alpha", 0.01, conv=float),
-        block_frequency_block=sec.get("block_frequency_block", 128, conv=int),
-        serial_pattern_bits=sec.get("serial_pattern_bits", 16, conv=int),
-        approx_entropy_pattern_bits=sec.get("approx_entropy_pattern_bits", 10, conv=int),
-        proportion_mode=sec.get("proportion_mode", "statistical"),
-        fixed_proportion=sec.get("fixed_proportion", 0.98, conv=float),
-        uniformity_threshold=sec.get("uniformity_threshold", 1e-4, conv=float))
-    sec.finish()
-
-    return ExperimentConfig(laser=laser, interferometer=ifm, detector_i=det_i,
-                            detector_q=det_q, simulation=sim, analysis=analysis,
-                            extraction=extraction, test=test)
+    sections = {}
+    for name, cls in _SECTIONS:
+        raw = dict(parser[name]) if parser.has_section(name) else {}
+        if name == "detector_q" and not raw:
+            # An absent or empty [detector_q] mirrors [detector_i].
+            sections[name] = sections["detector_i"]
+            continue
+        given = {}
+        if cls is SimulationParams:
+            # The NoiseSwitches fields are [simulation] keys with a noise_ prefix.
+            given["switches"] = _build(name, NoiseSwitches, raw, prefix="noise_")
+        sections[name] = _build(name, cls, raw, given=given)
+        if raw:
+            raise FormatError(f"[{name}] has unknown keys: {', '.join(sorted(raw))}")
+    return ExperimentConfig(**sections)
 
 
 def load_config(path: str) -> ExperimentConfig:

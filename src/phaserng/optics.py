@@ -118,10 +118,6 @@ class NoiseSwitches:
     bandwidth_limit: bool = False
 
     @classmethod
-    def all_off(cls) -> "NoiseSwitches":
-        return cls()
-
-    @classmethod
     def all_on(cls) -> "NoiseSwitches":
         return cls(intensity=True, electrical=True, drift=True, mismatch=True)
 

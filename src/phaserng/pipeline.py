@@ -21,7 +21,17 @@ from . import analysis, extractor, optics, phasenoise, reconstruction, stattests
 from .config import ExperimentConfig
 from .errors import DependencyError, FormatError, InsufficientInputError, ParameterError
 
-STAGES = ("simulate", "ingest", "reconstruct", "analyze", "extract", "test")
+#: Stage name -> one-line help, in canonical run order.  Stage ``s`` runs
+#: ``<s>_stage``, looked up in this module's globals at call time, so a
+#: wrapper installed at the module attribute sees every call.
+STAGES = {
+    "simulate": "generate an I/Q trace from the configured optics model",
+    "ingest": "import an oscilloscope capture as the trace artifact",
+    "reconstruct": "recover phases from the trace and quantize them",
+    "analyze": "histograms, min-entropy, divergence, autocorrelation",
+    "extract": "Toeplitz-hash the quantized symbols into output bits",
+    "test": "run the statistical battery on the extracted bits",
+}
 
 ARTIFACTS = {
     "trace": "trace.iqt",
@@ -56,10 +66,11 @@ def _sha256_file(path: str) -> str:
 
 
 def _require_artifact(outdir: str, key: str, stage: str) -> str:
-    """Path of an upstream artifact, refused if missing or of another schema.
+    """Path of an upstream artifact, refused if missing, stale or altered.
 
-    An artifact with a sidecar must carry this build's ``SCHEMA_VERSION``:
-    older bytes would otherwise flow silently into a newer run.
+    An artifact with a sidecar must carry this build's ``SCHEMA_VERSION``
+    and the sha256 its sidecar records: older or altered bytes would
+    otherwise flow silently into the run.
     """
     path = _path(outdir, key)
     if not os.path.exists(path):
@@ -70,7 +81,8 @@ def _require_artifact(outdir: str, key: str, stage: str) -> str:
     if os.path.exists(sidecar):
         with open(sidecar, "rb") as fh:
             try:
-                version = json.loads(fh.read()).get("schema_version")
+                meta = json.loads(fh.read())
+                version = meta.get("schema_version")
             except (ValueError, AttributeError) as exc:
                 raise FormatError(f"sidecar {sidecar!r} is not a JSON object") from exc
         if version != SCHEMA_VERSION:
@@ -78,6 +90,10 @@ def _require_artifact(outdir: str, key: str, stage: str) -> str:
                 f"stage {stage!r} refuses artifact {ARTIFACTS[key]!r} of "
                 f"schema_version {version}, expected {SCHEMA_VERSION} "
                 f"(rerun its producing stage)")
+        if meta.get("sha256") != _sha256_file(path):
+            raise DependencyError(
+                f"stage {stage!r} refuses artifact {ARTIFACTS[key]!r}: its "
+                f"sha256 differs from its sidecar's (rerun its producing stage)")
     return path
 
 
@@ -97,7 +113,7 @@ def _write_sidecar(path: str, digest: str) -> None:
 def _write_hist_csv(path: str, hist: analysis.Histogram, ref, digest: str) -> None:
     """CSV columns: bin center, count, reference density (blank if none)."""
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
-    density = analysis.reference_pdf(ref, centers) if ref is not None else None
+    density = ref.pdf(centers) if ref is not None else None
     lines = [f"# config_digest={digest}", "bin_center,count,reference_density"]
     for k, c in enumerate(centers):
         d = "" if density is None else repr(float(density[k]))
@@ -221,10 +237,8 @@ def analyze_stage(cfg: ExperimentConfig, outdir: str) -> dict:
 
 def _extraction_spec(cfg: ExperimentConfig, outdir: str) -> extractor.ToeplitzSpec:
     ext = cfg.extraction
-    n = ext.input_bits
-    if ext.output_bits:
-        n, m = n, ext.output_bits
-    else:
+    n, m = ext.input_bits, ext.output_bits
+    if not m:
         n, m = extractor.derive_params(ext.min_entropy_rate, n,
                                        epsilon=2.0 ** -ext.epsilon_exponent,
                                        mode=ext.mode)
@@ -255,8 +269,8 @@ def extract_stage(cfg: ExperimentConfig, outdir: str) -> dict:
 
 
 def test_stage(cfg: ExperimentConfig, outdir: str) -> dict:
-    path = _require_artifact(outdir, "extracted", "test")
-    raw = open(path, "rb").read()
+    with open(_require_artifact(outdir, "extracted", "test"), "rb") as fh:
+        raw = fh.read()
     tc = cfg.test
     need = tc.sequence_bits * tc.sequence_count
     have = len(raw) * 8
@@ -287,20 +301,9 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
 
     stage_outputs: dict[str, dict] = {}
     for stage in STAGES:
-        if stage not in requested:
-            continue
-        if stage == "simulate":
-            stage_outputs[stage] = simulate_stage(cfg, outdir)
-        elif stage == "ingest":
-            stage_outputs[stage] = ingest_stage(cfg, outdir, ingest_path, ingest_format)
-        elif stage == "reconstruct":
-            stage_outputs[stage] = reconstruct_stage(cfg, outdir)
-        elif stage == "analyze":
-            stage_outputs[stage] = analyze_stage(cfg, outdir)
-        elif stage == "extract":
-            stage_outputs[stage] = extract_stage(cfg, outdir)
-        elif stage == "test":
-            stage_outputs[stage] = test_stage(cfg, outdir)
+        if stage in requested:
+            extra = (ingest_path, ingest_format) if stage == "ingest" else ()
+            stage_outputs[stage] = globals()[f"{stage}_stage"](cfg, outdir, *extra)
 
     ext = stage_outputs.get("extract")
     if ext is not None:

@@ -48,8 +48,8 @@ _LONGEST_RUN_TABLE = (
 class TestConfig:
     """Battery parameters: sequence geometry, levels, per-test knobs."""
 
-    sequence_bits: int
-    sequence_count: int
+    sequence_bits: int = 1_000_000
+    sequence_count: int = 100
     alpha: float = 0.01
     block_frequency_block: int = 128
     serial_pattern_bits: int = 16
@@ -253,7 +253,7 @@ def serial(bits, pattern_bits: int = 16, *,
     counts_m2 = counts_m1.reshape(-1, 2).sum(axis=1)
     psi_m = _psi_sq(counts_m, n)
     psi_m1 = _psi_sq(counts_m1, n)
-    psi_m2 = _psi_sq(counts_m2, n) if m >= 2 else 0.0
+    psi_m2 = _psi_sq(counts_m2, n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     return [float(gammaincc(2.0 ** (m - 2), d1 / 2.0)),

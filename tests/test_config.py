@@ -1,4 +1,7 @@
 import math
+import os
+import re
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -264,3 +267,105 @@ coherence_time = 6e-9  # 6 ns
         sim_block = text.split("[simulation]")[1].split("[")[0]
         assert "intensity" not in sim_block
         assert "sample_count = 1000000" in text
+
+
+def readme_text():
+    return open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                encoding="utf-8").read()
+
+
+class TestDigestPins:
+    # Known answers: the canonical rendering, and so every artifact's
+    # config_digest, must not move when the parser is reorganized.
+    def test_minimal(self):
+        assert cfg.parse_config(MINIMAL).digest == (
+            "e2d34e127f17cd839a2b40f985a494df86077c21ae55c9f912e56b1406a13213")
+
+    def test_full(self):
+        assert cfg.parse_config(FULL).digest == (
+            "36b1446dbafec5efcb5e2c6481728ed71f09f8249321faeccc65b8b1e54bb7a9")
+
+    def test_readme_quick_start(self):
+        block = re.search(r"```ini\n(.*?)```", readme_text(), re.S).group(1)
+        assert cfg.parse_config(block).digest == (
+            "0f3693345765ead20a1b0f06bd80ae7dbc7cdcc439cd99a3e738d1b2ab4b1103")
+
+
+def test_every_resolved_field_round_trips():
+    # Every field of every section dataclass is an accepted key: writing the
+    # resolved FULL config back out as INI parses to the same config.
+    original = cfg.parse_config(FULL)
+    lines = []
+    for section in fields(cfg.ExperimentConfig):
+        obj = getattr(original, section.name)
+        lines.append(f"[{section.name}]")
+        for f in fields(obj):
+            if f.name == "switches":
+                lines += [f"noise_{s.name} = {getattr(obj.switches, s.name)}"
+                          for s in fields(obj.switches)]
+            else:
+                lines.append(f"{f.name} = {getattr(obj, f.name)}")
+    assert cfg.parse_config("\n".join(lines) + "\n") == original
+
+
+def readme_config_table():
+    """(section, key, required, default text) rows of the README table."""
+    text = readme_text().split("## Configuration reference")[1].split("\n## ")[0]
+    rows, section = [], None
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("| ") or cells[0] in ("Section", "---"):
+            continue
+        section = cells[0].strip("`[]") or section
+        key = re.fullmatch(r"`(\w+)`(\\\*)?", cells[1])
+        if key is None:
+            assert section == "detector_q" and "`detector_i`" in cells[1]
+            continue
+        rows.append((section, key.group(1), bool(key.group(2)), cells[2]))
+    return rows
+
+
+def canonical_keys(config):
+    """Section -> keys, read from the canonical rendering."""
+    keys, section = {}, None
+    for line in config.canonical_text().splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+            keys.setdefault(section, set())
+        else:
+            keys[section].add(line.split(" = ")[0])
+    keys["simulation"] |= {f"noise_{k}" for k in keys.pop("switches")}
+    return keys
+
+
+class TestReadmeConfigReference:
+    def test_keys_match_the_parser(self):
+        listed = {}
+        for section, key, _, _ in readme_config_table():
+            listed.setdefault(section, set()).add(key)
+        keys = canonical_keys(cfg.parse_config(MINIMAL))
+        assert set(keys) - set(listed) == {"detector_q"}   # the mirror row
+        assert listed == {s: k for s, k in keys.items() if s != "detector_q"}
+
+    def test_defaults_match_the_parser(self):
+        base = cfg.parse_config(MINIMAL)
+        for section, key, required, default in readme_config_table():
+            obj = getattr(base, section)
+            name = key
+            if key.startswith("noise_"):
+                obj, name = obj.switches, key.removeprefix("noise_")
+            field = {f.name: f for f in fields(obj)}[name]
+            assert required == (field.default is MISSING), key
+            if required:
+                assert default == "—", key
+                continue
+            value = default.strip("`").replace('""', "")
+            if f"\n{key} = " in MINIMAL:
+                # MINIMAL sets this key: the listed default is the field's.
+                assert type(field.default)(value) == field.default, key
+                continue
+            # Spelling the listed default out must not change the config.
+            header = f"[{section}]\n"
+            text = (MINIMAL.replace(header, f"{header}{key} = {value}\n")
+                    if header in MINIMAL else f"{MINIMAL}\n{header}{key} = {value}\n")
+            assert cfg.parse_config(text) == base, key

@@ -95,7 +95,6 @@ class TestParamsValidation:
             optics.IQTrace(v_i=np.ones(4), v_q=np.ones(4), sample_rate=0.0)
 
     def test_switch_constructors(self):
-        assert optics.NoiseSwitches.all_off() == optics.NoiseSwitches()
         on = optics.NoiseSwitches.all_on()
         assert on.intensity and on.electrical and on.drift and on.mismatch
         assert not on.bandwidth_limit

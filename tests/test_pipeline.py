@@ -278,6 +278,20 @@ class TestStagedExecution:
                 rf"expected {pipeline.SCHEMA_VERSION}")):
             pipeline.run_pipeline(cfg, [stage], outdir)
 
+    def test_altered_artifact_refused(self, tmp_path):
+        # One flipped payload byte no longer matches the sidecar's sha256.
+        outdir = str(tmp_path / "run")
+        cfg = make_config()
+        pipeline.run_pipeline(cfg, ["simulate"], outdir)
+        path = os.path.join(outdir, "trace.iqt")
+        with open(path, "r+b") as fh:
+            fh.seek(1000)
+            byte = fh.read(1)
+            fh.seek(1000)
+            fh.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(DependencyError, match=r"trace\.iqt.*sha256"):
+            pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
+
     def test_unreadable_sidecar_is_a_format_error(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config()
