@@ -15,13 +15,23 @@ from dataclasses import replace
 from . import pipeline
 from .config import load_config
 from .errors import (DependencyError, FormatError, InsufficientEntropyError,
-                     InsufficientInputError, ParameterError, SequenceLengthError)
+                     InsufficientInputError, ParameterError, PhaseRngError,
+                     SequenceLengthError)
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
 EXIT_FORMAT = 3
 EXIT_DEPENDENCY = 4
 EXIT_ENTROPY = 5
+
+#: Error type -> exit code, matched in order against the raised error.
+EXIT_CODES = (
+    ((InsufficientEntropyError, InsufficientInputError), EXIT_ENTROPY),
+    (DependencyError, EXIT_DEPENDENCY),
+    (FormatError, EXIT_FORMAT),
+    ((ParameterError, SequenceLengthError), EXIT_PARAMETER),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,18 +80,12 @@ def main(argv=None) -> int:
             cfg, stages, args.outdir,
             ingest_path=getattr(args, "input", None),
             ingest_format=getattr(args, "format", "binary"))
-    except (InsufficientEntropyError, InsufficientInputError) as exc:
+    except PhaseRngError as exc:
+        code = next((c for types, c in EXIT_CODES if isinstance(exc, types)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENTROPY
-    except DependencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEPENDENCY
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (ParameterError, SequenceLengthError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
+        return code
     except OSError as exc:
         print(f"error: cannot read or write {exc.filename!r}: {exc.strerror}",
               file=sys.stderr)

@@ -61,18 +61,6 @@ class BitStream:
         packed = np.packbits(arr.astype(np.uint8))
         return cls(data=packed.tobytes(), bit_length=int(arr.size))
 
-    @classmethod
-    def from_bytes(cls, raw: bytes, bit_length: int) -> "BitStream":
-        """Adopt packed bytes, zeroing any trailing pad bits."""
-        n = int(bit_length)
-        need = (n + 7) // 8
-        if len(raw) < need:
-            raise ParameterError(f"need {need} bytes for {n} bits, got {len(raw)}")
-        buf = bytearray(raw[:need])
-        if n % 8 and buf:
-            buf[-1] &= 0xFF ^ ((1 << (8 - n % 8)) - 1)
-        return cls(data=bytes(buf), bit_length=n)
-
     def to_bits(self) -> np.ndarray:
         """Unpack to a uint8 array of 0/1 of length bit_length."""
         return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8),
@@ -242,8 +230,3 @@ def read_seed_file(path, n: int, m: int) -> ToeplitzSpec:
             f"{need_bytes}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=need_bits)
     return ToeplitzSpec(input_block_bits=n, output_block_bits=m, seed_bits=bits)
-
-
-def write_seed_file(path, spec: ToeplitzSpec) -> None:
-    with open(path, "wb") as fh:
-        fh.write(np.packbits(spec.seed_bits).tobytes())

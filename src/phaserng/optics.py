@@ -117,28 +117,6 @@ class NoiseSwitches:
     mismatch: bool = False
     bandwidth_limit: bool = False
 
-    @classmethod
-    def all_on(cls) -> "NoiseSwitches":
-        return cls(intensity=True, electrical=True, drift=True, mismatch=True)
-
-
-@dataclass(frozen=True)
-class TraceMetadata:
-    source: str = "simulated"         # "simulated" or "ingested"
-    config_digest: str = ""
-    seed: int | None = None
-    adc_bits: int = 0                 # 0 = not quantized / unknown
-    fullscale: float = 1.0
-    rejected_rows: int = 0            # non-finite rows dropped at ingest
-
-    def __post_init__(self):
-        if self.source not in ("simulated", "ingested"):
-            raise ParameterError(f"unknown trace source {self.source!r}")
-        if not (0 <= int(self.adc_bits) <= 16):
-            raise ParameterError(f"adc_bits must be in [0, 16], got {self.adc_bits}")
-        if not (self.fullscale > 0.0):
-            raise ParameterError(f"fullscale must be positive, got {self.fullscale}")
-
 
 @dataclass(frozen=True)
 class IQTrace:
@@ -147,8 +125,10 @@ class IQTrace:
     v_i: np.ndarray = field(repr=False)
     v_q: np.ndarray = field(repr=False)
     sample_rate: float
-    metadata: TraceMetadata = TraceMetadata()
     clamped_samples: int = 0          # power draws clamped to zero during simulation
+    adc_bits: int = 0                 # 0 = not quantized / unknown
+    fullscale: float = 1.0            # V, ADC half-range
+    rejected_rows: int = 0            # non-finite rows dropped when read
 
     def __post_init__(self):
         vi = np.asarray(self.v_i, dtype=np.float64)
@@ -158,6 +138,10 @@ class IQTrace:
         if not (np.all(np.isfinite(vi)) and np.all(np.isfinite(vq))):
             raise ParameterError("trace samples must be finite")
         _check_positive("sample_rate", self.sample_rate)
+        if not (0 <= int(self.adc_bits) <= 16):
+            raise ParameterError(f"adc_bits must be in [0, 16], got {self.adc_bits}")
+        if not (self.fullscale > 0.0):
+            raise ParameterError(f"fullscale must be positive, got {self.fullscale}")
         object.__setattr__(self, "v_i", vi)
         object.__setattr__(self, "v_q", vq)
 
@@ -281,7 +265,6 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
             v_q += det_q.electrical_noise_sigma * w2
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
-                   metadata=TraceMetadata(source="simulated", seed=seed),
                    clamped_samples=clamped)
 
 
@@ -291,6 +274,7 @@ def adc_quantize(trace: IQTrace, det_i: DetectorParams,
 
     Models digitization of the voltages before phase reconstruction: 2^bits
     uniform levels across [-fullscale, +fullscale], saturating outside.
+    The trace records the I channel's ADC bits and full scale.
     """
     def snap(values: np.ndarray, det: DetectorParams) -> np.ndarray:
         levels = 1 << int(det.adc_bits)
@@ -299,7 +283,8 @@ def adc_quantize(trace: IQTrace, det_i: DetectorParams,
         np.clip(codes, 0, levels - 1, out=codes)
         return -det.adc_fullscale + (codes + 0.5) * step
 
-    return replace(trace, v_i=snap(trace.v_i, det_i), v_q=snap(trace.v_q, det_q))
+    return replace(trace, v_i=snap(trace.v_i, det_i), v_q=snap(trace.v_q, det_q),
+                   adc_bits=int(det_i.adc_bits), fullscale=det_i.adc_fullscale)
 
 
 def boxcar_decimate(trace: IQTrace, factor: int) -> IQTrace:
@@ -348,8 +333,3 @@ def validate_timing(laser: LaserParams, ifm: InterferometerParams,
         f"note: expected lag-1 correlation of raw phase increments at "
         f"{sample_rate:g} Sa/s is {expected:.3f}")
     return messages
-
-
-def timing_warnings(messages: list[str]) -> list[str]:
-    """Filter validate_timing output down to the actual warnings."""
-    return [m for m in messages if m.startswith("warning:")]

@@ -116,8 +116,6 @@ class PhasePath:
 
     increments: np.ndarray = field(repr=False)
     sample_period: float
-    delay_time: float
-    rng_seed: int
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=np.float64)
@@ -261,5 +259,4 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
             for src, dst, op in parts:
                 op(increments[dst], walk[src], out=increments[dst])
 
-    return PhasePath(increments=increments, sample_period=sample_period,
-                     delay_time=delay_time, rng_seed=seed)
+    return PhasePath(increments=increments, sample_period=sample_period)

@@ -4,8 +4,8 @@ Stages communicate only through files in the output directory, so any
 stage can run in a later invocation as long as its inputs exist; a missing
 input is a dependency error naming the expected artifact.  Every artifact
 embeds (or, for binary payloads, is paired with a sidecar that embeds) the
-configuration digest, and the summary cross-references them all with
-content hashes.
+configuration digest.  The summary lists every artifact the invocation
+read or wrote, with its sha256 and the config digest it carries.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -53,64 +52,80 @@ EXTRACTOR_SEED_STREAM = 100
 SCHEMA_VERSION = 3
 
 
-def _path(outdir: str, key: str) -> str:
-    return os.path.join(outdir, ARTIFACTS[key])
+#: Binary artifacts, each paired with a ``<name>.meta.json`` sidecar.
+_SIDECARS = ("trace", "symbols", "seed", "extracted")
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class _ArtifactGate:
+    """Every artifact read and write of one invocation goes through here.
 
-
-def _require_artifact(outdir: str, key: str, stage: str) -> str:
-    """Path of an upstream artifact, refused if missing, stale or altered.
-
-    An artifact with a sidecar must carry this build's ``SCHEMA_VERSION``
-    and the sha256 its sidecar records: older or altered bytes would
-    otherwise flow silently into the run.
+    Each read or write records the artifact's sha256 and the config digest
+    it carries: the run's own for a write, its sidecar's for a read (None
+    without a sidecar).  The summary lists exactly these records.
     """
-    path = _path(outdir, key)
-    if not os.path.exists(path):
-        raise DependencyError(
-            f"stage {stage!r} requires missing artifact {ARTIFACTS[key]!r} "
-            f"(run its producing stage first)")
-    sidecar = path + ".meta.json"
-    if os.path.exists(sidecar):
-        with open(sidecar, "rb") as fh:
-            try:
-                meta = json.loads(fh.read())
-                version = meta.get("schema_version")
-            except (ValueError, AttributeError) as exc:
-                raise FormatError(f"sidecar {sidecar!r} is not a JSON object") from exc
-        if version != SCHEMA_VERSION:
+
+    def __init__(self, outdir: str, digest: str):
+        self.outdir = outdir
+        self.digest = digest
+        self.records: dict[str, dict] = {}
+
+    def read(self, key: str, stage: str) -> bytes:
+        """An upstream artifact's bytes, refused if missing, stale or altered.
+
+        An artifact with a sidecar must carry this build's ``SCHEMA_VERSION``
+        and the sha256 its sidecar records: older or altered bytes would
+        otherwise flow silently into the run.
+        """
+        name = ARTIFACTS[key]
+        path = os.path.join(self.outdir, name)
+        if not os.path.exists(path):
             raise DependencyError(
-                f"stage {stage!r} refuses artifact {ARTIFACTS[key]!r} of "
-                f"schema_version {version}, expected {SCHEMA_VERSION} "
-                f"(rerun its producing stage)")
-        if meta.get("sha256") != _sha256_file(path):
+                f"stage {stage!r} requires missing artifact {name!r} "
+                f"(run its producing stage first)")
+        sidecar = path + ".meta.json"
+        meta = {}
+        if os.path.exists(sidecar):
+            with open(sidecar, "rb") as fh:
+                try:
+                    meta = json.loads(fh.read())
+                    version = meta.get("schema_version")
+                except (ValueError, AttributeError) as exc:
+                    raise FormatError(f"sidecar {sidecar!r} is not a JSON object") from exc
+            if version != SCHEMA_VERSION:
+                raise DependencyError(
+                    f"stage {stage!r} refuses artifact {name!r} of "
+                    f"schema_version {version}, expected {SCHEMA_VERSION} "
+                    f"(rerun its producing stage)")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        sha = hashlib.sha256(data).hexdigest()
+        if meta and meta.get("sha256") != sha:
             raise DependencyError(
-                f"stage {stage!r} refuses artifact {ARTIFACTS[key]!r}: its "
+                f"stage {stage!r} refuses artifact {name!r}: its "
                 f"sha256 differs from its sidecar's (rerun its producing stage)")
-    return path
+        self.records[key] = {"sha256": sha, "config_digest": meta.get("config_digest")}
+        return data
+
+    def write(self, key: str, data: bytes) -> None:
+        """Write an artifact atomically, and its sidecar if it has one."""
+        path = os.path.join(self.outdir, ARTIFACTS[key])
+        traceio.atomic_write_bytes(path, data)
+        sha = hashlib.sha256(data).hexdigest()
+        self.records[key] = {"sha256": sha, "config_digest": self.digest}
+        if key in _SIDECARS:
+            traceio.atomic_write_bytes(path + ".meta.json", _json_bytes({
+                "schema_version": SCHEMA_VERSION,
+                "artifact": ARTIFACTS[key],
+                "config_digest": self.digest,
+                "sha256": sha,
+            }))
 
 
-def _write_json(path: str, payload: dict) -> None:
-    traceio.atomic_write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode())
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode()
 
 
-def _write_sidecar(path: str, digest: str) -> None:
-    _write_json(path + ".meta.json", {
-        "schema_version": SCHEMA_VERSION,
-        "artifact": os.path.basename(path),
-        "config_digest": digest,
-        "sha256": _sha256_file(path),
-    })
-
-
-def _write_hist_csv(path: str, hist: analysis.Histogram, ref, digest: str) -> None:
+def _hist_csv(hist: analysis.Histogram, ref, digest: str) -> bytes:
     """CSV columns: bin center, count, reference density (blank if none)."""
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     density = ref.pdf(centers) if ref is not None else None
@@ -118,10 +133,10 @@ def _write_hist_csv(path: str, hist: analysis.Histogram, ref, digest: str) -> No
     for k, c in enumerate(centers):
         d = "" if density is None else repr(float(density[k]))
         lines.append(f"{float(c)!r},{int(hist.counts[k])},{d}")
-    traceio.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    return ("\n".join(lines) + "\n").encode()
 
 
-def simulate_stage(cfg: ExperimentConfig, outdir: str) -> dict:
+def simulate_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
     sim = cfg.simulation
     factor = sim.oversample_factor
     fine_rate = sim.sample_rate * factor
@@ -136,32 +151,21 @@ def simulate_stage(cfg: ExperimentConfig, outdir: str) -> dict:
         trace = optics.boxcar_decimate(trace, factor)
     if sim.adc_quantize:
         trace = optics.adc_quantize(trace, cfg.detector_i, cfg.detector_q)
-        meta = replace(trace.metadata, config_digest=cfg.digest,
-                       adc_bits=cfg.detector_i.adc_bits,
-                       fullscale=cfg.detector_i.adc_fullscale)
-    else:
-        meta = replace(trace.metadata, config_digest=cfg.digest)
-    trace = replace(trace, metadata=meta)
-    out = _path(outdir, "trace")
-    traceio.write_trace_binary(trace, out)
-    _write_sidecar(out, cfg.digest)
+    artifacts.write("trace", traceio.encode_trace(trace))
     return {"samples": len(trace), "sample_rate": trace.sample_rate,
             "clamped_samples": trace.clamped_samples,
             "oversample_factor": factor}
 
 
-def ingest_stage(cfg: ExperimentConfig, outdir: str, input_path: str,
+def ingest_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate, input_path: str,
                  input_format: str = "binary") -> dict:
     if input_path is None:
         raise ParameterError("ingest stage needs an input capture path")
     trace = traceio.ingest_trace(input_path, fmt=input_format,
                                  sample_rate=cfg.simulation.sample_rate)
-    trace = replace(trace, metadata=replace(trace.metadata, config_digest=cfg.digest))
-    out = _path(outdir, "trace")
-    traceio.write_trace_binary(trace, out)
-    _write_sidecar(out, cfg.digest)
+    artifacts.write("trace", traceio.encode_trace(trace))
     return {"samples": len(trace), "sample_rate": trace.sample_rate,
-            "rejected_rows": trace.metadata.rejected_rows}
+            "rejected_rows": trace.rejected_rows}
 
 
 def _reconstruct(cfg: ExperimentConfig, trace):
@@ -172,18 +176,16 @@ def _reconstruct(cfg: ExperimentConfig, trace):
     return norm, series, symbols
 
 
-def reconstruct_stage(cfg: ExperimentConfig, outdir: str) -> dict:
-    trace = traceio.read_trace_binary(_require_artifact(outdir, "trace", "reconstruct"))
+def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+    trace = traceio.decode_trace(artifacts.read("trace", "reconstruct"))
     norm, series, symbols = _reconstruct(cfg, trace)
-    out = _path(outdir, "symbols")
-    traceio.atomic_write_bytes(out, traceio.encode_symbols(symbols))
-    _write_sidecar(out, cfg.digest)
+    artifacts.write("symbols", traceio.encode_symbols(symbols))
     return {"samples": len(series), "zero_vectors": series.zero_vector_count,
             "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q}
 
 
-def analyze_stage(cfg: ExperimentConfig, outdir: str) -> dict:
-    trace = traceio.read_trace_binary(_require_artifact(outdir, "trace", "analyze"))
+def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+    trace = traceio.decode_trace(artifacts.read("trace", "analyze"))
     norm, series, symbols = _reconstruct(cfg, trace)
     bins = cfg.analysis.histogram_bins
     digest = cfg.digest
@@ -205,10 +207,10 @@ def analyze_stage(cfg: ExperimentConfig, outdir: str) -> dict:
 
     arc = analysis.ReferenceLaw.arcsine(1.0)
     uniform = analysis.ReferenceLaw.uniform(-np.pi, np.pi)
-    _write_hist_csv(_path(outdir, "hist_i"), hist_i, arc, digest)
-    _write_hist_csv(_path(outdir, "hist_q"), hist_q, arc, digest)
-    _write_hist_csv(_path(outdir, "hist_phase"), hist_phase, uniform, digest)
-    _write_hist_csv(_path(outdir, "hist_symbols"), hist_symbols, None, digest)
+    artifacts.write("hist_i", _hist_csv(hist_i, arc, digest))
+    artifacts.write("hist_q", _hist_csv(hist_q, arc, digest))
+    artifacts.write("hist_phase", _hist_csv(hist_phase, uniform, digest))
+    artifacts.write("hist_symbols", _hist_csv(hist_symbols, None, digest))
 
     klds = {
         "vs_standard_gaussian": analysis.kld(hist_phase,
@@ -231,11 +233,12 @@ def analyze_stage(cfg: ExperimentConfig, outdir: str) -> dict:
         "zero_vectors": series.zero_vector_count,
         "timing_messages": warnings,
     }
-    _write_json(_path(outdir, "analysis"), report)
+    artifacts.write("analysis", _json_bytes(report))
     return {"min_entropy_bits": report["min_entropy_bits"], "kld_bits": klds}
 
 
-def _extraction_spec(cfg: ExperimentConfig, outdir: str) -> extractor.ToeplitzSpec:
+def _extraction_spec(cfg: ExperimentConfig,
+                     artifacts: _ArtifactGate) -> extractor.ToeplitzSpec:
     ext = cfg.extraction
     n, m = ext.input_bits, ext.output_bits
     if not m:
@@ -246,31 +249,24 @@ def _extraction_spec(cfg: ExperimentConfig, outdir: str) -> extractor.ToeplitzSp
         return extractor.read_seed_file(ext.seed_file, n, m)
     spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed,
                                            stream=EXTRACTOR_SEED_STREAM)
-    seed_path = _path(outdir, "seed")
-    traceio.atomic_write_bytes(seed_path,
-                               np.packbits(spec.seed_bits).tobytes())
-    _write_sidecar(seed_path, cfg.digest)
+    artifacts.write("seed", np.packbits(spec.seed_bits).tobytes())
     return spec
 
 
-def extract_stage(cfg: ExperimentConfig, outdir: str) -> dict:
-    with open(_require_artifact(outdir, "symbols", "extract"), "rb") as fh:
-        symbols = traceio.decode_symbols(fh.read())
-    spec = _extraction_spec(cfg, outdir)
+def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+    symbols = traceio.decode_symbols(artifacts.read("symbols", "extract"))
+    spec = _extraction_spec(cfg, artifacts)
     raw_bits = extractor.symbols_to_bits(symbols)
     result = extractor.extract(raw_bits, spec)
-    out = _path(outdir, "extracted")
-    traceio.atomic_write_bytes(out, result.bits.data)
-    _write_sidecar(out, cfg.digest)
+    artifacts.write("extracted", result.bits.data)
     return {"input_bits": raw_bits.bit_length,
             "output_bits": result.bits.bit_length,
             "blocks": result.blocks, "discarded_bits": result.discarded_bits,
             "n": spec.input_block_bits, "m": spec.output_block_bits}
 
 
-def test_stage(cfg: ExperimentConfig, outdir: str) -> dict:
-    with open(_require_artifact(outdir, "extracted", "test"), "rb") as fh:
-        raw = fh.read()
+def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+    raw = artifacts.read("extracted", "test")
     tc = cfg.test
     need = tc.sequence_bits * tc.sequence_count
     have = len(raw) * 8
@@ -282,7 +278,7 @@ def test_stage(cfg: ExperimentConfig, outdir: str) -> dict:
     report = stattests.run_battery(list(sequences), tc)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
                "config_digest": cfg.digest}
-    _write_json(_path(outdir, "test"), payload)
+    artifacts.write("test", _json_bytes(payload))
     return {"passed": report.passed,
             "proportions": {r.name: r.proportion for r in report.results}}
 
@@ -299,11 +295,12 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
         raise ParameterError("choose one trace source: simulate or ingest")
     os.makedirs(outdir, exist_ok=True)
 
+    gate = _ArtifactGate(outdir, cfg.digest)
     stage_outputs: dict[str, dict] = {}
     for stage in STAGES:
         if stage in requested:
             extra = (ingest_path, ingest_format) if stage == "ingest" else ()
-            stage_outputs[stage] = globals()[f"{stage}_stage"](cfg, outdir, *extra)
+            stage_outputs[stage] = globals()[f"{stage}_stage"](cfg, gate, *extra)
 
     ext = stage_outputs.get("extract")
     if ext is not None:
@@ -314,21 +311,16 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
             rate_per_sample = (e.output_bits / e.input_bits) * cfg.analysis.phase_bits
         else:
             rate_per_sample = None
-    artifacts = {}
-    for key, name in ARTIFACTS.items():
-        path = os.path.join(outdir, name)
-        if key != "summary" and os.path.exists(path):
-            artifacts[name] = {"sha256": _sha256_file(path),
-                               "config_digest": cfg.digest}
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": cfg.digest,
         "stages": [s for s in STAGES if s in requested],
         "stage_outputs": stage_outputs,
-        "artifacts": artifacts,
+        "artifacts": {name: gate.records[key] for key, name in ARTIFACTS.items()
+                      if key in gate.records},
     }
     if rate_per_sample is not None:
         summary["bits_per_sample"] = rate_per_sample
         summary["nominal_bit_rate"] = rate_per_sample * cfg.simulation.sample_rate
-    _write_json(_path(outdir, "summary"), summary)
+    gate.write("summary", _json_bytes(summary))
     return summary

@@ -29,7 +29,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .optics import IQTrace, TraceMetadata
+from .optics import IQTrace
 from .reconstruction import SymbolStream
 
 MAGIC = b"IQT1"
@@ -65,8 +65,8 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 def encode_trace(trace: IQTrace) -> bytes:
     """Serialize a trace to the binary format."""
     count = trace.v_i.size
-    header = _HEADER.pack(MAGIC, VERSION, 0, 2, trace.metadata.adc_bits,
-                          count, trace.sample_rate, trace.metadata.fullscale)
+    header = _HEADER.pack(MAGIC, VERSION, 0, 2, trace.adc_bits,
+                          count, trace.sample_rate, trace.fullscale)
     payload = np.empty(2 * count, dtype="<f4")
     payload[0::2] = trace.v_i
     payload[1::2] = trace.v_q
@@ -117,9 +117,8 @@ def decode_trace(blob: bytes) -> IQTrace:
         raise FormatError(f"no finite sample pairs among {count} rows")
     if rejected:
         v_i, v_q = v_i[keep], v_q[keep]
-    meta = TraceMetadata(source="ingested", adc_bits=adc_bits,
-                         fullscale=fullscale, rejected_rows=rejected)
-    return IQTrace(v_i=v_i, v_q=v_q, sample_rate=rate, metadata=meta)
+    return IQTrace(v_i=v_i, v_q=v_q, sample_rate=rate, adc_bits=adc_bits,
+                   fullscale=fullscale, rejected_rows=rejected)
 
 
 def read_trace_binary(path: str) -> IQTrace:
@@ -206,19 +205,9 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
         raise FormatError("empty file: missing 'v_i,v_q' header")
     if not v_i:
         raise FormatError("no finite sample rows after the header")
-    meta = TraceMetadata(source="ingested", rejected_rows=rejected)
     return IQTrace(v_i=np.asarray(v_i, dtype=np.float32),
                    v_q=np.asarray(v_q, dtype=np.float32),
-                   sample_rate=float(sample_rate), metadata=meta)
-
-
-def write_trace(trace: IQTrace, path: str, fmt: str = "binary") -> None:
-    if fmt == "binary":
-        write_trace_binary(trace, path)
-    elif fmt == "csv":
-        write_trace_csv(trace, path)
-    else:
-        raise ParameterError(f"unknown trace format {fmt!r}")
+                   sample_rate=float(sample_rate), rejected_rows=rejected)
 
 
 def ingest_trace(path: str, fmt: str = "binary",

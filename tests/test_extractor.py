@@ -33,11 +33,6 @@ class TestBitStream:
             bits = gen.integers(0, 2, size=n).astype(np.uint8)
             assert_array_equal(ext.BitStream.from_bits(bits).to_bits(), bits)
 
-    def test_from_bytes_zeroes_pad_bits(self):
-        stream = ext.BitStream.from_bytes(bytes([0xFF]), 5)
-        assert stream.data == bytes([0b11111000])
-        assert_array_equal(stream.to_bits(), [1, 1, 1, 1, 1])
-
     def test_nonzero_pad_rejected_by_constructor(self):
         with pytest.raises(ParameterError):
             ext.BitStream(data=bytes([0xFF]), bit_length=5)
@@ -48,13 +43,9 @@ class TestBitStream:
         with pytest.raises(ParameterError):
             ext.BitStream.from_bits([2, 0])
 
-    def test_from_bytes_needs_enough_bytes(self):
-        with pytest.raises(ParameterError):
-            ext.BitStream.from_bytes(bytes(1), 9)
-
     def test_equal_bits_compare_equal(self):
         a = ext.BitStream.from_bits([1, 0, 1])
-        b = ext.BitStream.from_bytes(bytes([0b10100000]), 3)
+        b = ext.BitStream(data=bytes([0b10100000]), bit_length=3)
         assert a == b
 
     def test_empty(self):
@@ -250,7 +241,7 @@ class TestSeedFile:
     def test_round_trip(self, tmp_path):
         spec = ext.ToeplitzSpec.from_rng(100, 60, seed=7)
         path = tmp_path / "seed.bin"
-        ext.write_seed_file(path, spec)
+        path.write_bytes(np.packbits(spec.seed_bits).tobytes())
         assert path.stat().st_size == (100 + 60 - 1 + 7) // 8
         loaded = ext.read_seed_file(path, 100, 60)
         assert_array_equal(loaded.seed_bits, spec.seed_bits)

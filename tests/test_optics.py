@@ -77,11 +77,11 @@ class TestParamsValidation:
 
     def test_metadata_validation(self):
         with pytest.raises(ParameterError):
-            optics.TraceMetadata(source="guessed")
+            optics.IQTrace(v_i=np.ones(4), v_q=np.ones(4), sample_rate=1.0,
+                           adc_bits=17)
         with pytest.raises(ParameterError):
-            optics.TraceMetadata(adc_bits=17)
-        with pytest.raises(ParameterError):
-            optics.TraceMetadata(fullscale=0.0)
+            optics.IQTrace(v_i=np.ones(4), v_q=np.ones(4), sample_rate=1.0,
+                           fullscale=0.0)
 
     def test_trace_validation(self):
         with pytest.raises(ParameterError):
@@ -93,11 +93,6 @@ class TestParamsValidation:
                            sample_rate=1.0)
         with pytest.raises(ParameterError):
             optics.IQTrace(v_i=np.ones(4), v_q=np.ones(4), sample_rate=0.0)
-
-    def test_switch_constructors(self):
-        on = optics.NoiseSwitches.all_on()
-        assert on.intensity and on.electrical and on.drift and on.mismatch
-        assert not on.bandwidth_limit
 
 
 class TestAmplitude:
@@ -454,18 +449,18 @@ class TestValidateTiming:
     def test_slow_detector_warns(self):
         msgs = optics.validate_timing(ideal_laser(), ifm(),
                                       det(response_time=10e-9), 200e6)
-        assert any("detector response time" in m for m in
-                   optics.timing_warnings(msgs))
+        assert any(m.startswith("warning:") and "detector response time" in m
+                   for m in msgs)
 
     def test_low_variance_warns(self):
         short = ifm(delay_length=0.5)
         msgs = optics.validate_timing(ideal_laser(), short, det(), 200e6)
-        assert any("below 10" in m for m in optics.timing_warnings(msgs))
+        assert any(m.startswith("warning:") and "below 10" in m for m in msgs)
 
     def test_clean_setup_only_notes(self):
         msgs = optics.validate_timing(ideal_laser(), ifm(),
                                       det(response_time=625e-12), 200e6)
-        assert optics.timing_warnings(msgs) == []
+        assert not any(m.startswith("warning:") for m in msgs)
         assert any(m.startswith("note:") for m in msgs)
 
     def test_note_reports_expected_correlation(self):

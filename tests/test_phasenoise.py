@@ -266,11 +266,9 @@ class TestSamplePhasePath:
 
 def test_phase_path_validation():
     with pytest.raises(ParameterError):
-        pn.PhasePath(increments=np.array([]), sample_period=1e-9,
-                     delay_time=1e-9, rng_seed=0)
+        pn.PhasePath(increments=np.array([]), sample_period=1e-9)
     with pytest.raises(ParameterError):
-        pn.PhasePath(increments=np.zeros((2, 2)), sample_period=1e-9,
-                     delay_time=1e-9, rng_seed=0)
+        pn.PhasePath(increments=np.zeros((2, 2)), sample_period=1e-9)
 
 
 class TestWrappedDistributionRegimes:

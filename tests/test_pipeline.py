@@ -45,7 +45,6 @@ approx_entropy_pattern_bits = 5
 def make_config(**overrides):
     text = BASE_INI
     for needle, replacement in overrides.items():
-        old = needle.replace("_", " ", 0)
         assert needle in text, needle
         text = text.replace(needle, replacement)
     return cfg_mod.parse_config(text)
@@ -190,6 +189,15 @@ class TestFullRun:
         assert hashlib.sha256(payload).hexdigest() == (
             "082edc7630c15efb65c72a5bd59c4f68a964068bdbfb6b3c41737cf240bd5709")
 
+    def test_known_answer_sidecar_and_summary(self, full_run):
+        # Pins the sidecar layout (key order included) and the summary's
+        # bytes, so routing artifact I/O differently cannot move them.
+        _, outdir, _ = full_run
+        assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
+            "c02e4bef7e9f4dd517833382e33f26ee78d4c0638ea3d8b7956c6ecbdc170f8a")
+        assert sha256(os.path.join(outdir, "summary.json")) == (
+            "39fb8602f35dda38b3572fdf8757457bbac5b3c206dc33972e8db93455e15259")
+
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
         report = json.load(open(os.path.join(outdir, "test_report.json")))
@@ -292,6 +300,36 @@ class TestStagedExecution:
         with pytest.raises(DependencyError, match=r"trace\.iqt.*sha256"):
             pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
 
+    def test_summary_gives_each_artifact_its_own_digest(self, tmp_path):
+        # Upstream artifacts made under another config keep that config's
+        # digest in the summary of a later invocation that reads them.
+        outdir = str(tmp_path / "run")
+        cfg_a = make_config()
+        cfg_b = make_config(**{"output_bits = 3920":
+                               "output_bits = 3920\nmin_entropy_rate = 0.95"})
+        assert cfg_a.digest != cfg_b.digest
+        pipeline.run_pipeline(cfg_a, ["simulate", "reconstruct"], outdir)
+        summary = pipeline.run_pipeline(cfg_b, ["analyze", "extract"], outdir)
+        artifacts = summary["artifacts"]
+        for name in ("trace.iqt", "symbols.bin", "toeplitz_seed.bin",
+                     "extracted.bin"):
+            side = json.load(open(os.path.join(outdir, name + ".meta.json")))
+            assert artifacts[name]["config_digest"] == side["config_digest"], name
+        assert artifacts["trace.iqt"]["config_digest"] == cfg_a.digest
+        assert artifacts["symbols.bin"]["config_digest"] == cfg_a.digest
+        assert artifacts["extracted.bin"]["config_digest"] == cfg_b.digest
+
+    def test_artifact_without_sidecar_has_no_digest(self, tmp_path):
+        outdir = str(tmp_path / "run")
+        cfg = make_config()
+        pipeline.run_pipeline(cfg, ["simulate"], outdir)
+        os.remove(os.path.join(outdir, "trace.iqt.meta.json"))
+        summary = pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
+        assert summary["artifacts"]["trace.iqt"] == {
+            "sha256": sha256(os.path.join(outdir, "trace.iqt")),
+            "config_digest": None}
+        assert summary["artifacts"]["symbols.bin"]["config_digest"] == cfg.digest
+
     def test_unreadable_sidecar_is_a_format_error(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config()
@@ -354,7 +392,8 @@ class TestExtractionSeedFile:
         pipeline.run_pipeline(cfg, ["simulate", "reconstruct"], outdir)
         spec = extractor.ToeplitzSpec.from_rng(4000, 3920, seed=99)
         seed_path = str(tmp_path / "myseed.bin")
-        extractor.write_seed_file(seed_path, spec)
+        with open(seed_path, "wb") as fh:
+            fh.write(np.packbits(spec.seed_bits).tobytes())
         import dataclasses
         cfg2 = dataclasses.replace(
             cfg, extraction=dataclasses.replace(cfg.extraction,
@@ -477,6 +516,23 @@ class TestCli:
                          "--stages", "simulate,reconstruct,extract,test"])
         assert code == 5
         assert "extracted bits" in capsys.readouterr().err
+
+    def test_exit_5_insufficient_entropy(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, BASE_INI.replace("output_bits = 3920",
+                                       "min_entropy_rate = 0.001"))
+        code = cli.main(["pipeline", "-c", config, "-o", str(tmp_path / "out"),
+                         "--stages", "simulate,reconstruct,extract"])
+        assert code == 5
+        assert "error:" in capsys.readouterr().err
+
+    def test_exit_2_sequence_too_short(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, BASE_INI.replace("sequence_bits = 4096",
+                                       "sequence_bits = 100"))
+        code = cli.main(["pipeline", "-c", config, "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from phaserng import traceio
 from phaserng.errors import FormatError, ParameterError
-from phaserng.optics import IQTrace, TraceMetadata
+from phaserng.optics import IQTrace
 from phaserng.reconstruction import SymbolStream
 
 
@@ -17,8 +17,8 @@ def make_trace(count=257, seed=0, adc_bits=10, fullscale=0.25,
                sample_rate=2.0e8):
     gen = np.random.default_rng(seed)
     v = gen.normal(scale=0.05, size=(2, count)).astype(np.float32)
-    meta = TraceMetadata(adc_bits=adc_bits, fullscale=fullscale)
-    return IQTrace(v_i=v[0], v_q=v[1], sample_rate=sample_rate, metadata=meta)
+    return IQTrace(v_i=v[0], v_q=v[1], sample_rate=sample_rate,
+                   adc_bits=adc_bits, fullscale=fullscale)
 
 
 def header_bytes(magic=b"IQT1", version=1, flags=0, channels=2, adc_bits=0,
@@ -43,10 +43,9 @@ class TestBinaryRoundTrip:
         np.testing.assert_array_equal(back.v_i, trace.v_i)
         np.testing.assert_array_equal(back.v_q, trace.v_q)
         assert back.sample_rate == trace.sample_rate
-        assert back.metadata.source == "ingested"
-        assert back.metadata.adc_bits == 10
-        assert back.metadata.fullscale == 0.25
-        assert back.metadata.rejected_rows == 0
+        assert back.adc_bits == 10
+        assert back.fullscale == 0.25
+        assert back.rejected_rows == 0
 
     def test_reencode_is_byte_identical(self, tmp_path):
         trace = make_trace(count=1000, seed=1)
@@ -170,7 +169,7 @@ class TestBinaryNonFiniteRows:
         blob = header_bytes(count=10) + payload_bytes(v_i, v_q)
         trace = traceio.decode_trace(blob)
         assert len(trace) == 8
-        assert trace.metadata.rejected_rows == 2
+        assert trace.rejected_rows == 2
         keep = [0, 1, 2, 4, 5, 6, 8, 9]
         np.testing.assert_array_equal(trace.v_i, v_i[keep])
         np.testing.assert_array_equal(trace.v_q, v_q[keep])
@@ -216,7 +215,6 @@ class TestCsv:
         back = traceio.read_trace_csv(path, sample_rate=trace.sample_rate)
         np.testing.assert_array_equal(back.v_i, trace.v_i)
         np.testing.assert_array_equal(back.v_q, trace.v_q)
-        assert back.metadata.source == "ingested"
 
     def test_layout(self, tmp_path):
         trace = IQTrace(v_i=np.array([0.5]), v_q=np.array([-0.25]),
@@ -240,7 +238,7 @@ class TestCsv:
         path.write_text("v_i,v_q\n1.0,2.0\nnan,2.0\n1.0,inf\n5.0,6.0\n")
         trace = traceio.read_trace_csv(str(path), sample_rate=1.0)
         assert len(trace) == 2
-        assert trace.metadata.rejected_rows == 2
+        assert trace.rejected_rows == 2
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -283,14 +281,14 @@ class TestDispatch:
     def test_write_and_ingest_binary(self, tmp_path):
         trace = make_trace(count=50, seed=3)
         path = str(tmp_path / "t.iqt")
-        traceio.write_trace(trace, path, fmt="binary")
+        traceio.write_trace_binary(trace, path)
         back = traceio.ingest_trace(path, fmt="binary")
         np.testing.assert_array_equal(back.v_i, trace.v_i)
 
     def test_write_and_ingest_csv(self, tmp_path):
         trace = make_trace(count=50, seed=4)
         path = str(tmp_path / "t.csv")
-        traceio.write_trace(trace, path, fmt="csv")
+        traceio.write_trace_csv(trace, path)
         back = traceio.ingest_trace(path, fmt="csv", sample_rate=7.0)
         np.testing.assert_array_equal(back.v_q, trace.v_q)
         assert back.sample_rate == 7.0
@@ -300,8 +298,5 @@ class TestDispatch:
             traceio.ingest_trace(str(tmp_path / "t.csv"), fmt="csv")
 
     def test_unknown_format(self, tmp_path):
-        trace = make_trace(count=5)
-        with pytest.raises(ParameterError, match="unknown trace format"):
-            traceio.write_trace(trace, str(tmp_path / "t.x"), fmt="hdf5")
         with pytest.raises(ParameterError, match="unknown trace format"):
             traceio.ingest_trace(str(tmp_path / "t.x"), fmt="hdf5")
