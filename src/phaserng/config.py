@@ -25,6 +25,7 @@ import hashlib
 import typing
 from dataclasses import MISSING, dataclass, fields
 
+from . import extractor
 from .errors import FormatError, ParameterError
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
 from .phasenoise import LaserParams
@@ -79,6 +80,22 @@ class ExtractionParams:
             raise ParameterError("epsilon_exponent must be >= 1")
         if self.mode not in ("lemma", "ratio"):
             raise ParameterError(f"unknown extraction mode {self.mode!r}")
+        n, m = self.block_bits
+        if m > n:
+            raise ParameterError(f"output_bits must be <= input_bits, got m={m} > n={n}")
+
+    @property
+    def block_bits(self) -> tuple[int, int]:
+        """Toeplitz block sizes (n, m): m as given, or derived from the rate.
+
+        Deriving m raises InsufficientEntropyError when the rate cannot fund
+        one output bit per block.
+        """
+        if self.output_bits:
+            return self.input_bits, self.output_bits
+        return extractor.derive_params(self.min_entropy_rate, self.input_bits,
+                                       epsilon=2.0 ** -self.epsilon_exponent,
+                                       mode=self.mode)
 
 
 @dataclass(frozen=True)

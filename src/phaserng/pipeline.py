@@ -190,11 +190,11 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
     bins = cfg.analysis.histogram_bins
     digest = cfg.digest
 
-    adc_bits = cfg.detector_i.adc_bits
-    code_i = reconstruction.quantize_uniform(norm.trace.v_i, adc_bits, -1.0, 1.0)
-    code_q = reconstruction.quantize_uniform(norm.trace.v_q, adc_bits, -1.0, 1.0)
-    hmin_i = analysis.min_entropy(analysis.symbol_counts(code_i, 1 << adc_bits))
-    hmin_q = analysis.min_entropy(analysis.symbol_counts(code_q, 1 << adc_bits))
+    bits_i, bits_q = cfg.detector_i.adc_bits, cfg.detector_q.adc_bits
+    code_i = reconstruction.quantize_uniform(norm.trace.v_i, bits_i, -1.0, 1.0)
+    code_q = reconstruction.quantize_uniform(norm.trace.v_q, bits_q, -1.0, 1.0)
+    hmin_i = analysis.min_entropy(analysis.symbol_counts(code_i, 1 << bits_i))
+    hmin_q = analysis.min_entropy(analysis.symbol_counts(code_q, 1 << bits_q))
     sym_counts = analysis.symbol_counts(symbols.symbols, 1 << symbols.bits_per_symbol)
     hmin_phase = analysis.min_entropy(sym_counts)
 
@@ -221,7 +221,7 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
     }
     autocorr = analysis.autocorrelation(series.phases, cfg.analysis.max_lag)
     warnings = optics.validate_timing(cfg.laser, cfg.interferometer,
-                                      cfg.detector_i, cfg.simulation.sample_rate)
+                                      cfg.detector_i, trace.sample_rate)
     report = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,
@@ -239,14 +239,9 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
 
 def _extraction_spec(cfg: ExperimentConfig,
                      artifacts: _ArtifactGate) -> extractor.ToeplitzSpec:
-    ext = cfg.extraction
-    n, m = ext.input_bits, ext.output_bits
-    if not m:
-        n, m = extractor.derive_params(ext.min_entropy_rate, n,
-                                       epsilon=2.0 ** -ext.epsilon_exponent,
-                                       mode=ext.mode)
-    if ext.seed_file:
-        return extractor.read_seed_file(ext.seed_file, n, m)
+    n, m = cfg.extraction.block_bits
+    if cfg.extraction.seed_file:
+        return extractor.read_seed_file(cfg.extraction.seed_file, n, m)
     spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed,
                                            stream=EXTRACTOR_SEED_STREAM)
     artifacts.write("seed", np.packbits(spec.seed_bits).tobytes())
@@ -302,15 +297,8 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
             extra = (ingest_path, ingest_format) if stage == "ingest" else ()
             stage_outputs[stage] = globals()[f"{stage}_stage"](cfg, gate, *extra)
 
-    ext = stage_outputs.get("extract")
-    if ext is not None:
-        rate_per_sample = (ext["m"] / ext["n"]) * cfg.analysis.phase_bits
-    else:
-        e = cfg.extraction
-        if e.output_bits:
-            rate_per_sample = (e.output_bits / e.input_bits) * cfg.analysis.phase_bits
-        else:
-            rate_per_sample = None
+    n, m = cfg.extraction.block_bits
+    rate_per_sample = (m / n) * cfg.analysis.phase_bits
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": cfg.digest,
@@ -318,9 +306,8 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
         "stage_outputs": stage_outputs,
         "artifacts": {name: gate.records[key] for key, name in ARTIFACTS.items()
                       if key in gate.records},
+        "bits_per_sample": rate_per_sample,
+        "nominal_bit_rate": rate_per_sample * cfg.simulation.sample_rate,
     }
-    if rate_per_sample is not None:
-        summary["bits_per_sample"] = rate_per_sample
-        summary["nominal_bit_rate"] = rate_per_sample * cfg.simulation.sample_rate
     gate.write("summary", _json_bytes(summary))
     return summary

@@ -24,8 +24,10 @@ from scipy.special import erfc, gammaincc, ndtr
 from .errors import ParameterError, SequenceLengthError
 from .extractor import BitStream
 
-TEST_NAMES = ("monobit", "block-frequency", "runs", "longest-run",
-              "cumulative-sums", "serial", "approximate-entropy", "dft-spectral")
+#: The battery's p-value streams, in report order.
+STREAMS = ("monobit", "block-frequency", "runs", "longest-run",
+           "cumulative-sums-forward", "cumulative-sums-backward",
+           "serial-first", "serial-second", "approximate-entropy", "dft-spectral")
 
 #: Suite members everyone expects that this battery deliberately omits.
 NOT_IMPLEMENTED = ("universal", "linear-complexity", "non-overlapping-template",
@@ -59,8 +61,6 @@ class TestConfig:
     uniformity_threshold: float = 1e-4
 
     def __post_init__(self):
-        if int(self.sequence_bits) < 100:
-            raise ParameterError(f"sequence_bits must be >= 100, got {self.sequence_bits}")
         if int(self.sequence_count) < 1:
             raise ParameterError("sequence_count must be >= 1")
         if not (0.0 < float(self.alpha) < 1.0):
@@ -73,6 +73,14 @@ class TestConfig:
             raise ParameterError("serial_pattern_bits must be in [2, 24]")
         if not (1 <= int(self.approx_entropy_pattern_bits) <= 20):
             raise ParameterError("approx_entropy_pattern_bits must be in [1, 20]")
+        # The largest of the eight tests' own minimum lengths.
+        need = max(1000, int(self.block_frequency_block),
+                   1 << (int(self.serial_pattern_bits) + 2),
+                   1 << (int(self.approx_entropy_pattern_bits) + 6))
+        if int(self.sequence_bits) < need:
+            raise ParameterError(
+                f"sequence_bits must be >= {need} for this battery, "
+                f"got {self.sequence_bits}")
 
     def proportion_bound(self) -> float:
         """Smallest acceptable pass proportion for this configuration."""
@@ -295,33 +303,19 @@ def dft_spectral(bits) -> list[float]:
     return [float(erfc(abs(d) / math.sqrt(2.0)))]
 
 
-# Each runner takes (bits, config, shared pattern counts or None).
-_RUNNERS = {
-    "monobit": lambda b, c, k: monobit(b),
-    "block-frequency": lambda b, c, k: block_frequency(b, c.block_frequency_block),
-    "runs": lambda b, c, k: runs(b),
-    "longest-run": lambda b, c, k: longest_run(b),
-    "cumulative-sums": lambda b, c, k: cumulative_sums(b),
-    "serial": lambda b, c, k: serial(b, c.serial_pattern_bits, counts=k),
-    "approximate-entropy":
-        lambda b, c, k: approximate_entropy(b, c.approx_entropy_pattern_bits, counts=k),
-    "dft-spectral": lambda b, c, k: dft_spectral(b),
-}
+def run_sequence(bits, config: TestConfig) -> list[float]:
+    """One sequence's p-values, one per entry of ``STREAMS``.
 
-_STREAM_NAMES = {
-    "cumulative-sums": ("cumulative-sums-forward", "cumulative-sums-backward"),
-    "serial": ("serial-first", "serial-second"),
-}
-
-
-def run_test(name: str, bits, config: TestConfig | None = None) -> list[float]:
-    """Run one named test and return its p-value(s)."""
-    if name not in _RUNNERS:
-        raise ParameterError(f"unknown test {name!r}; choose from {TEST_NAMES}")
-    if config is None:
-        b = _as_bits(bits)
-        config = TestConfig(sequence_bits=max(100, b.size), sequence_count=1)
-    return _RUNNERS[name](bits, config, None)
+    Serial and approximate entropy share one circular pattern count.
+    """
+    b = _as_bits(bits)
+    counts = _pattern_counts(
+        b, max(config.serial_pattern_bits, config.approx_entropy_pattern_bits + 1))
+    return (monobit(b) + block_frequency(b, config.block_frequency_block)
+            + runs(b) + longest_run(b) + cumulative_sums(b)
+            + serial(b, config.serial_pattern_bits, counts=counts)
+            + approximate_entropy(b, config.approx_entropy_pattern_bits, counts=counts)
+            + dft_spectral(b))
 
 
 def uniformity_p(p_values: np.ndarray) -> float:
@@ -397,41 +391,32 @@ class TestReport:
 def run_battery(sequences, config: TestConfig) -> TestReport:
     """Run every implemented test over all sequences and gate the results.
 
-    All sequences must have exactly ``config.sequence_bits`` bits.  Each
-    sequence goes through every test before the next one starts, with one
-    circular pattern count shared by serial and approximate entropy.  A
-    stream passes when its pass proportion exceeds the configured bound and
-    its p-values look uniform at the configured threshold.
+    All sequences must have exactly ``config.sequence_bits`` bits; each
+    goes through ``run_sequence`` before the next one starts.  A stream
+    passes when its pass proportion exceeds the configured bound and its
+    p-values look uniform at the configured threshold.
     """
-    seqs = list(sequences)
-    if len(seqs) != config.sequence_count:
+    arrays = [_as_bits(s) for s in sequences]
+    if len(arrays) != config.sequence_count:
         raise ParameterError(
-            f"expected {config.sequence_count} sequences, got {len(seqs)}")
-    arrays = [_as_bits(s) for s in seqs]
+            f"expected {config.sequence_count} sequences, got {len(arrays)}")
     for arr in arrays:
         if arr.size != config.sequence_bits:
             raise ParameterError(
                 f"all sequences must have {config.sequence_bits} bits; "
                 f"found one with {arr.size}")
 
-    order = [s for name in TEST_NAMES for s in _STREAM_NAMES.get(name, (name,))]
-    per_stream: dict[str, list[float]] = {s: [] for s in order}
-    shared_bits = max(config.serial_pattern_bits, config.approx_entropy_pattern_bits + 1)
-    for arr in arrays:
-        counts = _pattern_counts(arr, shared_bits)
-        for name in TEST_NAMES:
-            values = _RUNNERS[name](arr, config, counts)
-            for s, p in zip(_STREAM_NAMES.get(name, (name,)), values):
-                per_stream[s].append(p)
+    table = np.empty((len(arrays), len(STREAMS)), dtype=np.float64)
+    for i, arr in enumerate(arrays):
+        table[i] = run_sequence(arr, config)
 
     bound = config.proportion_bound()
     results = []
-    for s in order:
-        p_values = np.asarray(per_stream[s], dtype=np.float64)
+    for name, p_values in zip(STREAMS, np.ascontiguousarray(table.T)):
         proportion = float(np.mean(p_values >= config.alpha))
         unif = uniformity_p(p_values) if p_values.size >= 10 else None
         results.append(StreamResult(
-            name=s, p_values=p_values, proportion=proportion,
+            name=name, p_values=p_values, proportion=proportion,
             proportion_bound=bound, proportion_passed=proportion > bound,
             uniformity_p=unif,
             uniformity_passed=unif is None or unif > config.uniformity_threshold))

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from phaserng import cli, config as cfg_mod, extractor, pipeline, traceio
+from phaserng import cli, config as cfg_mod, extractor, optics, pipeline, traceio
 from phaserng.errors import (DependencyError, FormatError,
                              InsufficientInputError, ParameterError)
 
@@ -350,6 +350,29 @@ class TestStagedExecution:
                                   str(tmp_path / "x"))
 
 
+class TestAnalyzeDescribesItsTrace:
+    def test_channel_q_uses_its_own_adc_bits(self, tmp_path):
+        cfg = make_config(**{"[simulation]":
+                             "[detector_q]\ntransimpedance = 16e3\nadc_bits = 6\n\n"
+                             "[simulation]"})
+        summary = pipeline.run_pipeline(cfg, ["simulate", "analyze"], str(tmp_path))
+        hmin = summary["stage_outputs"]["analyze"]["min_entropy_bits"]
+        # Read at detector_i's 10 bits, channel Q would give 4.619 bits.
+        assert hmin["channel_q"] == pytest.approx(3.545, abs=1e-3)
+        assert hmin["channel_i"] == pytest.approx(4.609, abs=1e-3)
+
+    def test_timing_note_uses_the_trace_rate(self, tmp_path):
+        src = str(tmp_path / "src")
+        pipeline.run_pipeline(make_config(), ["simulate"], src)
+        cfg = make_config(**{"sample_rate = 200e6": "sample_rate = 100e6"})
+        outdir = str(tmp_path / "run")
+        pipeline.run_pipeline(cfg, ["ingest", "analyze"], outdir,
+                              ingest_path=os.path.join(src, "trace.iqt"))
+        report = json.load(open(os.path.join(outdir, "analysis_report.json")))
+        assert report["timing_messages"] == optics.validate_timing(
+            cfg.laser, cfg.interferometer, cfg.detector_i, 200e6)
+
+
 class TestIngest:
     def test_binary_capture(self, tmp_path):
         src = str(tmp_path / "src")
@@ -517,22 +540,34 @@ class TestCli:
         assert code == 5
         assert "extracted bits" in capsys.readouterr().err
 
+    # A geometry the chain cannot run is refused at config load: the CLI
+    # exits before any stage, so no output directory appears.
     def test_exit_5_insufficient_entropy(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path, BASE_INI.replace("output_bits = 3920",
                                        "min_entropy_rate = 0.001"))
-        code = cli.main(["pipeline", "-c", config, "-o", str(tmp_path / "out"),
+        outdir = tmp_path / "out"
+        code = cli.main(["pipeline", "-c", config, "-o", str(outdir),
                          "--stages", "simulate,reconstruct,extract"])
         assert code == 5
         assert "error:" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_exit_2_sequence_too_short(self, tmp_path, capsys):
-        config = self.write_config(
-            tmp_path, BASE_INI.replace("sequence_bits = 4096",
-                                       "sequence_bits = 100"))
-        code = cli.main(["pipeline", "-c", config, "-o", str(tmp_path / "out")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        # The last case is below the default serial test's 2^18 bits.
+        for case in ({"sequence_bits = 4096": "sequence_bits = 100"},
+                     {"output_bits = 3920": "output_bits = 5000"},
+                     {"sequence_bits = 4096": "sequence_bits = 100000",
+                      "serial_pattern_bits = 8": "serial_pattern_bits = 16"}):
+            text = BASE_INI
+            for needle, replacement in case.items():
+                text = text.replace(needle, replacement)
+            config = self.write_config(tmp_path, text)
+            outdir = tmp_path / "out"
+            code = cli.main(["pipeline", "-c", config, "-o", str(outdir)])
+            assert code == 2, case
+            assert "error:" in capsys.readouterr().err
+            assert not outdir.exists(), case
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -547,9 +582,6 @@ def test_readme_quick_start_yields_enough_bits():
                                "README.md"), encoding="utf-8").read()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     cfg = cfg_mod.parse_config(block)
-    ext = cfg.extraction
-    n, m = extractor.derive_params(ext.min_entropy_rate, ext.input_bits,
-                                   epsilon=2.0 ** -ext.epsilon_exponent,
-                                   mode=ext.mode)
+    n, m = cfg.extraction.block_bits
     raw_bits = cfg.simulation.sample_count * cfg.analysis.phase_bits
     assert (raw_bits // n) * m >= cfg.test.sequence_bits * cfg.test.sequence_count

@@ -283,43 +283,31 @@ class TestPValueRangeFuzzing:
         config = st.TestConfig(sequence_bits=n, sequence_count=1,
                                serial_pattern_bits=5,
                                approx_entropy_pattern_bits=3)
-        for name in st.TEST_NAMES:
-            for p in st.run_test(name, b, config):
-                assert 0.0 <= p <= 1.0
-                assert math.isfinite(p)
+        p_values = st.run_sequence(b, config)
+        assert len(p_values) == len(st.STREAMS)
+        for p in p_values:
+            assert 0.0 <= p <= 1.0
+            assert math.isfinite(p)
 
 
 class TestRunTest:
-    def test_unknown_name(self):
-        with pytest.raises(ParameterError):
-            st.run_test("matrix-rank", rng.random_bits(2048, seed=54))
-
-    def test_not_implemented_names_are_rejected(self):
-        for name in st.NOT_IMPLEMENTED:
-            with pytest.raises(ParameterError):
-                st.run_test(name, rng.random_bits(2048, seed=55))
-
-    def test_default_config(self):
-        p = st.run_test("monobit", rng.random_bits(2048, seed=56))
-        assert len(p) == 1
-
     def test_not_implemented_list_frozen(self):
         assert st.NOT_IMPLEMENTED == (
             "universal", "linear-complexity", "non-overlapping-template",
             "overlapping-template", "random-excursions",
             "random-excursions-variant", "binary-matrix-rank")
-        assert len(st.TEST_NAMES) == 8
+        assert len(st.STREAMS) == 10
 
 
 class TestConfigAndBounds:
     def test_statistical_bound_formula(self):
-        config = st.TestConfig(sequence_bits=1000, sequence_count=100)
+        config = st.TestConfig(sequence_bits=1 << 18, sequence_count=100)
         expected = 0.99 - 3.0 * math.sqrt(0.99 * 0.01 / 100)
         assert config.proportion_bound() == pytest.approx(expected, abs=1e-15)
         assert config.proportion_bound() == pytest.approx(0.96015, abs=1e-4)
 
     def test_fixed_bound(self):
-        config = st.TestConfig(sequence_bits=1000, sequence_count=100,
+        config = st.TestConfig(sequence_bits=1 << 18, sequence_count=100,
                                proportion_mode="fixed", fixed_proportion=0.98)
         assert config.proportion_bound() == 0.98
 
@@ -327,15 +315,36 @@ class TestConfigAndBounds:
         with pytest.raises(ParameterError):
             st.TestConfig(sequence_bits=99, sequence_count=1)
         with pytest.raises(ParameterError):
-            st.TestConfig(sequence_bits=1000, sequence_count=0)
+            st.TestConfig(sequence_bits=1 << 18, sequence_count=0)
         with pytest.raises(ParameterError):
-            st.TestConfig(sequence_bits=1000, sequence_count=1, alpha=0.0)
+            st.TestConfig(sequence_bits=1 << 18, sequence_count=1, alpha=0.0)
         with pytest.raises(ParameterError):
-            st.TestConfig(sequence_bits=1000, sequence_count=1,
+            st.TestConfig(sequence_bits=1 << 18, sequence_count=1,
                           serial_pattern_bits=25)
         with pytest.raises(ParameterError):
-            st.TestConfig(sequence_bits=1000, sequence_count=1,
+            st.TestConfig(sequence_bits=1 << 18, sequence_count=1,
                           proportion_mode="hope")
+
+    # Each geometry's minimum is bound by a different test: dft-spectral's
+    # 1000 bits, one block-frequency block, serial's 2^(m+2), approximate
+    # entropy's 2^(m+6).
+    @pytest.mark.parametrize("knobs,minimum", [
+        ({}, 1000),
+        ({"block_frequency_block": 3000}, 3000),
+        ({"serial_pattern_bits": 10}, 4096),
+        ({"approx_entropy_pattern_bits": 7}, 8192),
+    ], ids=["dft", "block-frequency", "serial", "approximate-entropy"])
+    def test_minimum_sequence_bits_matches_the_tests(self, knobs, minimum):
+        knobs = {"serial_pattern_bits": 5, "approx_entropy_pattern_bits": 3,
+                 **knobs}
+        config = st.TestConfig(sequence_bits=minimum, sequence_count=1, **knobs)
+        seq = rng.random_bits(minimum, seed=54)
+        report = st.run_battery([seq], config)
+        assert len(report.results) == len(st.STREAMS)
+        with pytest.raises(SequenceLengthError):
+            st.run_sequence(seq[:-1], config)
+        with pytest.raises(ParameterError):
+            st.TestConfig(sequence_bits=minimum - 1, sequence_count=1, **knobs)
 
 
 class TestUniformityP:
@@ -427,10 +436,8 @@ class TestBatteryKnownAnswers:
                for r in report.results}
         assert got == BATTERY_KNOWN_ANSWERS
         for i, seq in enumerate(seqs):
-            for name in st.TEST_NAMES:
-                streams = st._STREAM_NAMES.get(name, (name,))
-                battery = [float(report.stream(s).p_values[i]) for s in streams]
-                assert battery == st.run_test(name, seq, config), (i, name)
+            battery = [float(report.stream(s).p_values[i]) for s in st.STREAMS]
+            assert battery == st.run_sequence(seq, config), i
 
     def test_inputs_are_left_unmodified(self):
         config = small_battery_config()
