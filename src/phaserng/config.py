@@ -26,7 +26,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 
 from . import extractor
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, check_scalar
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
 from .phasenoise import LaserParams
 from .stattests import TestConfig
@@ -48,8 +48,7 @@ class AnalysisParams:
     normalize: str = "percentile"     # or "arcsine-fit"
 
     def __post_init__(self):
-        if not (1 <= int(self.phase_bits) <= 16):
-            raise ParameterError(f"phase_bits must be in [1, 16], got {self.phase_bits}")
+        check_scalar("phase_bits", self.phase_bits, bounds=(1, 16))
         if int(self.histogram_bins) < 2:
             raise ParameterError("histogram_bins must be >= 2")
         if int(self.max_lag) < 1:
@@ -112,8 +111,7 @@ class SimulationParams:
     def __post_init__(self):
         if int(self.sample_count) < 1:
             raise ParameterError("sample_count must be >= 1")
-        if not (self.sample_rate > 0.0):
-            raise ParameterError("sample_rate must be positive")
+        check_scalar("sample_rate", self.sample_rate)
         if int(self.oversample_factor) < 1:
             raise ParameterError("oversample_factor must be >= 1")
 

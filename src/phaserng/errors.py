@@ -4,8 +4,11 @@ Every error raised on purpose derives from :class:`PhaseRngError`, so callers
 (and the CLI exit-code mapping) can distinguish our failures from genuine
 bugs.  The subclasses mirror the failure categories of the public API:
 bad parameters, degenerate data, malformed files, missing pipeline inputs,
-and entropy bookkeeping.
+and entropy bookkeeping.  :func:`check_scalar` is the one guard every
+module applies to its scalar physical and geometry arguments.
 """
+
+import math
 
 
 class PhaseRngError(Exception):
@@ -42,3 +45,23 @@ class InsufficientInputError(PhaseRngError, ValueError):
 
 class SequenceLengthError(PhaseRngError, ValueError):
     """A statistical test received fewer bits than its published minimum."""
+
+
+def check_scalar(name: str, value, *, zero_ok: bool = False,
+                 bounds: tuple[int, int] | None = None):
+    """``value`` checked and converted, or ParameterError naming ``name``.
+
+    With ``bounds=(lo, hi)`` the value must be finite with ``int(value)`` in
+    [lo, hi], which is returned.  Otherwise it must be finite and > 0 (>= 0
+    with ``zero_ok``), and is returned as a float.
+    """
+    number = float(value)
+    if bounds is not None:
+        lo, hi = bounds
+        if not (math.isfinite(number) and lo <= int(number) <= hi):
+            raise ParameterError(f"{name} must be an integer in [{lo}, {hi}], got {value}")
+        return int(number)
+    if not (math.isfinite(number) and (number >= 0.0 if zero_ok else number > 0.0)):
+        kind = "non-negative" if zero_ok else "positive"
+        raise ParameterError(f"{name} must be {kind} and finite, got {value}")
+    return number

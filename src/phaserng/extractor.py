@@ -26,6 +26,21 @@ from .errors import (FormatError, InsufficientEntropyError,
 DEFAULT_EPSILON = 2.0 ** -50
 
 
+def bit_array(bits, name: str = "bits") -> np.ndarray:
+    """``bits`` as a 1-D uint8 array of 0/1 values; a uint8 array is not copied."""
+    arr = np.asarray(bits)
+    if arr.ndim != 1:
+        raise ParameterError(f"{name} must be 1-D")
+    if arr.dtype == np.uint8:
+        valid = arr.size == 0 or arr.max() <= 1
+    else:
+        valid = np.all((arr == 0) | (arr == 1))
+        arr = arr.astype(np.uint8)
+    if not valid:
+        raise ParameterError(f"{name} must be 0 or 1")
+    return arr
+
+
 @dataclass(frozen=True)
 class BitStream:
     """Packed bits, most-significant-bit first within each byte."""
@@ -53,13 +68,8 @@ class BitStream:
     @classmethod
     def from_bits(cls, bits) -> "BitStream":
         """Pack an array of 0/1 values, first element into the top bit."""
-        arr = np.asarray(bits)
-        if arr.ndim != 1:
-            raise ParameterError("bits must be 1-D")
-        if arr.size and not np.all((arr == 0) | (arr == 1)):
-            raise ParameterError("bits must be 0 or 1")
-        packed = np.packbits(arr.astype(np.uint8))
-        return cls(data=packed.tobytes(), bit_length=int(arr.size))
+        arr = bit_array(bits)
+        return cls(data=np.packbits(arr).tobytes(), bit_length=arr.size)
 
     def to_bits(self) -> np.ndarray:
         """Unpack to a uint8 array of 0/1 of length bit_length."""
@@ -80,12 +90,10 @@ class ToeplitzSpec:
         m = int(self.output_block_bits)
         if not (1 <= m <= n):
             raise ParameterError(f"need 1 <= m <= n, got n={n}, m={m}")
-        seed = np.asarray(self.seed_bits, dtype=np.uint8)
-        if seed.ndim != 1 or seed.size != n + m - 1:
+        seed = bit_array(self.seed_bits, "seed bits")
+        if seed.size != n + m - 1:
             raise ParameterError(
                 f"seed must have exactly n + m - 1 = {n + m - 1} bits, got {seed.size}")
-        if seed.size and not np.all((seed == 0) | (seed == 1)):
-            raise ParameterError("seed bits must be 0 or 1")
         object.__setattr__(self, "input_block_bits", n)
         object.__setattr__(self, "output_block_bits", m)
         object.__setattr__(self, "seed_bits", seed)
@@ -228,5 +236,5 @@ def read_seed_file(path, n: int, m: int) -> ToeplitzSpec:
         raise FormatError(
             f"seed file {path} holds {len(raw)} bytes; n={n}, m={m} needs exactly "
             f"{need_bytes}")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=need_bits)
+    bits = BitStream(data=raw, bit_length=8 * len(raw)).to_bits()[:need_bits]
     return ToeplitzSpec(input_block_bits=n, output_block_bits=m, seed_bits=bits)

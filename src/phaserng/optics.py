@@ -26,7 +26,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import rng
-from .errors import ParameterError
+from .errors import ParameterError, check_scalar
 from .phasenoise import LaserParams, PhasePath, delay_time, phase_variance, wrap_phase
 
 # Per-purpose RNG stream indices, so one trace seed yields independent
@@ -36,13 +36,6 @@ _STREAM_INTENSITY_LO = 2
 _STREAM_ELECTRICAL_I = 3
 _STREAM_ELECTRICAL_Q = 4
 _STREAM_DRIFT = 5
-
-
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be positive and finite, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,7 @@ class InterferometerParams:
                 f"bs_transmittance must be in (0, 1), got {self.bs_transmittance}")
         if self.drift_mode not in ("fixed", "slow-walk"):
             raise ParameterError(f"unknown drift_mode {self.drift_mode!r}")
-        if not (float(self.drift_step) >= 0.0 and np.isfinite(self.drift_step)):
-            raise ParameterError(f"drift_step must be >= 0, got {self.drift_step}")
+        check_scalar("drift_step", self.drift_step, zero_ok=True)
         object.__setattr__(self, "static_phase", wrap_phase(self.static_phase))
         object.__setattr__(self, "drift_phase", wrap_phase(self.drift_phase))
         # Range checks for delay_length/fiber_index happen here.
@@ -95,16 +87,10 @@ class DetectorParams:
     adc_fullscale: float = 1.0        # V, half-range: ADC spans [-F, +F]
 
     def __post_init__(self):
-        _check_positive("transimpedance", self.transimpedance)
-        _check_positive("responsivity", self.responsivity)
-        _check_positive("response_time", self.response_time)
-        _check_positive("adc_fullscale", self.adc_fullscale)
-        if not (float(self.electrical_noise_sigma) >= 0.0
-                and np.isfinite(self.electrical_noise_sigma)):
-            raise ParameterError(
-                f"electrical_noise_sigma must be >= 0, got {self.electrical_noise_sigma}")
-        if not (1 <= int(self.adc_bits) <= 16):
-            raise ParameterError(f"adc_bits must be in [1, 16], got {self.adc_bits}")
+        for name in ("transimpedance", "responsivity", "response_time", "adc_fullscale"):
+            check_scalar(name, getattr(self, name))
+        check_scalar("electrical_noise_sigma", self.electrical_noise_sigma, zero_ok=True)
+        check_scalar("adc_bits", self.adc_bits, bounds=(1, 16))
 
 
 @dataclass(frozen=True)
@@ -137,11 +123,9 @@ class IQTrace:
             raise ParameterError("v_i and v_q must be non-empty 1-D arrays of equal length")
         if not (np.all(np.isfinite(vi)) and np.all(np.isfinite(vq))):
             raise ParameterError("trace samples must be finite")
-        _check_positive("sample_rate", self.sample_rate)
-        if not (0 <= int(self.adc_bits) <= 16):
-            raise ParameterError(f"adc_bits must be in [0, 16], got {self.adc_bits}")
-        if not (self.fullscale > 0.0):
-            raise ParameterError(f"fullscale must be positive, got {self.fullscale}")
+        check_scalar("sample_rate", self.sample_rate)
+        check_scalar("adc_bits", self.adc_bits, bounds=(0, 16))
+        check_scalar("fullscale", self.fullscale)
         object.__setattr__(self, "v_i", vi)
         object.__setattr__(self, "v_q", vq)
 
@@ -170,8 +154,7 @@ def additional_phase(i0: float, q0: float, i0_meas: float, q0_meas: float) -> fl
     """
     vals = {"i0": i0, "q0": q0, "i0_meas": i0_meas, "q0_meas": q0_meas}
     for name, value in vals.items():
-        if not (np.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{name} must be positive, got {value}")
+        check_scalar(name, value)
     num = i0_meas * q0 - i0 * q0_meas
     den = q0 * q0_meas + i0_meas * i0
     return float(np.arctan(num / den))
@@ -185,8 +168,7 @@ def mismatch_phase_error(phi, i0_meas: float, q0_meas: float):
     Zero exactly at phi in {0, +-pi/2, -pi} where one quadrature vanishes.
     """
     for name, value in (("i0_meas", i0_meas), ("q0_meas", q0_meas)):
-        if not (np.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{name} must be positive, got {value}")
+        check_scalar(name, value)
     arr = np.asarray(phi, dtype=np.float64)
     measured = np.arctan2(q0_meas * np.sin(arr), i0_meas * np.cos(arr))
     return wrap_phase(measured - arr) if arr.ndim else float(wrap_phase(measured - arr))
@@ -240,9 +222,7 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
         if clamped:
             p_sig = np.maximum(p_sig, 0.0)
             p_lo = np.maximum(p_lo, 0.0)
-        envelope = np.sqrt(p_sig * p_lo)
-    else:
-        envelope = np.sqrt(p_sig * p_lo)
+    envelope = np.sqrt(p_sig * p_lo)
 
     gain_i = det_i.transimpedance * det_i.responsivity
     gain_q = (det_q.transimpedance * det_q.responsivity) if switches.mismatch else gain_i
@@ -257,12 +237,11 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
             arr[:] = lfilter([alpha], [1.0, alpha - 1.0], arr)
 
     if switches.electrical:
-        if det_i.electrical_noise_sigma > 0.0:
-            w1 = rng.standard_normals(count, seed, _STREAM_ELECTRICAL_I)
-            v_i += det_i.electrical_noise_sigma * w1
-        if det_q.electrical_noise_sigma > 0.0:
-            w2 = rng.standard_normals(count, seed, _STREAM_ELECTRICAL_Q)
-            v_q += det_q.electrical_noise_sigma * w2
+        for arr, det, stream in ((v_i, det_i, _STREAM_ELECTRICAL_I),
+                                 (v_q, det_q, _STREAM_ELECTRICAL_Q)):
+            if det.electrical_noise_sigma > 0.0:
+                noise = rng.standard_normals(count, seed, stream)
+                arr += det.electrical_noise_sigma * noise
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
                    clamped_samples=clamped)
@@ -315,7 +294,7 @@ def validate_timing(laser: LaserParams, ifm: InterferometerParams,
     coherence time; phase variance below the uniform-phase threshold of 10)
     or "note:" (the expected lag-1 correlation at this sample rate).
     """
-    _check_positive("sample_rate", sample_rate)
+    check_scalar("sample_rate", sample_rate)
     messages: list[str] = []
     if det.response_time >= laser.coherence_time:
         messages.append(

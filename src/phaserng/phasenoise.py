@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import ParameterError
+from .errors import ParameterError, check_scalar
 
 #: Speed of light in vacuum, m/s (exact by SI definition).
 SPEED_OF_LIGHT = 299_792_458.0
@@ -58,13 +58,6 @@ DEFAULT_K_MAX = 10
 _CHUNK_GRID_STEPS = 1 << 22
 
 _TWO_PI = 2.0 * np.pi
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -96,13 +89,9 @@ class LaserParams:
             object.__setattr__(self, "coherence_time", 1.0 / (np.pi * lw))
         else:
             object.__setattr__(self, "linewidth", 1.0 / (np.pi * tc))
-        for name in ("linewidth", "coherence_time"):
-            _require_finite(name, getattr(self, name))
-        if not (float(self.mean_power) > 0.0) or not np.isfinite(self.mean_power):
-            raise ParameterError(f"mean_power must be positive, got {self.mean_power}")
-        if not (float(self.intensity_sigma) >= 0.0) or not np.isfinite(self.intensity_sigma):
-            raise ParameterError(
-                f"intensity_sigma must be non-negative, got {self.intensity_sigma}")
+        for name in ("linewidth", "coherence_time", "mean_power"):
+            check_scalar(name, getattr(self, name))
+        check_scalar("intensity_sigma", self.intensity_sigma, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -129,10 +118,8 @@ class PhasePath:
 
 def delay_time(delay_length: float, fiber_index: float) -> float:
     """Propagation delay of a fiber delay line, T = n * L / c."""
-    delay_length = _require_finite("delay_length", delay_length)
-    fiber_index = _require_finite("fiber_index", fiber_index)
-    if delay_length < 0.0:
-        raise ParameterError(f"delay_length must be >= 0, got {delay_length}")
+    delay_length = check_scalar("delay_length", delay_length, zero_ok=True)
+    fiber_index = check_scalar("fiber_index", fiber_index)
     if fiber_index < 1.0:
         raise ParameterError(f"fiber_index must be >= 1, got {fiber_index}")
     return fiber_index * delay_length / SPEED_OF_LIGHT
@@ -144,9 +131,7 @@ def phase_variance(delay_length: float, fiber_index: float,
 
     Returns 2 * (fiber_index * delay_length / c) / coherence_time.
     """
-    coherence_time = _require_finite("coherence_time", coherence_time)
-    if coherence_time <= 0.0:
-        raise ParameterError(f"coherence_time must be > 0, got {coherence_time}")
+    coherence_time = check_scalar("coherence_time", coherence_time)
     return 2.0 * delay_time(delay_length, fiber_index) / coherence_time
 
 
@@ -181,9 +166,7 @@ def wrapped_gaussian_pdf(x, sigma_sq: float, k_max: int = DEFAULT_K_MAX):
     within 1e-9 of 1 for sigma_sq <= 100; very large variances need a
     proportionally larger k_max (roughly k_max >= sigma).
     """
-    sigma_sq = _require_finite("sigma_sq", sigma_sq)
-    if sigma_sq <= 0.0:
-        raise ParameterError(f"sigma_sq must be > 0, got {sigma_sq}")
+    sigma_sq = check_scalar("sigma_sq", sigma_sq)
     k_max = int(k_max)
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
@@ -214,12 +197,8 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
     count = int(count)
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    delay_time = _require_finite("delay_time", delay_time)
-    sample_period = _require_finite("sample_period", sample_period)
-    if delay_time <= 0.0:
-        raise ParameterError(f"delay_time must be > 0, got {delay_time}")
-    if sample_period <= 0.0:
-        raise ParameterError(f"sample_period must be > 0, got {sample_period}")
+    delay_time = check_scalar("delay_time", delay_time)
+    sample_period = check_scalar("sample_period", sample_period)
     seed = rng.check_seed(seed)
 
     if sample_period >= delay_time:

@@ -147,8 +147,7 @@ def simulate_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
     trace = optics.simulate_trace(path, cfg.laser, cfg.interferometer,
                                   cfg.detector_i, cfg.detector_q,
                                   switches=sim.switches, seed=sim.seed)
-    if factor > 1:
-        trace = optics.boxcar_decimate(trace, factor)
+    trace = optics.boxcar_decimate(trace, factor)
     if sim.adc_quantize:
         trace = optics.adc_quantize(trace, cfg.detector_i, cfg.detector_q)
     artifacts.write("trace", traceio.encode_trace(trace))
@@ -220,8 +219,9 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
         "vs_uniform": analysis.kld(hist_phase, uniform),
     }
     autocorr = analysis.autocorrelation(series.phases, cfg.analysis.max_lag)
+    slower = max(cfg.detector_i, cfg.detector_q, key=lambda det: det.response_time)
     warnings = optics.validate_timing(cfg.laser, cfg.interferometer,
-                                      cfg.detector_i, trace.sample_rate)
+                                      slower, trace.sample_rate)
     report = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,
@@ -244,7 +244,7 @@ def _extraction_spec(cfg: ExperimentConfig,
         return extractor.read_seed_file(cfg.extraction.seed_file, n, m)
     spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed,
                                            stream=EXTRACTOR_SEED_STREAM)
-    artifacts.write("seed", np.packbits(spec.seed_bits).tobytes())
+    artifacts.write("seed", extractor.BitStream.from_bits(spec.seed_bits).data)
     return spec
 
 
@@ -260,15 +260,20 @@ def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
             "n": spec.input_block_bits, "m": spec.output_block_bits}
 
 
-def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
-    raw = artifacts.read("extracted", "test")
-    tc = cfg.test
+def _check_bit_budget(have: int, tc: stattests.TestConfig) -> int:
+    """The bits the battery reads; InsufficientInputError if ``have`` is fewer."""
     need = tc.sequence_bits * tc.sequence_count
-    have = len(raw) * 8
     if have < need:
         raise InsufficientInputError(
             f"test stage needs {need} extracted bits, found {have}")
-    all_bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:need]
+    return need
+
+
+def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+    raw = artifacts.read("extracted", "test")
+    tc = cfg.test
+    need = _check_bit_budget(len(raw) * 8, tc)
+    all_bits = extractor.BitStream(data=raw, bit_length=len(raw) * 8).to_bits()[:need]
     sequences = all_bits.reshape(tc.sequence_count, tc.sequence_bits)
     report = stattests.run_battery(list(sequences), tc)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
@@ -288,6 +293,12 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
         raise ParameterError(f"unknown stages: {', '.join(unknown)}")
     if "simulate" in requested and "ingest" in requested:
         raise ParameterError("choose one trace source: simulate or ingest")
+    n, m = cfg.extraction.block_bits
+    if {"simulate", "reconstruct", "extract", "test"} <= set(requested):
+        # The symbols come from this run's trace, so the extracted volume
+        # is known now: refuse before any stage runs or writes.
+        raw_bits = cfg.simulation.sample_count * cfg.analysis.phase_bits
+        _check_bit_budget(raw_bits // n * m, cfg.test)
     os.makedirs(outdir, exist_ok=True)
 
     gate = _ArtifactGate(outdir, cfg.digest)
@@ -297,7 +308,6 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
             extra = (ingest_path, ingest_format) if stage == "ingest" else ()
             stage_outputs[stage] = globals()[f"{stage}_stage"](cfg, gate, *extra)
 
-    n, m = cfg.extraction.block_bits
     rate_per_sample = (m / n) * cfg.analysis.phase_bits
     summary = {
         "schema_version": SCHEMA_VERSION,

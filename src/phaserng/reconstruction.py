@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError
+from .errors import DegenerateDataError, ParameterError, check_scalar
 from .optics import IQTrace
 
 _MIN_NORMALIZE_SAMPLES = 1000
@@ -51,9 +51,7 @@ class SymbolStream:
     bits_per_symbol: int
 
     def __post_init__(self):
-        n = int(self.bits_per_symbol)
-        if not (1 <= n <= 16):
-            raise ParameterError(f"bits_per_symbol must be in [1, 16], got {n}")
+        n = check_scalar("bits_per_symbol", self.bits_per_symbol, bounds=(1, 16))
         arr = np.asarray(self.symbols)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("symbols must be a non-empty 1-D array")
@@ -123,9 +121,7 @@ def reconstruct_phase(trace: IQTrace) -> PhaseSeries:
 
 def quantize_uniform(values, n_bits: int, lo: float, hi: float) -> np.ndarray:
     """Uniform n-bit quantizer over [lo, hi) with saturation at both ends."""
-    n_bits = int(n_bits)
-    if not (1 <= n_bits <= 16):
-        raise ParameterError(f"n_bits must be in [1, 16], got {n_bits}")
+    n_bits = check_scalar("n_bits", n_bits, bounds=(1, 16))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ParameterError(f"need finite lo < hi, got {lo}, {hi}")
     arr = np.asarray(values, dtype=np.float64)

@@ -22,7 +22,7 @@ from scipy.fft import rfft
 from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import ParameterError, SequenceLengthError
-from .extractor import BitStream
+from .extractor import BitStream, bit_array
 
 #: The battery's p-value streams, in report order.
 STREAMS = ("monobit", "block-frequency", "runs", "longest-run",
@@ -94,16 +94,9 @@ def _as_bits(bits) -> np.ndarray:
     """Validated 0/1 uint8 view of ``bits``; a uint8 array is not copied."""
     if isinstance(bits, BitStream):
         return bits.to_bits()
-    arr = np.asarray(bits)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError("bits must be a non-empty 1-D array")
-    if arr.dtype == np.uint8:
-        valid = arr.max() <= 1
-    else:
-        valid = np.all((arr == 0) | (arr == 1))
-        arr = arr.astype(np.uint8)
-    if not valid:
-        raise ParameterError("bits must be 0 or 1")
+    arr = bit_array(bits)
+    if arr.size == 0:
+        raise ParameterError("bits must be non-empty")
     return arr
 
 
@@ -354,17 +347,10 @@ class TestReport:
 
     results: tuple[StreamResult, ...]
     config: TestConfig
-    not_implemented: tuple[str, ...] = NOT_IMPLEMENTED
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def stream(self, name: str) -> StreamResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {
@@ -372,7 +358,7 @@ class TestReport:
             "sequence_bits": self.config.sequence_bits,
             "sequence_count": self.config.sequence_count,
             "proportion_mode": self.config.proportion_mode,
-            "not_implemented": list(self.not_implemented),
+            "not_implemented": list(NOT_IMPLEMENTED),
             "passed": self.passed,
             "streams": [
                 {

@@ -28,7 +28,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, check_scalar
 from .optics import IQTrace
 from .reconstruction import SymbolStream
 
@@ -169,9 +169,7 @@ def write_trace_csv(trace: IQTrace, path: str, comments: tuple[str, ...] = ()) -
 
 
 def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
-    if not (sample_rate > 0.0):
-        raise ParameterError(
-            f"CSV traces carry no rate; pass sample_rate > 0, got {sample_rate}")
+    sample_rate = check_scalar("sample_rate", sample_rate)
     v_i: list[float] = []
     v_q: list[float] = []
     rejected = 0
@@ -207,7 +205,7 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
         raise FormatError("no finite sample rows after the header")
     return IQTrace(v_i=np.asarray(v_i, dtype=np.float32),
                    v_q=np.asarray(v_q, dtype=np.float32),
-                   sample_rate=float(sample_rate), rejected_rows=rejected)
+                   sample_rate=sample_rate, rejected_rows=rejected)
 
 
 def ingest_trace(path: str, fmt: str = "binary",

@@ -213,6 +213,10 @@ class TestStrictness:
         with pytest.raises(ParameterError):
             cfg.parse_config(MINIMAL.replace("[laser]\ncoherence_time = 6e-9",
                                              "[laser]\nmean_power = 1.0"))
+        # an infinite rate would reach the simulation as a zero sample period
+        with pytest.raises(ParameterError):
+            cfg.parse_config(MINIMAL.replace("sample_rate = 200e6",
+                                             "sample_rate = inf"))
 
 
 class TestDigest:

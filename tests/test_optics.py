@@ -82,6 +82,10 @@ class TestParamsValidation:
         with pytest.raises(ParameterError):
             optics.IQTrace(v_i=np.ones(4), v_q=np.ones(4), sample_rate=1.0,
                            fullscale=0.0)
+        # encode_trace would write a full scale that decode_trace refuses
+        with pytest.raises(ParameterError):
+            optics.IQTrace(v_i=np.ones(4), v_q=np.ones(4), sample_rate=1.0,
+                           fullscale=math.inf)
 
     def test_trace_validation(self):
         with pytest.raises(ParameterError):

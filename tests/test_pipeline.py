@@ -372,6 +372,15 @@ class TestAnalyzeDescribesItsTrace:
         assert report["timing_messages"] == optics.validate_timing(
             cfg.laser, cfg.interferometer, cfg.detector_i, 200e6)
 
+    def test_timing_warning_sees_the_slower_channel(self, tmp_path):
+        cfg = make_config(**{"[simulation]":
+                             "[detector_q]\ntransimpedance = 16e3\n"
+                             "response_time = 10e-9\n\n[simulation]"})
+        pipeline.run_pipeline(cfg, ["simulate", "analyze"], str(tmp_path))
+        report = json.load(open(os.path.join(str(tmp_path), "analysis_report.json")))
+        assert report["timing_messages"][0].startswith(
+            "warning: detector response time 1e-08 s is not below")
+
 
 class TestIngest:
     def test_binary_capture(self, tmp_path):
@@ -539,6 +548,7 @@ class TestCli:
                          "--stages", "simulate,reconstruct,extract,test"])
         assert code == 5
         assert "extracted bits" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
 
     # A geometry the chain cannot run is refused at config load: the CLI
     # exits before any stage, so no output directory appears.
@@ -585,3 +595,13 @@ def test_readme_quick_start_yields_enough_bits():
     n, m = cfg.extraction.block_bits
     raw_bits = cfg.simulation.sample_count * cfg.analysis.phase_bits
     assert (raw_bits // n) * m >= cfg.test.sequence_bits * cfg.test.sequence_count
+
+
+def test_readme_library_example_runs(capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8").read()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    label, value = capsys.readouterr().out.rsplit(":", 1)
+    assert label == "min-entropy per 10-bit symbol"
+    assert 9.8 < float(value) <= 10.0
