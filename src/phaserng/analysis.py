@@ -18,7 +18,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.special import ndtr
 
-from .errors import DegenerateDataError, ParameterError
+from .errors import DegenerateDataError, ParameterError, check_choice, check_scalar
 
 _TWO_PI = 2.0 * np.pi
 
@@ -67,9 +67,8 @@ class Histogram:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("data must be a non-empty 1-D array")
-        if int(bins) < 1:
-            raise ParameterError(f"bins must be >= 1, got {bins}")
-        counts, edges = np.histogram(arr, bins=int(bins), range=value_range)
+        bins = check_scalar("bins", bins, bounds=(1, None))
+        counts, edges = np.histogram(arr, bins=bins, range=value_range)
         return cls(bin_edges=edges, counts=counts, total=int(counts.sum()))
 
     @property
@@ -94,8 +93,7 @@ class ReferenceLaw:
     _KINDS = ("gaussian", "uniform", "arcsine")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ParameterError(f"unknown reference kind {self.kind!r}")
+        check_choice("reference kind", self.kind, self._KINDS)
         params = tuple(float(p) for p in self.params)
         if not all(math.isfinite(p) for p in params):
             raise ParameterError("reference parameters must be finite")
@@ -234,12 +232,9 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     memory stays O(C + max_lag) beyond the input.
     """
     x = np.asarray(series, dtype=np.float64)
-    max_lag = int(max_lag)
     if x.ndim != 1:
         raise ParameterError("series must be 1-D")
-    if max_lag < 0 or x.size <= max_lag:
-        raise ParameterError(
-            f"need series length > max_lag >= 0, got {x.size} and {max_lag}")
+    max_lag = check_scalar("max_lag", max_lag, bounds=(0, x.size - 1))
     x = x - x.mean()
     nfft = sp_fft.next_fast_len(_ACF_CHUNK + max_lag, real=True)
     acov = np.zeros(max_lag + 1)

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import replace
 
-from . import pipeline
+from . import pipeline, traceio
 from .config import load_config
 from .errors import (DependencyError, FormatError, InsufficientEntropyError,
                      InsufficientInputError, ParameterError, PhaseRngError,
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
         if name == "ingest":
             sp.add_argument("--input", required=True, help="capture file to ingest")
-            sp.add_argument("--format", choices=("binary", "csv"), default="binary")
+            sp.add_argument("--format", choices=traceio.FORMATS, default="binary")
 
     sp = sub.add_parser("pipeline", help="run several stages in order")
     common(sp)
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated subset of: " + ",".join(pipeline.STAGES))
     sp.add_argument("--input", default=None,
                     help="capture file (required when stages include ingest)")
-    sp.add_argument("--format", choices=("binary", "csv"), default="binary")
+    sp.add_argument("--format", choices=traceio.FORMATS, default="binary")
     return parser
 
 

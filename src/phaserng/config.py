@@ -26,9 +26,10 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 
 from . import extractor
-from .errors import FormatError, ParameterError, check_scalar
+from .errors import FormatError, ParameterError, check_choice, check_scalar
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
 from .phasenoise import LaserParams
+from .reconstruction import NORMALIZE_METHODS
 from .stattests import TestConfig
 
 _BOOL = {"on": True, "true": True, "yes": True, "1": True,
@@ -45,16 +46,13 @@ class AnalysisParams:
     phase_bits: int = 10
     histogram_bins: int = 256
     max_lag: int = 50
-    normalize: str = "percentile"     # or "arcsine-fit"
+    normalize: str = "percentile"     # one of NORMALIZE_METHODS
 
     def __post_init__(self):
         check_scalar("phase_bits", self.phase_bits, bounds=(1, 16))
-        if int(self.histogram_bins) < 2:
-            raise ParameterError("histogram_bins must be >= 2")
-        if int(self.max_lag) < 1:
-            raise ParameterError("max_lag must be >= 1")
-        if self.normalize not in ("percentile", "arcsine-fit"):
-            raise ParameterError(f"unknown normalize method {self.normalize!r}")
+        check_scalar("histogram_bins", self.histogram_bins, bounds=(2, None))
+        check_scalar("max_lag", self.max_lag, bounds=(1, None))
+        check_choice("normalize method", self.normalize, NORMALIZE_METHODS)
 
 
 @dataclass(frozen=True)
@@ -65,20 +63,16 @@ class ExtractionParams:
     output_bits: int = 0              # 0 = derive from rate/mode
     min_entropy_rate: float = 0.98
     epsilon_exponent: int = 50
-    mode: str = "lemma"               # or "ratio"
+    mode: str = "lemma"               # one of extractor.MODES
     seed_file: str = ""
 
     def __post_init__(self):
-        if int(self.input_bits) < 1:
-            raise ParameterError("input_bits must be >= 1")
-        if int(self.output_bits) < 0:
-            raise ParameterError("output_bits must be >= 0")
+        check_scalar("input_bits", self.input_bits, bounds=(1, None))
+        check_scalar("output_bits", self.output_bits, bounds=(0, None))
         if not (0.0 < float(self.min_entropy_rate) <= 1.0):
             raise ParameterError("min_entropy_rate must be in (0, 1]")
-        if int(self.epsilon_exponent) < 1:
-            raise ParameterError("epsilon_exponent must be >= 1")
-        if self.mode not in ("lemma", "ratio"):
-            raise ParameterError(f"unknown extraction mode {self.mode!r}")
+        check_scalar("epsilon_exponent", self.epsilon_exponent, bounds=(1, None))
+        check_choice("extraction mode", self.mode, extractor.MODES)
         n, m = self.block_bits
         if m > n:
             raise ParameterError(f"output_bits must be <= input_bits, got m={m} > n={n}")
@@ -109,11 +103,9 @@ class SimulationParams:
     oversample_factor: int = 1        # detector-averaging acquisition model
 
     def __post_init__(self):
-        if int(self.sample_count) < 1:
-            raise ParameterError("sample_count must be >= 1")
+        check_scalar("sample_count", self.sample_count, bounds=(1, None))
         check_scalar("sample_rate", self.sample_rate)
-        if int(self.oversample_factor) < 1:
-            raise ParameterError("oversample_factor must be >= 1")
+        check_scalar("oversample_factor", self.oversample_factor, bounds=(1, None))
 
 
 _SECTIONS = (("laser", LaserParams), ("interferometer", InterferometerParams),

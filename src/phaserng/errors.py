@@ -5,10 +5,12 @@ Every error raised on purpose derives from :class:`PhaseRngError`, so callers
 bugs.  The subclasses mirror the failure categories of the public API:
 bad parameters, degenerate data, malformed files, missing pipeline inputs,
 and entropy bookkeeping.  :func:`check_scalar` is the one guard every
-module applies to its scalar physical and geometry arguments.
+module applies to its scalar physical and geometry arguments, and
+:func:`check_choice` the one guard of every option set.
 """
 
 import math
+import numbers
 
 
 class PhaseRngError(Exception):
@@ -48,20 +50,34 @@ class SequenceLengthError(PhaseRngError, ValueError):
 
 
 def check_scalar(name: str, value, *, zero_ok: bool = False,
-                 bounds: tuple[int, int] | None = None):
+                 bounds: tuple[int, int | None] | None = None):
     """``value`` checked and converted, or ParameterError naming ``name``.
 
-    With ``bounds=(lo, hi)`` the value must be finite with ``int(value)`` in
-    [lo, hi], which is returned.  Otherwise it must be finite and > 0 (>= 0
-    with ``zero_ok``), and is returned as a float.
+    With ``bounds=(lo, hi)`` the value must be a whole number in [lo, hi]
+    (no upper limit when ``hi`` is None), returned as an int.  Otherwise it
+    must be finite and > 0 (>= 0 with ``zero_ok``), and is returned as a
+    float.
     """
-    number = float(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
     if bounds is not None:
         lo, hi = bounds
-        if not (math.isfinite(number) and lo <= int(number) <= hi):
-            raise ParameterError(f"{name} must be an integer in [{lo}, {hi}], got {value}")
-        return int(number)
+        whole = (int(value) if isinstance(value, numbers.Integral)
+                 else int(number) if number.is_integer() else None)
+        if whole is None or whole < lo or (hi is not None and whole > hi):
+            span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ParameterError(f"{name} must be an integer {span}, got {value}")
+        return whole
     if not (math.isfinite(number) and (number >= 0.0 if zero_ok else number > 0.0)):
         kind = "non-negative" if zero_ok else "positive"
         raise ParameterError(f"{name} must be {kind} and finite, got {value}")
     return number
+
+
+def check_choice(name: str, value, choices: tuple[str, ...]):
+    """``value`` if it is one of ``choices``, else ParameterError naming ``name``."""
+    if value not in choices:
+        raise ParameterError(f"unknown {name} {value!r}")
+    return value

@@ -20,10 +20,13 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from . import rng
-from .errors import (FormatError, InsufficientEntropyError,
-                     InsufficientInputError, ParameterError)
+from .errors import (FormatError, InsufficientEntropyError, InsufficientInputError,
+                     ParameterError, check_choice, check_scalar)
 
 DEFAULT_EPSILON = 2.0 ** -50
+
+#: How ``derive_params`` sizes m: the leftover-hash-lemma bound or the plain rate.
+MODES = ("lemma", "ratio")
 
 
 def bit_array(bits, name: str = "bits") -> np.ndarray:
@@ -49,10 +52,8 @@ class BitStream:
     bit_length: int
 
     def __post_init__(self):
-        n = int(self.bit_length)
+        n = check_scalar("bit_length", self.bit_length, bounds=(0, None))
         raw = bytes(self.data)
-        if n < 0:
-            raise ParameterError("bit_length must be >= 0")
         if len(raw) != (n + 7) // 8:
             raise ParameterError(
                 f"byte count {len(raw)} inconsistent with bit_length {n}")
@@ -86,10 +87,8 @@ class ToeplitzSpec:
     seed_bits: np.ndarray = field(repr=False)   # 0/1 array, length n + m - 1
 
     def __post_init__(self):
-        n = int(self.input_block_bits)
-        m = int(self.output_block_bits)
-        if not (1 <= m <= n):
-            raise ParameterError(f"need 1 <= m <= n, got n={n}, m={m}")
+        n = check_scalar("input_block_bits", self.input_block_bits, bounds=(1, None))
+        m = check_scalar("output_block_bits", self.output_block_bits, bounds=(1, n))
         seed = bit_array(self.seed_bits, "seed bits")
         if seed.size != n + m - 1:
             raise ParameterError(
@@ -123,24 +122,20 @@ def derive_params(min_entropy_rate: float, n: int,
     entropy budget, m = floor(n*rate), with no security margin.
     """
     rate = float(min_entropy_rate)
-    n = int(n)
     if not (0.0 < rate <= 1.0):
         raise ParameterError(f"min_entropy_rate must be in (0, 1], got {rate}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if mode == "lemma":
+    n = check_scalar("n", n, bounds=(1, None))
+    if check_choice("extraction mode", mode, MODES) == "lemma":
         if not (0.0 < epsilon < 1.0):
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
         m = math.floor(n * rate - 2.0 * math.log2(1.0 / epsilon))
-    elif mode == "ratio":
-        m = math.floor(n * rate)
     else:
-        raise ParameterError(f"unknown mode {mode!r}")
+        m = math.floor(n * rate)
     if m < 1:
         raise InsufficientEntropyError(
             f"derived output length {m} <= 0: entropy rate {rate} over {n}-bit "
             "blocks cannot fund extraction at this epsilon")
-    return n, int(m)
+    return n, m
 
 
 def symbols_to_bits(stream) -> BitStream:

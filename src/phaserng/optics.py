@@ -26,8 +26,11 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import rng
-from .errors import ParameterError, check_scalar
+from .errors import ParameterError, check_choice, check_scalar
 from .phasenoise import LaserParams, PhasePath, delay_time, phase_variance, wrap_phase
+
+#: How the classical phase phi_0 evolves when the drift switch is on.
+DRIFT_MODES = ("fixed", "slow-walk")
 
 # Per-purpose RNG stream indices, so one trace seed yields independent
 # noise draws that stay stable when switches are toggled.
@@ -62,8 +65,7 @@ class InterferometerParams:
         if not (0.0 < float(self.bs_transmittance) < 1.0):
             raise ParameterError(
                 f"bs_transmittance must be in (0, 1), got {self.bs_transmittance}")
-        if self.drift_mode not in ("fixed", "slow-walk"):
-            raise ParameterError(f"unknown drift_mode {self.drift_mode!r}")
+        check_choice("drift_mode", self.drift_mode, DRIFT_MODES)
         check_scalar("drift_step", self.drift_step, zero_ok=True)
         object.__setattr__(self, "static_phase", wrap_phase(self.static_phase))
         object.__setattr__(self, "drift_phase", wrap_phase(self.drift_phase))
@@ -273,9 +275,7 @@ def boxcar_decimate(trace: IQTrace, factor: int) -> IQTrace:
     running ``factor`` times faster than the delivered sample rate.  A
     trailing partial window is dropped.
     """
-    factor = int(factor)
-    if factor < 1:
-        raise ParameterError(f"factor must be >= 1, got {factor}")
+    factor = check_scalar("factor", factor, bounds=(1, None))
     if factor == 1:
         return trace
     full = len(trace) // factor

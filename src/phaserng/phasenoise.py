@@ -66,7 +66,8 @@ class LaserParams:
 
     ``coherence_time`` and ``linewidth`` are locked together by
     tau_c = 1/(pi * linewidth); pass either one and the other is derived.
-    Passing both is allowed only when they agree to 1e-12 relative.
+    Only 0 means "not given"; passing both is allowed only when they agree
+    to 1e-12 relative.
     """
 
     linewidth: float = 0.0            # Hz
@@ -75,9 +76,9 @@ class LaserParams:
     intensity_sigma: float = 0.0      # W, std. dev. of power fluctuations
 
     def __post_init__(self):
-        lw = float(self.linewidth)
-        tc = float(self.coherence_time)
-        if lw <= 0.0 and tc <= 0.0:
+        lw = check_scalar("linewidth", self.linewidth, zero_ok=True)
+        tc = check_scalar("coherence_time", self.coherence_time, zero_ok=True)
+        if lw == 0.0 and tc == 0.0:
             raise ParameterError("one of linewidth or coherence_time must be positive")
         if lw > 0.0 and tc > 0.0:
             derived = 1.0 / (np.pi * lw)
@@ -167,9 +168,7 @@ def wrapped_gaussian_pdf(x, sigma_sq: float, k_max: int = DEFAULT_K_MAX):
     proportionally larger k_max (roughly k_max >= sigma).
     """
     sigma_sq = check_scalar("sigma_sq", sigma_sq)
-    k_max = int(k_max)
-    if k_max < 1:
-        raise ParameterError(f"k_max must be >= 1, got {k_max}")
+    k_max = check_scalar("k_max", k_max, bounds=(1, None))
     arr = np.asarray(x, dtype=np.float64)
     sigma = np.sqrt(sigma_sq)
     k = np.arange(-k_max, k_max + 1, dtype=np.float64)
@@ -194,9 +193,7 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
     merged window edges (draw order in the module docstring), streamed in
     chunks of ``_CHUNK_GRID_STEPS`` gaps.
     """
-    count = int(count)
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    count = check_scalar("count", count, bounds=(1, None))
     delay_time = check_scalar("delay_time", delay_time)
     sample_period = check_scalar("sample_period", sample_period)
     seed = rng.check_seed(seed)

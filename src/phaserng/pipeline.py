@@ -272,7 +272,13 @@ def _check_bit_budget(have: int, tc: stattests.TestConfig) -> int:
 def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
     raw = artifacts.read("extracted", "test")
     tc = cfg.test
-    need = _check_bit_budget(len(raw) * 8, tc)
+    # Count the fewest whole m-bit blocks that fill these bytes: never a pad bit.
+    _, m = cfg.extraction.block_bits
+    have = max(0, -(-(8 * len(raw) - 7) // m)) * m
+    if have > 8 * len(raw):
+        raise DependencyError(f"stage 'test' refuses artifact 'extracted.bin': {len(raw)} "
+                              f"bytes hold no whole number of {m}-bit blocks")
+    need = _check_bit_budget(have, tc)
     all_bits = extractor.BitStream(data=raw, bit_length=len(raw) * 8).to_bits()[:need]
     sequences = all_bits.reshape(tc.sequence_count, tc.sequence_bits)
     report = stattests.run_battery(list(sequences), tc)

@@ -12,10 +12,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, check_scalar
+from .errors import DegenerateDataError, ParameterError, check_choice, check_scalar
 from .optics import IQTrace
 
 _MIN_NORMALIZE_SAMPLES = 1000
+
+#: Amplitude estimators of :func:`normalize_iq`.
+NORMALIZE_METHODS = ("percentile", "arcsine-fit")
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,9 @@ def _estimate_amplitude(values: np.ndarray, method: str) -> float:
     if method == "percentile":
         lo, hi = np.quantile(values, (0.001, 0.999))
         amplitude = 0.5 * (hi - lo)
-    elif method == "arcsine-fit":
+    else:
         # The arcsine law with amplitude A has variance A^2/2.
         amplitude = float(np.sqrt(2.0 * np.mean(values * values)))
-    else:
-        raise ParameterError(f"unknown normalization method {method!r}")
     if amplitude <= 0.0:
         raise DegenerateDataError("channel has no spread; cannot normalize")
     return float(amplitude)
@@ -95,6 +96,7 @@ def normalize_iq(trace: IQTrace, method: str = "percentile") -> NormalizedIQ:
     second moment of the arcsine law (best on clean interference data).
     Idempotent up to estimator tolerance.
     """
+    check_choice("normalization method", method, NORMALIZE_METHODS)
     if len(trace) < _MIN_NORMALIZE_SAMPLES:
         raise ParameterError(
             f"normalization needs >= {_MIN_NORMALIZE_SAMPLES} samples, got {len(trace)}")

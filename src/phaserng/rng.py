@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_scalar
 
 #: Number of draws per block.  Fixed: changing it changes every stream.
 BLOCK_SIZE = 1 << 20
@@ -47,9 +47,8 @@ def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,
     ``draw(gen, size)`` produces the first ``size`` draws of a block.  Only
     the blocks overlapping the range are generated.
     """
-    start, stop = int(start), int(stop)
-    if start < 0 or stop < start:
-        raise ParameterError(f"need 0 <= start <= stop, got {start}, {stop}")
+    start = check_scalar("start", start, bounds=(0, None))
+    stop = check_scalar("stop", stop, bounds=(start, None))
     seed = check_seed(seed)
     out = np.empty(stop - start, dtype=dtype)
     for block in range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import rfft
 from scipy.special import erfc, gammaincc, ndtr
 
-from .errors import ParameterError, SequenceLengthError
+from .errors import ParameterError, SequenceLengthError, check_choice, check_scalar
 from .extractor import BitStream, bit_array
 
 #: The battery's p-value streams, in report order.
@@ -33,6 +33,9 @@ STREAMS = ("monobit", "block-frequency", "runs", "longest-run",
 NOT_IMPLEMENTED = ("universal", "linear-complexity", "non-overlapping-template",
                    "overlapping-template", "random-excursions",
                    "random-excursions-variant", "binary-matrix-rank")
+
+#: How ``TestConfig.proportion_bound`` sets the pass-proportion bound.
+PROPORTION_MODES = ("statistical", "fixed")
 
 # Longest-run-of-ones reference distributions: (min bits, block size M,
 # lowest class, highest class, class probabilities).
@@ -56,31 +59,24 @@ class TestConfig:
     block_frequency_block: int = 128
     serial_pattern_bits: int = 16
     approx_entropy_pattern_bits: int = 10
-    proportion_mode: str = "statistical"   # or "fixed"
+    proportion_mode: str = "statistical"   # one of PROPORTION_MODES
     fixed_proportion: float = 0.98
     uniformity_threshold: float = 1e-4
 
     def __post_init__(self):
-        if int(self.sequence_count) < 1:
-            raise ParameterError("sequence_count must be >= 1")
+        check_scalar("sequence_count", self.sequence_count, bounds=(1, None))
         if not (0.0 < float(self.alpha) < 1.0):
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.proportion_mode not in ("statistical", "fixed"):
-            raise ParameterError(f"unknown proportion_mode {self.proportion_mode!r}")
-        if int(self.block_frequency_block) < 2:
-            raise ParameterError("block_frequency_block must be >= 2")
-        if not (2 <= int(self.serial_pattern_bits) <= 24):
-            raise ParameterError("serial_pattern_bits must be in [2, 24]")
-        if not (1 <= int(self.approx_entropy_pattern_bits) <= 20):
-            raise ParameterError("approx_entropy_pattern_bits must be in [1, 20]")
+        check_choice("proportion_mode", self.proportion_mode, PROPORTION_MODES)
+        block = check_scalar("block_frequency_block", self.block_frequency_block,
+                             bounds=(2, None))
+        serial_m = check_scalar("serial_pattern_bits", self.serial_pattern_bits,
+                                bounds=(2, 24))
+        apen_m = check_scalar("approx_entropy_pattern_bits",
+                              self.approx_entropy_pattern_bits, bounds=(1, 20))
         # The largest of the eight tests' own minimum lengths.
-        need = max(1000, int(self.block_frequency_block),
-                   1 << (int(self.serial_pattern_bits) + 2),
-                   1 << (int(self.approx_entropy_pattern_bits) + 6))
-        if int(self.sequence_bits) < need:
-            raise ParameterError(
-                f"sequence_bits must be >= {need} for this battery, "
-                f"got {self.sequence_bits}")
+        need = max(1000, block, 1 << (serial_m + 2), 1 << (apen_m + 6))
+        check_scalar("sequence_bits", self.sequence_bits, bounds=(need, None))
 
     def proportion_bound(self) -> float:
         """Smallest acceptable pass proportion for this configuration."""
@@ -117,7 +113,7 @@ def monobit(bits) -> list[float]:
 def block_frequency(bits, block: int = 128) -> list[float]:
     """Per-block bias chi-square over blocks of ``block`` bits."""
     b = _as_bits(bits)
-    block = int(block)
+    block = check_scalar("block", block, bounds=(1, None))
     _require(b, max(10, block), "block-frequency")
     n_blocks = b.size // block
     pi = b[:n_blocks * block].reshape(n_blocks, block).mean(axis=1)
@@ -244,9 +240,7 @@ def serial(bits, pattern_bits: int = 16, *,
     battery counts patterns once for this test and approximate entropy.
     """
     b = _as_bits(bits)
-    m = int(pattern_bits)
-    if m < 2:
-        raise ParameterError("serial needs pattern_bits >= 2")
+    m = check_scalar("pattern_bits", pattern_bits, bounds=(2, None))
     _require(b, 1 << (m + 2), "serial")
     n = b.size
     counts_m = _leading_counts(b, m, counts)
@@ -268,7 +262,7 @@ def approximate_entropy(bits, pattern_bits: int = 10, *,
     ``counts`` may carry ``_pattern_counts(bits, k)`` for any k >= m + 1.
     """
     b = _as_bits(bits)
-    m = int(pattern_bits)
+    m = check_scalar("pattern_bits", pattern_bits, bounds=(0, None))
     _require(b, 1 << (m + 6), "approximate-entropy")
     n = b.size
 

@@ -28,7 +28,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, check_scalar
+from .errors import FormatError, ParameterError, check_choice, check_scalar
 from .optics import IQTrace
 from .reconstruction import SymbolStream
 
@@ -41,6 +41,9 @@ _SAMPLE_PAIR_BYTES = 8            # two float32s
 SYMBOL_MAGIC = b"SYM1"
 SYMBOL_VERSION = 1
 _SYMBOL_HEADER = struct.Struct("<4sBBHQ")
+
+#: Capture formats :func:`ingest_trace` reads.
+FORMATS = ("binary", "csv")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -211,10 +214,8 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
 def ingest_trace(path: str, fmt: str = "binary",
                  sample_rate: float | None = None) -> IQTrace:
     """Read a capture file.  ``sample_rate`` is required for CSV input."""
-    if fmt == "binary":
+    if check_choice("trace format", fmt, FORMATS) == "binary":
         return read_trace_binary(path)
-    if fmt == "csv":
-        if sample_rate is None:
-            raise ParameterError("CSV ingestion requires an explicit sample_rate")
-        return read_trace_csv(path, sample_rate)
-    raise ParameterError(f"unknown trace format {fmt!r}")
+    if sample_rate is None:
+        raise ParameterError("CSV ingestion requires an explicit sample_rate")
+    return read_trace_csv(path, sample_rate)

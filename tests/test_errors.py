@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from phaserng import config, optics, phasenoise, reconstruction, traceio
-from phaserng.errors import ParameterError, check_scalar
+from phaserng import (analysis, config, extractor, optics, phasenoise, reconstruction,
+                      rng, stattests, traceio)
+from phaserng.errors import ParameterError, check_choice, check_scalar
 
 ONES = np.ones(4)
+BITS = rng.random_bits(1024, seed=0)
+TRACE = optics.IQTrace(np.cos(np.arange(2000.0)), np.sin(np.arange(2000.0)), 1.0)
+LASER = phasenoise.LaserParams(coherence_time=6e-9)
 
 # Guarded scalar -> (call that passes the value to its guard, 0 allowed).
 GUARDED = {
@@ -67,6 +71,82 @@ def test_every_guarded_scalar_refuses_bad_values(name, value):
             call(value)
 
 
+# Integer parameter -> (call that passes the value to its guard, lowest valid value).
+INTEGERS = {
+    "histogram_bins": (lambda v: config.AnalysisParams(histogram_bins=v), 2),
+    "AnalysisParams.max_lag": (lambda v: config.AnalysisParams(max_lag=v), 1),
+    "input_bits": (lambda v: config.ExtractionParams(input_bits=v, output_bits=1), 1),
+    "output_bits": (lambda v: config.ExtractionParams(output_bits=v), 0),
+    "epsilon_exponent": (lambda v: config.ExtractionParams(epsilon_exponent=v), 1),
+    "sample_count": (lambda v: config.SimulationParams(v, 1e6, seed=0), 1),
+    "oversample_factor": (
+        lambda v: config.SimulationParams(10, 1e6, seed=0, oversample_factor=v), 1),
+    "sequence_count": (lambda v: stattests.TestConfig(sequence_count=v), 1),
+    "block_frequency_block": (lambda v: stattests.TestConfig(block_frequency_block=v), 2),
+    "serial_pattern_bits": (lambda v: stattests.TestConfig(serial_pattern_bits=v), 2),
+    "approx_entropy_pattern_bits": (
+        lambda v: stattests.TestConfig(approx_entropy_pattern_bits=v), 1),
+    "sequence_bits": (lambda v: stattests.TestConfig(sequence_bits=v), 1 << 18),
+    "serial.pattern_bits": (lambda v: stattests.serial(BITS, v), 2),
+    "approximate_entropy.pattern_bits": (
+        lambda v: stattests.approximate_entropy(BITS, v), 0),
+    "block_frequency.block": (lambda v: stattests.block_frequency(BITS, v), 1),
+    "from_data.bins": (lambda v: analysis.Histogram.from_data(ONES, v), 1),
+    "autocorrelation.max_lag": (lambda v: analysis.autocorrelation(np.arange(8.0), v), 0),
+    "derive_params.n": (lambda v: extractor.derive_params(1.0, v, mode="ratio"), 1),
+    "input_block_bits": (lambda v: extractor.ToeplitzSpec(v, 1, np.zeros(1)), 1),
+    "output_block_bits": (lambda v: extractor.ToeplitzSpec(4, v, np.zeros(4)), 1),
+    "bit_length": (lambda v: extractor.BitStream(b"", v), 0),
+    "standard_normals_range.start": (lambda v: rng.standard_normals_range(v, 4, 0), 0),
+    "standard_normals_range.stop": (lambda v: rng.standard_normals_range(2, v, 0), 2),
+    "boxcar_decimate.factor": (lambda v: optics.boxcar_decimate(TRACE, v), 1),
+    "wrapped_gaussian_pdf.k_max": (
+        lambda v: phasenoise.wrapped_gaussian_pdf(0.0, 1.0, v), 1),
+    "sample_phase_path.count": (
+        lambda v: phasenoise.sample_phase_path(LASER, 30e-9, 5e-9, v, seed=0), 1),
+}
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "non-integral", "below"])
+@pytest.mark.parametrize("name", sorted(INTEGERS))
+def test_every_integer_guard_refuses_bad_values(name, case):
+    call, lo = INTEGERS[name]
+    value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+             "non-integral": lo + 0.5, "below": lo - 1}[case]
+    assert call(lo) is not None
+    with pytest.raises(ParameterError, match=name.split(".")[-1]):
+        call(value)
+
+
+# Option set -> call that passes the value to its guard.
+CHOICES = {
+    "normalize method": lambda v: config.AnalysisParams(normalize=v),
+    "normalization method": lambda v: reconstruction.normalize_iq(TRACE, v),
+    "extraction mode": lambda v: config.ExtractionParams(mode=v),
+    "derive_params.extraction mode": lambda v: extractor.derive_params(0.98, 4000, mode=v),
+    "proportion_mode": lambda v: stattests.TestConfig(proportion_mode=v),
+    "drift_mode": lambda v: optics.InterferometerParams(6.0, drift_mode=v),
+    "reference kind": lambda v: analysis.ReferenceLaw(v, (1.0,)),
+    "trace format": lambda v: traceio.ingest_trace("absent.iqt", v),
+}
+
+
+@pytest.mark.parametrize("value", ["bogus", "", math.nan])
+@pytest.mark.parametrize("name", sorted(CHOICES))
+def test_every_option_set_refuses_unknown_names(name, value):
+    message = f"unknown {name.split('.')[-1]} {value!r}"
+    with pytest.raises(ParameterError) as exc:
+        CHOICES[name](value)
+    assert str(exc.value) == message
+
+
+def test_defaults_are_members_of_their_option_sets():
+    assert config.AnalysisParams().normalize in reconstruction.NORMALIZE_METHODS
+    assert config.ExtractionParams().mode in extractor.MODES
+    assert stattests.TestConfig().proportion_mode in stattests.PROPORTION_MODES
+    assert optics.InterferometerParams(6.0).drift_mode in optics.DRIFT_MODES
+
+
 class TestCheckScalar:
     def test_returns_converted_value(self):
         assert check_scalar("x", np.float32(2.5)) == 2.5
@@ -82,3 +162,15 @@ class TestCheckScalar:
             with pytest.raises(ParameterError) as exc:
                 check_scalar(message.split()[0], value, **kw)
             assert str(exc.value) == message
+
+    def test_integers_are_whole_and_exact(self):
+        assert check_scalar("x", 4.0, bounds=(1, None)) == 4
+        assert check_scalar("x", 2**60 + 1, bounds=(0, None)) == 2**60 + 1
+        for value in (2.5, "abc", None, math.nan):
+            with pytest.raises(ParameterError, match="x must be an integer >= 1"):
+                check_scalar("x", value, bounds=(1, None))
+
+    def test_choice(self):
+        assert check_choice("mode", "a", ("a", "b")) == "a"
+        with pytest.raises(ParameterError, match="^unknown mode 'c'$"):
+            check_choice("mode", "c", ("a", "b"))

@@ -63,6 +63,15 @@ class TestLaserParams:
         with pytest.raises(ParameterError):
             pn.LaserParams()
 
+    # Only 0 means "not given": a bad value next to a good one is refused,
+    # not replaced by the one derived from the other.
+    @pytest.mark.parametrize("bad", [math.nan, -5e6, math.inf, -math.inf])
+    def test_bad_given_value_is_not_replaced(self, bad):
+        with pytest.raises(ParameterError, match="linewidth"):
+            pn.LaserParams(linewidth=bad, coherence_time=TAU_C)
+        with pytest.raises(ParameterError, match="coherence_time"):
+            pn.LaserParams(linewidth=50e6, coherence_time=bad)
+
     def test_power_validation(self):
         with pytest.raises(ParameterError):
             pn.LaserParams(coherence_time=TAU_C, mean_power=0.0)

@@ -241,6 +241,18 @@ class TestStagedExecution:
         assert s3["stages"] == ["analyze", "extract"]
         assert "extracted.bin" in s3["artifacts"]
 
+    def test_staged_run_matches_one_shot(self, tmp_path, full_run):
+        cfg, one_shot, _ = full_run
+        outdir = str(tmp_path / "run")
+        for stage in ("simulate", "reconstruct", "analyze", "extract", "test"):
+            pipeline.run_pipeline(cfg, [stage], outdir)
+        for name in pipeline.ARTIFACTS.values():
+            if name != "summary.json":
+                with open(os.path.join(outdir, name), "rb") as fh:
+                    staged = fh.read()
+                with open(os.path.join(one_shot, name), "rb") as fh:
+                    assert staged == fh.read(), name
+
     def test_analyze_needs_only_the_trace(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config()
@@ -444,6 +456,21 @@ class TestInsufficientInput:
             pipeline.run_pipeline(
                 cfg, ["simulate", "reconstruct", "extract", "test"], outdir)
 
+    # 11 blocks of 3723 bits are 40953 bits in 5120 bytes, 7 short of the
+    # 40960 the battery needs: only the 7 pad bits of the last byte would
+    # cover it, so the staged test refuses exactly as the one-shot run does.
+    def test_staged_test_never_counts_pad_bits(self, tmp_path):
+        outdir = str(tmp_path / "run")
+        cfg = make_config(**{"sample_count = 30000": "sample_count = 4400",
+                             "output_bits = 3920": "output_bits = 3723"})
+        with pytest.raises(InsufficientInputError, match="needs 40960 .* found 40953"):
+            pipeline.run_pipeline(
+                cfg, ["simulate", "reconstruct", "extract", "test"], outdir)
+        pipeline.run_pipeline(cfg, ["simulate", "reconstruct", "extract"], outdir)
+        assert os.path.getsize(os.path.join(outdir, "extracted.bin")) == 5120
+        with pytest.raises(InsufficientInputError, match="needs 40960 .* found 40953"):
+            pipeline.run_pipeline(cfg, ["test"], outdir)
+
     def test_extract_stage_short_on_symbols(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config(**{"sample_count = 30000": "sample_count = 1000",
@@ -500,6 +527,15 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "-5e6"])
+    def test_exit_2_bad_linewidth(self, tmp_path, capsys, bad):
+        config = self.write_config(
+            tmp_path, BASE_INI.replace("coherence_time = 6e-9",
+                                       f"coherence_time = 6e-9\nlinewidth = {bad}"))
+        code = cli.main(["simulate", "-c", config, "-o", str(tmp_path / "o")])
+        assert code == 2
+        assert "linewidth" in capsys.readouterr().err
+
     def test_exit_2_unknown_stage(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         code = cli.main(["pipeline", "-c", config, "-o", str(tmp_path / "o"),
@@ -538,6 +574,19 @@ class TestCli:
                          "-o", str(tmp_path / "empty")])
         assert code == 4
         assert "trace.iqt" in capsys.readouterr().err
+
+    def test_exit_4_extracted_bits_of_another_block_size(self, tmp_path, capsys):
+        # 75 blocks of 3920 bits fill 36750 bytes; no whole number of
+        # 3919-bit blocks packs into that many bytes.
+        outdir = str(tmp_path / "out")
+        config = self.write_config(tmp_path)
+        assert cli.main(["pipeline", "-c", config, "-o", outdir,
+                         "--stages", "simulate,reconstruct,extract"]) == 0
+        config = self.write_config(
+            tmp_path, BASE_INI.replace("output_bits = 3920", "output_bits = 3919"))
+        capsys.readouterr()
+        assert cli.main(["test", "-c", config, "-o", outdir]) == 4
+        assert "no whole number of 3919-bit blocks" in capsys.readouterr().err
 
     def test_exit_5_insufficient_bits(self, tmp_path, capsys):
         config = self.write_config(
