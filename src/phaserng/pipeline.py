@@ -4,7 +4,10 @@ Stages communicate only through files in the output directory, so any
 stage can run in a later invocation as long as its inputs exist; a missing
 input is a dependency error naming the expected artifact.  Every artifact
 embeds (or, for binary payloads, is paired with a sidecar that embeds) the
-configuration digest.  The summary lists every artifact the invocation
+configuration digest.  The bit artifacts (``symbols.bin``,
+``toeplitz_seed.bin``, ``extracted.bin``) are packed MSB-first bits whose
+sidecar also records their bit length.  A stage reads only artifacts that
+come with their sidecar.  The summary lists every artifact the invocation
 read or wrote, with its sha256 and the config digest it carries.
 """
 
@@ -49,19 +52,21 @@ ARTIFACTS = {
 #: RNG stream for a generated extractor seed (simulation uses streams 0-5).
 EXTRACTOR_SEED_STREAM = 100
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
+#: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
+_BIT_ARTIFACTS = ("symbols", "seed", "extracted")
 
 #: Binary artifacts, each paired with a ``<name>.meta.json`` sidecar.
-_SIDECARS = ("trace", "symbols", "seed", "extracted")
+_SIDECARS = ("trace", *_BIT_ARTIFACTS)
 
 
 class _ArtifactGate:
     """Every artifact read and write of one invocation goes through here.
 
     Each read or write records the artifact's sha256 and the config digest
-    it carries: the run's own for a write, its sidecar's for a read (None
-    without a sidecar).  The summary lists exactly these records.
+    it carries: the run's own for a write, its sidecar's for a read.  The
+    summary lists exactly these records.
     """
 
     def __init__(self, outdir: str, digest: str):
@@ -69,56 +74,73 @@ class _ArtifactGate:
         self.digest = digest
         self.records: dict[str, dict] = {}
 
-    def read(self, key: str, stage: str) -> bytes:
-        """An upstream artifact's bytes, refused if missing, stale or altered.
+    def read(self, key: str, stage: str):
+        """An upstream artifact, refused if missing, stale or altered.
 
-        An artifact with a sidecar must carry this build's ``SCHEMA_VERSION``
-        and the sha256 its sidecar records: older or altered bytes would
-        otherwise flow silently into the run.
+        The artifact must come with its sidecar, which must carry this
+        build's ``SCHEMA_VERSION`` and the artifact's sha256: older, altered
+        or unvouched bytes would otherwise flow silently into the run.  A
+        bit artifact comes back as a ``BitStream`` of its sidecar's
+        ``bit_length``; the trace comes back as bytes.
         """
         name = ARTIFACTS[key]
         path = os.path.join(self.outdir, name)
+        sidecar = path + ".meta.json"
         if not os.path.exists(path):
             raise DependencyError(
                 f"stage {stage!r} requires missing artifact {name!r} "
                 f"(run its producing stage first)")
-        sidecar = path + ".meta.json"
-        meta = {}
-        if os.path.exists(sidecar):
-            with open(sidecar, "rb") as fh:
-                try:
-                    meta = json.loads(fh.read())
-                    version = meta.get("schema_version")
-                except (ValueError, AttributeError) as exc:
-                    raise FormatError(f"sidecar {sidecar!r} is not a JSON object") from exc
-            if version != SCHEMA_VERSION:
-                raise DependencyError(
-                    f"stage {stage!r} refuses artifact {name!r} of "
-                    f"schema_version {version}, expected {SCHEMA_VERSION} "
-                    f"(rerun its producing stage)")
+        if not os.path.exists(sidecar):
+            raise DependencyError(
+                f"stage {stage!r} refuses artifact {name!r} without its sidecar "
+                f"{os.path.basename(sidecar)!r} (rerun its producing stage, or "
+                f"ingest a capture)")
+        with open(sidecar, "rb") as fh:
+            try:
+                meta = json.loads(fh.read())
+                version = meta.get("schema_version")
+            except (ValueError, AttributeError) as exc:
+                raise FormatError(f"sidecar {sidecar!r} is not a JSON object") from exc
+        if version != SCHEMA_VERSION:
+            raise DependencyError(
+                f"stage {stage!r} refuses artifact {name!r} of "
+                f"schema_version {version}, expected {SCHEMA_VERSION} "
+                f"(rerun its producing stage)")
         with open(path, "rb") as fh:
             data = fh.read()
         sha = hashlib.sha256(data).hexdigest()
-        if meta and meta.get("sha256") != sha:
+        if meta.get("sha256") != sha:
             raise DependencyError(
                 f"stage {stage!r} refuses artifact {name!r}: its "
                 f"sha256 differs from its sidecar's (rerun its producing stage)")
         self.records[key] = {"sha256": sha, "config_digest": meta.get("config_digest")}
-        return data
+        if key not in _BIT_ARTIFACTS:
+            return data
+        length = meta.get("bit_length")
+        if type(length) is int:          # not a bool, float or string
+            try:
+                return extractor.BitStream(data=data, bit_length=length)
+            except ParameterError:
+                pass
+        raise FormatError(f"sidecar {sidecar!r} gives bit_length {length!r}, "
+                          f"which does not fit the {len(data)} bytes of {name!r}")
 
-    def write(self, key: str, data: bytes) -> None:
-        """Write an artifact atomically, and its sidecar if it has one."""
+    def write(self, key: str, payload) -> None:
+        """Write an artifact atomically, and its sidecar if it has one.
+
+        ``payload`` is a ``BitStream`` for a bit artifact, else bytes.
+        """
         path = os.path.join(self.outdir, ARTIFACTS[key])
+        data = payload.data if key in _BIT_ARTIFACTS else payload
         traceio.atomic_write_bytes(path, data)
         sha = hashlib.sha256(data).hexdigest()
         self.records[key] = {"sha256": sha, "config_digest": self.digest}
         if key in _SIDECARS:
-            traceio.atomic_write_bytes(path + ".meta.json", _json_bytes({
-                "schema_version": SCHEMA_VERSION,
-                "artifact": ARTIFACTS[key],
-                "config_digest": self.digest,
-                "sha256": sha,
-            }))
+            meta = {"schema_version": SCHEMA_VERSION, "artifact": ARTIFACTS[key],
+                    "config_digest": self.digest, "sha256": sha}
+            if key in _BIT_ARTIFACTS:
+                meta["bit_length"] = payload.bit_length
+            traceio.atomic_write_bytes(path + ".meta.json", _json_bytes(meta))
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -176,11 +198,13 @@ def _reconstruct(cfg: ExperimentConfig, trace):
 
 
 def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
-    trace = traceio.decode_trace(artifacts.read("trace", "reconstruct"))
-    norm, series, symbols = _reconstruct(cfg, trace)
-    artifacts.write("symbols", traceio.encode_symbols(symbols))
-    return {"samples": len(series), "zero_vectors": series.zero_vector_count,
-            "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q}
+    norm, series, symbols = _reconstruct(
+        cfg, traceio.decode_trace(artifacts.read("trace", "reconstruct")))
+    outputs = {"samples": len(series), "zero_vectors": series.zero_vector_count,
+               "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q}
+    del norm, series     # release the traces and phases before packing
+    artifacts.write("symbols", extractor.symbols_to_bits(symbols))
+    return outputs
 
 
 def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
@@ -244,16 +268,15 @@ def _extraction_spec(cfg: ExperimentConfig,
         return extractor.read_seed_file(cfg.extraction.seed_file, n, m)
     spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed,
                                            stream=EXTRACTOR_SEED_STREAM)
-    artifacts.write("seed", extractor.BitStream.from_bits(spec.seed_bits).data)
+    artifacts.write("seed", extractor.BitStream.from_bits(spec.seed_bits))
     return spec
 
 
 def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
-    symbols = traceio.decode_symbols(artifacts.read("symbols", "extract"))
+    raw_bits = artifacts.read("symbols", "extract")
     spec = _extraction_spec(cfg, artifacts)
-    raw_bits = extractor.symbols_to_bits(symbols)
     result = extractor.extract(raw_bits, spec)
-    artifacts.write("extracted", result.bits.data)
+    artifacts.write("extracted", result.bits)
     return {"input_bits": raw_bits.bit_length,
             "output_bits": result.bits.bit_length,
             "blocks": result.blocks, "discarded_bits": result.discarded_bits,
@@ -270,17 +293,15 @@ def _check_bit_budget(have: int, tc: stattests.TestConfig) -> int:
 
 
 def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
-    raw = artifacts.read("extracted", "test")
+    bits = artifacts.read("extracted", "test")
     tc = cfg.test
-    # Count the fewest whole m-bit blocks that fill these bytes: never a pad bit.
     _, m = cfg.extraction.block_bits
-    have = max(0, -(-(8 * len(raw) - 7) // m)) * m
-    if have > 8 * len(raw):
-        raise DependencyError(f"stage 'test' refuses artifact 'extracted.bin': {len(raw)} "
-                              f"bytes hold no whole number of {m}-bit blocks")
-    need = _check_bit_budget(have, tc)
-    all_bits = extractor.BitStream(data=raw, bit_length=len(raw) * 8).to_bits()[:need]
-    sequences = all_bits.reshape(tc.sequence_count, tc.sequence_bits)
+    if bits.bit_length % m:
+        raise DependencyError(f"stage 'test' refuses artifact 'extracted.bin': its "
+                              f"{bits.bit_length} bits are no whole number of "
+                              f"{m}-bit blocks")
+    need = _check_bit_budget(bits.bit_length, tc)
+    sequences = bits.to_bits()[:need].reshape(tc.sequence_count, tc.sequence_bits)
     report = stattests.run_battery(list(sequences), tc)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
                "config_digest": cfg.digest}

@@ -79,7 +79,8 @@ def check_pvalue_ranges(seed=3, rounds=40):
 
 def check_trace_roundtrips(tmpdir, seed=4, rounds=25):
     """Binary and CSV serialization preserve every finite float32 sample,
-    and the symbol format preserves every symbol and its width."""
+    and the packed bits handed from reconstruct to extract preserve every
+    symbol at its width."""
     gen = np.random.default_rng(seed)
     for k in range(rounds):
         count = int(gen.integers(1, 500))
@@ -98,11 +99,12 @@ def check_trace_roundtrips(tmpdir, seed=4, rounds=25):
         bits = int(gen.integers(1, 17))
         stream = reconstruction.SymbolStream(
             symbols=gen.integers(0, 1 << bits, count), bits_per_symbol=bits)
-        blob = traceio.encode_symbols(stream)
-        sym_back = traceio.decode_symbols(blob)
-        np.testing.assert_array_equal(sym_back.symbols, stream.symbols)
-        assert sym_back.bits_per_symbol == bits
-        assert traceio.encode_symbols(sym_back) == blob
+        packed = extractor.symbols_to_bits(stream)
+        handoff = extractor.BitStream(data=packed.data, bit_length=packed.bit_length)
+        assert handoff.bit_length == count * bits
+        weights = 1 << np.arange(bits - 1, -1, -1)
+        sym_back = handoff.to_bits().reshape(count, bits).astype(np.int64) @ weights
+        np.testing.assert_array_equal(sym_back, stream.symbols)
 
 
 _PIPELINE_INI = """\

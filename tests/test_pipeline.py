@@ -3,12 +3,12 @@ import json
 import math
 import os
 import re
-import struct
 
 import numpy as np
 import pytest
 
-from phaserng import cli, config as cfg_mod, extractor, optics, pipeline, traceio
+from phaserng import (cli, config as cfg_mod, extractor, optics, pipeline,
+                      reconstruction, traceio)
 from phaserng.errors import (DependencyError, FormatError,
                              InsufficientInputError, ParameterError)
 
@@ -86,12 +86,15 @@ class TestFullRun:
 
     def test_sidecars(self, full_run):
         cfg, outdir, _ = full_run
-        for name in ("trace.iqt", "symbols.bin", "toeplitz_seed.bin",
-                     "extracted.bin"):
+        bit_lengths = {"trace.iqt": None, "symbols.bin": 300_000,
+                       "toeplitz_seed.bin": 4000 + 3920 - 1,
+                       "extracted.bin": 75 * 3920}
+        for name, bit_length in bit_lengths.items():
             side = json.load(open(os.path.join(outdir, name + ".meta.json")))
             assert side["artifact"] == name
             assert side["config_digest"] == cfg.digest
             assert side["sha256"] == sha256(os.path.join(outdir, name))
+            assert side.get("bit_length") == bit_length, name
 
     def test_simulate_output(self, full_run):
         _, _, summary = full_run
@@ -101,13 +104,16 @@ class TestFullRun:
         assert sim["oversample_factor"] == 1
 
     def test_symbols_artifact(self, full_run):
-        _, outdir, _ = full_run
+        # symbols.bin holds the run's symbols packed as extract hashes them.
+        cfg, outdir, _ = full_run
+        trace = traceio.read_trace_binary(os.path.join(outdir, "trace.iqt"))
+        norm = reconstruction.normalize_iq(trace, method=cfg.analysis.normalize)
+        symbols = reconstruction.quantize_phase(
+            reconstruction.reconstruct_phase(norm.trace), cfg.analysis.phase_bits)
         blob = open(os.path.join(outdir, "symbols.bin"), "rb").read()
-        assert struct.unpack("<4sBBHQ", blob[:16]) == (b"SYM1", 1, 10, 0, 30000)
-        assert len(blob) == 16 + 2 * 30000
-        stream = traceio.decode_symbols(blob)
-        assert len(stream) == 30000
-        assert stream.bits_per_symbol == 10
+        assert blob == extractor.symbols_to_bits(symbols).data
+        side = json.load(open(os.path.join(outdir, "symbols.bin.meta.json")))
+        assert side["bit_length"] == 300_000
 
     def test_analysis_report(self, full_run):
         cfg, outdir, _ = full_run
@@ -165,6 +171,7 @@ class TestFullRun:
         # refactor that changes one draw or one extracted bit fails here.
         # Schema 3 (merged-time phase sampler), measured with numpy 2.4.6;
         # the Toeplitz seed is drawn on its own stream and did not move.
+        # Schema 4 changed only symbols.bin, to packed bits.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt")) == (
             "c571b2b37e7acdf7ac2b97f9f19e6e9338e7e60679d29bc0f8f4ec41c4a5f332")
@@ -184,19 +191,19 @@ class TestFullRun:
         }
         for name, digest in hists.items():
             assert sha256(os.path.join(outdir, name)) == digest, name
-        # The symbol payload, little-endian uint16 after the 16-byte header.
-        payload = open(os.path.join(outdir, "symbols.bin"), "rb").read()[16:]
-        assert hashlib.sha256(payload).hexdigest() == (
-            "082edc7630c15efb65c72a5bd59c4f68a964068bdbfb6b3c41737cf240bd5709")
+        assert sha256(os.path.join(outdir, "symbols.bin")) == (
+            "9a53eb32bc7ef429b3b44743680e62cf7e5f4a9c5151c2a8e2f53a43e9989014")
 
     def test_known_answer_sidecar_and_summary(self, full_run):
         # Pins the sidecar layout (key order included) and the summary's
         # bytes, so routing artifact I/O differently cannot move them.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "c02e4bef7e9f4dd517833382e33f26ee78d4c0638ea3d8b7956c6ecbdc170f8a")
+            "fdb5525a040ad9916ad5d09dfa1bf2526e4257606b2b367a07ca8e5f2e6fb260")
+        assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
+            "6225a72ed47f87fe711a3799eacb223ae54f27e6a43d5031dc159bcb34e246a0")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "39fb8602f35dda38b3572fdf8757457bbac5b3c206dc33972e8db93455e15259")
+            "7ea4a7f4732b65c5cd34dc4166f4dac97499cedb386d5400d34e2431397b6fbf")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -331,17 +338,6 @@ class TestStagedExecution:
         assert artifacts["symbols.bin"]["config_digest"] == cfg_a.digest
         assert artifacts["extracted.bin"]["config_digest"] == cfg_b.digest
 
-    def test_artifact_without_sidecar_has_no_digest(self, tmp_path):
-        outdir = str(tmp_path / "run")
-        cfg = make_config()
-        pipeline.run_pipeline(cfg, ["simulate"], outdir)
-        os.remove(os.path.join(outdir, "trace.iqt.meta.json"))
-        summary = pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
-        assert summary["artifacts"]["trace.iqt"] == {
-            "sha256": sha256(os.path.join(outdir, "trace.iqt")),
-            "config_digest": None}
-        assert summary["artifacts"]["symbols.bin"]["config_digest"] == cfg.digest
-
     def test_unreadable_sidecar_is_a_format_error(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config()
@@ -471,6 +467,27 @@ class TestInsufficientInput:
         with pytest.raises(InsufficientInputError, match="needs 40960 .* found 40953"):
             pipeline.run_pipeline(cfg, ["test"], outdir)
 
+    # 6554 ten-bit symbols hash to exactly 8192 blocks of 5 bits: the
+    # battery's 40960 bits with no pad bit to spare.  Judged from the byte
+    # count alone, 5120 bytes would hold only 8191 whole 5-bit blocks.
+    M_BELOW_8 = {"sample_count = 30000": "sample_count = 6554",
+                 "input_bits = 4000": "input_bits = 8",
+                 "output_bits = 3920": "output_bits = 5"}
+
+    def test_exact_bit_count_below_8_one_shot(self, tmp_path):
+        summary = pipeline.run_pipeline(
+            make_config(**self.M_BELOW_8),
+            ["simulate", "reconstruct", "extract", "test"], str(tmp_path))
+        assert summary["stage_outputs"]["extract"]["output_bits"] == 40960
+        assert "test_report.json" in summary["artifacts"]
+
+    def test_exact_bit_count_below_8_staged(self, tmp_path):
+        cfg = make_config(**self.M_BELOW_8)
+        for stage in ("simulate", "reconstruct", "extract", "test"):
+            summary = pipeline.run_pipeline(cfg, [stage], str(tmp_path))
+        assert summary["stages"] == ["test"]
+        assert "test_report.json" in summary["artifacts"]
+
     def test_extract_stage_short_on_symbols(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config(**{"sample_count = 30000": "sample_count = 1000",
@@ -555,18 +572,51 @@ class TestCli:
         assert code == 3
         assert "cannot read or write" in capsys.readouterr().err
 
+    def test_exit_3_corrupt_trace(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        capture = tmp_path / "capture.iqt"
+        capture.write_bytes(b"not an artifact at all, sorry")
+        code = cli.main(["ingest", "-c", config, "-o", str(tmp_path / "out"),
+                         "--input", str(capture)])
+        assert code == 3
+        assert "truncated header" in capsys.readouterr().err
+
     @pytest.mark.parametrize("artifact,stage", [
         ("trace.iqt", "reconstruct"),
         ("symbols.bin", "extract"),
+        ("extracted.bin", "test"),
     ])
-    def test_exit_3_corrupt_trace(self, tmp_path, capsys, artifact, stage):
+    def test_exit_4_artifact_without_sidecar(self, tmp_path, capsys, artifact, stage):
         config = self.write_config(tmp_path)
         outdir = str(tmp_path / "out")
-        os.makedirs(outdir)
-        with open(os.path.join(outdir, artifact), "wb") as fh:
-            fh.write(b"not an artifact at all, sorry")
-        code = cli.main([stage, "-c", config, "-o", outdir])
-        assert code == 3
+        assert cli.main(["pipeline", "-c", config, "-o", outdir,
+                         "--stages", "simulate,reconstruct,extract"]) == 0
+        os.remove(os.path.join(outdir, artifact + ".meta.json"))
+        capsys.readouterr()
+        assert cli.main([stage, "-c", config, "-o", outdir]) == 4
+        err = capsys.readouterr().err
+        assert f"{artifact!r} without its sidecar" in err
+        assert "ingest" in err
+
+    @pytest.mark.parametrize("bit_length", [None, 300_008, -1, 300_000.5,
+                                            "300000", True])
+    def test_exit_3_sidecar_bit_length_does_not_fit(self, tmp_path, capsys,
+                                                    bit_length):
+        config = self.write_config(tmp_path)
+        outdir = str(tmp_path / "out")
+        assert cli.main(["pipeline", "-c", config, "-o", outdir,
+                         "--stages", "simulate,reconstruct"]) == 0
+        sidecar = os.path.join(outdir, "symbols.bin.meta.json")
+        meta = json.load(open(sidecar))
+        if bit_length is None:
+            del meta["bit_length"]
+        else:
+            meta["bit_length"] = bit_length
+        with open(sidecar, "w") as fh:
+            json.dump(meta, fh)
+        capsys.readouterr()
+        assert cli.main(["extract", "-c", config, "-o", outdir]) == 3
+        assert "symbols.bin.meta.json" in capsys.readouterr().err
 
     def test_exit_4_missing_dependency(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from phaserng import traceio
 from phaserng.errors import FormatError, ParameterError
 from phaserng.optics import IQTrace
-from phaserng.reconstruction import SymbolStream
 
 
 def make_trace(count=257, seed=0, adc_bits=10, fullscale=0.25,
@@ -125,39 +124,6 @@ class TestBinaryHeaderValidation:
     def test_zero_sample_count(self):
         with pytest.raises(FormatError, match="empty trace"):
             traceio.decode_trace(header_bytes(count=0))
-
-
-def symbol_blob(magic=b"SYM1", version=1, bits=10, reserved=0, count=3,
-                symbols=(0, 5, 1023)):
-    return (struct.pack("<4sBBHQ", magic, version, bits, reserved, count)
-            + np.asarray(symbols, dtype="<u2").tobytes())
-
-
-class TestSymbols:
-    def test_layout_and_roundtrip(self):
-        stream = SymbolStream(symbols=np.array([0, 5, 1023]), bits_per_symbol=10)
-        blob = traceio.encode_symbols(stream)
-        assert blob == symbol_blob()
-        back = traceio.decode_symbols(blob)
-        np.testing.assert_array_equal(back.symbols, [0, 5, 1023])
-        assert back.bits_per_symbol == 10
-
-    @pytest.mark.parametrize("blob,message", [
-        (symbol_blob()[:15], "truncated header"),
-        (symbol_blob(magic=b"IQT1"), "bad magic .* at byte 0"),
-        (symbol_blob(version=2), "version 2 at byte 4"),
-        (symbol_blob(bits=0, symbols=(0, 0, 0)), "bits per symbol 0 at byte 5"),
-        (symbol_blob(bits=17), "bits per symbol 17 at byte 5"),
-        (symbol_blob(reserved=1), "reserved field 0x0001 at byte 6"),
-        (symbol_blob(count=0, symbols=()), "symbol count is 0 at byte 8"),
-        (symbol_blob(count=4), "truncated payload"),
-        (symbol_blob()[:-1], "truncated payload"),
-        (symbol_blob(count=2), "trailing data"),
-        (symbol_blob(bits=8, symbols=(0, 255, 256)), "symbol 256 at byte 20"),
-    ])
-    def test_each_fault_rejected(self, blob, message):
-        with pytest.raises(FormatError, match=message):
-            traceio.decode_symbols(blob)
 
 
 class TestBinaryNonFiniteRows:
