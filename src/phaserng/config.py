@@ -71,7 +71,7 @@ class ExtractionParams:
         check_scalar("output_bits", self.output_bits, bounds=(0, None))
         if not (0.0 < float(self.min_entropy_rate) <= 1.0):
             raise ParameterError("min_entropy_rate must be in (0, 1]")
-        check_scalar("epsilon_exponent", self.epsilon_exponent, bounds=(1, None))
+        check_scalar("epsilon_exponent", self.epsilon_exponent, bounds=(1, 1074))
         check_choice("extraction mode", self.mode, extractor.MODES)
         n, m = self.block_bits
         if m > n:

@@ -128,7 +128,7 @@ def derive_params(min_entropy_rate: float, n: int,
     if check_choice("extraction mode", mode, MODES) == "lemma":
         if not (0.0 < epsilon < 1.0):
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-        m = math.floor(n * rate - 2.0 * math.log2(1.0 / epsilon))
+        m = math.floor(n * rate + 2.0 * math.log2(epsilon))   # finite for any epsilon > 0
     else:
         m = math.floor(n * rate)
     if m < 1:

@@ -2,13 +2,15 @@
 
 Stages communicate only through files in the output directory, so any
 stage can run in a later invocation as long as its inputs exist; a missing
-input is a dependency error naming the expected artifact.  Every artifact
-embeds (or, for binary payloads, is paired with a sidecar that embeds) the
-configuration digest.  The bit artifacts (``symbols.bin``,
-``toeplitz_seed.bin``, ``extracted.bin``) are packed MSB-first bits whose
-sidecar also records their bit length.  A stage reads only artifacts that
-come with their sidecar.  The summary lists every artifact the invocation
-read or wrote, with its sha256 and the config digest it carries.
+input is a dependency error naming the expected artifact.  A stage reads
+its inputs but writes nothing: it returns its summary outputs and its
+artifact payloads keyed as in ``ARTIFACTS``, and ``run_pipeline`` writes
+them once the stage has returned, so a failed stage leaves no artifact.
+Every artifact embeds (or, for binary payloads, is paired with a sidecar
+that embeds) the configuration digest.  The bit artifacts are packed
+MSB-first bits whose sidecar also records their bit length.  A stage reads
+only artifacts that come with their sidecar.  The summary lists every
+artifact the invocation read or wrote, with its sha256 and config digest.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ _BIT_ARTIFACTS = ("symbols", "seed", "extracted")
 
 #: Binary artifacts, each paired with a ``<name>.meta.json`` sidecar.
 _SIDECARS = ("trace", *_BIT_ARTIFACTS)
+
+#: A stage's summary outputs, and its artifact payloads by ``ARTIFACTS`` key.
+StageResult = tuple[dict, dict]
 
 
 class _ArtifactGate:
@@ -158,35 +163,31 @@ def _hist_csv(hist: analysis.Histogram, ref, digest: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def simulate_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+def simulate_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     sim = cfg.simulation
     factor = sim.oversample_factor
-    fine_rate = sim.sample_rate * factor
-    fine_count = sim.sample_count * factor
     path = phasenoise.sample_phase_path(
-        cfg.laser, cfg.interferometer.delay_time, 1.0 / fine_rate,
-        fine_count, seed=sim.seed)
+        cfg.laser, cfg.interferometer.delay_time, 1.0 / (sim.sample_rate * factor),
+        sim.sample_count * factor, seed=sim.seed)
     trace = optics.simulate_trace(path, cfg.laser, cfg.interferometer,
                                   cfg.detector_i, cfg.detector_q,
                                   switches=sim.switches, seed=sim.seed)
     trace = optics.boxcar_decimate(trace, factor)
     if sim.adc_quantize:
         trace = optics.adc_quantize(trace, cfg.detector_i, cfg.detector_q)
-    artifacts.write("trace", traceio.encode_trace(trace))
-    return {"samples": len(trace), "sample_rate": trace.sample_rate,
-            "clamped_samples": trace.clamped_samples,
-            "oversample_factor": factor}
+    outputs = {"samples": len(trace), "sample_rate": trace.sample_rate,
+               "clamped_samples": trace.clamped_samples,
+               "oversample_factor": factor}
+    return outputs, {"trace": traceio.encode_trace(trace)}
 
 
 def ingest_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate, input_path: str,
-                 input_format: str = "binary") -> dict:
-    if input_path is None:
-        raise ParameterError("ingest stage needs an input capture path")
+                 input_format: str = "binary") -> StageResult:
     trace = traceio.ingest_trace(input_path, fmt=input_format,
                                  sample_rate=cfg.simulation.sample_rate)
-    artifacts.write("trace", traceio.encode_trace(trace))
-    return {"samples": len(trace), "sample_rate": trace.sample_rate,
-            "rejected_rows": trace.rejected_rows}
+    outputs = {"samples": len(trace), "sample_rate": trace.sample_rate,
+               "rejected_rows": trace.rejected_rows}
+    return outputs, {"trace": traceio.encode_trace(trace)}
 
 
 def _reconstruct(cfg: ExperimentConfig, trace):
@@ -197,51 +198,45 @@ def _reconstruct(cfg: ExperimentConfig, trace):
     return norm, series, symbols
 
 
-def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     norm, series, symbols = _reconstruct(
         cfg, traceio.decode_trace(artifacts.read("trace", "reconstruct")))
     outputs = {"samples": len(series), "zero_vectors": series.zero_vector_count,
                "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q}
     del norm, series     # release the traces and phases before packing
-    artifacts.write("symbols", extractor.symbols_to_bits(symbols))
-    return outputs
+    return outputs, {"symbols": extractor.symbols_to_bits(symbols)}
 
 
-def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     trace = traceio.decode_trace(artifacts.read("trace", "analyze"))
     norm, series, symbols = _reconstruct(cfg, trace)
     bins = cfg.analysis.histogram_bins
     digest = cfg.digest
 
-    bits_i, bits_q = cfg.detector_i.adc_bits, cfg.detector_q.adc_bits
-    code_i = reconstruction.quantize_uniform(norm.trace.v_i, bits_i, -1.0, 1.0)
-    code_q = reconstruction.quantize_uniform(norm.trace.v_q, bits_q, -1.0, 1.0)
-    hmin_i = analysis.min_entropy(analysis.symbol_counts(code_i, 1 << bits_i))
-    hmin_q = analysis.min_entropy(analysis.symbol_counts(code_q, 1 << bits_q))
+    arc = analysis.ReferenceLaw.arcsine(1.0)
+    hmin, payloads = {}, {}
+    for channel, values, det in (("i", norm.trace.v_i, cfg.detector_i),
+                                 ("q", norm.trace.v_q, cfg.detector_q)):
+        code = reconstruction.quantize_uniform(values, det.adc_bits, -1.0, 1.0)
+        hmin[f"channel_{channel}"] = analysis.min_entropy(
+            analysis.symbol_counts(code, 1 << det.adc_bits))
+        hist = analysis.Histogram.from_data(values, bins, (-1.1, 1.1))
+        payloads[f"hist_{channel}"] = _hist_csv(hist, arc, digest)
     sym_counts = analysis.symbol_counts(symbols.symbols, 1 << symbols.bits_per_symbol)
-    hmin_phase = analysis.min_entropy(sym_counts)
+    hmin["phase_symbols"] = analysis.min_entropy(sym_counts)
 
-    hist_i = analysis.Histogram.from_data(norm.trace.v_i, bins, (-1.1, 1.1))
-    hist_q = analysis.Histogram.from_data(norm.trace.v_q, bins, (-1.1, 1.1))
+    uniform = analysis.ReferenceLaw.uniform(-np.pi, np.pi)
     hist_phase = analysis.Histogram.from_data(series.phases, bins, (-np.pi, np.pi))
     hist_symbols = analysis.Histogram(
         bin_edges=np.arange((1 << symbols.bits_per_symbol) + 1, dtype=np.float64),
         counts=sym_counts, total=int(sym_counts.sum()))
+    payloads["hist_phase"] = _hist_csv(hist_phase, uniform, digest)
+    payloads["hist_symbols"] = _hist_csv(hist_symbols, None, digest)
 
-    arc = analysis.ReferenceLaw.arcsine(1.0)
-    uniform = analysis.ReferenceLaw.uniform(-np.pi, np.pi)
-    artifacts.write("hist_i", _hist_csv(hist_i, arc, digest))
-    artifacts.write("hist_q", _hist_csv(hist_q, arc, digest))
-    artifacts.write("hist_phase", _hist_csv(hist_phase, uniform, digest))
-    artifacts.write("hist_symbols", _hist_csv(hist_symbols, None, digest))
-
-    klds = {
-        "vs_standard_gaussian": analysis.kld(hist_phase,
-                                             analysis.ReferenceLaw.gaussian(0.0, 1.0)),
-        "vs_moment_fit_gaussian": analysis.kld(hist_phase,
-                                               analysis.ReferenceLaw.gaussian_fit(series.phases)),
-        "vs_uniform": analysis.kld(hist_phase, uniform),
-    }
+    laws = {"vs_standard_gaussian": analysis.ReferenceLaw.gaussian(0.0, 1.0),
+            "vs_moment_fit_gaussian": analysis.ReferenceLaw.gaussian_fit(series.phases),
+            "vs_uniform": uniform}
+    klds = {name: analysis.kld(hist_phase, law) for name, law in laws.items()}
     autocorr = analysis.autocorrelation(series.phases, cfg.analysis.max_lag)
     slower = max(cfg.detector_i, cfg.detector_q, key=lambda det: det.response_time)
     warnings = optics.validate_timing(cfg.laser, cfg.interferometer,
@@ -250,37 +245,32 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,
         "samples": len(series),
-        "min_entropy_bits": {"channel_i": hmin_i, "channel_q": hmin_q,
-                             "phase_symbols": hmin_phase},
+        "min_entropy_bits": hmin,
         "kld_bits": klds,
         "autocorrelation": [float(x) for x in autocorr],
         "zero_vectors": series.zero_vector_count,
         "timing_messages": warnings,
     }
-    artifacts.write("analysis", _json_bytes(report))
-    return {"min_entropy_bits": report["min_entropy_bits"], "kld_bits": klds}
+    payloads["analysis"] = _json_bytes(report)
+    return {"min_entropy_bits": hmin, "kld_bits": klds}, payloads
 
 
-def _extraction_spec(cfg: ExperimentConfig,
-                     artifacts: _ArtifactGate) -> extractor.ToeplitzSpec:
-    n, m = cfg.extraction.block_bits
-    if cfg.extraction.seed_file:
-        return extractor.read_seed_file(cfg.extraction.seed_file, n, m)
-    spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed,
-                                           stream=EXTRACTOR_SEED_STREAM)
-    artifacts.write("seed", extractor.BitStream.from_bits(spec.seed_bits))
-    return spec
-
-
-def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     raw_bits = artifacts.read("symbols", "extract")
-    spec = _extraction_spec(cfg, artifacts)
+    n, m = cfg.extraction.block_bits
+    payloads = {}
+    if cfg.extraction.seed_file:
+        spec = extractor.read_seed_file(cfg.extraction.seed_file, n, m)
+    else:
+        spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed,
+                                               stream=EXTRACTOR_SEED_STREAM)
+        payloads["seed"] = extractor.BitStream.from_bits(spec.seed_bits)
     result = extractor.extract(raw_bits, spec)
-    artifacts.write("extracted", result.bits)
+    payloads["extracted"] = result.bits
     return {"input_bits": raw_bits.bit_length,
             "output_bits": result.bits.bit_length,
             "blocks": result.blocks, "discarded_bits": result.discarded_bits,
-            "n": spec.input_block_bits, "m": spec.output_block_bits}
+            "n": n, "m": m}, payloads
 
 
 def _check_bit_budget(have: int, tc: stattests.TestConfig) -> int:
@@ -292,7 +282,7 @@ def _check_bit_budget(have: int, tc: stattests.TestConfig) -> int:
     return need
 
 
-def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
+def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     bits = artifacts.read("extracted", "test")
     tc = cfg.test
     _, m = cfg.extraction.block_bits
@@ -305,9 +295,9 @@ def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> dict:
     report = stattests.run_battery(list(sequences), tc)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
                "config_digest": cfg.digest}
-    artifacts.write("test", _json_bytes(payload))
-    return {"passed": report.passed,
-            "proportions": {r.name: r.proportion for r in report.results}}
+    return ({"passed": report.passed,
+             "proportions": {r.name: r.proportion for r in report.results}},
+            {"test": _json_bytes(payload)})
 
 
 def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
@@ -320,6 +310,8 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
         raise ParameterError(f"unknown stages: {', '.join(unknown)}")
     if "simulate" in requested and "ingest" in requested:
         raise ParameterError("choose one trace source: simulate or ingest")
+    if "ingest" in requested and ingest_path is None:
+        raise ParameterError("ingest stage needs an input capture path")
     n, m = cfg.extraction.block_bits
     if {"simulate", "reconstruct", "extract", "test"} <= set(requested):
         # The symbols come from this run's trace, so the extracted volume
@@ -333,7 +325,10 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
     for stage in STAGES:
         if stage in requested:
             extra = (ingest_path, ingest_format) if stage == "ingest" else ()
-            stage_outputs[stage] = globals()[f"{stage}_stage"](cfg, gate, *extra)
+            stage_outputs[stage], payloads = globals()[f"{stage}_stage"](
+                cfg, gate, *extra)
+            for key in list(payloads):   # release each payload once written
+                gate.write(key, payloads.pop(key))
 
     rate_per_sample = (m / n) * cfg.analysis.phase_bits
     summary = {

@@ -67,6 +67,10 @@ class TestConfig:
         check_scalar("sequence_count", self.sequence_count, bounds=(1, None))
         if not (0.0 < float(self.alpha) < 1.0):
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
+        for name in ("fixed_proportion", "uniformity_threshold"):
+            value = getattr(self, name)
+            if not (0.0 <= float(value) <= 1.0):     # refuses NaN too
+                raise ParameterError(f"{name} must be in [0, 1], got {value}")
         check_choice("proportion_mode", self.proportion_mode, PROPORTION_MODES)
         block = check_scalar("block_frequency_block", self.block_frequency_block,
                              bounds=(2, None))

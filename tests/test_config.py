@@ -218,6 +218,20 @@ class TestStrictness:
             cfg.parse_config(MINIMAL.replace("sample_rate = 200e6",
                                              "sample_rate = inf"))
 
+    # 2**-1074 is the smallest positive double; 2**-1075 rounds to zero.
+    @pytest.mark.parametrize("exponent,block", [(50, (4000, 3820)),
+                                                (1024, (4000, 1872)),
+                                                (1074, (4000, 1772))])
+    def test_epsilon_exponent_up_to_1074(self, exponent, block):
+        config = cfg.parse_config(
+            MINIMAL + f"\n[extraction]\nepsilon_exponent = {exponent}\n")
+        assert config.extraction.block_bits == block
+
+    def test_epsilon_exponent_1075_is_refused_by_name(self):
+        with pytest.raises(ParameterError, match=r"epsilon_exponent must be an "
+                                                 r"integer in \[1, 1074\], got 1075"):
+            cfg.parse_config(MINIMAL + "\n[extraction]\nepsilon_exponent = 1075\n")
+
 
 class TestDigest:
     def test_shape(self):

@@ -100,6 +100,10 @@ class TestDeriveParams:
         # floor(4000 * 0.98 - 2 * 50) with epsilon = 2^-50
         assert ext.derive_params(0.98, 4000, mode="lemma") == (4000, 3820)
 
+    def test_lemma_margin_at_smallest_epsilon(self):
+        # 1/epsilon overflows a double here; the margin is still exactly 2148.
+        assert ext.derive_params(0.98, 4000, epsilon=2.0 ** -1074) == (4000, 1772)
+
     def test_lemma_epsilon_cost(self):
         _, loose = ext.derive_params(0.9, 10_000, epsilon=2.0 ** -10)
         _, tight = ext.derive_params(0.9, 10_000, epsilon=2.0 ** -80)

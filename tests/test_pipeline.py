@@ -498,6 +498,52 @@ class TestInsufficientInput:
                                   outdir)
 
 
+class TestFailedStageWritesNothing:
+    """A stage's artifacts reach the disk only once all of them are computed."""
+
+    def run(self, tmp_path, stages, outdir, *extra, **overrides):
+        text = BASE_INI
+        for needle, replacement in overrides.items():
+            text = text.replace(needle, replacement)
+        config = tmp_path / "exp.ini"
+        config.write_text(text)
+        return cli.main(["pipeline", "-c", str(config), "-o", str(outdir),
+                         "--stages", stages, *extra])
+
+    def test_analyze_with_too_many_lags(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        short = {"sample_count = 30000": "sample_count = 2000"}
+        assert self.run(tmp_path, "simulate", outdir, **short) == 0
+        before = sorted(os.listdir(outdir))
+        code = self.run(tmp_path, "analyze", outdir,
+                        **short, **{"max_lag = 20": "max_lag = 5000"})
+        assert code == 2
+        assert "max_lag" in capsys.readouterr().err
+        assert sorted(os.listdir(outdir)) == before
+
+    # 1000 ten-bit symbols cannot fill one 40000-bit block: the run stops in
+    # extract, after the generated seed is computed but before it is kept.
+    def test_extract_short_on_symbols(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        short = {"sample_count = 30000": "sample_count = 1000",
+                 "input_bits = 4000": "input_bits = 40000",
+                 "output_bits = 3920": "output_bits = 39200"}
+        assert self.run(tmp_path, "simulate,reconstruct,extract", outdir, **short) == 5
+        # The earlier stages' artifacts stay; extract left none.
+        upstream = ["symbols.bin", "symbols.bin.meta.json",
+                    "trace.iqt", "trace.iqt.meta.json"]
+        assert sorted(os.listdir(outdir)) == upstream
+        assert self.run(tmp_path, "extract", outdir, **short) == 5
+        assert sorted(os.listdir(outdir)) == upstream
+
+    def test_ingest_without_input(self, tmp_path, capsys):
+        before = sorted(os.listdir(tmp_path))
+        code = self.run(tmp_path, "ingest,reconstruct", tmp_path / "new")
+        assert code == 2
+        assert "input capture path" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == sorted(before + ["exp.ini"])
+
+
 class TestCli:
     def write_config(self, tmp_path, text=BASE_INI):
         path = tmp_path / "exp.ini"
@@ -677,6 +723,24 @@ class TestCli:
             assert code == 2, case
             assert "error:" in capsys.readouterr().err
             assert not outdir.exists(), case
+
+    # A key outside its range is refused at load, by its INI name.
+    @pytest.mark.parametrize("needle,replacement,key", [
+        ("output_bits = 3920", "epsilon_exponent = 1075", "epsilon_exponent"),
+        ("[test]", "[test]\nfixed_proportion = -1", "fixed_proportion"),
+        ("[test]", "[test]\nuniformity_threshold = nan", "uniformity_threshold"),
+    ])
+    def test_exit_2_key_out_of_range(self, tmp_path, capsys, needle, replacement, key):
+        config = self.write_config(tmp_path, BASE_INI.replace(needle, replacement))
+        outdir = tmp_path / "out"
+        assert cli.main(["simulate", "-c", config, "-o", str(outdir)]) == 2
+        assert key in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_smallest_epsilon_runs(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, BASE_INI.replace("output_bits = 3920", "epsilon_exponent = 1074"))
+        assert cli.main(["simulate", "-c", config, "-o", str(tmp_path / "out")]) == 0
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -325,6 +325,21 @@ class TestConfigAndBounds:
             st.TestConfig(sequence_bits=1 << 18, sequence_count=1,
                           proportion_mode="hope")
 
+    # A threshold outside [0, 1] would pass or fail every stream whatever
+    # its p-values, and NaN fails every stream.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("name", ["fixed_proportion", "uniformity_threshold"])
+    def test_thresholds_outside_unit_interval(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be in \\[0, 1\\]"):
+            st.TestConfig(sequence_bits=1 << 18, proportion_mode="fixed",
+                          **{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ["fixed_proportion", "uniformity_threshold"])
+    def test_thresholds_at_unit_interval_ends(self, name, value):
+        assert getattr(st.TestConfig(sequence_bits=1 << 18, **{name: value}),
+                       name) == value
+
     # Each geometry's minimum is bound by a different test: dft-spectral's
     # 1000 bits, one block-frequency block, serial's 2^(m+2), approximate
     # entropy's 2^(m+6).
