@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands map one-to-one onto pipeline stages, plus ``pipeline`` to run
-several in order.  Exit codes: 0 success, 2 bad parameters, 3 malformed
-file, 4 missing stage input, 5 insufficient entropy or input bits.
+several in order; ``ingest`` takes a capture's format from its first bytes.
+Exit codes: 0 success, 2 bad parameters, 3 malformed file, 4 missing stage
+input, 5 insufficient entropy or input bits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 
-from . import pipeline, traceio
+from . import pipeline
 from .config import load_config
 from .errors import (DependencyError, FormatError, InsufficientEntropyError,
                      InsufficientInputError, ParameterError, PhaseRngError,
@@ -53,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
         if name == "ingest":
             sp.add_argument("--input", required=True, help="capture file to ingest")
-            sp.add_argument("--format", choices=traceio.FORMATS, default="binary")
 
     sp = sub.add_parser("pipeline", help="run several stages in order")
     common(sp)
@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated subset of: " + ",".join(pipeline.STAGES))
     sp.add_argument("--input", default=None,
                     help="capture file (required when stages include ingest)")
-    sp.add_argument("--format", choices=traceio.FORMATS, default="binary")
     return parser
 
 
@@ -78,8 +77,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, simulation=replace(cfg.simulation, seed=args.seed))
         summary = pipeline.run_pipeline(
             cfg, stages, args.outdir,
-            ingest_path=getattr(args, "input", None),
-            ingest_format=getattr(args, "format", "binary"))
+            ingest_path=getattr(args, "input", None))
     except PhaseRngError as exc:
         code = next((c for types, c in EXIT_CODES if isinstance(exc, types)), None)
         if code is None:

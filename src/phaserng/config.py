@@ -105,6 +105,7 @@ class SimulationParams:
     def __post_init__(self):
         check_scalar("sample_count", self.sample_count, bounds=(1, None))
         check_scalar("sample_rate", self.sample_rate)
+        check_scalar("seed", self.seed, bounds=(0, 2**64 - 1))
         check_scalar("oversample_factor", self.oversample_factor, bounds=(1, None))
 
 

@@ -6,6 +6,8 @@ input is a dependency error naming the expected artifact.  A stage reads
 its inputs but writes nothing: it returns its summary outputs and its
 artifact payloads keyed as in ``ARTIFACTS``, and ``run_pipeline`` writes
 them once the stage has returned, so a failed stage leaves no artifact.
+The output directory is made with the first artifact written, and an empty
+stage list is refused, so a run that writes nothing changes nothing.
 Every artifact embeds (or, for binary payloads, is paired with a sidecar
 that embeds) the configuration digest.  The bit artifacts are packed
 MSB-first bits whose sidecar also records their bit length.  A stage reads
@@ -133,8 +135,10 @@ class _ArtifactGate:
     def write(self, key: str, payload) -> None:
         """Write an artifact atomically, and its sidecar if it has one.
 
-        ``payload`` is a ``BitStream`` for a bit artifact, else bytes.
+        ``payload`` is a ``BitStream`` for a bit artifact, else bytes.  The
+        output directory is made here, with the run's first artifact.
         """
+        os.makedirs(self.outdir, exist_ok=True)
         path = os.path.join(self.outdir, ARTIFACTS[key])
         data = payload.data if key in _BIT_ARTIFACTS else payload
         traceio.atomic_write_bytes(path, data)
@@ -181,10 +185,9 @@ def simulate_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResu
     return outputs, {"trace": traceio.encode_trace(trace)}
 
 
-def ingest_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate, input_path: str,
-                 input_format: str = "binary") -> StageResult:
-    trace = traceio.ingest_trace(input_path, fmt=input_format,
-                                 sample_rate=cfg.simulation.sample_rate)
+def ingest_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate,
+                 input_path: str) -> StageResult:
+    trace = traceio.ingest_trace(input_path, cfg.simulation.sample_rate)
     outputs = {"samples": len(trace), "sample_rate": trace.sample_rate,
                "rejected_rows": trace.rejected_rows}
     return outputs, {"trace": traceio.encode_trace(trace)}
@@ -301,10 +304,11 @@ def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
 
 
 def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
-                 ingest_path: str | None = None,
-                 ingest_format: str = "binary") -> dict:
+                 ingest_path: str | None = None) -> dict:
     """Run the requested stages in canonical order and write the summary."""
     requested = list(stages)
+    if not requested:
+        raise ParameterError(f"no stage requested; choose from {', '.join(STAGES)}")
     unknown = sorted(set(requested) - set(STAGES))
     if unknown:
         raise ParameterError(f"unknown stages: {', '.join(unknown)}")
@@ -318,13 +322,12 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
         # is known now: refuse before any stage runs or writes.
         raw_bits = cfg.simulation.sample_count * cfg.analysis.phase_bits
         _check_bit_budget(raw_bits // n * m, cfg.test)
-    os.makedirs(outdir, exist_ok=True)
 
     gate = _ArtifactGate(outdir, cfg.digest)
     stage_outputs: dict[str, dict] = {}
     for stage in STAGES:
         if stage in requested:
-            extra = (ingest_path, ingest_format) if stage == "ingest" else ()
+            extra = (ingest_path,) if stage == "ingest" else ()
             stage_outputs[stage], payloads = globals()[f"{stage}_stage"](
                 cfg, gate, *extra)
             for key in list(payloads):   # release each payload once written

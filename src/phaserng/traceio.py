@@ -14,9 +14,10 @@ Binary layout (little-endian throughout), 32-byte header:
 
 followed by ``sample count`` interleaved (I, Q) float32 pairs.  The CSV
 variant has a ``v_i,v_q`` header row and one decimal pair per line; lines
-starting with ``#`` are comments.  All writes go through a temp file in
-the destination directory and a final rename, so readers never observe a
-half-written file.
+starting with ``#`` are comments.  :func:`ingest_trace` reads a file that
+starts with the magic as binary, any other as CSV.  All writes go through a
+temp file in the destination directory and a final rename, so readers never
+observe a half-written file.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, check_choice, check_scalar
+from .errors import FormatError, check_scalar
 from .optics import IQTrace
 
 MAGIC = b"IQT1"
@@ -36,9 +37,6 @@ VERSION = 1
 HEADER_SIZE = 32
 _HEADER = struct.Struct("<4sBBBBQdd")
 _SAMPLE_PAIR_BYTES = 8            # two float32s
-
-#: Capture formats :func:`ingest_trace` reads.
-FORMATS = ("binary", "csv")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -137,30 +135,33 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
     rejected = 0
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != "v_i,v_q":
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if not header_seen:
+                    if line != "v_i,v_q":
+                        raise FormatError(f"expected header 'v_i,v_q' at line "
+                                          f"{lineno}, got {line!r}")
+                    header_seen = True
+                    continue
+                fields = line.split(",")
+                if len(fields) != 2:
                     raise FormatError(
-                        f"expected header 'v_i,v_q' at line {lineno}, got {line!r}")
-                header_seen = True
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise FormatError(
-                    f"expected 2 fields at line {lineno}, got {len(fields)}")
-            try:
-                vi, vq = float(fields[0]), float(fields[1])
-            except ValueError:
-                raise FormatError(
-                    f"non-numeric value at line {lineno}: {line!r}") from None
-            if not (math.isfinite(vi) and math.isfinite(vq)):
-                rejected += 1
-                continue
-            v_i.append(vi)
-            v_q.append(vq)
+                        f"expected 2 fields at line {lineno}, got {len(fields)}")
+                try:
+                    vi, vq = float(fields[0]), float(fields[1])
+                except ValueError:
+                    raise FormatError(
+                        f"non-numeric value at line {lineno}: {line!r}") from None
+                if not (math.isfinite(vi) and math.isfinite(vq)):
+                    rejected += 1
+                    continue
+                v_i.append(vi)
+                v_q.append(vq)
+        except UnicodeDecodeError:
+            raise FormatError("not UTF-8 text") from None
     if not header_seen:
         raise FormatError("empty file: missing 'v_i,v_q' header")
     if not v_i:
@@ -170,11 +171,13 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
                    sample_rate=sample_rate, rejected_rows=rejected)
 
 
-def ingest_trace(path: str, fmt: str = "binary",
-                 sample_rate: float | None = None) -> IQTrace:
-    """Read a capture file.  ``sample_rate`` is required for CSV input."""
-    if check_choice("trace format", fmt, FORMATS) == "binary":
-        return read_trace_binary(path)
-    if sample_rate is None:
-        raise ParameterError("CSV ingestion requires an explicit sample_rate")
-    return read_trace_csv(path, sample_rate)
+def ingest_trace(path: str, sample_rate: float | None = None) -> IQTrace:
+    """A capture: binary if it starts with ``MAGIC``, else CSV at ``sample_rate``."""
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC)) == MAGIC:
+            return read_trace_binary(path)
+    try:
+        return read_trace_csv(path, sample_rate)
+    except FormatError as exc:
+        raise FormatError(f"{path!r} does not start with {MAGIC!r} and is not "
+                          f"a CSV trace: {exc}") from None

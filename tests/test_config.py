@@ -232,6 +232,19 @@ class TestStrictness:
                                                  r"integer in \[1, 1074\], got 1075"):
             cfg.parse_config(MINIMAL + "\n[extraction]\nepsilon_exponent = 1075\n")
 
+    # Seeds are 64-bit: a wider one would alias a seed in range (2**64 gives
+    # seed 0's artifacts) under a different config digest.
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_spans_64_bits(self, seed):
+        config = cfg.parse_config(MINIMAL.replace("seed = 7", f"seed = {seed}"))
+        assert config.simulation.seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused_by_name(self, seed):
+        with pytest.raises(ParameterError, match=r"seed must be an integer in "
+                                                 r"\[0, 18446744073709551615\]"):
+            cfg.parse_config(MINIMAL.replace("seed = 7", f"seed = {seed}"))
+
 
 class TestDigest:
     def test_shape(self):

@@ -127,7 +127,6 @@ CHOICES = {
     "proportion_mode": lambda v: stattests.TestConfig(proportion_mode=v),
     "drift_mode": lambda v: optics.InterferometerParams(6.0, drift_mode=v),
     "reference kind": lambda v: analysis.ReferenceLaw(v, (1.0,)),
-    "trace format": lambda v: traceio.ingest_trace("absent.iqt", v),
 }
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -412,12 +413,27 @@ class TestIngest:
         traceio.write_trace_csv(trace, capture)
         outdir = str(tmp_path / "run")
         summary = pipeline.run_pipeline(cfg, ["ingest"], outdir,
-                                        ingest_path=capture,
-                                        ingest_format="csv")
+                                        ingest_path=capture)
         assert summary["stage_outputs"]["ingest"]["sample_rate"] == 200e6
         back = traceio.read_trace_binary(os.path.join(outdir, "trace.iqt"))
         np.testing.assert_array_equal(
             back.v_i, trace.v_i.astype(np.float32).astype(np.float64))
+
+    # Ingest reads the format from the first bytes, not the name: a binary
+    # trace named .csv and a CSV named .iqt both give back the source trace.
+    # (The trace has ADC bits 0, full scale 1.0 and a rate that survives CSV.)
+    def test_misnamed_captures_ingest_by_content(self, tmp_path):
+        src = str(tmp_path / "src")
+        cfg = make_config()
+        pipeline.run_pipeline(cfg, ["simulate"], src)
+        source = os.path.join(src, "trace.iqt")
+        binary, text = str(tmp_path / "binary.csv"), str(tmp_path / "text.iqt")
+        shutil.copyfile(source, binary)
+        traceio.write_trace_csv(traceio.read_trace_binary(source), text)
+        for capture in (binary, text):
+            outdir = capture + ".run"
+            pipeline.run_pipeline(cfg, ["ingest"], outdir, ingest_path=capture)
+            assert sha256(os.path.join(outdir, "trace.iqt")) == sha256(source)
 
     def test_missing_input_path(self, tmp_path):
         with pytest.raises(ParameterError, match="input capture path"):
@@ -543,6 +559,44 @@ class TestFailedStageWritesNothing:
         assert "input capture path" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == sorted(before + ["exp.ini"])
 
+    # The output directory appears with the first artifact: a run that fails
+    # before writing one leaves no directory behind.
+    def test_ingest_of_absent_capture(self, tmp_path, capsys):
+        code = self.run(tmp_path, "ingest,reconstruct", tmp_path / "new",
+                        "--input", str(tmp_path / "absent.iqt"))
+        assert code == 3
+        assert "absent.iqt" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
+
+    def test_ingest_of_capture_neither_trace_nor_text(self, tmp_path, capsys):
+        capture = tmp_path / "capture.bin"
+        capture.write_bytes(b"\x00\xff" * 64)
+        code = self.run(tmp_path, "ingest", tmp_path / "new", "--input", str(capture))
+        assert code == 3
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["capture.bin", "exp.ini"]
+
+    def test_reconstruct_without_trace(self, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(BASE_INI)
+        code = cli.main(["reconstruct", "-c", str(config), "-o", str(tmp_path / "empty")])
+        assert code == 4
+        assert "trace.iqt" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
+
+    # An empty stage list would otherwise run nothing and still overwrite
+    # the directory's summary.json.
+    @pytest.mark.parametrize("stages", ["", ","])
+    def test_empty_stage_list(self, tmp_path, capsys, stages):
+        outdir = tmp_path / "out"
+        assert self.run(tmp_path, "simulate", outdir) == 0
+        summary = (outdir / "summary.json").read_bytes()
+        before = sorted(os.listdir(outdir))
+        assert self.run(tmp_path, stages, outdir) == 2
+        assert "no stage requested" in capsys.readouterr().err
+        assert sorted(os.listdir(outdir)) == before
+        assert (outdir / "summary.json").read_bytes() == summary
+
 
 class TestCli:
     def write_config(self, tmp_path, text=BASE_INI):
@@ -625,7 +679,7 @@ class TestCli:
         code = cli.main(["ingest", "-c", config, "-o", str(tmp_path / "out"),
                          "--input", str(capture)])
         assert code == 3
-        assert "truncated header" in capsys.readouterr().err
+        assert "does not start with b'IQT1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("artifact,stage", [
         ("trace.iqt", "reconstruct"),
@@ -735,6 +789,14 @@ class TestCli:
         outdir = tmp_path / "out"
         assert cli.main(["simulate", "-c", config, "-o", str(outdir)]) == 2
         assert key in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_exit_2_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        config = self.write_config(tmp_path)
+        outdir = tmp_path / "out"
+        assert cli.main(["simulate", "-c", config, "-o", str(outdir), "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_smallest_epsilon_runs(self, tmp_path, capsys):

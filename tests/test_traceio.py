@@ -248,21 +248,41 @@ class TestDispatch:
         trace = make_trace(count=50, seed=3)
         path = str(tmp_path / "t.iqt")
         traceio.write_trace_binary(trace, path)
-        back = traceio.ingest_trace(path, fmt="binary")
+        back = traceio.ingest_trace(path)
         np.testing.assert_array_equal(back.v_i, trace.v_i)
 
     def test_write_and_ingest_csv(self, tmp_path):
         trace = make_trace(count=50, seed=4)
         path = str(tmp_path / "t.csv")
         traceio.write_trace_csv(trace, path)
-        back = traceio.ingest_trace(path, fmt="csv", sample_rate=7.0)
+        back = traceio.ingest_trace(path, sample_rate=7.0)
         np.testing.assert_array_equal(back.v_q, trace.v_q)
         assert back.sample_rate == 7.0
 
     def test_csv_ingest_requires_rate(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        traceio.write_trace_csv(make_trace(count=5), path)
         with pytest.raises(ParameterError, match="sample_rate"):
-            traceio.ingest_trace(str(tmp_path / "t.csv"), fmt="csv")
+            traceio.ingest_trace(path)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ParameterError, match="unknown trace format"):
-            traceio.ingest_trace(str(tmp_path / "t.x"), fmt="hdf5")
+    # A file without the magic is read as CSV, and its error says both.
+    @pytest.mark.parametrize("content,reason", [
+        (b"IQT", "expected header 'v_i,v_q' at line 1"),
+        (b"IQT0" + bytes(28), "expected header 'v_i,v_q' at line 1"),
+        (b"\xff\xfe\x00v_i,v_q\n", "not UTF-8 text"),
+        (b"", "empty file"),
+    ], ids=["short-magic", "wrong-magic", "not-utf8", "empty"])
+    def test_neither_trace_nor_csv(self, tmp_path, content, reason):
+        path = tmp_path / "capture.iqt"
+        path.write_bytes(content)
+        with pytest.raises(FormatError) as exc:
+            traceio.ingest_trace(str(path), sample_rate=1.0)
+        assert "does not start with b'IQT1' and is not a CSV trace" in str(exc.value)
+        assert reason in str(exc.value)
+
+    # A file with the magic is read as binary, even a corrupt one.
+    def test_corrupt_binary_trace_keeps_its_offsets(self, tmp_path):
+        path = tmp_path / "capture.iqt"
+        path.write_bytes(header_bytes(version=2) + payload_bytes([0.1], [0.2]))
+        with pytest.raises(FormatError, match="unsupported version 2 at byte 4"):
+            traceio.ingest_trace(str(path), sample_rate=1.0)
