@@ -2,8 +2,9 @@
 
 Subcommands map one-to-one onto pipeline stages, plus ``pipeline`` to run
 several in order; ``ingest`` takes a capture's format from its first bytes.
-Exit codes: 0 success, 2 bad parameters, 3 malformed file, 4 missing stage
-input, 5 insufficient entropy or input bits.
+Exit codes: 0 on success; a ``PhaseRngError`` exits with the ``exit_code``
+its class carries (see :mod:`phaserng.errors`), an ``OSError`` with
+``FormatError``'s.
 """
 
 from __future__ import annotations
@@ -15,23 +16,7 @@ from dataclasses import replace
 
 from . import pipeline
 from .config import load_config
-from .errors import (DependencyError, FormatError, InsufficientEntropyError,
-                     InsufficientInputError, ParameterError, PhaseRngError,
-                     SequenceLengthError)
-
-EXIT_OK = 0
-EXIT_PARAMETER = 2
-EXIT_FORMAT = 3
-EXIT_DEPENDENCY = 4
-EXIT_ENTROPY = 5
-
-#: Error type -> exit code, matched in order against the raised error.
-EXIT_CODES = (
-    ((InsufficientEntropyError, InsufficientInputError), EXIT_ENTROPY),
-    (DependencyError, EXIT_DEPENDENCY),
-    (FormatError, EXIT_FORMAT),
-    ((ParameterError, SequenceLengthError), EXIT_PARAMETER),
-)
+from .errors import FormatError, PhaseRngError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,17 +64,16 @@ def main(argv=None) -> int:
             cfg, stages, args.outdir,
             ingest_path=getattr(args, "input", None))
     except PhaseRngError as exc:
-        code = next((c for types, c in EXIT_CODES if isinstance(exc, types)), None)
-        if code is None:
+        if not hasattr(type(exc), "exit_code"):
             raise
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return type(exc).exit_code
     except OSError as exc:
         print(f"error: cannot read or write {exc.filename!r}: {exc.strerror}",
               file=sys.stderr)
-        return EXIT_FORMAT
+        return FormatError.exit_code
     print(json.dumps(summary, indent=2))
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

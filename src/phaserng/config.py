@@ -2,12 +2,13 @@
 
 Grammar: INI sections ``[laser]``, ``[interferometer]``, ``[detector_i]``,
 ``[detector_q]``, ``[simulation]``, ``[analysis]``, ``[extraction]``,
-``[test]``, each backed by one section dataclass (``_SECTIONS``).  A
-section's keys, their defaults and their types are that dataclass's fields:
-a field's default is the key's default, a field without one is a required
-key, and its annotation (float, int, str or bool) picks the converter.  Two
-special cases: the ``NoiseSwitches`` fields are ``[simulation]`` keys with
-the ``noise_`` prefix, and an absent or empty ``[detector_q]`` mirrors
+``[test]``: the fields of ``ExperimentConfig``, in order, each backed by
+the section dataclass its annotation names.  A section's keys, their
+defaults and their types are that dataclass's fields: a field's default is
+the key's default, a field without one is a required key, and its
+annotation (float, int, str or bool) picks the converter.  Two special
+cases: the ``NoiseSwitches`` fields are ``[simulation]`` keys with the
+``noise_`` prefix, and an absent or empty ``[detector_q]`` mirrors
 ``[detector_i]``.  An unknown section or key is an error (fail-fast against
 typos), as is a missing required key.  Booleans accept on/off, true/false,
 yes/no, 1/0.  ``#`` and ``;`` start comments.
@@ -109,12 +110,6 @@ class SimulationParams:
         check_scalar("oversample_factor", self.oversample_factor, bounds=(1, None))
 
 
-_SECTIONS = (("laser", LaserParams), ("interferometer", InterferometerParams),
-             ("detector_i", DetectorParams), ("detector_q", DetectorParams),
-             ("simulation", SimulationParams), ("analysis", AnalysisParams),
-             ("extraction", ExtractionParams), ("test", TestConfig))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     laser: LaserParams
@@ -133,9 +128,9 @@ class ExperimentConfig:
         ``[simulation]``.
         """
         blocks = []
-        for name, _ in _SECTIONS:
-            blocks.append((name, getattr(self, name)))
-            if name == "simulation":
+        for f in fields(self):
+            blocks.append((f.name, getattr(self, f.name)))
+            if f.name == "simulation":
                 blocks.append(("switches", self.simulation.switches))
         lines = []
         for name, obj in blocks:
@@ -181,11 +176,12 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise FormatError(f"config syntax error: {exc}") from None
-    unknown = sorted(set(parser.sections()) - {name for name, _ in _SECTIONS})
+    section_types = typing.get_type_hints(ExperimentConfig)
+    unknown = sorted(set(parser.sections()) - set(section_types))
     if unknown:
         raise FormatError(f"unknown config sections: {', '.join(unknown)}")
     sections = {}
-    for name, cls in _SECTIONS:
+    for name, cls in section_types.items():
         raw = dict(parser[name]) if parser.has_section(name) else {}
         if name == "detector_q" and not raw:
             # An absent or empty [detector_q] mirrors [detector_i].
@@ -203,4 +199,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise FormatError(f"config {path!r} is not UTF-8 text") from None
+    return parse_config(text)

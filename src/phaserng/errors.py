@@ -1,12 +1,13 @@
 """Exception hierarchy shared by all phaserng modules.
 
 Every error raised on purpose derives from :class:`PhaseRngError`, so callers
-(and the CLI exit-code mapping) can distinguish our failures from genuine
-bugs.  The subclasses mirror the failure categories of the public API:
-bad parameters, degenerate data, malformed files, missing pipeline inputs,
-and entropy bookkeeping.  :func:`check_scalar` is the one guard every
-module applies to its scalar physical and geometry arguments, and
-:func:`check_choice` the one guard of every option set.
+can distinguish our failures from genuine bugs.  The subclasses mirror the
+failure categories of the public API: bad parameters, degenerate data,
+malformed files, missing pipeline inputs, and entropy bookkeeping.  Each
+public class carries its CLI exit code as ``exit_code`` (subclasses inherit
+it), the only place the codes are declared.  :func:`check_scalar` is the
+one guard every module applies to its scalar physical and geometry
+arguments, and :func:`check_choice` the one guard of every option set.
 """
 
 import math
@@ -20,6 +21,8 @@ class PhaseRngError(Exception):
 class ParameterError(PhaseRngError, ValueError):
     """An argument is out of range, non-finite, or otherwise invalid."""
 
+    exit_code = 2
+
 
 class DegenerateDataError(ParameterError):
     """Input data has no usable structure (constant channel, zero variance)."""
@@ -32,21 +35,31 @@ class FormatError(PhaseRngError, ValueError):
     parser knows it.
     """
 
+    exit_code = 3
+
 
 class DependencyError(PhaseRngError, RuntimeError):
     """A pipeline stage was requested before its inputs exist."""
+
+    exit_code = 4
 
 
 class InsufficientEntropyError(PhaseRngError, ValueError):
     """Extractor sizing produced a non-positive output length."""
 
+    exit_code = 5
+
 
 class InsufficientInputError(PhaseRngError, ValueError):
     """The extractor input is shorter than a single block."""
 
+    exit_code = 5
+
 
 class SequenceLengthError(PhaseRngError, ValueError):
     """A statistical test received fewer bits than its published minimum."""
+
+    exit_code = 2
 
 
 def check_scalar(name: str, value, *, zero_ok: bool = False,

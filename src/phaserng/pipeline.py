@@ -314,8 +314,10 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
         raise ParameterError(f"unknown stages: {', '.join(unknown)}")
     if "simulate" in requested and "ingest" in requested:
         raise ParameterError("choose one trace source: simulate or ingest")
-    if "ingest" in requested and ingest_path is None:
-        raise ParameterError("ingest stage needs an input capture path")
+    if ("ingest" in requested) != (ingest_path is not None):
+        raise ParameterError("ingest stage needs an input capture path"
+                             if ingest_path is None else
+                             "an input capture path needs the ingest stage")
     n, m = cfg.extraction.block_bits
     if {"simulate", "reconstruct", "extract", "test"} <= set(requested):
         # The symbols come from this run's trace, so the extracted volume
@@ -334,6 +336,9 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
                 gate.write(key, payloads.pop(key))
 
     rate_per_sample = (m / n) * cfg.analysis.phase_bits
+    # A capture ingested in this invocation brings its own sample rate.
+    sample_rate = (stage_outputs["ingest"]["sample_rate"] if "ingest" in requested
+                   else cfg.simulation.sample_rate)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": cfg.digest,
@@ -342,7 +347,7 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
         "artifacts": {name: gate.records[key] for key, name in ARTIFACTS.items()
                       if key in gate.records},
         "bits_per_sample": rate_per_sample,
-        "nominal_bit_rate": rate_per_sample * cfg.simulation.sample_rate,
+        "nominal_bit_rate": rate_per_sample * sample_rate,
     }
     gate.write("summary", _json_bytes(summary))
     return summary

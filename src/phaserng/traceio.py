@@ -26,6 +26,7 @@ import math
 import os
 import secrets
 import struct
+from array import array
 
 import numpy as np
 
@@ -37,6 +38,7 @@ VERSION = 1
 HEADER_SIZE = 32
 _HEADER = struct.Struct("<4sBBBBQdd")
 _SAMPLE_PAIR_BYTES = 8            # two float32s
+_QUOTE_CHARS = 40                 # longest line excerpt a CSV error quotes
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -128,10 +130,15 @@ def write_trace_csv(trace: IQTrace, path: str, comments: tuple[str, ...] = ()) -
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
+def _excerpt(line: str) -> str:
+    """``line`` quoted, cut to its first ``_QUOTE_CHARS`` characters."""
+    return repr(line[:_QUOTE_CHARS]) + ("..." if len(line) > _QUOTE_CHARS else "")
+
+
 def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
     sample_rate = check_scalar("sample_rate", sample_rate)
-    v_i: list[float] = []
-    v_q: list[float] = []
+    v_i = array("d")
+    v_q = array("d")
     rejected = 0
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -143,7 +150,7 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
                 if not header_seen:
                     if line != "v_i,v_q":
                         raise FormatError(f"expected header 'v_i,v_q' at line "
-                                          f"{lineno}, got {line!r}")
+                                          f"{lineno}, got {_excerpt(line)}")
                     header_seen = True
                     continue
                 fields = line.split(",")
@@ -154,7 +161,7 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
                     vi, vq = float(fields[0]), float(fields[1])
                 except ValueError:
                     raise FormatError(
-                        f"non-numeric value at line {lineno}: {line!r}") from None
+                        f"non-numeric value at line {lineno}: {_excerpt(line)}") from None
                 if not (math.isfinite(vi) and math.isfinite(vq)):
                     rejected += 1
                     continue
@@ -166,8 +173,8 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
         raise FormatError("empty file: missing 'v_i,v_q' header")
     if not v_i:
         raise FormatError("no finite sample rows after the header")
-    return IQTrace(v_i=np.asarray(v_i, dtype=np.float32),
-                   v_q=np.asarray(v_q, dtype=np.float32),
+    return IQTrace(v_i=np.frombuffer(v_i).astype(np.float32),
+                   v_q=np.frombuffer(v_q).astype(np.float32),
                    sample_rate=sample_rate, rejected_rows=rejected)
 
 

@@ -150,6 +150,12 @@ class TestHappyPath:
         path.write_text(FULL)
         assert cfg.load_config(str(path)) == cfg.parse_config(FULL)
 
+    def test_file_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"; \xff\xfe\n" + FULL.encode())
+        with pytest.raises(FormatError, match="exp.ini' is not UTF-8 text"):
+            cfg.load_config(str(path))
+
 
 class TestBoolParsing:
     @pytest.mark.parametrize("text,value", [

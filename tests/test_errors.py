@@ -1,11 +1,16 @@
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
-from phaserng import (analysis, config, extractor, optics, phasenoise, reconstruction,
-                      rng, stattests, traceio)
-from phaserng.errors import ParameterError, check_choice, check_scalar
+from phaserng import (analysis, cli, config, errors, extractor, optics, phasenoise,
+                      reconstruction, rng, stattests, traceio)
+from phaserng.errors import (DegenerateDataError, DependencyError, FormatError,
+                             InsufficientEntropyError, InsufficientInputError,
+                             ParameterError, PhaseRngError, SequenceLengthError,
+                             check_choice, check_scalar)
 
 ONES = np.ones(4)
 BITS = rng.random_bits(1024, seed=0)
@@ -173,3 +178,44 @@ class TestCheckScalar:
         assert check_choice("mode", "a", ("a", "b")) == "a"
         with pytest.raises(ParameterError, match="^unknown mode 'c'$"):
             check_choice("mode", "c", ("a", "b"))
+
+
+# The README's exit-code table, class by class.
+README_EXIT_CODES = {ParameterError: 2, DegenerateDataError: 2, SequenceLengthError: 2,
+                     FormatError: 3, DependencyError: 4,
+                     InsufficientEntropyError: 5, InsufficientInputError: 5}
+
+
+def readme_exit_codes():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                  encoding="utf-8").read()
+    table = readme.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    return {int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)}
+
+
+class TestExitCodes:
+    def test_every_public_error_class_is_listed(self):
+        public = {obj for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, PhaseRngError)
+                  and obj is not PhaseRngError and not name.startswith("_")}
+        assert public == set(README_EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", list(README_EXIT_CODES), ids=lambda c: c.__name__)
+    def test_class_carries_its_readme_code(self, cls):
+        assert cls.exit_code == README_EXIT_CODES[cls]
+        assert cls.exit_code in readme_exit_codes()
+
+    @pytest.mark.parametrize("cls", list(README_EXIT_CODES), ids=lambda c: c.__name__)
+    def test_cli_exits_with_the_class_code(self, cls, monkeypatch, capsys):
+        def fail(path):
+            raise cls("boom")
+        monkeypatch.setattr(cli, "load_config", fail)
+        assert cli.main(["simulate", "-c", "x.ini", "-o", "out"]) == README_EXIT_CODES[cls]
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_error_without_a_code_is_reraised(self, monkeypatch):
+        def fail(path):
+            raise PhaseRngError("no code")
+        monkeypatch.setattr(cli, "load_config", fail)
+        with pytest.raises(PhaseRngError, match="no code"):
+            cli.main(["simulate", "-c", "x.ini", "-o", "out"])

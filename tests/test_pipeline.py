@@ -440,6 +440,23 @@ class TestIngest:
             pipeline.run_pipeline(make_config(), ["ingest"],
                                   str(tmp_path / "run"))
 
+    def test_input_path_without_ingest_stage(self, tmp_path):
+        with pytest.raises(ParameterError, match="needs the ingest stage"):
+            pipeline.run_pipeline(make_config(), ["simulate", "reconstruct"],
+                                  str(tmp_path / "run"), ingest_path="capture.iqt")
+        assert not os.path.exists(tmp_path / "run")
+
+    # The summary's nominal bit rate follows the rate of the capture this
+    # invocation ingested, as the analysis report's timing note does.
+    def test_summary_bit_rate_uses_the_capture_rate(self, tmp_path):
+        src = str(tmp_path / "src")
+        pipeline.run_pipeline(make_config(**{"sample_rate = 200e6": "sample_rate = 50e6"}),
+                              ["simulate"], src)
+        summary = pipeline.run_pipeline(make_config(), ["ingest"], str(tmp_path / "run"),
+                                        ingest_path=os.path.join(src, "trace.iqt"))
+        assert summary["stage_outputs"]["ingest"]["sample_rate"] == 50e6
+        assert summary["nominal_bit_rate"] == summary["bits_per_sample"] * 50e6
+
 
 class TestExtractionSeedFile:
     def test_externally_supplied_seed(self, tmp_path):
@@ -559,6 +576,20 @@ class TestFailedStageWritesNothing:
         assert "input capture path" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == sorted(before + ["exp.ini"])
 
+    # A capture given to a run without ingest would never be read.
+    @pytest.mark.parametrize("stages", [["--stages", "simulate,reconstruct"], []],
+                             ids=["simulate-reconstruct", "default-stages"])
+    def test_input_without_ingest(self, tmp_path, capsys, stages):
+        capture = tmp_path / "cap.iqt"
+        capture.write_bytes(b"IQT1")
+        config = tmp_path / "exp.ini"
+        config.write_text(BASE_INI)
+        code = cli.main(["pipeline", "-c", str(config), "-o", str(tmp_path / "new"),
+                         *stages, "--input", str(capture)])
+        assert code == 2
+        assert "input capture path needs the ingest stage" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cap.iqt", "exp.ini"]
+
     # The output directory appears with the first artifact: a run that fails
     # before writing one leaves no directory behind.
     def test_ingest_of_absent_capture(self, tmp_path, capsys):
@@ -665,6 +696,14 @@ class TestCli:
         code = cli.main(["simulate", "-c", str(config),
                          "-o", str(tmp_path / "o")])
         assert code == 3
+
+    def test_exit_3_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(BASE_INI.encode().replace(b"[laser]", b"# \xff\xfe\n[laser]"))
+        code = cli.main(["simulate", "-c", str(config), "-o", str(tmp_path / "o")])
+        assert code == 3
+        assert f"config {str(config)!r} is not UTF-8 text" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_exit_3_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["simulate", "-c", str(tmp_path / "absent.ini"),

@@ -242,6 +242,18 @@ class TestCsv:
         with pytest.raises(ParameterError, match="sample_rate"):
             traceio.read_trace_csv(str(path), sample_rate=0.0)
 
+    # A capture without newlines must not turn into an error as large as itself.
+    @pytest.mark.parametrize("prefix,suffix,reason", [
+        ("", "", "expected header 'v_i,v_q' at line 1"),
+        ("v_i,v_q\n", ",1.0", "non-numeric value at line 2"),
+    ], ids=["header", "row"])
+    def test_long_line_is_quoted_in_part(self, tmp_path, prefix, suffix, reason):
+        path = tmp_path / "t.csv"
+        path.write_text(prefix + "a" * 2_000_000 + suffix)
+        with pytest.raises(FormatError, match=reason) as exc:
+            traceio.read_trace_csv(str(path), sample_rate=1.0)
+        assert len(str(exc.value).encode()) < 200
+
 
 class TestDispatch:
     def test_write_and_ingest_binary(self, tmp_path):
