@@ -191,17 +191,24 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     """
     count = len(path)
     seed = rng.check_seed(seed)
-    total_phase = np.asarray(path.increments, dtype=np.float64)
+    # Each full-length draw is reused as its working array.  Operands may
+    # swap (IEEE addition and multiplication commute) but no expression is
+    # reassociated, so the bytes equal those of the plain out-of-place
+    # expressions.
+    phase = np.asarray(path.increments, dtype=np.float64)
     if switches.drift:
         if ifm.drift_mode == "slow-walk" and ifm.drift_step > 0.0:
-            steps = rng.standard_normals(count, seed, _STREAM_DRIFT)
-            steps *= ifm.drift_step
-            drift = np.cumsum(steps)
+            drift = rng.standard_normals(count, seed, _STREAM_DRIFT)
+            drift *= ifm.drift_step
+            np.cumsum(drift, out=drift)
             drift += ifm.drift_phase - drift[0]   # walk starts at drift_phase
-            total_phase = total_phase + drift
+            drift += phase
+            phase = drift
         else:
-            total_phase = total_phase + ifm.drift_phase
-    total_phase = total_phase + ifm.static_phase
+            phase = phase + ifm.drift_phase
+        phase += ifm.static_phase
+    else:
+        phase = phase + ifm.static_phase
 
     k = float(ifm.delay_loss)
     t = float(ifm.bs_transmittance)
@@ -215,35 +222,46 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
         # independent but shared between the I and Q channels.
         eps_s = rng.standard_normals(count, seed, _STREAM_INTENSITY_S)
         eps_s *= k * t * laser.intensity_sigma
+        eps_s += p_sig
         eps_lo = rng.standard_normals(count, seed, _STREAM_INTENSITY_LO)
         eps_lo *= (1.0 - t) * laser.intensity_sigma
-        p_sig = p_sig + eps_s
-        p_lo = p_lo + eps_lo
-        neg = (p_sig < 0.0) | (p_lo < 0.0)
-        clamped = int(np.count_nonzero(neg))
+        eps_lo += p_lo
+        clamped = int(np.count_nonzero((eps_s < 0.0) | (eps_lo < 0.0)))
         if clamped:
-            p_sig = np.maximum(p_sig, 0.0)
-            p_lo = np.maximum(p_lo, 0.0)
-    envelope = np.sqrt(p_sig * p_lo)
+            np.maximum(eps_s, 0.0, out=eps_s)
+            np.maximum(eps_lo, 0.0, out=eps_lo)
+        eps_s *= eps_lo
+        del eps_lo
+        envelope = np.sqrt(eps_s, out=eps_s)
+    else:
+        envelope = np.sqrt(p_sig * p_lo)
 
     gain_i = det_i.transimpedance * det_i.responsivity
     gain_q = (det_q.transimpedance * det_q.responsivity) if switches.mismatch else gain_i
 
-    v_i = gain_i * envelope * np.cos(total_phase)
-    v_q = gain_q * envelope * np.sin(total_phase)
+    # envelope is an array only with intensity noise; either way
+    # v_i = (gain_i * envelope) * cos(phase), v_q = (gain_q * envelope) * sin(phase).
+    v_i = gain_i * envelope
+    v_i *= np.cos(phase)
+    v_q = envelope
+    v_q *= gain_q
+    v_q *= np.sin(phase, out=phase)
+    del phase
 
     if switches.bandwidth_limit:
         dt = path.sample_period
-        for arr, det in ((v_i, det_i), (v_q, det_q)):
-            alpha = -np.expm1(-dt / det.response_time)
-            arr[:] = lfilter([alpha], [1.0, alpha - 1.0], arr)
+        alpha_i = -np.expm1(-dt / det_i.response_time)
+        v_i = lfilter([alpha_i], [1.0, alpha_i - 1.0], v_i)
+        alpha_q = -np.expm1(-dt / det_q.response_time)
+        v_q = lfilter([alpha_q], [1.0, alpha_q - 1.0], v_q)
 
     if switches.electrical:
         for arr, det, stream in ((v_i, det_i, _STREAM_ELECTRICAL_I),
                                  (v_q, det_q, _STREAM_ELECTRICAL_Q)):
             if det.electrical_noise_sigma > 0.0:
                 noise = rng.standard_normals(count, seed, stream)
-                arr += det.electrical_noise_sigma * noise
+                noise *= det.electrical_noise_sigma
+                arr += noise
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
                    clamped_samples=clamped)

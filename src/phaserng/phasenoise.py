@@ -200,7 +200,8 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
 
     if sample_period >= delay_time:
         sigma = np.sqrt(2.0 * delay_time / laser.coherence_time)
-        increments = sigma * rng.standard_normals(count, seed, stream)
+        increments = rng.standard_normals(count, seed, stream)
+        increments *= sigma
     else:
         ratio = delay_time / sample_period
         head = min(int(ratio), count - 1)

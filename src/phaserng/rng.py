@@ -44,8 +44,9 @@ def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,
                draw) -> np.ndarray:
     """Elements ``start:stop`` of the concatenation of the stream's blocks.
 
-    ``draw(gen, size)`` produces the first ``size`` draws of a block.  Only
-    the blocks overlapping the range are generated.
+    ``draw(gen, out)`` fills ``out`` with the first ``out.size`` draws of a
+    block.  Only the blocks overlapping the range are generated, each
+    straight into the result except a block that the range starts inside.
     """
     start = check_scalar("start", start, bounds=(0, None))
     stop = check_scalar("stop", stop, bounds=(start, None))
@@ -53,11 +54,14 @@ def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,
     out = np.empty(stop - start, dtype=dtype)
     for block in range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)):
         lo = block * BLOCK_SIZE
-        draws = draw(_block_generator(seed, stream, block),
-                     min(BLOCK_SIZE, stop - lo))
-        src_lo = max(start - lo, 0)
-        dst_lo = lo + src_lo - start
-        out[dst_lo:dst_lo + draws.size - src_lo] = draws[src_lo:]
+        hi = min(lo + BLOCK_SIZE, stop)
+        gen = _block_generator(seed, stream, block)
+        if lo >= start:
+            draw(gen, out[lo - start:hi - start])
+        else:
+            head = np.empty(hi - lo, dtype=dtype)
+            draw(gen, head)
+            out[:hi - start] = head[start - lo:]
     return out
 
 
@@ -79,11 +83,12 @@ def standard_normals_range(start: int, stop: int, seed: int,
     be consumed in windows without materializing it.
     """
     return _blockwise(start, stop, seed, stream, np.float64,
-                      lambda gen, size: gen.standard_normal(size))
+                      lambda gen, out: gen.standard_normal(out=out))
 
 
 def random_bits(count: int, seed: int, stream: int = 0) -> np.ndarray:
     """Return ``count`` uniform bits (uint8 0/1) for (seed, stream)."""
-    return _blockwise(0, count, seed, stream, np.uint8,
-                      lambda gen, size: gen.integers(0, 2, size=size,
-                                                     dtype=np.uint8))
+    def draw(gen, out):
+        out[:] = gen.integers(0, 2, size=out.size, dtype=np.uint8)
+
+    return _blockwise(0, count, seed, stream, np.uint8, draw)

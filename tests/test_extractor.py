@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from scipy.fft import next_fast_len
 
 from phaserng import extractor as ext
 from phaserng import rng
@@ -183,19 +186,67 @@ class TestExtract:
         out = ext.extract(ext.BitStream.from_bits(np.zeros(50, np.uint8)), spec)
         assert not np.any(out.bits.to_bits())
 
-    def test_chunks_unpack_at_unaligned_offsets(self):
+    def test_chunks_unpack_at_unaligned_offsets(self, monkeypatch):
         # n = 97 puts every block after the first at a non-byte-aligned bit
-        # offset; the blocks span two full FFT chunks plus a partial one of
-        # 22 blocks, and 50 tail bits are discarded.
+        # offset; a budget of 64 padded rows makes the blocks span two full
+        # FFT chunks plus a partial one of 22 blocks, and 50 tail bits are
+        # discarded.
         gen = np.random.default_rng(5)
         spec = ext.ToeplitzSpec.from_rng(97, 41, seed=2)
-        blocks = 2 * ext._CHUNK_BLOCKS + 22
+        size = next_fast_len(97 + 41 - 1, real=True)
+        itemsize = np.dtype(ext._fft_dtype(spec, size)).itemsize
+        monkeypatch.setattr(ext, "_CHUNK_BYTES", 64 * size * itemsize)
+        blocks = 2 * 64 + 22
         x = ext.BitStream.from_bits(gen.integers(0, 2, 97 * blocks + 50))
         fast = ext.extract(x, spec)
         naive = ext.extract_naive(x, spec)
         assert fast.bits == naive.bits
         assert fast.blocks == naive.blocks == blocks
         assert fast.discarded_bits == naive.discarded_bits == 50
+
+    def test_chunk_of_at_least_one_block(self, monkeypatch):
+        monkeypatch.setattr(ext, "_CHUNK_BYTES", 1)
+        gen = np.random.default_rng(9)
+        spec = ext.ToeplitzSpec.from_rng(97, 41, seed=3)
+        x = ext.BitStream.from_bits(gen.integers(0, 2, 97 * 5 + 3))
+        assert ext.extract(x, spec).bits == ext.extract_naive(x, spec).bits
+
+    def test_working_set_bounded_at_wide_blocks(self):
+        # 0.76 MB of input at n = 1e5, m = 95000: float64 rows of L = 196608
+        # take 1.6 MB per block, so whole-input chunks would need ~290 MB.
+        spec = ext.ToeplitzSpec.from_rng(100_000, 95_000, seed=10)
+        x = ext.BitStream(data=np.random.default_rng(10).bytes(760_000),
+                          bit_length=8 * 760_000)
+        tracemalloc.start()
+        try:
+            out = ext.extract(x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.blocks == 60
+        assert peak < 48e6
+
+    @pytest.mark.parametrize("precision", ["chosen", "float64"])
+    def test_both_precisions_match_oracle_at_default_geometry(self, precision,
+                                                              monkeypatch):
+        spec = ext.ToeplitzSpec.from_rng(4000, 3820, seed=11)
+        assert ext._fft_dtype(spec, next_fast_len(7819, real=True)) is np.float32
+        if precision == "float64":
+            monkeypatch.setattr(ext, "_fft_dtype", lambda spec, size: np.float64)
+        x = ext.BitStream.from_bits(
+            np.random.default_rng(11).integers(0, 2, 3 * 4000 + 17))
+        fast = ext.extract(x, spec)
+        assert fast.bits == ext.extract_naive(x, spec).bits
+        assert fast.blocks == 3 and fast.discarded_bits == 17
+
+    def test_precision_follows_the_error_bound(self):
+        # bound = 24 u log2(L) sqrt(n popcount(seed)), u = 2^-24:
+        # n = 4000, all-ones seed: 0.10 -> float32; n = m = 12000, all-ones
+        # seed: 0.35 -> float64.
+        for n, m, dtype in ((4000, 3820, np.float32), (12000, 12000, np.float64)):
+            spec = ext.ToeplitzSpec(input_block_bits=n, output_block_bits=m,
+                                    seed_bits=np.ones(n + m - 1, np.uint8))
+            assert ext._fft_dtype(spec, next_fast_len(n + m - 1, real=True)) is dtype
 
     def test_inexact_product_raises(self, monkeypatch):
         # The rounding guard: a product off an integer by 0.25 or more is

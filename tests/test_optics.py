@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -293,6 +295,49 @@ class TestNoiseSwitches:
             switches=optics.NoiseSwitches(bandwidth_limit=True))
         full = optics.simulate_trace(path, laser, ifm(), d, d)
         assert limited.v_i.std() < 0.5 * full.v_i.std()
+
+
+class TestTraceBytesPinned:
+    """simulate_trace's output bytes over every NoiseSwitches combination.
+
+    The digests were computed with the out-of-place implementation that
+    preceded the in-place one; both must give the same bytes.  The
+    intensity noise is large enough that some power draws are clamped.
+    """
+
+    @pytest.mark.parametrize("drift_mode, digest", [
+        ("fixed", "c3ad6fcd67aae1200c92c6d62e502e8883e062778c626a8a9aefd159d9ffb5b6"),
+        ("slow-walk", "ee2ca53865617b9cfc8d32216a848410b33bb39acec74af50b66e158426db9d8"),
+    ])
+    def test_all_switch_combinations(self, drift_mode, digest):
+        laser = ideal_laser(power=1e-3, intensity_sigma=5e-4)
+        path = sample_phase_path(laser, T_D30, 5e-9, 4096, 3)
+        geometry = ifm(static_phase=0.3, drift_phase=0.7, drift_mode=drift_mode,
+                       drift_step=1e-2)
+        d_i = det(electrical_noise_sigma=0.05, response_time=2e-9)
+        d_q = det(transimpedance=15e3, electrical_noise_sigma=0.04,
+                  response_time=3e-9)
+        sha = hashlib.sha256()
+        clamped = 0
+        for flags in itertools.product((False, True), repeat=5):
+            trace = optics.simulate_trace(path, laser, geometry, d_i, d_q,
+                                          optics.NoiseSwitches(*flags), seed=11)
+            sha.update(trace.v_i.tobytes())
+            sha.update(trace.v_q.tobytes())
+            sha.update(trace.clamped_samples.to_bytes(8, "little"))
+            clamped = max(clamped, trace.clamped_samples)
+        assert clamped > 0
+        assert sha.hexdigest() == digest
+
+    def test_phase_path_is_not_modified(self):
+        path = short_path(seed=12)
+        before = path.increments.copy()
+        for flags in itertools.product((False, True), repeat=5):
+            optics.simulate_trace(path, ideal_laser(intensity_sigma=1e-4),
+                                  ifm(drift_mode="slow-walk", drift_step=1e-2),
+                                  det(electrical_noise_sigma=0.01), det(),
+                                  optics.NoiseSwitches(*flags), seed=2)
+        assert_array_equal(path.increments, before)
 
 
 class TestSymmetryAtUniformPhase:

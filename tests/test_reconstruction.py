@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from phaserng import optics, reconstruction as rec
@@ -113,6 +114,89 @@ class TestNormalizeIQ:
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
             rec.normalize_iq(self.make_arcsine_trace(), method="minmax")
+
+
+def assert_tail_quantiles_exact(values):
+    expected = np.quantile(values, (0.001, 0.999))
+    assert rec._tail_quantiles(values).tobytes() == expected.tobytes()
+
+
+class TestTailQuantiles:
+    """The percentile estimator's quantiles equal np.quantile's, bit for bit."""
+
+    @given(hnp.arrays(np.float64, 1000,
+                      elements=hst.floats(-1e6, 1e6, allow_subnormal=False)))
+    @settings(max_examples=100, deadline=None)
+    def test_any_1000_values(self, values):
+        assert_tail_quantiles_exact(values)
+
+    @given(hst.integers(1000, 60_000), hst.integers(0, 2**32 - 1), hst.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_ties_at_every_cut(self, n, seed, levels):
+        values = np.random.default_rng(seed).integers(-levels, levels + 1, n)
+        assert_tail_quantiles_exact(values.astype(np.float64))
+
+    @given(hst.integers(1000, 60_000), hst.integers(0, 2**32 - 1),
+           hst.floats(0.0, 1.0), hst.floats(0.0, 0.01))
+    @settings(max_examples=60, deadline=None)
+    def test_plateau_straddling_a_cut(self, n, seed, start, width):
+        # Runs of equal values covering the ranks either side of each cut.
+        values = np.sort(np.random.default_rng(seed).normal(size=n))
+        k = int(0.001 * (n - 1))
+        lo, hi = int(start * k), k + 3 + int(width * n)
+        values[lo:hi] = values[lo]
+        values[n - hi:n - lo] = values[n - hi]
+        assert_tail_quantiles_exact(np.random.default_rng(seed).permutation(values))
+
+    @given(hst.integers(1000, 60_000), hst.integers(0, 2**32 - 1), hst.floats(1.0, 1e6))
+    @settings(max_examples=60, deadline=None)
+    def test_heavy_tails(self, n, seed, scale):
+        # Cauchy draws clipped to 1e6, so hi - lo cannot overflow.
+        gen = np.random.default_rng(seed)
+        values = np.clip(gen.standard_cauchy(n), -1e6, 1e6) * scale
+        assert_tail_quantiles_exact(values)
+
+    def test_half_weight_uses_numpys_upper_formula(self):
+        # At n = 1501 both cuts fall halfway between two order statistics,
+        # where numpy's lerp switches from a + t*(b - a) to b - (1 - t)*(b - a).
+        gen = np.random.default_rng(4)
+        for _ in range(200):
+            assert_tail_quantiles_exact(gen.standard_cauchy(1501))
+
+    @given(hst.integers(4, 30), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_unrepresentative_subsample_falls_back(self, stride, seed):
+        # Every strided-subsample point is an outlier, so each bracket sits
+        # beyond the cut and holds too few values: np.quantile must run.
+        n = rec._BRACKET_SAMPLES * stride
+        values = np.random.default_rng(seed).normal(size=n)
+        values[::stride] *= 1e3
+        calls = []
+        original = np.quantile
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        np.quantile = spy
+        try:
+            assert_tail_quantiles_exact(values)
+        finally:
+            np.quantile = original
+        assert len(calls) == 2   # the fallback and the reference
+
+    @given(hst.integers(1000, 20_000), hst.floats(-1e6, 1e6))
+    @settings(max_examples=30, deadline=None)
+    def test_constant_channel_is_degenerate(self, n, value):
+        values = np.full(n, value)
+        assert_tail_quantiles_exact(values)
+        with pytest.raises(DegenerateDataError):
+            rec._estimate_amplitude(values, "percentile")
+
+    def test_estimator_is_half_the_quantile_spread(self):
+        values = np.random.default_rng(3).normal(size=100_000)
+        lo, hi = np.quantile(values, (0.001, 0.999))
+        assert rec._estimate_amplitude(values, "percentile") == float(0.5 * (hi - lo))
 
 
 class TestQuantizeUniform:
