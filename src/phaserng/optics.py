@@ -16,6 +16,10 @@ Each imperfection is individually switchable: laser intensity
 fluctuations, additive electrical noise, classical phase drift, detector
 gain mismatch, and a single-pole detector-bandwidth limit.  With every
 switch off the trace is the ideal noiseless model.
+
+The bandwidth limit is ``scipy.signal.lfilter``.  ``scipy.signal`` takes
+about a second to import and nothing else uses it, so it is imported only
+when a ``NoiseSwitches`` turns ``bandwidth_limit`` on.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import rng
 from .errors import ParameterError, check_choice, check_scalar
@@ -104,6 +107,12 @@ class NoiseSwitches:
     drift: bool = False
     mismatch: bool = False
     bandwidth_limit: bool = False
+
+    def __post_init__(self):
+        if self.bandwidth_limit:
+            # Pay scipy.signal's import (about 1 s) when the device is configured,
+            # not inside the first simulate_trace, which imports lfilter itself.
+            import scipy.signal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -249,6 +258,8 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     del phase
 
     if switches.bandwidth_limit:
+        from scipy.signal import lfilter
+
         dt = path.sample_period
         alpha_i = -np.expm1(-dt / det_i.response_time)
         v_i = lfilter([alpha_i], [1.0, alpha_i - 1.0], v_i)
@@ -299,9 +310,27 @@ def boxcar_decimate(trace: IQTrace, factor: int) -> IQTrace:
     full = len(trace) // factor
     if full == 0:
         raise ParameterError(f"trace too short to decimate by {factor}")
-    v_i = trace.v_i[:full * factor].reshape(full, factor).mean(axis=1)
-    v_q = trace.v_q[:full * factor].reshape(full, factor).mean(axis=1)
+    v_i = _window_mean(trace.v_i[:full * factor].reshape(full, factor))
+    v_q = _window_mean(trace.v_q[:full * factor].reshape(full, factor))
     return replace(trace, v_i=v_i, v_q=v_q, sample_rate=trace.sample_rate / factor)
+
+
+def _window_mean(windows: np.ndarray) -> np.ndarray:
+    """Row means of a 2-D float64 array, bit-identical to ``mean(axis=1)``.
+
+    Below 8 columns numpy sums each row left to right from +0.0, one row at
+    a time; summing whole columns in that order gives the same bytes (also
+    +0.0 for a row of -0.0), about seven times faster at 2 columns.  From 8
+    columns numpy sums pairwise, so ``mean`` itself is used.
+    """
+    factor = windows.shape[1]
+    if factor >= 8:
+        return windows.mean(axis=1)
+    total = 0.0 + windows[:, 0]
+    for k in range(1, factor):
+        total += windows[:, k]
+    total /= factor
+    return total
 
 
 def validate_timing(laser: LaserParams, ifm: InterferometerParams,

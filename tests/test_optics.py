@@ -493,6 +493,27 @@ class TestBoxcarDecimate:
         with pytest.raises(ParameterError):
             optics.boxcar_decimate(trace, 11)
 
+    @pytest.mark.parametrize("factor", range(1, 13))
+    def test_bytes_equal_numpy_mean(self, factor):
+        """The column-sum window mean keeps np.mean's bytes, signed zeros included."""
+        gen = np.random.default_rng(factor)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                             1e300, -1e300])
+        for _ in range(40):
+            size = int(gen.integers(1, 50)) * factor
+            v = gen.standard_normal(size) * 10.0 ** gen.integers(-320, 300, size)
+            picked = gen.random(size) < 0.5
+            v[picked] = gen.choice(specials, int(picked.sum()))
+            windows = v.reshape(-1, factor)
+            want = windows.mean(axis=1).view(np.int64)
+            assert_array_equal(optics._window_mean(windows).view(np.int64), want)
+            if factor > 1:
+                trace = optics.IQTrace(v_i=v, v_q=-v, sample_rate=1.0)
+                out = optics.boxcar_decimate(trace, factor)
+                assert_array_equal(out.v_i.view(np.int64), want)
+                assert_array_equal(out.v_q.view(np.int64),
+                                   (-windows).mean(axis=1).view(np.int64))
+
 
 class TestValidateTiming:
     def test_slow_detector_warns(self):
