@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import pipeline
 from .config import load_config
@@ -31,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment configuration (INI)")
         sp.add_argument("-o", "--outdir", required=True,
                         help="artifact directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the configured simulation seed")
 
     for name, help_text in pipeline.STAGES.items():
         sp = sub.add_parser(name, help=help_text)
@@ -57,11 +54,8 @@ def main(argv=None) -> int:
     else:
         stages = [args.command]
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, simulation=replace(cfg.simulation, seed=args.seed))
         summary = pipeline.run_pipeline(
-            cfg, stages, args.outdir,
+            load_config(args.config), stages, args.outdir,
             ingest_path=getattr(args, "input", None))
     except PhaseRngError as exc:
         if not hasattr(type(exc), "exit_code"):

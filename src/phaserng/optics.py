@@ -278,6 +278,19 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
                    clamped_samples=clamped)
 
 
+def quantize_uniform(values, n_bits: int, lo: float, hi: float) -> np.ndarray:
+    """Uniform n-bit quantizer over [lo, hi) with saturation at both ends."""
+    n_bits = check_scalar("n_bits", n_bits, bounds=(1, 16))
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ParameterError(f"need finite lo < hi, got {lo}, {hi}")
+    arr = np.asarray(values, dtype=np.float64)
+    levels = 1 << n_bits
+    scaled = (arr - lo) * (levels / (hi - lo))
+    codes = np.floor(scaled)
+    np.clip(codes, 0, levels - 1, out=codes)
+    return codes.astype(np.uint16)
+
+
 def adc_quantize(trace: IQTrace, det_i: DetectorParams,
                  det_q: DetectorParams) -> IQTrace:
     """Snap each channel onto its ADC's mid-rise reconstruction levels.
@@ -287,11 +300,9 @@ def adc_quantize(trace: IQTrace, det_i: DetectorParams,
     The trace records the I channel's ADC bits and full scale.
     """
     def snap(values: np.ndarray, det: DetectorParams) -> np.ndarray:
-        levels = 1 << int(det.adc_bits)
-        step = 2.0 * det.adc_fullscale / levels
-        codes = np.floor((values + det.adc_fullscale) / step)
-        np.clip(codes, 0, levels - 1, out=codes)
-        return -det.adc_fullscale + (codes + 0.5) * step
+        bits, full = int(det.adc_bits), det.adc_fullscale
+        step = 2.0 * full / (1 << bits)
+        return -full + (quantize_uniform(values, bits, -full, full) + 0.5) * step
 
     return replace(trace, v_i=snap(trace.v_i, det_i), v_q=snap(trace.v_q, det_q),
                    adc_bits=int(det_i.adc_bits), fullscale=det_i.adc_fullscale)

@@ -62,36 +62,15 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class LaserParams:
-    """Laser source parameters.
+    """Laser source parameters; the linewidth is 1/(pi * coherence_time)."""
 
-    ``coherence_time`` and ``linewidth`` are locked together by
-    tau_c = 1/(pi * linewidth); pass either one and the other is derived.
-    Only 0 means "not given"; passing both is allowed only when they agree
-    to 1e-12 relative.
-    """
-
-    linewidth: float = 0.0            # Hz
-    coherence_time: float = 0.0       # s
+    coherence_time: float             # s
     mean_power: float = 1.0           # W
     intensity_sigma: float = 0.0      # W, std. dev. of power fluctuations
 
     def __post_init__(self):
-        lw = check_scalar("linewidth", self.linewidth, zero_ok=True)
-        tc = check_scalar("coherence_time", self.coherence_time, zero_ok=True)
-        if lw == 0.0 and tc == 0.0:
-            raise ParameterError("one of linewidth or coherence_time must be positive")
-        if lw > 0.0 and tc > 0.0:
-            derived = 1.0 / (np.pi * lw)
-            if abs(derived - tc) > 1e-12 * tc:
-                raise ParameterError(
-                    f"linewidth {lw} Hz and coherence_time {tc} s disagree: "
-                    f"expected tau_c = 1/(pi*linewidth) = {derived} s")
-        elif lw > 0.0:
-            object.__setattr__(self, "coherence_time", 1.0 / (np.pi * lw))
-        else:
-            object.__setattr__(self, "linewidth", 1.0 / (np.pi * tc))
-        for name in ("linewidth", "coherence_time", "mean_power"):
-            check_scalar(name, getattr(self, name))
+        check_scalar("coherence_time", self.coherence_time)
+        check_scalar("mean_power", self.mean_power)
         check_scalar("intensity_sigma", self.intensity_sigma, zero_ok=True)
 
 

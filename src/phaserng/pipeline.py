@@ -56,7 +56,7 @@ ARTIFACTS = {
 #: RNG stream for a generated extractor seed (simulation uses streams 0-5).
 EXTRACTOR_SEED_STREAM = 100
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")
@@ -204,7 +204,8 @@ def _reconstruct(cfg: ExperimentConfig, trace):
 def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     norm, series, symbols = _reconstruct(
         cfg, traceio.decode_trace(artifacts.read("trace", "reconstruct")))
-    outputs = {"samples": len(series), "zero_vectors": series.zero_vector_count,
+    outputs = {"samples": len(series), "sample_rate": norm.trace.sample_rate,
+               "zero_vectors": series.zero_vector_count,
                "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q}
     del norm, series     # release the traces and phases before packing
     return outputs, {"symbols": extractor.symbols_to_bits(symbols)}
@@ -255,7 +256,8 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResul
         "timing_messages": warnings,
     }
     payloads["analysis"] = _json_bytes(report)
-    return {"min_entropy_bits": hmin, "kld_bits": klds}, payloads
+    return ({"sample_rate": trace.sample_rate, "min_entropy_bits": hmin,
+             "kld_bits": klds}, payloads)
 
 
 def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
@@ -336,9 +338,9 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
                 gate.write(key, payloads.pop(key))
 
     rate_per_sample = (m / n) * cfg.analysis.phase_bits
-    # A capture ingested in this invocation brings its own sample rate.
-    sample_rate = (stage_outputs["ingest"]["sample_rate"] if "ingest" in requested
-                   else cfg.simulation.sample_rate)
+    # The rate of the trace this invocation read or wrote, if it touched one.
+    sample_rate = next((out["sample_rate"] for out in stage_outputs.values()
+                        if "sample_rate" in out), cfg.simulation.sample_rate)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": cfg.digest,

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError, check_choice, check_scalar
-from .optics import IQTrace
+from .optics import IQTrace, quantize_uniform
 
 _MIN_NORMALIZE_SAMPLES = 1000
 
@@ -162,19 +162,6 @@ def reconstruct_phase(trace: IQTrace) -> PhaseSeries:
     phases = np.arctan2(trace.v_q, trace.v_i)
     np.copyto(phases, -np.pi, where=(phases == np.pi))
     return PhaseSeries(phases=phases, zero_vector_count=zeros)
-
-
-def quantize_uniform(values, n_bits: int, lo: float, hi: float) -> np.ndarray:
-    """Uniform n-bit quantizer over [lo, hi) with saturation at both ends."""
-    n_bits = check_scalar("n_bits", n_bits, bounds=(1, 16))
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ParameterError(f"need finite lo < hi, got {lo}, {hi}")
-    arr = np.asarray(values, dtype=np.float64)
-    levels = 1 << n_bits
-    scaled = (arr - lo) * (levels / (hi - lo))
-    codes = np.floor(scaled)
-    np.clip(codes, 0, levels - 1, out=codes)
-    return codes.astype(np.uint16)
 
 
 def quantize_phase(series: PhaseSeries, n: int) -> SymbolStream:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import rfft
 from scipy.special import erfc, gammaincc, ndtr
 
-from .errors import ParameterError, SequenceLengthError, check_choice, check_scalar
+from .errors import ParameterError, SequenceLengthError, check_scalar
 from .extractor import BitStream, bit_array
 
 #: The battery's p-value streams, in report order.
@@ -34,8 +34,9 @@ NOT_IMPLEMENTED = ("universal", "linear-complexity", "non-overlapping-template",
                    "overlapping-template", "random-excursions",
                    "random-excursions-variant", "binary-matrix-rank")
 
-#: How ``TestConfig.proportion_bound`` sets the pass-proportion bound.
-PROPORTION_MODES = ("statistical", "fixed")
+#: A stream's p-values look uniform when their chi-square p exceeds this
+#: (SP 800-22's fixed threshold).
+UNIFORMITY_THRESHOLD = 1e-4
 
 # Longest-run-of-ones reference distributions: (min bits, block size M,
 # lowest class, highest class, class probabilities).
@@ -59,19 +60,11 @@ class TestConfig:
     block_frequency_block: int = 128
     serial_pattern_bits: int = 16
     approx_entropy_pattern_bits: int = 10
-    proportion_mode: str = "statistical"   # one of PROPORTION_MODES
-    fixed_proportion: float = 0.98
-    uniformity_threshold: float = 1e-4
 
     def __post_init__(self):
         check_scalar("sequence_count", self.sequence_count, bounds=(1, None))
         if not (0.0 < float(self.alpha) < 1.0):
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        for name in ("fixed_proportion", "uniformity_threshold"):
-            value = getattr(self, name)
-            if not (0.0 <= float(value) <= 1.0):     # refuses NaN too
-                raise ParameterError(f"{name} must be in [0, 1], got {value}")
-        check_choice("proportion_mode", self.proportion_mode, PROPORTION_MODES)
         block = check_scalar("block_frequency_block", self.block_frequency_block,
                              bounds=(2, None))
         serial_m = check_scalar("serial_pattern_bits", self.serial_pattern_bits,
@@ -83,9 +76,7 @@ class TestConfig:
         check_scalar("sequence_bits", self.sequence_bits, bounds=(need, None))
 
     def proportion_bound(self) -> float:
-        """Smallest acceptable pass proportion for this configuration."""
-        if self.proportion_mode == "fixed":
-            return float(self.fixed_proportion)
+        """Smallest acceptable pass proportion: 3 sigma below 1 - alpha."""
         p = 1.0 - self.alpha
         return p - 3.0 * math.sqrt(p * (1.0 - p) / self.sequence_count)
 
@@ -355,7 +346,6 @@ class TestReport:
             "alpha": self.config.alpha,
             "sequence_bits": self.config.sequence_bits,
             "sequence_count": self.config.sequence_count,
-            "proportion_mode": self.config.proportion_mode,
             "not_implemented": list(NOT_IMPLEMENTED),
             "passed": self.passed,
             "streams": [
@@ -377,8 +367,8 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
 
     All sequences must have exactly ``config.sequence_bits`` bits; each
     goes through ``run_sequence`` before the next one starts.  A stream
-    passes when its pass proportion exceeds the configured bound and its
-    p-values look uniform at the configured threshold.
+    passes when its pass proportion exceeds the 3-sigma bound and its
+    p-values look uniform at ``UNIFORMITY_THRESHOLD``.
     """
     arrays = [_as_bits(s) for s in sequences]
     if len(arrays) != config.sequence_count:
@@ -403,5 +393,5 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
             name=name, p_values=p_values, proportion=proportion,
             proportion_bound=bound, proportion_passed=proportion > bound,
             uniformity_p=unif,
-            uniformity_passed=unif is None or unif > config.uniformity_threshold))
+            uniformity_passed=unif is None or unif > UNIFORMITY_THRESHOLD))
     return TestReport(results=tuple(results), config=config)

@@ -1,4 +1,3 @@
-import math
 import os
 import re
 from dataclasses import MISSING, fields
@@ -26,7 +25,6 @@ seed = 7
 
 FULL = """\
 [laser]
-linewidth = 53051647.697298914
 coherence_time = 6e-9
 mean_power = 0.14e-3
 intensity_sigma = 9.64e-7
@@ -128,11 +126,6 @@ class TestHappyPath:
         assert c.extraction.mode == "lemma"
         assert c.test.sequence_bits == 1_000_000
 
-    def test_laser_linewidth_derived_from_coherence_time(self):
-        c = cfg.parse_config(MINIMAL)
-        assert c.laser.linewidth == pytest.approx(1.0 / (math.pi * 6e-9),
-                                                  rel=1e-12)
-
     def test_detector_q_mirrors_detector_i_when_absent(self):
         c = cfg.parse_config(MINIMAL)
         assert c.detector_q == c.detector_i
@@ -185,6 +178,7 @@ class TestStrictness:
                                              "coherence_time = 6e-9\ncolor = red"))
 
     @pytest.mark.parametrize("needle,section", [
+        ("coherence_time = 6e-9\n", "laser"),
         ("delay_length = 6.0\n", "interferometer"),
         ("transimpedance = 16e3\n", "detector_i"),
         ("sample_count = 1000\n", "simulation"),
@@ -212,13 +206,6 @@ class TestStrictness:
             cfg.parse_config(MINIMAL.replace(
                 "delay_length = 6.0",
                 "delay_length = 6.0\nbs_transmittance = 1.5"))
-        # linewidth inconsistent with coherence time
-        with pytest.raises(ParameterError):
-            cfg.parse_config(MINIMAL.replace("coherence_time = 6e-9",
-                                             "coherence_time = 6e-9\nlinewidth = 50e6"))
-        with pytest.raises(ParameterError):
-            cfg.parse_config(MINIMAL.replace("[laser]\ncoherence_time = 6e-9",
-                                             "[laser]\nmean_power = 1.0"))
         # an infinite rate would reach the simulation as a zero sample period
         with pytest.raises(ParameterError):
             cfg.parse_config(MINIMAL.replace("sample_rate = 200e6",
@@ -316,16 +303,16 @@ class TestDigestPins:
     # config_digest, must not move when the parser is reorganized.
     def test_minimal(self):
         assert cfg.parse_config(MINIMAL).digest == (
-            "e2d34e127f17cd839a2b40f985a494df86077c21ae55c9f912e56b1406a13213")
+            "905a585a566add2e42e2eacf89535b0940c8d8d05bc0dbc04f32af623c3e82df")
 
     def test_full(self):
         assert cfg.parse_config(FULL).digest == (
-            "36b1446dbafec5efcb5e2c6481728ed71f09f8249321faeccc65b8b1e54bb7a9")
+            "6387757d06fd8f59f371eadb8aa3d2a6f384cfa2ba6e25ec6c931a0818df4d99")
 
     def test_readme_quick_start(self):
         block = re.search(r"```ini\n(.*?)```", readme_text(), re.S).group(1)
         assert cfg.parse_config(block).digest == (
-            "0f3693345765ead20a1b0f06bd80ae7dbc7cdcc439cd99a3e738d1b2ab4b1103")
+            "b1575b89f31ba39353120f0160ce42d212f10ea7c2e6359ce0d21fd8d0d0a715")
 
 
 def test_every_resolved_field_round_trips():

@@ -129,7 +129,6 @@ CHOICES = {
     "normalization method": lambda v: reconstruction.normalize_iq(TRACE, v),
     "extraction mode": lambda v: config.ExtractionParams(mode=v),
     "derive_params.extraction mode": lambda v: extractor.derive_params(0.98, 4000, mode=v),
-    "proportion_mode": lambda v: stattests.TestConfig(proportion_mode=v),
     "drift_mode": lambda v: optics.InterferometerParams(6.0, drift_mode=v),
     "reference kind": lambda v: analysis.ReferenceLaw(v, (1.0,)),
 }
@@ -147,7 +146,6 @@ def test_every_option_set_refuses_unknown_names(name, value):
 def test_defaults_are_members_of_their_option_sets():
     assert config.AnalysisParams().normalize in reconstruction.NORMALIZE_METHODS
     assert config.ExtractionParams().mode in extractor.MODES
-    assert stattests.TestConfig().proportion_mode in stattests.PROPORTION_MODES
     assert optics.InterferometerParams(6.0).drift_mode in optics.DRIFT_MODES
 
 

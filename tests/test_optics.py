@@ -464,6 +464,29 @@ class TestAdcQuantize:
         out = optics.adc_quantize(trace, det(adc_bits=3), det(adc_bits=10))
         assert out.v_i[0] != out.v_q[0]
 
+    # Oracle: the ADC's own snapping formula, before it went through
+    # quantize_uniform.  Power-of-two full scales must keep every byte, at
+    # the level edges (and one ulp either side) and outside the range.
+    @pytest.mark.parametrize("bits", range(1, 17))
+    @pytest.mark.parametrize("fullscale", [0.25, 0.5, 1.0, 2.0])
+    def test_matches_the_direct_snap_formula(self, fullscale, bits):
+        levels = 1 << bits
+        step = 2.0 * fullscale / levels
+        edges = -fullscale + np.arange(levels + 1) * step
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            fullscale * np.array([-1e3, -2.0, -1.5, -0.0, 0.0, 1.5, 2.0, 1e3]),
+            np.random.default_rng(bits).uniform(-1.5 * fullscale, 1.5 * fullscale, 1000)])
+
+        def snap(v):
+            codes = np.clip(np.floor((v + fullscale) / step), 0, levels - 1)
+            return -fullscale + (codes + 0.5) * step
+
+        d = det(adc_bits=bits, adc_fullscale=fullscale)
+        out = optics.adc_quantize(optics.IQTrace(v_i=x, v_q=-x, sample_rate=1.0), d, d)
+        assert out.v_i.tobytes() == snap(x).tobytes()
+        assert out.v_q.tobytes() == snap(-x).tobytes()
+
 
 class TestBoxcarDecimate:
     def test_exact_window_means(self):

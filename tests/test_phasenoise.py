@@ -43,34 +43,16 @@ def test_phase_variance_rejects_bad_coherence_time():
 
 
 class TestLaserParams:
-    def test_linewidth_derives_coherence_time(self):
-        laser = pn.LaserParams(linewidth=50e6)
-        assert laser.coherence_time == pytest.approx(1.0 / (np.pi * 50e6))
-
-    def test_coherence_time_derives_linewidth(self):
-        laser = pn.LaserParams(coherence_time=TAU_C)
-        assert laser.linewidth == pytest.approx(1.0 / (np.pi * TAU_C))
-
-    def test_consistent_pair_accepted(self):
-        lw = 50e6
-        pn.LaserParams(linewidth=lw, coherence_time=1.0 / (np.pi * lw))
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ParameterError):
-            pn.LaserParams(linewidth=50e6, coherence_time=6e-9)
-
     def test_neither_given_rejected(self):
-        with pytest.raises(ParameterError):
+        # The coherence time is required: there is no default to fall back on.
+        with pytest.raises(TypeError, match="coherence_time"):
             pn.LaserParams()
 
-    # Only 0 means "not given": a bad value next to a good one is refused,
-    # not replaced by the one derived from the other.
-    @pytest.mark.parametrize("bad", [math.nan, -5e6, math.inf, -math.inf])
+    # A bad coherence time is refused by name, never replaced.
+    @pytest.mark.parametrize("bad", [math.nan, -5e6, math.inf, -math.inf, 0.0, -1.0])
     def test_bad_given_value_is_not_replaced(self, bad):
-        with pytest.raises(ParameterError, match="linewidth"):
-            pn.LaserParams(linewidth=bad, coherence_time=TAU_C)
         with pytest.raises(ParameterError, match="coherence_time"):
-            pn.LaserParams(linewidth=50e6, coherence_time=bad)
+            pn.LaserParams(coherence_time=bad)
 
     def test_power_validation(self):
         with pytest.raises(ParameterError):

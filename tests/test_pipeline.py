@@ -173,6 +173,7 @@ class TestFullRun:
         # Schema 3 (merged-time phase sampler), measured with numpy 2.4.6;
         # the Toeplitz seed is drawn on its own stream and did not move.
         # Schema 4 changed only symbols.bin, to packed bits.
+        # Schema 5 moved only the histograms' config_digest line.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt")) == (
             "c571b2b37e7acdf7ac2b97f9f19e6e9338e7e60679d29bc0f8f4ec41c4a5f332")
@@ -182,13 +183,13 @@ class TestFullRun:
             "7aee3fac9103ee50711c5a4ba15ff3d15da96732dd0a2b5e5a4daedf030c2ce4")
         hists = {
             "hist_channel_i.csv":
-                "413a37156ad10363e7d91c8ce5e6090056898d76867caef9cf12fe9f011b2d03",
+                "55b64bb2b8a8af5fce77120cafa0f9ea2b3a1802e62dd5b39f8e61df62965aa5",
             "hist_channel_q.csv":
-                "cfbccd673b4ce68b54380c337ad583456c33dd9061ac9b6f3c1d3e869d489a08",
+                "9d0ae2c6a797ee1967dd0e2ae800fad287ae024b1ef1edc3f975eb1833091812",
             "hist_phase.csv":
-                "859804f016b019f3f9da61e5f7cf80d58f715df02caa4d9e1d89966594b8de1d",
+                "3a8cd0eee9f39ede15031a42612e07ee729c7530dd8b212c353ac8e558cef957",
             "hist_symbols.csv":
-                "e0b78c0ac74c6f8dbf1a86be52c50717297f1e25ec9e28d2a9b47b4b8c7141c1",
+                "55640e5d2db91603089c055b6e65a5c5597cd184b4a0f10d4c85852d72e705e4",
         }
         for name, digest in hists.items():
             assert sha256(os.path.join(outdir, name)) == digest, name
@@ -200,11 +201,11 @@ class TestFullRun:
         # bytes, so routing artifact I/O differently cannot move them.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "fdb5525a040ad9916ad5d09dfa1bf2526e4257606b2b367a07ca8e5f2e6fb260")
+            "b74ae7217a575b750df6948c95a6dea4ead5b022c1fac532c975675310425961")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "6225a72ed47f87fe711a3799eacb223ae54f27e6a43d5031dc159bcb34e246a0")
+            "be37414f23034b1f6eb86c26b9029c379042d4f839dac7bd796a7a04f8d1a9e2")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "7ea4a7f4732b65c5cd34dc4166f4dac97499cedb386d5400d34e2431397b6fbf")
+            "d56bb169d64f54b5578dd125895a0722d462eb3ceca49a823d911abf29c6c09a")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -457,6 +458,19 @@ class TestIngest:
         assert summary["stage_outputs"]["ingest"]["sample_rate"] == 50e6
         assert summary["nominal_bit_rate"] == summary["bits_per_sample"] * 50e6
 
+    # A later invocation that reads the ingested trace reports its rate too,
+    # not the configured one.
+    @pytest.mark.parametrize("stages", [["reconstruct", "extract"], ["analyze"]])
+    def test_staged_bit_rate_uses_the_trace_rate(self, tmp_path, stages):
+        src, run = str(tmp_path / "src"), str(tmp_path / "run")
+        pipeline.run_pipeline(make_config(**{"sample_rate = 200e6": "sample_rate = 50e6"}),
+                              ["simulate"], src)
+        pipeline.run_pipeline(make_config(), ["ingest"], run,
+                              ingest_path=os.path.join(src, "trace.iqt"))
+        summary = pipeline.run_pipeline(make_config(), stages, run)
+        assert summary["stage_outputs"][stages[0]]["sample_rate"] == 50e6
+        assert summary["nominal_bit_rate"] == summary["bits_per_sample"] * 50e6
+
 
 class TestExtractionSeedFile:
     def test_externally_supplied_seed(self, tmp_path):
@@ -652,20 +666,14 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["stages"] == ["simulate"]
 
-    def test_seed_override(self, tmp_path, capsys):
+    # The seed is set in [simulation] only; there is no flag that overrides it.
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
-        out1, out2, out3 = (str(tmp_path / d) for d in ("a", "b", "c"))
-        assert cli.main(["simulate", "-c", config, "-o", out1]) == 0
-        assert cli.main(["simulate", "-c", config, "-o", out2,
-                         "--seed", "12"]) == 0
-        assert cli.main(["simulate", "-c", config, "-o", out3,
-                         "--seed", "11"]) == 0
-        capsys.readouterr()
-        t1 = sha256(os.path.join(out1, "trace.iqt"))
-        t2 = sha256(os.path.join(out2, "trace.iqt"))
-        t3 = sha256(os.path.join(out3, "trace.iqt"))
-        assert t1 != t2
-        assert t1 == t3  # --seed 11 matches the configured seed
+        outdir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "-c", config, "-o", str(outdir), "--seed", "1"])
+        assert exc.value.code == 2
+        assert not outdir.exists()
 
     def test_exit_2_semantic_config_error(self, tmp_path, capsys):
         config = self.write_config(
@@ -675,14 +683,30 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["nan", "-5e6"])
-    def test_exit_2_bad_linewidth(self, tmp_path, capsys, bad):
+    # Keys that once duplicated coherence_time or fixed the battery's gates.
+    @pytest.mark.parametrize("section,line", [
+        ("laser", "linewidth = 5e7"),
+        ("test", "proportion_mode = fixed"),
+        ("test", "fixed_proportion = 0.98"),
+        ("test", "uniformity_threshold = 1e-4"),
+    ])
+    def test_exit_3_removed_key(self, tmp_path, capsys, section, line):
         config = self.write_config(
-            tmp_path, BASE_INI.replace("coherence_time = 6e-9",
-                                       f"coherence_time = 6e-9\nlinewidth = {bad}"))
-        code = cli.main(["simulate", "-c", config, "-o", str(tmp_path / "o")])
-        assert code == 2
-        assert "linewidth" in capsys.readouterr().err
+            tmp_path, BASE_INI.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        outdir = tmp_path / "out"
+        assert cli.main(["pipeline", "-c", config, "-o", str(outdir)]) == 3
+        key = line.split(" = ")[0]
+        assert f"[{section}] has unknown keys: {key}" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_exit_3_laser_without_coherence_time(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, BASE_INI.replace("coherence_time = 6e-9", "mean_power = 1.0"))
+        outdir = tmp_path / "out"
+        assert cli.main(["simulate", "-c", config, "-o", str(outdir)]) == 3
+        assert ("[laser] is missing required key 'coherence_time'"
+                in capsys.readouterr().err)
+        assert not outdir.exists()
 
     def test_exit_2_unknown_stage(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -820,8 +844,6 @@ class TestCli:
     # A key outside its range is refused at load, by its INI name.
     @pytest.mark.parametrize("needle,replacement,key", [
         ("output_bits = 3920", "epsilon_exponent = 1075", "epsilon_exponent"),
-        ("[test]", "[test]\nfixed_proportion = -1", "fixed_proportion"),
-        ("[test]", "[test]\nuniformity_threshold = nan", "uniformity_threshold"),
     ])
     def test_exit_2_key_out_of_range(self, tmp_path, capsys, needle, replacement, key):
         config = self.write_config(tmp_path, BASE_INI.replace(needle, replacement))
@@ -832,9 +854,9 @@ class TestCli:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_exit_2_seed_outside_64_bits(self, tmp_path, capsys, seed):
-        config = self.write_config(tmp_path)
+        config = self.write_config(tmp_path, BASE_INI.replace("seed = 11", f"seed = {seed}"))
         outdir = tmp_path / "out"
-        assert cli.main(["simulate", "-c", config, "-o", str(outdir), "--seed", seed]) == 2
+        assert cli.main(["simulate", "-c", config, "-o", str(outdir)]) == 2
         assert "seed" in capsys.readouterr().err
         assert not outdir.exists()
 

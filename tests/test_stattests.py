@@ -306,11 +306,6 @@ class TestConfigAndBounds:
         assert config.proportion_bound() == pytest.approx(expected, abs=1e-15)
         assert config.proportion_bound() == pytest.approx(0.96015, abs=1e-4)
 
-    def test_fixed_bound(self):
-        config = st.TestConfig(sequence_bits=1 << 18, sequence_count=100,
-                               proportion_mode="fixed", fixed_proportion=0.98)
-        assert config.proportion_bound() == 0.98
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             st.TestConfig(sequence_bits=99, sequence_count=1)
@@ -321,24 +316,6 @@ class TestConfigAndBounds:
         with pytest.raises(ParameterError):
             st.TestConfig(sequence_bits=1 << 18, sequence_count=1,
                           serial_pattern_bits=25)
-        with pytest.raises(ParameterError):
-            st.TestConfig(sequence_bits=1 << 18, sequence_count=1,
-                          proportion_mode="hope")
-
-    # A threshold outside [0, 1] would pass or fail every stream whatever
-    # its p-values, and NaN fails every stream.
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5, 1.5])
-    @pytest.mark.parametrize("name", ["fixed_proportion", "uniformity_threshold"])
-    def test_thresholds_outside_unit_interval(self, name, value):
-        with pytest.raises(ParameterError, match=f"{name} must be in \\[0, 1\\]"):
-            st.TestConfig(sequence_bits=1 << 18, proportion_mode="fixed",
-                          **{name: value})
-
-    @pytest.mark.parametrize("value", [0.0, 1.0])
-    @pytest.mark.parametrize("name", ["fixed_proportion", "uniformity_threshold"])
-    def test_thresholds_at_unit_interval_ends(self, name, value):
-        assert getattr(st.TestConfig(sequence_bits=1 << 18, **{name: value}),
-                       name) == value
 
     # Each geometry's minimum is bound by a different test: dft-spectral's
     # 1000 bits, one block-frequency block, serial's 2^(m+2), approximate
@@ -394,6 +371,8 @@ class TestBattery:
             "dft-spectral"]
         for r in report.results:
             assert r.p_values.size == 10
+            # SP 800-22's fixed uniformity threshold
+            assert r.uniformity_passed == (r.uniformity_p > 1e-4)
 
     def test_report_round_trips_through_json(self):
         config = small_battery_config(count=3)
@@ -404,6 +383,7 @@ class TestBattery:
         # three sequences are too few for the 10-bin uniformity check
         assert all(s["uniformity_p"] is None for s in payload["streams"])
         assert payload["not_implemented"] == list(st.NOT_IMPLEMENTED)
+        assert "proportion_mode" not in payload
 
     def test_biased_sequences_fail(self):
         gen = np.random.default_rng(60)
