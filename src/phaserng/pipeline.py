@@ -56,7 +56,7 @@ ARTIFACTS = {
 #: RNG stream for a generated extractor seed (simulation uses streams 0-5).
 EXTRACTOR_SEED_STREAM = 100
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")

@@ -15,6 +15,7 @@ are intentionally not implemented and are named in every report.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +39,20 @@ NOT_IMPLEMENTED = ("universal", "linear-complexity", "non-overlapping-template",
 #: (SP 800-22's fixed threshold).
 UNIFORMITY_THRESHOLD = 1e-4
 
+# Positions per window of the windowed kernels (pattern counts, cumulative
+# sums, longest run): their temporaries stay a few MB at any sequence length.
+_WINDOW = 1 << 16
+
 # Longest-run-of-ones reference distributions: (min bits, block size M,
-# lowest class, highest class, class probabilities).
+# lowest class, highest class, class probabilities), as SP 800-22 section
+# 3.4 publishes them.  The M = 8 and M = 128 rows are the exact
+# probabilities to four digits; the M = 10^4 row is the published
+# approximation.
 _LONGEST_RUN_TABLE = (
     (750_000, 10_000, 10, 16,
      (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
     (6_272, 128, 4, 9,
-     (0.1174, 0.2430, 0.2493, 0.1770, 0.1015, 0.1088)),
+     (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)),
     (128, 8, 1, 4,
      (0.2148, 0.3672, 0.2305, 0.1875)),
 )
@@ -155,7 +163,10 @@ def longest_run(bits) -> list[float]:
         if b.size >= min_bits:
             break
     n_blocks = b.size // block
-    lengths = _max_run_per_row(b[:n_blocks * block].reshape(n_blocks, block))
+    blocks = b[:n_blocks * block].reshape(n_blocks, block)
+    rows = max(1, _WINDOW // block)
+    lengths = np.concatenate([_max_run_per_row(blocks[r:r + rows])
+                              for r in range(0, n_blocks, rows)])
     classes = np.clip(lengths, lo, hi) - lo
     counts = np.bincount(classes, minlength=hi - lo + 1)
     expected = n_blocks * np.asarray(probs)
@@ -180,11 +191,16 @@ def cumulative_sums(bits) -> list[float]:
     One walk S_1..S_n serves both directions: the backward partial sums
     are S_n - S_j for j = 0..n-1, so their largest magnitude follows from
     the total and the extremes of the forward walk (S_0 = 0 included).
+    The walk goes window by window, carrying its total, min and max.
     """
     b = _as_bits(bits)
     _require(b, 10, "cumulative-sums")
-    walk = np.cumsum(b.view(np.int8) * 2 - 1, dtype=np.int32)
-    low, high, total = min(0, int(walk.min())), max(0, int(walk.max())), int(walk[-1])
+    low = high = total = 0
+    for start in range(0, b.size, _WINDOW):
+        walk = np.cumsum(b[start:start + _WINDOW].view(np.int8) * 2 - 1, dtype=np.int32)
+        low = min(low, total + int(walk.min()))
+        high = max(high, total + int(walk.max()))
+        total += int(walk[-1])
     fwd, bwd = max(high, -low), max(total - low, high - total)
     return [_cusum_p(fwd, b.size), _cusum_p(bwd, b.size)]
 
@@ -194,16 +210,29 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
 
     Codes are built by doubling: the w-bit codes at i and i + s combine
     into the (w + s)-bit codes at i, so m bits take ceil(log2 m) passes.
+    Each window of start positions reads its m - 1 following bits, which
+    wrap to the head of ``b`` in the last window; a window is at least as
+    long as the count table, so the table's zeroing stays a fraction of
+    the work.
     """
-    codes = np.concatenate([b, b[:m - 1]]).astype(np.uint32)
-    width = 1
-    while width < m:
-        step = min(width, m - width)
-        head = codes[:-step] << step
-        head |= codes[step:] if step == width else codes[step:] & ((1 << step) - 1)
-        codes = head
-        width += step
-    return np.bincount(codes, minlength=1 << m)
+    n, tail = b.size, m - 1
+    window = max(_WINDOW, 1 << m)
+    total = np.zeros(1 << m, dtype=np.int64)
+    for start in range(0, n, window):
+        stop = min(start + window, n) + tail
+        if stop <= n:
+            codes = b[start:stop].astype(np.uint32)
+        else:
+            codes = np.concatenate([b[start:], b[:stop - n]]).astype(np.uint32)
+        width = 1
+        while width < m:
+            step = min(width, m - width)
+            head = codes[:-step] << step
+            head |= codes[step:] if step == width else codes[step:] & ((1 << step) - 1)
+            codes = head
+            width += step
+        total += np.bincount(codes, minlength=1 << m)
+    return total
 
 
 def _leading_counts(b: np.ndarray, m: int, counts: np.ndarray | None) -> np.ndarray:
@@ -276,7 +305,9 @@ def dft_spectral(bits) -> list[float]:
     b = _as_bits(bits)
     _require(b, 1000, "dft-spectral")
     n = b.size
-    x = 2.0 * b.astype(np.float64) - 1.0
+    x = b.astype(np.float64)
+    x *= 2.0
+    x -= 1.0
     moduli = np.abs(rfft(x))[:n // 2]
     threshold = math.sqrt(n * math.log(1.0 / 0.05))
     n0 = 0.95 * n / 2.0
@@ -285,19 +316,23 @@ def dft_spectral(bits) -> list[float]:
     return [float(erfc(abs(d) / math.sqrt(2.0)))]
 
 
-def run_sequence(bits, config: TestConfig) -> list[float]:
-    """One sequence's p-values, one per entry of ``STREAMS``.
+def _all_but_dft(b: np.ndarray, config: TestConfig) -> list[float]:
+    """The p-values of every stream but the last, ``dft-spectral``.
 
     Serial and approximate entropy share one circular pattern count.
     """
-    b = _as_bits(bits)
     counts = _pattern_counts(
         b, max(config.serial_pattern_bits, config.approx_entropy_pattern_bits + 1))
     return (monobit(b) + block_frequency(b, config.block_frequency_block)
             + runs(b) + longest_run(b) + cumulative_sums(b)
             + serial(b, config.serial_pattern_bits, counts=counts)
-            + approximate_entropy(b, config.approx_entropy_pattern_bits, counts=counts)
-            + dft_spectral(b))
+            + approximate_entropy(b, config.approx_entropy_pattern_bits, counts=counts))
+
+
+def run_sequence(bits, config: TestConfig) -> list[float]:
+    """One sequence's p-values, one per entry of ``STREAMS``."""
+    b = _as_bits(bits)
+    return _all_but_dft(b, config) + dft_spectral(b)
 
 
 def uniformity_p(p_values: np.ndarray) -> float:
@@ -365,10 +400,13 @@ class TestReport:
 def run_battery(sequences, config: TestConfig) -> TestReport:
     """Run every implemented test over all sequences and gate the results.
 
-    All sequences must have exactly ``config.sequence_bits`` bits; each
-    goes through ``run_sequence`` before the next one starts.  A stream
-    passes when its pass proportion exceeds the 3-sigma bound and its
-    p-values look uniform at ``UNIFORMITY_THRESHOLD``.
+    All sequences must have exactly ``config.sequence_bits`` bits.  Two
+    lanes share the work: one worker thread runs ``dft_spectral`` on each
+    sequence in turn, while the calling thread runs the other tests.  The
+    FFT and numpy release the GIL, so the lanes overlap, and with one
+    worker only one DFT's buffers are alive at a time.  A stream passes
+    when its pass proportion exceeds the 3-sigma bound and its p-values
+    look uniform at ``UNIFORMITY_THRESHOLD``.
     """
     arrays = [_as_bits(s) for s in sequences]
     if len(arrays) != config.sequence_count:
@@ -381,8 +419,15 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
                 f"found one with {arr.size}")
 
     table = np.empty((len(arrays), len(STREAMS)), dtype=np.float64)
-    for i, arr in enumerate(arrays):
-        table[i] = run_sequence(arr, config)
+    dft_lane = ThreadPoolExecutor(max_workers=1)
+    try:
+        dfts = [dft_lane.submit(dft_spectral, arr) for arr in arrays]
+        for i, arr in enumerate(arrays):
+            table[i, :-1] = _all_but_dft(arr, config)
+        for i, dft in enumerate(dfts):
+            table[i, -1] = dft.result()[0]
+    finally:
+        dft_lane.shutdown(cancel_futures=True)
 
     bound = config.proportion_bound()
     results = []

@@ -199,13 +199,15 @@ class TestFullRun:
     def test_known_answer_sidecar_and_summary(self, full_run):
         # Pins the sidecar layout (key order included) and the summary's
         # bytes, so routing artifact I/O differently cannot move them.
+        # Schema 6 moved only their schema_version (and, in the summary,
+        # the hashes of the JSON reports, which carry it too).
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "b74ae7217a575b750df6948c95a6dea4ead5b022c1fac532c975675310425961")
+            "2a95f5aa94a4263f3f4c00537f07a01038569b00fac3e36903973108277b2f5a")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "be37414f23034b1f6eb86c26b9029c379042d4f839dac7bd796a7a04f8d1a9e2")
+            "9006b8a93ca45da51a00e2ec33e3cfe262ac5ccb934872c7b7982948d9c57b88")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "d56bb169d64f54b5578dd125895a0722d462eb3ceca49a823d911abf29c6c09a")
+            "7a293b9b769b586a958b5c49e03f15e1390743cc5ca48ae4600e3df52773da6d")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.special import gammaincc
 
 from phaserng import rng
 from phaserng import stattests as st
@@ -22,7 +24,7 @@ P_VALUE_TABLE = {
     "cusum_fwd:1011010111": 0.41151081735139344,
     "cusum_bwd:1011010111": 0.41151081735139344,
     "longest_run:n128:seed42": 0.7843046841167868,
-    "longest_run:n6272:seed43": 0.17499030477959798,
+    "longest_run:n6272:seed43": 0.17336462526875407,
     "longest_run:n750000:seed44": 0.5136622189101199,
     "monobit:n1000:seed45": 0.4866160457640505,
     "block_frequency:n1000:seed45:M128": 0.47925815352914786,
@@ -46,7 +48,7 @@ BATTERY_KNOWN_ANSWERS = {
     "monobit": "9d86ef291be2cba7be014f56234933cef0d4a0fdb62d803539ae4342b560eaeb",
     "block-frequency": "189ee19c8f15cfe0373f91c6ff1cadc5209705e3365a06c6cff5006b7b7bf86a",
     "runs": "7912a6f823cc6448a6265bbfe78be36ec9338821575c2dd22a2a51e8609454e8",
-    "longest-run": "4ca2b877b0229da209d2242fae30b78013aa168bf15a37cfe24221b158549572",
+    "longest-run": "4e4b07a5e0c387939a03e56acdf282b36b17cd2f178c0b7eee2008c5b04b84bb",
     "cumulative-sums-forward":
         "92d44907f50d0928b7274d724a848772ebd8770f9cc2388d505c7862b54aecff",
     "cumulative-sums-backward":
@@ -76,6 +78,92 @@ def cumulative_sums_oracle(b):
     fwd = int(np.abs(np.cumsum(steps)).max())
     bwd = int(np.abs(np.cumsum(steps[::-1])).max())
     return [st._cusum_p(fwd, b.size), st._cusum_p(bwd, b.size)]
+
+
+def pattern_counts_unwindowed(b, m):
+    """``_pattern_counts`` as one doubling pass over the whole sequence."""
+    codes = np.concatenate([b, b[:m - 1]]).astype(np.uint32)
+    width = 1
+    while width < m:
+        step = min(width, m - width)
+        head = codes[:-step] << step
+        head |= codes[step:] if step == width else codes[step:] & ((1 << step) - 1)
+        codes = head
+        width += step
+    return np.bincount(codes, minlength=1 << m)
+
+
+def cumulative_sums_unwindowed(b):
+    """``cumulative_sums`` as one int32 walk over the whole sequence."""
+    walk = np.cumsum(b.view(np.int8) * 2 - 1, dtype=np.int32)
+    low, high, total = min(0, int(walk.min())), max(0, int(walk.max())), int(walk[-1])
+    fwd, bwd = max(high, -low), max(total - low, high - total)
+    return [st._cusum_p(fwd, b.size), st._cusum_p(bwd, b.size)]
+
+
+def longest_run_unwindowed(b):
+    """``longest_run`` with every block's longest run found in one call."""
+    for min_bits, block, lo, hi, probs in st._LONGEST_RUN_TABLE:
+        if b.size >= min_bits:
+            break
+    n_blocks = b.size // block
+    lengths = st._max_run_per_row(b[:n_blocks * block].reshape(n_blocks, block))
+    classes = np.clip(lengths, lo, hi) - lo
+    counts = np.bincount(classes, minlength=hi - lo + 1)
+    expected = n_blocks * np.asarray(probs)
+    chi_sq = float(np.sum((counts - expected) ** 2 / expected))
+    return [float(gammaincc(len(probs) / 2.0 - 0.5, chi_sq / 2.0))]
+
+
+def longest_run_class_probabilities(block, lo, hi):
+    """Exact class probabilities of the longest run of ones in ``block`` fair bits.
+
+    P(no run of k ones) comes from a k-state chain over the current run
+    length: a zero resets it, a one extends it, and reaching k leaves the
+    chain.
+    """
+    def no_run_of(k):
+        chain = np.zeros((k, k))
+        chain[:, 0] = 0.5
+        chain[np.arange(k - 1), np.arange(1, k)] = 0.5
+        return np.linalg.matrix_power(chain, block)[0].sum()
+
+    at_most = [no_run_of(k + 1) for k in range(lo, hi)]   # P(longest <= k)
+    return np.diff([0.0, *at_most, 1.0])
+
+
+WINDOW = st._WINDOW
+
+
+def windowed_cases():
+    """Sequences that probe the window edges of the windowed kernels."""
+    cases = {f"random-n{n}": rng.random_bits(n, seed=79, stream=k)
+             for k, n in enumerate((WINDOW - 1, WINDOW, WINDOW + 1,
+                                    3 * WINDOW + 7, 1_000_000))}
+    for n in (3 * WINDOW + 7, 1_000_000):
+        cases[f"zeros-n{n}"] = np.zeros(n, dtype=np.uint8)
+        cases[f"ones-n{n}"] = np.ones(n, dtype=np.uint8)
+        cases[f"alternating-n{n}"] = np.resize(np.array([1, 0], dtype=np.uint8), n)
+    # Runs of ones across a window edge, which is also a block edge: 128-bit
+    # blocks below 750,000 bits, 10^4-bit blocks from there.
+    edge = rng.random_bits(3 * WINDOW + 7, seed=80)
+    edge[WINDOW - 200:WINDOW + 200] = 1
+    cases["run-across-window-M128"] = edge
+    edge = rng.random_bits(1_000_000, seed=81)
+    row_edge = WINDOW // 10_000 * 10_000
+    edge[row_edge - 5000:row_edge + 5000] = 1
+    cases["run-across-window-M10000"] = edge
+    # The walk's maximum, or its minimum, falls in the last window.
+    last = rng.random_bits(3 * WINDOW + 7, seed=82)
+    last[-3000:] = 1
+    cases["cusum-max-in-last-window"] = last
+    last = rng.random_bits(1_000_000, seed=83)
+    last[-3000:] = 0
+    cases["cusum-min-in-last-window"] = last
+    return cases
+
+
+WINDOWED_CASES = windowed_cases()
 
 
 def bits(pattern: str) -> np.ndarray:
@@ -160,7 +248,18 @@ class TestIndividualBehaviors:
         assert st._LONGEST_RUN_TABLE[2][:4] == (128, 8, 1, 4)
         for _, _, lo, hi, probs in st._LONGEST_RUN_TABLE:
             assert len(probs) == hi - lo + 1
-            assert abs(sum(probs) - 1.0) < 0.005  # published 4-digit rounding
+            # 4-digit rounding of at most 7 values: |error| <= 3.5e-4
+            assert abs(sum(probs) - 1.0) < 5e-4
+
+    def test_longest_run_table_matches_exact_probabilities(self):
+        # M = 8 and M = 128 are exact values to four digits, within one unit
+        # of the last digit (SP 800-22 prints 0.2493 where the exact value is
+        # 0.24936); M = 10^4 is the published approximation.
+        tolerance = {8: 1e-4, 128: 1e-4, 10_000: 2e-3}
+        for _, block, lo, hi, probs in st._LONGEST_RUN_TABLE:
+            exact = longest_run_class_probabilities(block, lo, hi)
+            np.testing.assert_allclose(probs, exact, rtol=0, atol=tolerance[block],
+                                       err_msg=f"M={block}")
 
     def test_max_run_per_row(self):
         blocks = np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]],
@@ -219,6 +318,24 @@ class TestKernelOracles:
     ], ids=["n10", "ones", "zeros", "alternating", "random1e5"])
     def test_cumulative_sums_match_oracle(self, seq):
         assert st.cumulative_sums(seq) == cumulative_sums_oracle(seq)
+
+    @pytest.mark.parametrize("name", WINDOWED_CASES)
+    def test_windowed_pattern_counts_match_unwindowed(self, name):
+        b = WINDOWED_CASES[name]
+        for m in range(2, 17):
+            np.testing.assert_array_equal(st._pattern_counts(b, m),
+                                          pattern_counts_unwindowed(b, m),
+                                          err_msg=f"m={m}")
+
+    @pytest.mark.parametrize("name", WINDOWED_CASES)
+    def test_windowed_cumulative_sums_match_unwindowed(self, name):
+        b = WINDOWED_CASES[name]
+        assert st.cumulative_sums(b) == cumulative_sums_unwindowed(b)
+
+    @pytest.mark.parametrize("name", WINDOWED_CASES)
+    def test_windowed_longest_run_matches_unwindowed(self, name):
+        b = WINDOWED_CASES[name]
+        assert st.longest_run(b) == longest_run_unwindowed(b)
 
     @pytest.mark.parametrize("serial_m,apen_m", [(16, 10), (5, 11)])
     def test_shared_count_gives_identical_p_values(self, serial_m, apen_m):
@@ -448,6 +565,47 @@ class TestBatteryKnownAnswers:
         for dtype in (bool, np.int64):
             got = st.run_battery([s.astype(dtype) for s in seqs], config).to_dict()
             assert got == want, dtype
+
+
+class TestBatteryLanes:
+    """The DFT lane beside the other seven tests, and what a failure leaves."""
+
+    @pytest.mark.parametrize("name", ["dft_spectral", "monobit"])
+    def test_lane_error_is_raised_and_no_thread_is_left(self, monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise RuntimeError(name)
+
+        seqs = [rng.random_bits(2048, seed=84, stream=i) for i in range(10)]
+        monkeypatch.setattr(st, name, fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=name):
+            st.run_battery(seqs, small_battery_config())
+        assert threading.active_count() == threads
+
+    def test_seven_test_lane_error_cancels_pending_dfts(self, monkeypatch):
+        # Each DFT waits until monobit has failed, so only the one running
+        # then, and at most one the worker took before the cancel, can run.
+        failed, dft_calls = threading.Event(), []
+        real_dft = st.dft_spectral
+
+        def dft(bits):
+            dft_calls.append(1)
+            failed.wait(timeout=30)
+            return real_dft(bits)
+
+        def monobit(bits):
+            failed.set()
+            raise RuntimeError("monobit")
+
+        config = small_battery_config()
+        seqs = [rng.random_bits(2048, seed=85, stream=i) for i in range(10)]
+        monkeypatch.setattr(st, "dft_spectral", dft)
+        monkeypatch.setattr(st, "monobit", monobit)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="monobit"):
+            st.run_battery(seqs, config)
+        assert len(dft_calls) < config.sequence_count
+        assert threading.active_count() == threads
 
 
 class TestNullCalibration:
