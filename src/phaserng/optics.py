@@ -24,6 +24,7 @@ when a ``NoiseSwitches`` turns ``bandwidth_limit`` on.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -196,7 +197,9 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     changes another source's draws.  With ``switches.mismatch`` off the Q
     channel uses the I channel's gain (perfectly matched detectors) while
     keeping its own noise figure.  Negative instantaneous power draws are
-    clamped to zero and counted in ``clamped_samples``.
+    clamped to zero and counted in ``clamped_samples``.  The I and Q
+    chains run concurrently, Q on a worker thread that is joined before
+    this returns or raises; the bytes do not depend on the scheduling.
     """
     count = len(path)
     seed = rng.check_seed(seed)
@@ -248,31 +251,47 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     gain_i = det_i.transimpedance * det_i.responsivity
     gain_q = (det_q.transimpedance * det_q.responsivity) if switches.mismatch else gain_i
 
-    # envelope is an array only with intensity noise; either way
-    # v_i = (gain_i * envelope) * cos(phase), v_q = (gain_q * envelope) * sin(phase).
-    v_i = gain_i * envelope
-    v_i *= np.cos(phase)
-    v_q = envelope
-    v_q *= gain_q
-    v_q *= np.sin(phase, out=phase)
-    del phase
-
+    # v_i = (gain_i * envelope) * cos(phase), v_q = (gain_q * envelope) * sin(phase);
+    # envelope is an array only with intensity noise.
+    if np.ndim(envelope):
+        v_i = gain_i * envelope
+        v_q = envelope
+        v_q *= gain_q
+    else:
+        v_i = np.full(count, gain_i * envelope)
+        v_q = np.full(count, gain_q * envelope)
     if switches.bandwidth_limit:
         from scipy.signal import lfilter
 
-        dt = path.sample_period
-        alpha_i = -np.expm1(-dt / det_i.response_time)
-        v_i = lfilter([alpha_i], [1.0, alpha_i - 1.0], v_i)
-        alpha_q = -np.expm1(-dt / det_q.response_time)
-        v_q = lfilter([alpha_q], [1.0, alpha_q - 1.0], v_q)
+    def lane(v: np.ndarray, quadrature, det: DetectorParams, stream: int) -> None:
+        """Finish one channel in place, one RNG block of samples at a time.
 
-    if switches.electrical:
-        for arr, det, stream in ((v_i, det_i, _STREAM_ELECTRICAL_I),
-                                 (v_q, det_q, _STREAM_ELECTRICAL_Q)):
-            if det.electrical_noise_sigma > 0.0:
-                noise = rng.standard_normals(count, seed, stream)
+        Carrying the filter state across segments and drawing each
+        segment's noise from its own block gives the bytes of the
+        whole-array computation with one block of temporaries.
+        """
+        if switches.bandwidth_limit:
+            alpha = -np.expm1(-path.sample_period / det.response_time)
+            state = [0.0]
+        noisy = switches.electrical and det.electrical_noise_sigma > 0.0
+        for lo in range(0, count, rng.BLOCK_SIZE):
+            hi = min(lo + rng.BLOCK_SIZE, count)
+            seg = v[lo:hi]
+            seg *= quadrature(phase[lo:hi])
+            if switches.bandwidth_limit:
+                seg[:], state = lfilter([alpha], [1.0, alpha - 1.0], seg, zi=state)
+            if noisy:
+                noise = rng.standard_normals_range(lo, hi, seed, stream)
                 noise *= det.electrical_noise_sigma
-                arr += noise
+                seg += noise
+
+    # The Q lane runs on a worker thread while this thread runs the I lane;
+    # numpy, lfilter and the Philox fills release the GIL.  Leaving the
+    # pool joins the worker, also when a lane raised.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        q_lane = pool.submit(lane, v_q, np.sin, det_q, _STREAM_ELECTRICAL_Q)
+        lane(v_i, np.cos, det_i, _STREAM_ELECTRICAL_I)
+        q_lane.result()
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
                    clamped_samples=clamped)

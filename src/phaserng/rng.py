@@ -19,6 +19,9 @@ reproducibility contract requires.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .errors import ParameterError, check_scalar
@@ -40,19 +43,30 @@ def check_seed(seed: int) -> int:
     return int(seed) & (2**64 - 1)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,
                draw) -> np.ndarray:
     """Elements ``start:stop`` of the concatenation of the stream's blocks.
 
     ``draw(gen, out)`` fills ``out`` with the first ``out.size`` draws of a
     block.  Only the blocks overlapping the range are generated, each
-    straight into the result except a block that the range starts inside.
+    straight into its own slice of the result except a block that the range
+    starts inside.  The blocks are filled on min(blocks, usable CPUs)
+    threads; numpy's fills release the GIL, and every block has its own
+    generator, so the bytes do not depend on the thread count.
     """
     start = check_scalar("start", start, bounds=(0, None))
     stop = check_scalar("stop", stop, bounds=(start, None))
     seed = check_seed(seed)
     out = np.empty(stop - start, dtype=dtype)
-    for block in range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)):
+
+    def fill(block: int) -> None:
         lo = block * BLOCK_SIZE
         hi = min(lo + BLOCK_SIZE, stop)
         gen = _block_generator(seed, stream, block)
@@ -62,6 +76,17 @@ def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,
             head = np.empty(hi - lo, dtype=dtype)
             draw(gen, head)
             out[:hi - start] = head[start - lo:]
+
+    blocks = range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE))
+    workers = min(len(blocks), _usable_cpus())
+    if workers <= 1:
+        for block in blocks:
+            fill(block)
+    else:
+        # A failed fill cancels the fills not yet started, and leaving the
+        # pool joins its threads before the error propagates.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, blocks))
     return out
 
 

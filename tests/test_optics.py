@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +331,41 @@ class TestTraceBytesPinned:
         assert clamped > 0
         assert sha.hexdigest() == digest
 
+    @pytest.fixture(scope="class")
+    def long_path(self):
+        laser = ideal_laser(power=1e-3, intensity_sigma=5e-4)
+        return laser, sample_phase_path(laser, T_D30, 5e-9, rng.BLOCK_SIZE + 4099, 3)
+
+    # Computed with the whole-array implementation that preceded the
+    # block-by-block lanes.  2^20 + 4099 samples cross one RNG block
+    # boundary, so a wrong filter-state carry or a misaligned noise block
+    # changes the bytes.
+    @pytest.mark.parametrize("flags, drift_mode, digest", [
+        ({}, "fixed",
+         "1b77cd2e3300d3bf54e29be6b486ca4f1b07fdc59674b2483861d9b4348b8229"),
+        (dict(intensity=True, electrical=True, drift=True, mismatch=True,
+              bandwidth_limit=True), "slow-walk",
+         "8a0fb95cd3152a43cdfb076c934e423a9b637a5f81560d7ca98881b99fb89354"),
+        (dict(electrical=True, bandwidth_limit=True), "fixed",
+         "9e0e1379484f1289de0b3f3948bde397e382faced6df808341d876df7383e4a1"),
+        (dict(intensity=True, drift=True), "slow-walk",
+         "01b580b88903adb98d24ec61917be7d8133ab5f26afe4467d0edd81650c38e70"),
+    ], ids=["all-off", "all-on", "bandwidth+electrical", "intensity+drift"])
+    def test_across_a_block_boundary(self, long_path, flags, drift_mode, digest):
+        laser, path = long_path
+        geometry = ifm(static_phase=0.3, drift_phase=0.7, drift_mode=drift_mode,
+                       drift_step=1e-2)
+        d_i = det(electrical_noise_sigma=0.05, response_time=2e-9)
+        d_q = det(transimpedance=15e3, electrical_noise_sigma=0.04,
+                  response_time=3e-9)
+        trace = optics.simulate_trace(path, laser, geometry, d_i, d_q,
+                                      optics.NoiseSwitches(**flags), seed=11)
+        sha = hashlib.sha256()
+        sha.update(trace.v_i.tobytes())
+        sha.update(trace.v_q.tobytes())
+        sha.update(trace.clamped_samples.to_bytes(8, "little"))
+        assert sha.hexdigest() == digest
+
     def test_phase_path_is_not_modified(self):
         path = short_path(seed=12)
         before = path.increments.copy()
@@ -338,6 +375,52 @@ class TestTraceBytesPinned:
                                   det(electrical_noise_sigma=0.01), det(),
                                   optics.NoiseSwitches(*flags), seed=2)
         assert_array_equal(path.increments, before)
+
+
+class TestLanes:
+    """The I and Q chains run as two lanes; neither may outlive the call."""
+
+    ALL_ON = dict(intensity=True, electrical=True, drift=True, mismatch=True,
+                  bandwidth_limit=True)
+
+    @pytest.mark.parametrize("failing", [optics._STREAM_ELECTRICAL_I,
+                                         optics._STREAM_ELECTRICAL_Q])
+    def test_a_failing_lane_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        real = rng.standard_normals_range
+
+        def draw(start, stop, seed, stream=0):
+            if stream == failing:
+                raise RuntimeError(f"stream {stream}")
+            return real(start, stop, seed, stream)
+
+        monkeypatch.setattr(rng, "standard_normals_range", draw)
+        path = short_path(count=rng.BLOCK_SIZE + 10, seed=4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"stream {failing}"):
+            optics.simulate_trace(path, ideal_laser(intensity_sigma=1e-4),
+                                  ifm(drift_mode="slow-walk", drift_step=1e-2),
+                                  det(electrical_noise_sigma=0.01),
+                                  det(electrical_noise_sigma=0.01),
+                                  optics.NoiseSwitches(**self.ALL_ON), seed=2)
+        assert threading.active_count() == before
+
+    def test_peak_memory_stays_below_the_whole_array_chain(self):
+        # The whole-array chain peaked at 91.6 MiB here; the lanes keep
+        # about one block of temporaries each (76.3 MiB measured).
+        laser = ideal_laser(power=1e-3, intensity_sigma=5e-4)
+        path = sample_phase_path(laser, T_D30, 5e-9, 2_000_000, 3)
+        tracemalloc.start()
+        try:
+            optics.simulate_trace(
+                path, laser, ifm(drift_mode="slow-walk", drift_step=1e-2),
+                det(electrical_noise_sigma=0.05, response_time=2e-9),
+                det(transimpedance=15e3, electrical_noise_sigma=0.04,
+                    response_time=3e-9),
+                optics.NoiseSwitches(**self.ALL_ON), seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 91.6 * 2**20
 
 
 class TestSymmetryAtUniformPhase:

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -108,3 +110,69 @@ def test_known_answers_across_a_block_boundary():
         "c829aaa8bd8526cbb6eb9c69fcf8f7599dad939ca61c4943b10864735661f87e")
     assert digest(rng.random_bits(n, seed=1, stream=100)) == (
         "dfd2777f7d96a432e59bb522b8ddebc8688b408fe3af7657db08b3b965de5332")
+
+
+def serial_oracle(start, stop, seed, stream, draw):
+    """The stream's draws start:stop as one serial walk over its blocks."""
+    first = start // rng.BLOCK_SIZE
+    parts = [draw(rng._block_generator(seed, stream, first), 0)]  # sets the dtype
+    for block in range(first, -(-stop // rng.BLOCK_SIZE)):
+        lo = block * rng.BLOCK_SIZE
+        size = min(lo + rng.BLOCK_SIZE, stop) - lo
+        parts.append(draw(rng._block_generator(seed, stream, block), size))
+    offset = first * rng.BLOCK_SIZE
+    return np.concatenate(parts)[start - offset:stop - offset]
+
+
+def normals(gen, size):
+    return gen.standard_normal(size)
+
+
+def bits(gen, size):
+    return gen.integers(0, 2, size=size, dtype=np.uint8)
+
+
+@pytest.fixture(params=[1, 2, 4], ids=lambda cpus: f"{cpus}cpu")
+def cpus(request, monkeypatch):
+    """Pretend to have this many usable CPUs, so each fill path runs.
+
+    A short switch interval makes the fill threads interleave often.
+    """
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("start, stop", [
+    (rng.BLOCK_SIZE // 2, 3 * rng.BLOCK_SIZE + 77),
+    (rng.BLOCK_SIZE, 4 * rng.BLOCK_SIZE),
+    (2 * rng.BLOCK_SIZE - 5, 2 * rng.BLOCK_SIZE + 5),
+    (rng.BLOCK_SIZE + 9, rng.BLOCK_SIZE + 9),
+], ids=["mid-block-4-blocks", "aligned-3-blocks", "mid-block-2-blocks", "empty"])
+def test_concurrent_normals_equal_the_serial_oracle(cpus, start, stop):
+    got = rng.standard_normals_range(start, stop, seed=21, stream=6)
+    assert got.dtype == np.float64 and got.size == stop - start
+    assert_array_equal(got, serial_oracle(start, stop, 21, 6, normals))
+
+
+@pytest.mark.parametrize("count", [0, 3 * rng.BLOCK_SIZE + 5])
+def test_concurrent_bits_equal_the_serial_oracle(cpus, count):
+    got = rng.random_bits(count, seed=22, stream=7)
+    assert got.dtype == np.uint8 and got.size == count
+    assert_array_equal(got, serial_oracle(0, count, 22, 7, bits))
+
+
+def test_a_failing_fill_raises_and_leaves_no_thread(cpus):
+    def draw(gen, out):
+        if out.size == 10:  # the last block of the range
+            raise RuntimeError("fill failed")
+        gen.standard_normal(out=out)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="fill failed"):
+        rng._blockwise(0, 3 * rng.BLOCK_SIZE + 10, 3, 0, np.float64, draw)
+    assert threading.active_count() == before
