@@ -27,7 +27,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 
 from . import extractor
-from .errors import FormatError, ParameterError, check_choice, check_scalar
+from .errors import FormatError, check_choice, check_scalar
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
 from .phasenoise import LaserParams
 from .reconstruction import NORMALIZE_METHODS
@@ -61,7 +61,6 @@ class ExtractionParams:
     """Toeplitz block geometry and seed sourcing."""
 
     input_bits: int = 4000
-    output_bits: int = 0              # 0 = derive from rate/mode
     min_entropy_rate: float = 0.98
     epsilon_exponent: int = 50
     mode: str = "lemma"               # one of extractor.MODES
@@ -69,27 +68,18 @@ class ExtractionParams:
 
     def __post_init__(self):
         check_scalar("input_bits", self.input_bits, bounds=(1, None))
-        check_scalar("output_bits", self.output_bits, bounds=(0, None))
-        if not (0.0 < float(self.min_entropy_rate) <= 1.0):
-            raise ParameterError("min_entropy_rate must be in (0, 1]")
         check_scalar("epsilon_exponent", self.epsilon_exponent, bounds=(1, 1074))
-        check_choice("extraction mode", self.mode, extractor.MODES)
-        n, m = self.block_bits
-        if m > n:
-            raise ParameterError(f"output_bits must be <= input_bits, got m={m} > n={n}")
+        self.block_bits   # a rate or mode that cannot size m is refused at load
 
     @property
     def block_bits(self) -> tuple[int, int]:
-        """Toeplitz block sizes (n, m): m as given, or derived from the rate.
+        """Toeplitz block sizes (n, m), m derived from the rate and mode.
 
-        Deriving m raises InsufficientEntropyError when the rate cannot fund
-        one output bit per block.
+        Raises InsufficientEntropyError when the rate cannot fund one output
+        bit per block.
         """
-        if self.output_bits:
-            return self.input_bits, self.output_bits
         return extractor.derive_params(self.min_entropy_rate, self.input_bits,
-                                       epsilon=2.0 ** -self.epsilon_exponent,
-                                       mode=self.mode)
+                                       2.0 ** -self.epsilon_exponent, self.mode)
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,8 @@ class IQTrace:
     v_q: np.ndarray = field(repr=False)
     sample_rate: float
     clamped_samples: int = 0          # power draws clamped to zero during simulation
+    adc_clipped_i: int = 0            # samples outside the ADC's [-F, F), I channel
+    adc_clipped_q: int = 0            # and Q channel
     adc_bits: int = 0                 # 0 = not quantized / unknown
     fullscale: float = 1.0            # V, ADC half-range
     rejected_rows: int = 0            # non-finite rows dropped when read
@@ -315,16 +317,21 @@ def adc_quantize(trace: IQTrace, det_i: DetectorParams,
     """Snap each channel onto its ADC's mid-rise reconstruction levels.
 
     Models digitization of the voltages before phase reconstruction: 2^bits
-    uniform levels across [-fullscale, +fullscale], saturating outside.
-    The trace records the I channel's ADC bits and full scale.
+    uniform levels across [-fullscale, +fullscale), saturating outside.
+    The trace records the I channel's ADC bits and full scale, and each
+    channel's count of samples outside that range.
     """
-    def snap(values: np.ndarray, det: DetectorParams) -> np.ndarray:
+    def snap(values: np.ndarray, det: DetectorParams) -> tuple[np.ndarray, int]:
         bits, full = int(det.adc_bits), det.adc_fullscale
         step = 2.0 * full / (1 << bits)
-        return -full + (quantize_uniform(values, bits, -full, full) + 0.5) * step
+        clipped = int(np.count_nonzero(values < -full) + np.count_nonzero(values >= full))
+        codes = quantize_uniform(values, bits, -full, full)
+        return -full + (codes + 0.5) * step, clipped
 
-    return replace(trace, v_i=snap(trace.v_i, det_i), v_q=snap(trace.v_q, det_q),
-                   adc_bits=int(det_i.adc_bits), fullscale=det_i.adc_fullscale)
+    (v_i, clipped_i), (v_q, clipped_q) = snap(trace.v_i, det_i), snap(trace.v_q, det_q)
+    return replace(trace, v_i=v_i, v_q=v_q, adc_clipped_i=clipped_i,
+                   adc_clipped_q=clipped_q, adc_bits=int(det_i.adc_bits),
+                   fullscale=det_i.adc_fullscale)
 
 
 def boxcar_decimate(trace: IQTrace, factor: int) -> IQTrace:
@@ -364,14 +371,13 @@ def _window_mean(windows: np.ndarray) -> np.ndarray:
 
 
 def validate_timing(laser: LaserParams, ifm: InterferometerParams,
-                    det: DetectorParams, sample_rate: float) -> list[str]:
+                    det: DetectorParams) -> list[str]:
     """Advisory checks of the timing relations between device parameters.
 
-    Returns messages prefixed "warning:" (detector too slow for the laser's
-    coherence time; phase variance below the uniform-phase threshold of 10)
-    or "note:" (the expected lag-1 correlation at this sample rate).
+    Returns "warning:" messages: the detector is too slow for the laser's
+    coherence time, or the phase variance is below the uniform-phase
+    threshold of 10.  A sound device gets none.
     """
-    check_scalar("sample_rate", sample_rate)
     messages: list[str] = []
     if det.response_time >= laser.coherence_time:
         messages.append(
@@ -383,9 +389,4 @@ def validate_timing(laser: LaserParams, ifm: InterferometerParams,
         messages.append(
             f"warning: phase variance {sigma_sq:.3g} rad^2 is below 10; the wrapped "
             "phase will not be uniform")
-    t_d = ifm.delay_time
-    expected = max(0.0, 1.0 - (1.0 / sample_rate) / t_d)
-    messages.append(
-        f"note: expected lag-1 correlation of raw phase increments at "
-        f"{sample_rate:g} Sa/s is {expected:.3f}")
     return messages

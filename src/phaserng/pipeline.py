@@ -56,7 +56,7 @@ ARTIFACTS = {
 #: RNG stream for a generated extractor seed (simulation uses streams 0-5).
 EXTRACTOR_SEED_STREAM = 100
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")
@@ -73,12 +73,14 @@ class _ArtifactGate:
 
     Each read or write records the artifact's sha256 and the config digest
     it carries: the run's own for a write, its sidecar's for a read.  The
-    summary lists exactly these records.
+    summary lists exactly these records.  The sidecar of ``extracted.bin``
+    records its block size m, and a read refuses another m than the run's.
     """
 
-    def __init__(self, outdir: str, digest: str):
+    def __init__(self, outdir: str, digest: str, m: int):
         self.outdir = outdir
         self.digest = digest
+        self.m = m
         self.records: dict[str, dict] = {}
 
     def read(self, key: str, stage: str):
@@ -120,6 +122,10 @@ class _ArtifactGate:
             raise DependencyError(
                 f"stage {stage!r} refuses artifact {name!r}: its "
                 f"sha256 differs from its sidecar's (rerun its producing stage)")
+        if key == "extracted" and meta.get("output_block_bits") != self.m:
+            raise DependencyError(
+                f"stage {stage!r} refuses artifact {name!r} hashed at "
+                f"m = {meta.get('output_block_bits')}, not at m = {self.m}")
         self.records[key] = {"sha256": sha, "config_digest": meta.get("config_digest")}
         if key not in _BIT_ARTIFACTS:
             return data
@@ -149,6 +155,8 @@ class _ArtifactGate:
                     "config_digest": self.digest, "sha256": sha}
             if key in _BIT_ARTIFACTS:
                 meta["bit_length"] = payload.bit_length
+            if key == "extracted":
+                meta["output_block_bits"] = self.m
             traceio.atomic_write_bytes(path + ".meta.json", _json_bytes(meta))
 
 
@@ -181,6 +189,7 @@ def simulate_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResu
         trace = optics.adc_quantize(trace, cfg.detector_i, cfg.detector_q)
     outputs = {"samples": len(trace), "sample_rate": trace.sample_rate,
                "clamped_samples": trace.clamped_samples,
+               "adc_clipped_samples": {"i": trace.adc_clipped_i, "q": trace.adc_clipped_q},
                "oversample_factor": factor}
     return outputs, {"trace": traceio.encode_trace(trace)}
 
@@ -243,8 +252,7 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResul
     klds = {name: analysis.kld(hist_phase, law) for name, law in laws.items()}
     autocorr = analysis.autocorrelation(series.phases, cfg.analysis.max_lag)
     slower = max(cfg.detector_i, cfg.detector_q, key=lambda det: det.response_time)
-    warnings = optics.validate_timing(cfg.laser, cfg.interferometer,
-                                      slower, trace.sample_rate)
+    warnings = optics.validate_timing(cfg.laser, cfg.interferometer, slower)
     report = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,
@@ -290,11 +298,6 @@ def _check_bit_budget(have: int, tc: stattests.TestConfig) -> int:
 def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     bits = artifacts.read("extracted", "test")
     tc = cfg.test
-    _, m = cfg.extraction.block_bits
-    if bits.bit_length % m:
-        raise DependencyError(f"stage 'test' refuses artifact 'extracted.bin': its "
-                              f"{bits.bit_length} bits are no whole number of "
-                              f"{m}-bit blocks")
     need = _check_bit_budget(bits.bit_length, tc)
     sequences = bits.to_bits()[:need].reshape(tc.sequence_count, tc.sequence_bits)
     report = stattests.run_battery(list(sequences), tc)
@@ -327,7 +330,7 @@ def run_pipeline(cfg: ExperimentConfig, stages, outdir: str,
         raw_bits = cfg.simulation.sample_count * cfg.analysis.phase_bits
         _check_bit_budget(raw_bits // n * m, cfg.test)
 
-    gate = _ArtifactGate(outdir, cfg.digest)
+    gate = _ArtifactGate(outdir, cfg.digest, m)
     stage_outputs: dict[str, dict] = {}
     for stage in STAGES:
         if stage in requested:

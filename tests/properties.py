@@ -124,7 +124,8 @@ seed = 77
 
 [extraction]
 input_bits = 4000
-output_bits = 3920
+min_entropy_rate = 0.98
+mode = ratio
 """
 
 

@@ -35,7 +35,8 @@ seed = 11
 {extra}
 [extraction]
 input_bits = 4000
-output_bits = 3920
+min_entropy_rate = 0.98
+mode = ratio
 
 [test]
 sequence_bits = 4096

@@ -71,7 +71,6 @@ normalize = arcsine-fit
 
 [extraction]
 input_bits = 4000
-output_bits = 3920
 min_entropy_rate = 0.98
 epsilon_exponent = 50
 mode = ratio
@@ -108,7 +107,7 @@ class TestHappyPath:
         assert c.simulation.oversample_factor == 2
         assert c.analysis.normalize == "arcsine-fit"
         assert c.extraction.mode == "ratio"
-        assert c.extraction.output_bits == 3920
+        assert c.extraction.block_bits == (4000, 3920)
         assert c.test.sequence_count == 100
 
     def test_minimal_config_uses_defaults(self):
@@ -300,19 +299,20 @@ def readme_text():
 
 class TestDigestPins:
     # Known answers: the canonical rendering, and so every artifact's
-    # config_digest, must not move when the parser is reorganized.
+    # config_digest, must not move when the parser is reorganized.  Schema 7
+    # moved all three: [extraction] output_bits is gone.
     def test_minimal(self):
         assert cfg.parse_config(MINIMAL).digest == (
-            "905a585a566add2e42e2eacf89535b0940c8d8d05bc0dbc04f32af623c3e82df")
+            "4fb716ef0e3ba3d25bbeaa7523262c2d7acc4c23a8ee899ec5fae65704a68acf")
 
     def test_full(self):
         assert cfg.parse_config(FULL).digest == (
-            "6387757d06fd8f59f371eadb8aa3d2a6f384cfa2ba6e25ec6c931a0818df4d99")
+            "da3855c30ec4840e526ed9243d039cd996bb8003c5fbce90b0f796dc3bcb352a")
 
     def test_readme_quick_start(self):
         block = re.search(r"```ini\n(.*?)```", readme_text(), re.S).group(1)
         assert cfg.parse_config(block).digest == (
-            "b1575b89f31ba39353120f0160ce42d212f10ea7c2e6359ce0d21fd8d0d0a715")
+            "877786836568d726fb938c3593aed1cc67772144e9607e9f0f6c827c069631fe")
 
 
 def test_every_resolved_field_round_trips():

@@ -41,10 +41,7 @@ GUARDED = {
     "additional_phase.q0_meas": (lambda v: optics.additional_phase(1, 1, 1, v), False),
     "mismatch_phase_error.i0_meas": (lambda v: optics.mismatch_phase_error(0, v, 1), False),
     "mismatch_phase_error.q0_meas": (lambda v: optics.mismatch_phase_error(0, 1, v), False),
-    "validate_timing.sample_rate": (lambda v: optics.validate_timing(
-        phasenoise.LaserParams(coherence_time=6e-9),
-        optics.InterferometerParams(delay_length=6.0),
-        optics.DetectorParams(1.0), v), False),
+    "min_entropy_rate": (lambda v: config.ExtractionParams(min_entropy_rate=v), False),
     "delay_time.delay_length": (lambda v: phasenoise.delay_time(v, 1.5), True),
     "delay_time.fiber_index": (lambda v: phasenoise.delay_time(6.0, v), False),
     "phase_variance.coherence_time": (
@@ -80,8 +77,8 @@ def test_every_guarded_scalar_refuses_bad_values(name, value):
 INTEGERS = {
     "histogram_bins": (lambda v: config.AnalysisParams(histogram_bins=v), 2),
     "AnalysisParams.max_lag": (lambda v: config.AnalysisParams(max_lag=v), 1),
-    "input_bits": (lambda v: config.ExtractionParams(input_bits=v, output_bits=1), 1),
-    "output_bits": (lambda v: config.ExtractionParams(output_bits=v), 0),
+    "input_bits": (lambda v: config.ExtractionParams(
+        input_bits=v, min_entropy_rate=1.0, mode="ratio"), 1),
     "epsilon_exponent": (lambda v: config.ExtractionParams(epsilon_exponent=v), 1),
     "sample_count": (lambda v: config.SimulationParams(v, 1e6, seed=0), 1),
     "oversample_factor": (

@@ -541,6 +541,13 @@ class TestAdcQuantize:
         out = optics.adc_quantize(trace, d, d)
         assert np.all(np.diff(out.v_i) >= 0)
 
+    # [-F, F) is in range: -F snaps to the lowest level, F saturates.
+    def test_counts_clipped_samples_per_channel(self):
+        x = np.array([-5.0, -1.0, -0.5, 0.999, 1.0, 5.0])
+        out = optics.adc_quantize(optics.IQTrace(v_i=x, v_q=0.5 * x, sample_rate=1.0),
+                                  det(adc_bits=4), det(adc_bits=4))
+        assert (out.adc_clipped_i, out.adc_clipped_q) == (3, 2)
+
     def test_channels_quantized_independently(self):
         trace = optics.IQTrace(v_i=np.array([0.3]), v_q=np.array([0.3]),
                                sample_rate=1.0)
@@ -623,23 +630,15 @@ class TestBoxcarDecimate:
 
 class TestValidateTiming:
     def test_slow_detector_warns(self):
-        msgs = optics.validate_timing(ideal_laser(), ifm(),
-                                      det(response_time=10e-9), 200e6)
+        msgs = optics.validate_timing(ideal_laser(), ifm(), det(response_time=10e-9))
         assert any(m.startswith("warning:") and "detector response time" in m
                    for m in msgs)
 
     def test_low_variance_warns(self):
         short = ifm(delay_length=0.5)
-        msgs = optics.validate_timing(ideal_laser(), short, det(), 200e6)
+        msgs = optics.validate_timing(ideal_laser(), short, det())
         assert any(m.startswith("warning:") and "below 10" in m for m in msgs)
 
-    def test_clean_setup_only_notes(self):
-        msgs = optics.validate_timing(ideal_laser(), ifm(),
-                                      det(response_time=625e-12), 200e6)
-        assert not any(m.startswith("warning:") for m in msgs)
-        assert any(m.startswith("note:") for m in msgs)
-
-    def test_note_reports_expected_correlation(self):
-        msgs = optics.validate_timing(ideal_laser(), ifm(), det(), 1e9)
-        note = [m for m in msgs if m.startswith("note:")][0]
-        assert "0.967" in note  # 1 - 1ns/30ns
+    def test_clean_setup_gives_no_messages(self):
+        assert optics.validate_timing(ideal_laser(), ifm(),
+                                      det(response_time=625e-12)) == []

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from phaserng import (cli, config as cfg_mod, extractor, optics, pipeline,
+from phaserng import (cli, config as cfg_mod, extractor, pipeline,
                       reconstruction, traceio)
 from phaserng.errors import (DependencyError, FormatError,
                              InsufficientInputError, ParameterError)
@@ -33,7 +33,8 @@ max_lag = 20
 
 [extraction]
 input_bits = 4000
-output_bits = 3920
+min_entropy_rate = 0.98
+mode = ratio
 
 [test]
 sequence_bits = 4096
@@ -103,6 +104,7 @@ class TestFullRun:
         assert sim["samples"] == 30000
         assert sim["sample_rate"] == 200e6
         assert sim["oversample_factor"] == 1
+        assert sim["adc_clipped_samples"] == {"i": 0, "q": 0}   # ADC off
 
     def test_symbols_artifact(self, full_run):
         # symbols.bin holds the run's symbols packed as extract hashes them.
@@ -132,6 +134,7 @@ class TestFullRun:
         assert report["kld_bits"]["vs_standard_gaussian"] > 0.5
         assert len(report["autocorrelation"]) == 21
         assert report["autocorrelation"][0] == 1.0
+        assert report["timing_messages"] == []     # a sound device
 
     def test_histogram_artifacts(self, full_run):
         cfg, outdir, _ = full_run
@@ -173,7 +176,8 @@ class TestFullRun:
         # Schema 3 (merged-time phase sampler), measured with numpy 2.4.6;
         # the Toeplitz seed is drawn on its own stream and did not move.
         # Schema 4 changed only symbols.bin, to packed bits.
-        # Schema 5 moved only the histograms' config_digest line.
+        # Schema 5 moved only the histograms' config_digest line, and so did
+        # schema 7 (output_bits left the config).
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt")) == (
             "c571b2b37e7acdf7ac2b97f9f19e6e9338e7e60679d29bc0f8f4ec41c4a5f332")
@@ -183,13 +187,13 @@ class TestFullRun:
             "7aee3fac9103ee50711c5a4ba15ff3d15da96732dd0a2b5e5a4daedf030c2ce4")
         hists = {
             "hist_channel_i.csv":
-                "55b64bb2b8a8af5fce77120cafa0f9ea2b3a1802e62dd5b39f8e61df62965aa5",
+                "126a7f968bd907a2f915df5bb635cbb0ed0cafae95a37a5f43e8c3544c219033",
             "hist_channel_q.csv":
-                "9d0ae2c6a797ee1967dd0e2ae800fad287ae024b1ef1edc3f975eb1833091812",
+                "3da8d84321f7839cd92e67baf43336d56516b94dff3285eb9dd1c8f2182a6aa0",
             "hist_phase.csv":
-                "3a8cd0eee9f39ede15031a42612e07ee729c7530dd8b212c353ac8e558cef957",
+                "7d103da6c51d533ea333d60e82abfc256fe0f64a03b25d35cbf5aa5c9834f816",
             "hist_symbols.csv":
-                "55640e5d2db91603089c055b6e65a5c5597cd184b4a0f10d4c85852d72e705e4",
+                "9eeb3fb196724ffeb21d324696e8443a79018acbfa69be5e8556799a68af1e27",
         }
         for name, digest in hists.items():
             assert sha256(os.path.join(outdir, name)) == digest, name
@@ -200,14 +204,16 @@ class TestFullRun:
         # Pins the sidecar layout (key order included) and the summary's
         # bytes, so routing artifact I/O differently cannot move them.
         # Schema 6 moved only their schema_version (and, in the summary,
-        # the hashes of the JSON reports, which carry it too).
+        # the hashes of the JSON reports, which carry it too).  Schema 7
+        # moved their config_digest, and the summary gained simulate's
+        # ADC clip counts.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "2a95f5aa94a4263f3f4c00537f07a01038569b00fac3e36903973108277b2f5a")
+            "c3443e1f9afabb46357500d7780167f3e110cd2b440dcbfdf289fb97d57d1d22")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "9006b8a93ca45da51a00e2ec33e3cfe262ac5ccb934872c7b7982948d9c57b88")
+            "495b94374290ebd68bcb2daa6e0634860962e9cac2bded1c67a9e7849d988788")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "7a293b9b769b586a958b5c49e03f15e1390743cc5ca48ae4600e3df52773da6d")
+            "945735df5b566bf812cf0c3674d412765d1254a6d1d9cff2206726e0074d6766")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -328,8 +334,7 @@ class TestStagedExecution:
         # digest in the summary of a later invocation that reads them.
         outdir = str(tmp_path / "run")
         cfg_a = make_config()
-        cfg_b = make_config(**{"output_bits = 3920":
-                               "output_bits = 3920\nmin_entropy_rate = 0.95"})
+        cfg_b = make_config(**{"min_entropy_rate = 0.98": "min_entropy_rate = 0.95"})
         assert cfg_a.digest != cfg_b.digest
         pipeline.run_pipeline(cfg_a, ["simulate", "reconstruct"], outdir)
         summary = pipeline.run_pipeline(cfg_b, ["analyze", "extract"], outdir)
@@ -372,17 +377,6 @@ class TestAnalyzeDescribesItsTrace:
         # Read at detector_i's 10 bits, channel Q would give 4.619 bits.
         assert hmin["channel_q"] == pytest.approx(3.545, abs=1e-3)
         assert hmin["channel_i"] == pytest.approx(4.609, abs=1e-3)
-
-    def test_timing_note_uses_the_trace_rate(self, tmp_path):
-        src = str(tmp_path / "src")
-        pipeline.run_pipeline(make_config(), ["simulate"], src)
-        cfg = make_config(**{"sample_rate = 200e6": "sample_rate = 100e6"})
-        outdir = str(tmp_path / "run")
-        pipeline.run_pipeline(cfg, ["ingest", "analyze"], outdir,
-                              ingest_path=os.path.join(src, "trace.iqt"))
-        report = json.load(open(os.path.join(outdir, "analysis_report.json")))
-        assert report["timing_messages"] == optics.validate_timing(
-            cfg.laser, cfg.interferometer, cfg.detector_i, 200e6)
 
     def test_timing_warning_sees_the_slower_channel(self, tmp_path):
         cfg = make_config(**{"[simulation]":
@@ -493,6 +487,36 @@ class TestExtractionSeedFile:
         assert not os.path.exists(os.path.join(outdir, "toeplitz_seed.bin"))
 
 
+class TestAdcClipCounts:
+    """simulate reports the samples each channel's ADC saturated."""
+
+    def clipped(self, tmp_path, **overrides):
+        cfg = make_config(**{"seed = 11": "seed = 11\nadc_quantize = on"}, **overrides)
+        summary = pipeline.run_pipeline(cfg, ["simulate"], str(tmp_path))
+        return summary["stage_outputs"]["simulate"]["adc_clipped_samples"]
+
+    # The default 1 W laser puts an 8 kV interference signal on a +-1 V ADC.
+    def test_quick_start_device_saturates(self, tmp_path):
+        clipped = self.clipped(tmp_path)
+        assert clipped["i"] > 0.99 * 30000 and clipped["q"] > 0.99 * 30000
+
+    # The measured budget of acceptance criterion 2(b): a 0.86 V amplitude.
+    def test_paper_budget_stays_in_range(self, tmp_path):
+        budget = {
+            "coherence_time = 6e-9": "coherence_time = 6e-9\nmean_power = 0.140e-3\n"
+                                     "intensity_sigma = 9.64e-7",
+            "delay_length = 6.0": "delay_length = 6.0\nbs_transmittance = 0.514286\n"
+                                  "delay_loss = 0.569444",
+            "transimpedance = 16e3": "transimpedance = 16e3\n"
+                                     "electrical_noise_sigma = 7.666e-3\n\n"
+                                     "[detector_q]\ntransimpedance = 16e3\n"
+                                     "electrical_noise_sigma = 7.356e-3",
+            "sample_rate = 200e6": "sample_rate = 200e6\nnoise_intensity = on\n"
+                                   "noise_electrical = on",
+        }
+        assert self.clipped(tmp_path, **budget) == {"i": 0, "q": 0}
+
+
 class TestInsufficientInput:
     def test_test_stage_short_on_bits(self, tmp_path):
         outdir = str(tmp_path / "run")
@@ -507,7 +531,7 @@ class TestInsufficientInput:
     def test_staged_test_never_counts_pad_bits(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config(**{"sample_count = 30000": "sample_count = 4400",
-                             "output_bits = 3920": "output_bits = 3723"})
+                             "min_entropy_rate = 0.98": "min_entropy_rate = 0.93075"})
         with pytest.raises(InsufficientInputError, match="needs 40960 .* found 40953"):
             pipeline.run_pipeline(
                 cfg, ["simulate", "reconstruct", "extract", "test"], outdir)
@@ -521,7 +545,7 @@ class TestInsufficientInput:
     # count alone, 5120 bytes would hold only 8191 whole 5-bit blocks.
     M_BELOW_8 = {"sample_count = 30000": "sample_count = 6554",
                  "input_bits = 4000": "input_bits = 8",
-                 "output_bits = 3920": "output_bits = 5"}
+                 "min_entropy_rate = 0.98": "min_entropy_rate = 0.625"}
 
     def test_exact_bit_count_below_8_one_shot(self, tmp_path):
         summary = pipeline.run_pipeline(
@@ -540,8 +564,7 @@ class TestInsufficientInput:
     def test_extract_stage_short_on_symbols(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config(**{"sample_count = 30000": "sample_count = 1000",
-                             "input_bits = 4000": "input_bits = 40000",
-                             "output_bits = 3920": "output_bits = 39200"})
+                             "input_bits = 4000": "input_bits = 40000"})
         with pytest.raises(InsufficientInputError):
             pipeline.run_pipeline(cfg, ["simulate", "reconstruct", "extract"],
                                   outdir)
@@ -575,8 +598,7 @@ class TestFailedStageWritesNothing:
     def test_extract_short_on_symbols(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         short = {"sample_count = 30000": "sample_count = 1000",
-                 "input_bits = 4000": "input_bits = 40000",
-                 "output_bits = 3920": "output_bits = 39200"}
+                 "input_bits = 4000": "input_bits = 40000"}
         assert self.run(tmp_path, "simulate,reconstruct,extract", outdir, **short) == 5
         # The earlier stages' artifacts stay; extract left none.
         upstream = ["symbols.bin", "symbols.bin.meta.json",
@@ -685,12 +707,14 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    # Keys that once duplicated coherence_time or fixed the battery's gates.
+    # Keys that once duplicated coherence_time or the rate that sizes m, or
+    # fixed the battery's gates.
     @pytest.mark.parametrize("section,line", [
         ("laser", "linewidth = 5e7"),
         ("test", "proportion_mode = fixed"),
         ("test", "fixed_proportion = 0.98"),
         ("test", "uniformity_threshold = 1e-4"),
+        ("extraction", "output_bits = 3920"),
     ])
     def test_exit_3_removed_key(self, tmp_path, capsys, section, line):
         config = self.write_config(
@@ -790,18 +814,41 @@ class TestCli:
         assert code == 4
         assert "trace.iqt" in capsys.readouterr().err
 
-    def test_exit_4_extracted_bits_of_another_block_size(self, tmp_path, capsys):
-        # 75 blocks of 3920 bits fill 36750 bytes; no whole number of
-        # 3919-bit blocks packs into that many bytes.
+    def refused_test_at_rate(self, tmp_path, capsys, rate, m):
+        """Extract at m = 3920, then test under a rate that gives ``m``."""
         outdir = str(tmp_path / "out")
         config = self.write_config(tmp_path)
         assert cli.main(["pipeline", "-c", config, "-o", outdir,
                          "--stages", "simulate,reconstruct,extract"]) == 0
-        config = self.write_config(
-            tmp_path, BASE_INI.replace("output_bits = 3920", "output_bits = 3919"))
+        config = self.write_config(tmp_path, BASE_INI.replace(
+            "min_entropy_rate = 0.98", f"min_entropy_rate = {rate}"))
         capsys.readouterr()
         assert cli.main(["test", "-c", config, "-o", outdir]) == 4
-        assert "no whole number of 3919-bit blocks" in capsys.readouterr().err
+        assert (f"'extracted.bin' hashed at m = 3920, not at m = {m}"
+                in capsys.readouterr().err)
+        assert not os.path.exists(os.path.join(outdir, "test_report.json"))
+
+    # extracted.bin's sidecar records the m it was hashed at.
+    def test_exit_4_extracted_bits_of_another_block_size(self, tmp_path, capsys):
+        self.refused_test_at_rate(tmp_path, capsys, "0.97975", 3919)
+
+    # The 294000 bits of 75 blocks of 3920 are also 80 whole blocks of 3675,
+    # so their bit count alone cannot tell the two block sizes apart.
+    def test_exit_4_extracted_bits_that_fill_other_blocks(self, tmp_path, capsys):
+        self.refused_test_at_rate(tmp_path, capsys, "0.91875", 3675)
+
+    # Only [extraction]'s m ties extracted.bin to the config: another [test]
+    # geometry still reads it.
+    def test_other_test_geometry_accepts_extracted_bits(self, tmp_path, capsys):
+        outdir = str(tmp_path / "out")
+        config = self.write_config(tmp_path)
+        assert cli.main(["pipeline", "-c", config, "-o", outdir,
+                         "--stages", "simulate,reconstruct,extract"]) == 0
+        config = self.write_config(tmp_path, BASE_INI.replace(
+            "sequence_count = 10", "sequence_count = 9"))
+        capsys.readouterr()
+        assert cli.main(["test", "-c", config, "-o", outdir]) == 0
+        assert json.loads(capsys.readouterr().out)["stages"] == ["test"]
 
     def test_exit_5_insufficient_bits(self, tmp_path, capsys):
         config = self.write_config(
@@ -818,8 +865,8 @@ class TestCli:
     # exits before any stage, so no output directory appears.
     def test_exit_5_insufficient_entropy(self, tmp_path, capsys):
         config = self.write_config(
-            tmp_path, BASE_INI.replace("output_bits = 3920",
-                                       "min_entropy_rate = 0.001"))
+            tmp_path, BASE_INI.replace("min_entropy_rate = 0.98",
+                                       "min_entropy_rate = 0.0002"))
         outdir = tmp_path / "out"
         code = cli.main(["pipeline", "-c", config, "-o", str(outdir),
                          "--stages", "simulate,reconstruct,extract"])
@@ -830,7 +877,6 @@ class TestCli:
     def test_exit_2_sequence_too_short(self, tmp_path, capsys):
         # The last case is below the default serial test's 2^18 bits.
         for case in ({"sequence_bits = 4096": "sequence_bits = 100"},
-                     {"output_bits = 3920": "output_bits = 5000"},
                      {"sequence_bits = 4096": "sequence_bits = 100000",
                       "serial_pattern_bits = 8": "serial_pattern_bits = 16"}):
             text = BASE_INI
@@ -845,7 +891,8 @@ class TestCli:
 
     # A key outside its range is refused at load, by its INI name.
     @pytest.mark.parametrize("needle,replacement,key", [
-        ("output_bits = 3920", "epsilon_exponent = 1075", "epsilon_exponent"),
+        ("min_entropy_rate = 0.98", "epsilon_exponent = 1075", "epsilon_exponent"),
+        ("min_entropy_rate = 0.98", "min_entropy_rate = 1.5", "min_entropy_rate"),
     ])
     def test_exit_2_key_out_of_range(self, tmp_path, capsys, needle, replacement, key):
         config = self.write_config(tmp_path, BASE_INI.replace(needle, replacement))
@@ -864,7 +911,7 @@ class TestCli:
 
     def test_smallest_epsilon_runs(self, tmp_path, capsys):
         config = self.write_config(
-            tmp_path, BASE_INI.replace("output_bits = 3920", "epsilon_exponent = 1074"))
+            tmp_path, BASE_INI.replace("mode = ratio", "epsilon_exponent = 1074"))
         assert cli.main(["simulate", "-c", config, "-o", str(tmp_path / "out")]) == 0
 
     def test_missing_subcommand_is_usage_error(self, capsys):
