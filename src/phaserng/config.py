@@ -1,16 +1,15 @@
 """Experiment configuration: strict INI parsing and content digests.
 
 Grammar: INI sections ``[laser]``, ``[interferometer]``, ``[detector_i]``,
-``[detector_q]``, ``[simulation]``, ``[analysis]``, ``[extraction]``,
-``[test]``: the fields of ``ExperimentConfig``, in order, each backed by
-the section dataclass its annotation names.  A section's keys, their
-defaults and their types are that dataclass's fields: a field's default is
-the key's default, a field without one is a required key, and its
-annotation (float, int, str or bool) picks the converter.  Two special
-cases: the ``NoiseSwitches`` fields are ``[simulation]`` keys with the
-``noise_`` prefix, and an absent or empty ``[detector_q]`` mirrors
-``[detector_i]``.  An unknown section or key is an error (fail-fast against
-typos), as is a missing required key.  Booleans accept on/off, true/false,
+``[detector_q]``, ``[simulation]``, ``[switches]``, ``[analysis]``,
+``[extraction]``, ``[test]``: the fields of ``ExperimentConfig``, in order,
+each backed by the section dataclass its annotation names.  A section's
+keys, their defaults and their types are that dataclass's fields: a field's
+default is the key's default, a field without one is a required key, and
+its annotation (float, int, str or bool) picks the converter.  One special
+case: an absent or empty ``[detector_q]`` mirrors ``[detector_i]``.  An
+unknown section or key is an error (fail-fast against typos), as is a
+missing required key.  Booleans accept on/off, true/false,
 yes/no, 1/0.  ``#`` and ``;`` start comments.
 
 The digest is a sha256 over a canonical rendering of the *resolved*
@@ -84,12 +83,11 @@ class ExtractionParams:
 
 @dataclass(frozen=True)
 class SimulationParams:
-    """Sample geometry, seeding, and model switches."""
+    """Sample geometry, seeding, and the acquisition model."""
 
     sample_count: int
     sample_rate: float
     seed: int
-    switches: NoiseSwitches = NoiseSwitches()
     adc_quantize: bool = False
     oversample_factor: int = 1        # detector-averaging acquisition model
 
@@ -107,26 +105,18 @@ class ExperimentConfig:
     detector_i: DetectorParams
     detector_q: DetectorParams
     simulation: SimulationParams
+    switches: NoiseSwitches = NoiseSwitches()
     analysis: AnalysisParams = AnalysisParams()
     extraction: ExtractionParams = ExtractionParams()
     test: TestConfig = TestConfig()
 
     def canonical_text(self) -> str:
-        """Deterministic rendering of every resolved field, section by section.
-
-        The noise switches render as their own ``[switches]`` block after
-        ``[simulation]``.
-        """
-        blocks = []
-        for f in fields(self):
-            blocks.append((f.name, getattr(self, f.name)))
-            if f.name == "simulation":
-                blocks.append(("switches", self.simulation.switches))
+        """Deterministic rendering of every resolved field, section by section."""
         lines = []
-        for name, obj in blocks:
-            lines.append(f"[{name}]")
-            lines += [f"{f.name} = {getattr(obj, f.name)!r}"
-                      for f in fields(obj) if f.name != "switches"]
+        for section in fields(self):
+            obj = getattr(self, section.name)
+            lines.append(f"[{section.name}]")
+            lines += [f"{f.name} = {getattr(obj, f.name)!r}" for f in fields(obj)]
         return "\n".join(lines) + "\n"
 
     @property
@@ -134,28 +124,24 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def _build(name: str, cls, raw: dict[str, str], prefix: str = "", given=None):
-    """``cls`` from the keys ``prefix + field`` of section ``name``.
+def _build(name: str, cls, raw: dict[str, str]):
+    """``cls`` from the keys of section ``name``.
 
-    Fields in ``given`` are taken from it, not read.  Every key read is
-    popped from ``raw``, so what is left there is unknown.
+    Every key read is popped from ``raw``, so what is left there is unknown.
     """
-    values = dict(given or {})
+    values = {}
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
-        key = prefix + f.name
-        if f.name in values:
-            continue
-        if key not in raw:
+        if f.name not in raw:
             if f.default is MISSING:
-                raise FormatError(f"[{name}] is missing required key {key!r}")
+                raise FormatError(f"[{name}] is missing required key {f.name!r}")
             continue
         convert = _CONVERTERS[hints[f.name]]
-        text = raw.pop(key).strip()
+        text = raw.pop(f.name).strip()
         try:
             values[f.name] = convert(text)
         except (KeyError, ValueError):
-            raise FormatError(f"[{name}] key {key!r}: cannot parse {text!r}") from None
+            raise FormatError(f"[{name}] key {f.name!r}: cannot parse {text!r}") from None
     return cls(**values)
 
 
@@ -177,11 +163,7 @@ def parse_config(text: str) -> ExperimentConfig:
             # An absent or empty [detector_q] mirrors [detector_i].
             sections[name] = sections["detector_i"]
             continue
-        given = {}
-        if cls is SimulationParams:
-            # The NoiseSwitches fields are [simulation] keys with a noise_ prefix.
-            given["switches"] = _build(name, NoiseSwitches, raw, prefix="noise_")
-        sections[name] = _build(name, cls, raw, given=given)
+        sections[name] = _build(name, cls, raw)
         if raw:
             raise FormatError(f"[{name}] has unknown keys: {', '.join(sorted(raw))}")
     return ExperimentConfig(**sections)

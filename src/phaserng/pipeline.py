@@ -183,7 +183,7 @@ def simulate_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResu
         sim.sample_count * factor, seed=sim.seed)
     trace = optics.simulate_trace(path, cfg.laser, cfg.interferometer,
                                   cfg.detector_i, cfg.detector_q,
-                                  switches=sim.switches, seed=sim.seed)
+                                  switches=cfg.switches, seed=sim.seed)
     trace = optics.boxcar_decimate(trace, factor)
     if sim.adc_quantize:
         trace = optics.adc_quantize(trace, cfg.detector_i, cfg.detector_q)
@@ -253,6 +253,15 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResul
     autocorr = analysis.autocorrelation(series.phases, cfg.analysis.max_lag)
     slower = max(cfg.detector_i, cfg.detector_q, key=lambda det: det.response_time)
     warnings = optics.validate_timing(cfg.laser, cfg.interferometer, slower)
+    if cfg.simulation.adc_quantize:
+        # As in simulate_trace, Q has I's gain unless mismatch is on.
+        gain_q = cfg.detector_q if cfg.switches.mismatch else cfg.detector_i
+        for channel, gain, adc in (("I", cfg.detector_i, cfg.detector_i),
+                                   ("Q", gain_q, cfg.detector_q)):
+            amplitude = optics.bhd_amplitude(cfg.laser, cfg.interferometer, gain)
+            if amplitude > adc.adc_fullscale:
+                warnings.append(f"warning: predicted {channel} amplitude {amplitude:.3g} V "
+                                f"exceeds the ADC full scale {adc.adc_fullscale:g} V")
     report = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,

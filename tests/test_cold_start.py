@@ -78,10 +78,10 @@ def test_ideal_pipeline_leaves_filter_out(tmp_path):
 
 
 def test_bandwidth_limited_config_loads_filter(tmp_path):
-    write_ini(tmp_path, extra="noise_bandwidth_limit = on\n")
+    write_ini(tmp_path, extra="\n[switches]\nbandwidth_limit = on\n")
     code = """
         from phaserng import config
-        assert config.load_config("qrng.ini").simulation.switches.bandwidth_limit
+        assert config.load_config("qrng.ini").switches.bandwidth_limit
     """
     assert "scipy.signal" in loaded_after(code, tmp_path)
 

@@ -55,13 +55,15 @@ electrical_noise_sigma = 7.356e-3
 sample_count = 1000000
 sample_rate = 200e6
 seed = 42
-noise_intensity = on
-noise_electrical = yes
-noise_drift = off
-noise_mismatch = true
-noise_bandwidth_limit = 0
 adc_quantize = false
 oversample_factor = 2
+
+[switches]
+intensity = on
+electrical = yes
+drift = off
+mismatch = true
+bandwidth_limit = 0
 
 [analysis]
 phase_bits = 10
@@ -98,11 +100,11 @@ class TestHappyPath:
         assert c.detector_q.electrical_noise_sigma == 7.356e-3
         assert c.simulation.sample_count == 1_000_000
         assert c.simulation.seed == 42
-        assert c.simulation.switches.intensity is True
-        assert c.simulation.switches.electrical is True
-        assert c.simulation.switches.drift is False
-        assert c.simulation.switches.mismatch is True
-        assert c.simulation.switches.bandwidth_limit is False
+        assert c.switches.intensity is True
+        assert c.switches.electrical is True
+        assert c.switches.drift is False
+        assert c.switches.mismatch is True
+        assert c.switches.bandwidth_limit is False
         assert c.simulation.adc_quantize is False
         assert c.simulation.oversample_factor == 2
         assert c.analysis.normalize == "arcsine-fit"
@@ -117,7 +119,7 @@ class TestHappyPath:
         assert c.detector_i.responsivity == 1.0
         assert c.detector_i.response_time == 625e-12
         assert c.detector_i.adc_bits == 10
-        assert c.simulation.switches.intensity is False
+        assert c.switches.intensity is False
         assert c.simulation.adc_quantize is False
         assert c.analysis.phase_bits == 10
         assert c.analysis.normalize == "percentile"
@@ -156,14 +158,12 @@ class TestBoolParsing:
         ("off", False), ("false", False), ("no", False), ("0", False),
     ])
     def test_accepted_spellings(self, text, value):
-        c = cfg.parse_config(
-            MINIMAL.replace("seed = 7", f"seed = 7\nnoise_drift = {text}"))
-        assert c.simulation.switches.drift is value
+        c = cfg.parse_config(MINIMAL + f"\n[switches]\ndrift = {text}\n")
+        assert c.switches.drift is value
 
     def test_rejected_spelling(self):
         with pytest.raises(FormatError, match="cannot parse"):
-            cfg.parse_config(
-                MINIMAL.replace("seed = 7", "seed = 7\nnoise_drift = maybe"))
+            cfg.parse_config(MINIMAL + "\n[switches]\ndrift = maybe\n")
 
 
 class TestStrictness:
@@ -252,7 +252,9 @@ class TestDigest:
 seed = 7
 sample_rate = 200e6
 sample_count = 1000
-noise_intensity = off
+
+[switches]
+intensity = off
 
 [interferometer]
 fiber_index = 1.5
@@ -323,12 +325,7 @@ def test_every_resolved_field_round_trips():
     for section in fields(cfg.ExperimentConfig):
         obj = getattr(original, section.name)
         lines.append(f"[{section.name}]")
-        for f in fields(obj):
-            if f.name == "switches":
-                lines += [f"noise_{s.name} = {getattr(obj.switches, s.name)}"
-                          for s in fields(obj.switches)]
-            else:
-                lines.append(f"{f.name} = {getattr(obj, f.name)}")
+        lines += [f"{f.name} = {getattr(obj, f.name)}" for f in fields(obj)]
     assert cfg.parse_config("\n".join(lines) + "\n") == original
 
 
@@ -358,7 +355,6 @@ def canonical_keys(config):
             keys.setdefault(section, set())
         else:
             keys[section].add(line.split(" = ")[0])
-    keys["simulation"] |= {f"noise_{k}" for k in keys.pop("switches")}
     return keys
 
 
@@ -374,11 +370,7 @@ class TestReadmeConfigReference:
     def test_defaults_match_the_parser(self):
         base = cfg.parse_config(MINIMAL)
         for section, key, required, default in readme_config_table():
-            obj = getattr(base, section)
-            name = key
-            if key.startswith("noise_"):
-                obj, name = obj.switches, key.removeprefix("noise_")
-            field = {f.name: f for f in fields(obj)}[name]
+            field = {f.name: f for f in fields(getattr(base, section))}[key]
             assert required == (field.default is MISSING), key
             if required:
                 assert default == "—", key

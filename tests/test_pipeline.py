@@ -487,11 +487,27 @@ class TestExtractionSeedFile:
         assert not os.path.exists(os.path.join(outdir, "toeplitz_seed.bin"))
 
 
+# The measured budget of acceptance criterion 2(b): a 0.86 V amplitude.
+PAPER_BUDGET = {
+    "coherence_time = 6e-9": "coherence_time = 6e-9\nmean_power = 0.140e-3\n"
+                             "intensity_sigma = 9.64e-7",
+    "delay_length = 6.0": "delay_length = 6.0\nbs_transmittance = 0.514286\n"
+                          "delay_loss = 0.569444",
+    "transimpedance = 16e3": "transimpedance = 16e3\n"
+                             "electrical_noise_sigma = 7.666e-3\n\n"
+                             "[detector_q]\ntransimpedance = 16e3\n"
+                             "electrical_noise_sigma = 7.356e-3",
+    "[analysis]\n": "[switches]\nintensity = on\nelectrical = on\n\n[analysis]\n",
+}
+
+ADC_ON = {"seed = 11": "seed = 11\nadc_quantize = on"}
+
+
 class TestAdcClipCounts:
     """simulate reports the samples each channel's ADC saturated."""
 
     def clipped(self, tmp_path, **overrides):
-        cfg = make_config(**{"seed = 11": "seed = 11\nadc_quantize = on"}, **overrides)
+        cfg = make_config(**ADC_ON, **overrides)
         summary = pipeline.run_pipeline(cfg, ["simulate"], str(tmp_path))
         return summary["stage_outputs"]["simulate"]["adc_clipped_samples"]
 
@@ -500,21 +516,52 @@ class TestAdcClipCounts:
         clipped = self.clipped(tmp_path)
         assert clipped["i"] > 0.99 * 30000 and clipped["q"] > 0.99 * 30000
 
-    # The measured budget of acceptance criterion 2(b): a 0.86 V amplitude.
     def test_paper_budget_stays_in_range(self, tmp_path):
-        budget = {
-            "coherence_time = 6e-9": "coherence_time = 6e-9\nmean_power = 0.140e-3\n"
-                                     "intensity_sigma = 9.64e-7",
-            "delay_length = 6.0": "delay_length = 6.0\nbs_transmittance = 0.514286\n"
-                                  "delay_loss = 0.569444",
-            "transimpedance = 16e3": "transimpedance = 16e3\n"
-                                     "electrical_noise_sigma = 7.666e-3\n\n"
-                                     "[detector_q]\ntransimpedance = 16e3\n"
-                                     "electrical_noise_sigma = 7.356e-3",
-            "sample_rate = 200e6": "sample_rate = 200e6\nnoise_intensity = on\n"
-                                   "noise_electrical = on",
-        }
-        assert self.clipped(tmp_path, **budget) == {"i": 0, "q": 0}
+        assert self.clipped(tmp_path, **PAPER_BUDGET) == {"i": 0, "q": 0}
+
+
+class TestLevelWarnings:
+    """analyze warns of each channel whose predicted amplitude its ADC clips.
+
+    With the ADC off there is no level check: the full run's report has no
+    message at all.
+    """
+
+    # 0.1 mW through the quick start's 50:50 splitter: 0.8 V at 16 kV/A.
+    LOW_POWER = {**ADC_ON, "coherence_time = 6e-9": "coherence_time = 6e-9\n"
+                                                    "mean_power = 0.1e-3"}
+
+    def level_messages(self, tmp_path, **overrides):
+        cfg = make_config(**overrides)
+        pipeline.run_pipeline(cfg, ["simulate", "analyze"], str(tmp_path))
+        report = json.load(open(os.path.join(str(tmp_path), "analysis_report.json")))
+        return [m for m in report["timing_messages"] if "ADC full scale" in m]
+
+    def detector_q(self, tmp_path, keys, mismatch):
+        return self.level_messages(tmp_path, **self.LOW_POWER, **{
+            "[simulation]": f"[detector_q]\n{keys}\n\n[simulation]",
+            "[analysis]\n": f"[switches]\nmismatch = {mismatch}\n\n[analysis]\n"})
+
+    def test_quick_start_device_warns_on_both_channels(self, tmp_path):
+        assert self.level_messages(tmp_path, **ADC_ON) == [
+            f"warning: predicted {channel} amplitude 8e+03 V exceeds the ADC full "
+            "scale 1 V" for channel in "IQ"]
+
+    def test_paper_budget_gets_no_warning(self, tmp_path):
+        assert self.level_messages(tmp_path, **ADC_ON, **PAPER_BUDGET) == []
+
+    # A 32 kV/A Q detector would give 1.6 V, but only with mismatch on.
+    @pytest.mark.parametrize("mismatch,warned", [("off", []), ("on", ["Q"])])
+    def test_q_has_the_i_gain_unless_mismatch(self, tmp_path, mismatch, warned):
+        messages = self.detector_q(tmp_path, "transimpedance = 32e3", mismatch)
+        assert [m.split()[2] for m in messages] == warned
+        assert all("amplitude 1.6 V" in m for m in messages)
+
+    def test_q_is_checked_against_its_own_adc(self, tmp_path):
+        messages = self.detector_q(
+            tmp_path, "transimpedance = 16e3\nadc_fullscale = 0.5", "off")
+        assert messages == ["warning: predicted Q amplitude 0.8 V exceeds the "
+                            "ADC full scale 0.5 V"]
 
 
 class TestInsufficientInput:
@@ -707,14 +754,15 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    # Keys that once duplicated coherence_time or the rate that sizes m, or
-    # fixed the battery's gates.
+    # Keys that once duplicated coherence_time or the rate that sizes m,
+    # fixed the battery's gates, or spelled a [switches] key in [simulation].
     @pytest.mark.parametrize("section,line", [
         ("laser", "linewidth = 5e7"),
         ("test", "proportion_mode = fixed"),
         ("test", "fixed_proportion = 0.98"),
         ("test", "uniformity_threshold = 1e-4"),
         ("extraction", "output_bits = 3920"),
+        ("simulation", "noise_drift = on"),
     ])
     def test_exit_3_removed_key(self, tmp_path, capsys, section, line):
         config = self.write_config(
