@@ -247,8 +247,8 @@ def extract_naive(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
 
 
 def bits_per_sample(adc_bits: int, spec: ToeplitzSpec) -> float:
-    """Delivered random bits per raw sample after extraction."""
-    return adc_bits * spec.output_block_bits / spec.input_block_bits
+    """Delivered random bits per raw sample after extraction, as (m / n) * bits."""
+    return (spec.output_block_bits / spec.input_block_bits) * adc_bits
 
 
 def read_seed_file(path, n: int, m: int) -> ToeplitzSpec:

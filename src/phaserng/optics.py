@@ -36,14 +36,6 @@ from .phasenoise import LaserParams, PhasePath, delay_time, phase_variance, wrap
 #: How the classical phase phi_0 evolves when the drift switch is on.
 DRIFT_MODES = ("fixed", "slow-walk")
 
-# Per-purpose RNG stream indices, so one trace seed yields independent
-# noise draws that stay stable when switches are toggled.
-_STREAM_INTENSITY_S = 1
-_STREAM_INTENSITY_LO = 2
-_STREAM_ELECTRICAL_I = 3
-_STREAM_ELECTRICAL_Q = 4
-_STREAM_DRIFT = 5
-
 
 @dataclass(frozen=True)
 class InterferometerParams:
@@ -188,6 +180,12 @@ def mismatch_phase_error(phi, i0_meas: float, q0_meas: float):
     return wrap_phase(measured - arr) if arr.ndim else float(wrap_phase(measured - arr))
 
 
+def _gain_detectors(det_i: DetectorParams, det_q: DetectorParams,
+                    switches: NoiseSwitches) -> tuple[DetectorParams, DetectorParams]:
+    """The detectors whose gain Z*R channels I and Q have: Q's only with mismatch on."""
+    return det_i, (det_q if switches.mismatch else det_i)
+
+
 def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParams,
                    det_i: DetectorParams, det_q: DetectorParams,
                    switches: NoiseSwitches = NoiseSwitches(),
@@ -197,9 +195,9 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     ``seed`` drives the noise draws only (the phase path carries its own);
     each noise source uses a distinct stream, so toggling one switch never
     changes another source's draws.  With ``switches.mismatch`` off the Q
-    channel uses the I channel's gain (perfectly matched detectors) while
-    keeping its own noise figure.  Negative instantaneous power draws are
-    clamped to zero and counted in ``clamped_samples``.  The I and Q
+    channel has the I channel's gain (``_gain_detectors``, which
+    ``validate_device`` also applies).  Negative instantaneous power draws
+    are clamped to zero and counted in ``clamped_samples``.  The I and Q
     chains run concurrently, Q on a worker thread that is joined before
     this returns or raises; the bytes do not depend on the scheduling.
     """
@@ -212,7 +210,7 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     phase = np.asarray(path.increments, dtype=np.float64)
     if switches.drift:
         if ifm.drift_mode == "slow-walk" and ifm.drift_step > 0.0:
-            drift = rng.standard_normals(count, seed, _STREAM_DRIFT)
+            drift = rng.standard_normals(count, seed, rng.STREAM_DRIFT)
             drift *= ifm.drift_step
             np.cumsum(drift, out=drift)
             drift += ifm.drift_phase - drift[0]   # walk starts at drift_phase
@@ -234,10 +232,10 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
         # The source power fluctuation epsilon(t) propagates through each
         # arm with that arm's transmission; the two arm draws are
         # independent but shared between the I and Q channels.
-        eps_s = rng.standard_normals(count, seed, _STREAM_INTENSITY_S)
+        eps_s = rng.standard_normals(count, seed, rng.STREAM_INTENSITY_S)
         eps_s *= k * t * laser.intensity_sigma
         eps_s += p_sig
-        eps_lo = rng.standard_normals(count, seed, _STREAM_INTENSITY_LO)
+        eps_lo = rng.standard_normals(count, seed, rng.STREAM_INTENSITY_LO)
         eps_lo *= (1.0 - t) * laser.intensity_sigma
         eps_lo += p_lo
         clamped = int(np.count_nonzero((eps_s < 0.0) | (eps_lo < 0.0)))
@@ -248,20 +246,13 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
         del eps_lo
         envelope = np.sqrt(eps_s, out=eps_s)
     else:
-        envelope = np.sqrt(p_sig * p_lo)
+        envelope = np.full(count, np.sqrt(p_sig * p_lo))
 
-    gain_i = det_i.transimpedance * det_i.responsivity
-    gain_q = (det_q.transimpedance * det_q.responsivity) if switches.mismatch else gain_i
-
-    # v_i = (gain_i * envelope) * cos(phase), v_q = (gain_q * envelope) * sin(phase);
-    # envelope is an array only with intensity noise.
-    if np.ndim(envelope):
-        v_i = gain_i * envelope
-        v_q = envelope
-        v_q *= gain_q
-    else:
-        v_i = np.full(count, gain_i * envelope)
-        v_q = np.full(count, gain_q * envelope)
+    # v_i = (gain_i * envelope) * cos(phase), v_q = (gain_q * envelope) * sin(phase)
+    gain_i, gain_q = (d.transimpedance * d.responsivity
+                      for d in _gain_detectors(det_i, det_q, switches))
+    v_i = gain_i * envelope
+    v_q = np.multiply(envelope, gain_q, out=envelope)
     if switches.bandwidth_limit:
         from scipy.signal import lfilter
 
@@ -291,8 +282,8 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     # numpy, lfilter and the Philox fills release the GIL.  Leaving the
     # pool joins the worker, also when a lane raised.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        q_lane = pool.submit(lane, v_q, np.sin, det_q, _STREAM_ELECTRICAL_Q)
-        lane(v_i, np.cos, det_i, _STREAM_ELECTRICAL_I)
+        q_lane = pool.submit(lane, v_q, np.sin, det_q, rng.STREAM_ELECTRICAL_Q)
+        lane(v_i, np.cos, det_i, rng.STREAM_ELECTRICAL_I)
         q_lane.result()
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
@@ -370,18 +361,22 @@ def _window_mean(windows: np.ndarray) -> np.ndarray:
     return total
 
 
-def validate_timing(laser: LaserParams, ifm: InterferometerParams,
-                    det: DetectorParams) -> list[str]:
-    """Advisory checks of the timing relations between device parameters.
+def validate_device(laser: LaserParams, ifm: InterferometerParams,
+                    det_i: DetectorParams, det_q: DetectorParams,
+                    switches: NoiseSwitches, adc_quantize: bool) -> list[str]:
+    """Advisory checks of the device that ``simulate_trace`` models.
 
-    Returns "warning:" messages: the detector is too slow for the laser's
-    coherence time, or the phase variance is below the uniform-phase
-    threshold of 10.  A sound device gets none.
+    Returns "warning:" messages, in order: the slower detector is too slow
+    for the laser's coherence time; the phase variance is below the
+    uniform-phase threshold of 10; with ``adc_quantize``, each channel whose
+    predicted amplitude (at the gains of ``_gain_detectors``) exceeds its
+    ADC's full scale.  A sound device gets none.
     """
     messages: list[str] = []
-    if det.response_time >= laser.coherence_time:
+    slower = max(det_i, det_q, key=lambda det: det.response_time)
+    if slower.response_time >= laser.coherence_time:
         messages.append(
-            f"warning: detector response time {det.response_time:g} s is not below "
+            f"warning: detector response time {slower.response_time:g} s is not below "
             f"the coherence time {laser.coherence_time:g} s; the detector will "
             "average out the phase fluctuations")
     sigma_sq = phase_variance(ifm.delay_length, ifm.fiber_index, laser.coherence_time)
@@ -389,4 +384,11 @@ def validate_timing(laser: LaserParams, ifm: InterferometerParams,
         messages.append(
             f"warning: phase variance {sigma_sq:.3g} rad^2 is below 10; the wrapped "
             "phase will not be uniform")
+    if adc_quantize:
+        gains = _gain_detectors(det_i, det_q, switches)
+        for channel, gain, adc in zip("IQ", gains, (det_i, det_q)):
+            amplitude = bhd_amplitude(laser, ifm, gain)
+            if amplitude > adc.adc_fullscale:
+                messages.append(f"warning: predicted {channel} amplitude {amplitude:.3g} V "
+                                f"exceeds the ADC full scale {adc.adc_fullscale:g} V")
     return messages

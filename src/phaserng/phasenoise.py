@@ -161,7 +161,7 @@ def wrapped_gaussian_pdf(x, sigma_sq: float, k_max: int = DEFAULT_K_MAX):
 
 def sample_phase_path(laser: LaserParams, delay_time: float,
                       sample_period: float, count: int, seed: int,
-                      stream: int = 0) -> PhasePath:
+                      stream: int = rng.STREAM_PHASE) -> PhasePath:
     """Generate ``count`` correlated delay-line phase increments.
 
     Sample i is phi(t_i) - phi(t_i - delay_time) for a Wiener phase phi with

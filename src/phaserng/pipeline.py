@@ -23,7 +23,8 @@ import os
 
 import numpy as np
 
-from . import analysis, extractor, optics, phasenoise, reconstruction, stattests, traceio
+from . import (analysis, extractor, optics, phasenoise, reconstruction, rng, stattests,
+               traceio)
 from .config import ExperimentConfig
 from .errors import DependencyError, FormatError, InsufficientInputError, ParameterError
 
@@ -52,9 +53,6 @@ ARTIFACTS = {
     "test": "test_report.json",
     "summary": "summary.json",
 }
-
-#: RNG stream for a generated extractor seed (simulation uses streams 0-5).
-EXTRACTOR_SEED_STREAM = 100
 
 SCHEMA_VERSION = 7
 
@@ -251,17 +249,9 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResul
             "vs_uniform": uniform}
     klds = {name: analysis.kld(hist_phase, law) for name, law in laws.items()}
     autocorr = analysis.autocorrelation(series.phases, cfg.analysis.max_lag)
-    slower = max(cfg.detector_i, cfg.detector_q, key=lambda det: det.response_time)
-    warnings = optics.validate_timing(cfg.laser, cfg.interferometer, slower)
-    if cfg.simulation.adc_quantize:
-        # As in simulate_trace, Q has I's gain unless mismatch is on.
-        gain_q = cfg.detector_q if cfg.switches.mismatch else cfg.detector_i
-        for channel, gain, adc in (("I", cfg.detector_i, cfg.detector_i),
-                                   ("Q", gain_q, cfg.detector_q)):
-            amplitude = optics.bhd_amplitude(cfg.laser, cfg.interferometer, gain)
-            if amplitude > adc.adc_fullscale:
-                warnings.append(f"warning: predicted {channel} amplitude {amplitude:.3g} V "
-                                f"exceeds the ADC full scale {adc.adc_fullscale:g} V")
+    warnings = optics.validate_device(cfg.laser, cfg.interferometer, cfg.detector_i,
+                                      cfg.detector_q, cfg.switches,
+                                      cfg.simulation.adc_quantize)
     report = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,
@@ -285,7 +275,7 @@ def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResul
         spec = extractor.read_seed_file(cfg.extraction.seed_file, n, m)
     else:
         spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed,
-                                               stream=EXTRACTOR_SEED_STREAM)
+                                               stream=rng.STREAM_EXTRACTOR_SEED)
         payloads["seed"] = extractor.BitStream.from_bits(spec.seed_bits)
     result = extractor.extract(raw_bits, spec)
     payloads["extracted"] = result.bits

@@ -5,9 +5,7 @@ counter-based generator.  Randomness is always requested through
 (seed, stream, block) coordinates:
 
 * ``seed``   -- the user-facing 64-bit experiment seed,
-* ``stream`` -- a small integer separating independent noise sources
-  (phase path, signal-beam intensity, LO intensity, electrical I,
-  electrical Q, drift walk, ...),
+* ``stream`` -- one of the ``STREAM_*`` numbers below, one per consumer,
 * ``block``  -- the index of a fixed-size block of draws.
 
 Each (seed, stream, block) triple keys an independent Philox instance via
@@ -28,6 +26,15 @@ from .errors import ParameterError, check_scalar
 
 #: Number of draws per block.  Fixed: changing it changes every stream.
 BLOCK_SIZE = 1 << 20
+
+#: The seed contract's streams, one per consumer: turning one on moves no other's draws.
+STREAM_PHASE = 0              # delay-line phase path
+STREAM_INTENSITY_S = 1        # signal-arm power fluctuation
+STREAM_INTENSITY_LO = 2       # local-oscillator power fluctuation
+STREAM_ELECTRICAL_I = 3       # detector I electrical noise
+STREAM_ELECTRICAL_Q = 4       # detector Q electrical noise
+STREAM_DRIFT = 5              # slow-walk drift of phi_0
+STREAM_EXTRACTOR_SEED = 100   # a generated Toeplitz seed
 
 
 def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:

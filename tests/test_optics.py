@@ -383,8 +383,7 @@ class TestLanes:
     ALL_ON = dict(intensity=True, electrical=True, drift=True, mismatch=True,
                   bandwidth_limit=True)
 
-    @pytest.mark.parametrize("failing", [optics._STREAM_ELECTRICAL_I,
-                                         optics._STREAM_ELECTRICAL_Q])
+    @pytest.mark.parametrize("failing", [rng.STREAM_ELECTRICAL_I, rng.STREAM_ELECTRICAL_Q])
     def test_a_failing_lane_raises_and_leaves_no_thread(self, monkeypatch, failing):
         real = rng.standard_normals_range
 
@@ -629,16 +628,41 @@ class TestBoxcarDecimate:
 
 
 class TestValidateTiming:
+    """``validate_device``: the timing checks, and the level checks at the ADC."""
+
+    @staticmethod
+    def check(laser=None, interferometer=None, det_i=None, det_q=None,
+              switches=optics.NoiseSwitches(), adc_quantize=False):
+        return optics.validate_device(laser or ideal_laser(), interferometer or ifm(),
+                                      det_i or det(), det_q or det(), switches,
+                                      adc_quantize)
+
     def test_slow_detector_warns(self):
-        msgs = optics.validate_timing(ideal_laser(), ifm(), det(response_time=10e-9))
-        assert any(m.startswith("warning:") and "detector response time" in m
-                   for m in msgs)
+        for channel in ("det_i", "det_q"):     # the slower one is checked
+            msgs = self.check(**{channel: det(response_time=10e-9)})
+            assert msgs == ["warning: detector response time 1e-08 s is not below the "
+                            "coherence time 6e-09 s; the detector will average out the "
+                            "phase fluctuations"]
 
     def test_low_variance_warns(self):
-        short = ifm(delay_length=0.5)
-        msgs = optics.validate_timing(ideal_laser(), short, det())
+        msgs = self.check(interferometer=ifm(delay_length=0.5))
         assert any(m.startswith("warning:") and "below 10" in m for m in msgs)
 
     def test_clean_setup_gives_no_messages(self):
-        assert optics.validate_timing(ideal_laser(), ifm(),
-                                      det(response_time=625e-12)) == []
+        # 0.1 mW gives 0.8 V at 16 kV/A, inside the 1 V full scale.
+        assert self.check(ideal_laser(power=1e-4), adc_quantize=True) == []
+
+    # The check predicts each channel's amplitude from the gains that
+    # simulate_trace applies: the peak |v| of an ideal trace is that amplitude.
+    @pytest.mark.parametrize("mismatch,amplitude_q", [(False, 8.0), (True, 10.0)])
+    def test_level_check_predicts_the_trace_amplitude(self, mismatch, amplitude_q):
+        d_i = det(transimpedance=16e3, adc_fullscale=0.5)
+        d_q = det(transimpedance=20e3, adc_fullscale=0.5)
+        switches = optics.NoiseSwitches(mismatch=mismatch)
+        msgs = self.check(det_i=d_i, det_q=d_q, switches=switches, adc_quantize=True)
+        predicted = [float(m.split()[4]) for m in msgs]
+        assert predicted == [8.0, amplitude_q]
+        trace = optics.simulate_trace(short_path(), ideal_laser(), ifm(), d_i, d_q,
+                                      switches=switches)
+        peaks = [np.abs(trace.v_i).max(), np.abs(trace.v_q).max()]
+        assert peaks == pytest.approx(predicted, rel=1e-4)

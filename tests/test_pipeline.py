@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from phaserng import (cli, config as cfg_mod, extractor, pipeline,
-                      reconstruction, traceio)
+                      reconstruction, rng, traceio)
 from phaserng.errors import (DependencyError, FormatError,
                              InsufficientInputError, ParameterError)
 
@@ -167,7 +167,7 @@ class TestFullRun:
             os.path.join(outdir, "toeplitz_seed.bin"), 4000, 3920)
         expected = extractor.ToeplitzSpec.from_rng(
             4000, 3920, seed=cfg.simulation.seed,
-            stream=pipeline.EXTRACTOR_SEED_STREAM)
+            stream=rng.STREAM_EXTRACTOR_SEED)
         np.testing.assert_array_equal(spec.seed_bits, expected.seed_bits)
 
     def test_known_answer_artifacts(self, full_run):
@@ -365,6 +365,18 @@ class TestStagedExecution:
         with pytest.raises(ParameterError, match="one trace source"):
             pipeline.run_pipeline(make_config(), ["simulate", "ingest"],
                                   str(tmp_path / "x"))
+
+
+class TestBitRate:
+    # At (4000, 3820) (m / n) * 10 is 9.549999999999999 and 10 * m / n is 9.55.
+    def test_summary_rate_is_the_library_rate(self, tmp_path):
+        cfg = make_config(**{"mode = ratio": "mode = lemma"})
+        n, m = cfg.extraction.block_bits
+        assert (n, m) == (4000, 3820)
+        summary = pipeline.run_pipeline(cfg, ["simulate"], str(tmp_path))
+        spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed)
+        assert summary["bits_per_sample"] == extractor.bits_per_sample(
+            cfg.analysis.phase_bits, spec)
 
 
 class TestAnalyzeDescribesItsTrace:

@@ -176,3 +176,14 @@ def test_a_failing_fill_raises_and_leaves_no_thread(cpus):
     with pytest.raises(RuntimeError, match="fill failed"):
         rng._blockwise(0, 3 * rng.BLOCK_SIZE + 10, 3, 0, np.float64, draw)
     assert threading.active_count() == before
+
+
+def test_stream_numbers_are_distinct_pinned_integers():
+    # The seed contract: changing a number moves every draw of its consumer.
+    streams = {name: value for name, value in vars(rng).items()
+               if name.startswith("STREAM_")}
+    assert streams == {"STREAM_PHASE": 0, "STREAM_INTENSITY_S": 1,
+                       "STREAM_INTENSITY_LO": 2, "STREAM_ELECTRICAL_I": 3,
+                       "STREAM_ELECTRICAL_Q": 4, "STREAM_DRIFT": 5,
+                       "STREAM_EXTRACTOR_SEED": 100}
+    assert all(type(value) is int for value in streams.values())
