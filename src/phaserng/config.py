@@ -25,7 +25,7 @@ import hashlib
 import typing
 from dataclasses import MISSING, dataclass, fields
 
-from . import extractor
+from . import extractor, rng
 from .errors import FormatError, check_choice, check_scalar
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
 from .phasenoise import LaserParams
@@ -94,7 +94,7 @@ class SimulationParams:
     def __post_init__(self):
         check_scalar("sample_count", self.sample_count, bounds=(1, None))
         check_scalar("sample_rate", self.sample_rate)
-        check_scalar("seed", self.seed, bounds=(0, 2**64 - 1))
+        rng.check_seed(self.seed)
         check_scalar("oversample_factor", self.oversample_factor, bounds=(1, None))
 
 

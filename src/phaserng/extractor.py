@@ -98,8 +98,9 @@ class ToeplitzSpec:
         object.__setattr__(self, "seed_bits", seed)
 
     @classmethod
-    def from_rng(cls, n: int, m: int, seed: int, stream: int = 0) -> "ToeplitzSpec":
-        """Deterministic test seed source (counter-based generator)."""
+    def from_rng(cls, n: int, m: int, seed: int,
+                 stream: int = rng.STREAM_EXTRACTOR_SEED) -> "ToeplitzSpec":
+        """Seed bits from (seed, stream); the default is the extractor seed's stream."""
         bits = rng.random_bits(int(n) + int(m) - 1, seed, stream)
         return cls(input_block_bits=n, output_block_bits=m, seed_bits=bits)
 
@@ -246,9 +247,9 @@ def extract_naive(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
                          blocks=blocks, discarded_bits=discarded)
 
 
-def bits_per_sample(adc_bits: int, spec: ToeplitzSpec) -> float:
-    """Delivered random bits per raw sample after extraction, as (m / n) * bits."""
-    return (spec.output_block_bits / spec.input_block_bits) * adc_bits
+def bits_per_sample(bits_per_symbol: int, spec: ToeplitzSpec) -> float:
+    """Delivered bits per raw sample, (m / n) * the phase symbol's (not the ADC's) bits."""
+    return (spec.output_block_bits / spec.input_block_bits) * bits_per_symbol
 
 
 def read_seed_file(path, n: int, m: int) -> ToeplitzSpec:

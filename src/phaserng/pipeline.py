@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from . import (analysis, extractor, optics, phasenoise, reconstruction, rng, stattests,
+from . import (analysis, extractor, optics, phasenoise, reconstruction, stattests,
                traceio)
 from .config import ExperimentConfig
 from .errors import DependencyError, FormatError, InsufficientInputError, ParameterError
@@ -274,8 +274,7 @@ def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResul
     if cfg.extraction.seed_file:
         spec = extractor.read_seed_file(cfg.extraction.seed_file, n, m)
     else:
-        spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed,
-                                               stream=rng.STREAM_EXTRACTOR_SEED)
+        spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed)
         payloads["seed"] = extractor.BitStream.from_bits(spec.seed_bits)
     result = extractor.extract(raw_bits, spec)
     payloads["extracted"] = result.bits
@@ -298,7 +297,8 @@ def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     bits = artifacts.read("extracted", "test")
     tc = cfg.test
     need = _check_bit_budget(bits.bit_length, tc)
-    sequences = bits.to_bits()[:need].reshape(tc.sequence_count, tc.sequence_bits)
+    sequences = np.unpackbits(np.frombuffer(bits.data, np.uint8),   # only what is read
+                              count=need).reshape(tc.sequence_count, tc.sequence_bits)
     report = stattests.run_battery(list(sequences), tc)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict(),
                "config_digest": cfg.digest}

@@ -38,16 +38,15 @@ STREAM_EXTRACTOR_SEED = 100   # a generated Toeplitz seed
 
 
 def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
-                                spawn_key=(int(stream), int(block)))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(stream), int(block)))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def check_seed(seed: int) -> int:
-    """Validate and canonicalize a 64-bit seed."""
+    """``seed`` as an int; outside the 64-bit range it is refused, not reduced."""
     if not isinstance(seed, (int, np.integer)):
         raise ParameterError(f"seed must be an integer, got {type(seed).__name__}")
-    return int(seed) & (2**64 - 1)
+    return check_scalar("seed", seed, bounds=(0, 2**64 - 1))
 
 
 def _usable_cpus() -> int:

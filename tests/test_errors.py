@@ -120,6 +120,25 @@ def test_every_integer_guard_refuses_bad_values(name, case):
         call(value)
 
 
+# Seeded call -> call that passes the seed to rng.check_seed.
+SEEDED = {
+    "sample_phase_path": lambda v: phasenoise.sample_phase_path(LASER, 30e-9, 5e-9, 4, v),
+    "simulate_trace": lambda v: optics.simulate_trace(
+        phasenoise.sample_phase_path(LASER, 30e-9, 5e-9, 4, 0), LASER,
+        optics.InterferometerParams(6.0), optics.DetectorParams(16e3),
+        optics.DetectorParams(16e3), seed=v),
+}
+
+
+# A seed past 64 bits is refused, not reduced to the seed it aliases.
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_every_seeded_call_refuses_seeds_outside_64_bits(name):
+    assert SEEDED[name](2**64 - 1) is not None
+    with pytest.raises(ParameterError,
+                       match=r"^seed must be an integer in \[0, 18446744073709551615\]"):
+        SEEDED[name](2**64 + 3)
+
+
 # Option set -> call that passes the value to its guard.
 CHOICES = {
     "normalize method": lambda v: config.AnalysisParams(normalize=v),

@@ -4,12 +4,13 @@ import math
 import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phaserng import (cli, config as cfg_mod, extractor, pipeline,
-                      reconstruction, rng, traceio)
+                      reconstruction, traceio)
 from phaserng.errors import (DependencyError, FormatError,
                              InsufficientInputError, ParameterError)
 
@@ -165,9 +166,7 @@ class TestFullRun:
         cfg, outdir, _ = full_run
         spec = extractor.read_seed_file(
             os.path.join(outdir, "toeplitz_seed.bin"), 4000, 3920)
-        expected = extractor.ToeplitzSpec.from_rng(
-            4000, 3920, seed=cfg.simulation.seed,
-            stream=rng.STREAM_EXTRACTOR_SEED)
+        expected = extractor.ToeplitzSpec.from_rng(4000, 3920, seed=cfg.simulation.seed)
         np.testing.assert_array_equal(spec.seed_bits, expected.seed_bits)
 
     def test_known_answer_artifacts(self, full_run):
@@ -377,6 +376,16 @@ class TestBitRate:
         spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed)
         assert summary["bits_per_sample"] == extractor.bits_per_sample(
             cfg.analysis.phase_bits, spec)
+
+    def test_rate_counts_phase_bits_not_adc_bits(self, tmp_path):
+        cfg = make_config(**{"mode = ratio": "mode = lemma",
+                             "max_lag = 20": "max_lag = 20\nphase_bits = 8",
+                             "16e3": "16e3\nadc_bits = 10"})
+        n, m = cfg.extraction.block_bits
+        summary = pipeline.run_pipeline(cfg, ["simulate"], str(tmp_path))
+        spec = extractor.ToeplitzSpec.from_rng(n, m, seed=cfg.simulation.seed)
+        assert summary["bits_per_sample"] == extractor.bits_per_sample(8, spec)
+        assert summary["bits_per_sample"] == pytest.approx(7.64)
 
 
 class TestAnalyzeDescribesItsTrace:
@@ -627,6 +636,25 @@ class TestInsufficientInput:
         with pytest.raises(InsufficientInputError):
             pipeline.run_pipeline(cfg, ["simulate", "reconstruct", "extract"],
                                   outdir)
+
+
+class TestTestStageMemory:
+    # Reading and hashing extracted.bin costs its bytes once; unpacking all
+    # of it to test a prefix would cost eight times its bytes.
+    def test_peak_follows_the_tested_bits_not_the_file(self, tmp_path):
+        cfg = make_config()
+        outdir = str(tmp_path)
+        size = 2_000_000                    # 16e6 bits; the battery reads 40960
+        pipeline._ArtifactGate(outdir, cfg.digest, cfg.extraction.block_bits[1]).write(
+            "extracted", extractor.BitStream(np.random.default_rng(5).bytes(size), 8 * size))
+        tracemalloc.start()
+        try:
+            summary = pipeline.run_pipeline(cfg, ["test"], outdir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "test_report.json" in summary["artifacts"]
+        assert peak < 2 * size
 
 
 class TestFailedStageWritesNothing:

@@ -72,10 +72,19 @@ def test_random_bits_values_and_determinism():
     assert abs(bits.mean() - 0.5) < 0.05
 
 
-def test_check_seed_canonicalizes():
-    assert rng.check_seed(2**64 + 3) == 3
-    assert rng.check_seed(-1) == 2**64 - 1
+def test_check_seed_keeps_64_bit_seeds():
     assert rng.check_seed(np.int64(12)) == 12
+    assert type(rng.check_seed(np.int64(12))) is int
+    assert rng.check_seed(2**64 - 1) == 2**64 - 1
+
+
+# Refused with [simulation] seed's message, not reduced mod 2**64: 2**64 + 3
+# would otherwise run seed 3's experiment.
+@pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 3])
+def test_check_seed_refuses_seeds_outside_64_bits(bad):
+    with pytest.raises(ParameterError,
+                       match=r"^seed must be an integer in \[0, 18446744073709551615\]"):
+        rng.check_seed(bad)
 
 
 @pytest.mark.parametrize("bad", [1.5, "7", None])
