@@ -34,8 +34,7 @@ from .errors import DependencyError, FormatError, InsufficientInputError, Parame
 STAGES = {
     "simulate": "generate an I/Q trace from the configured optics model",
     "ingest": "import an oscilloscope capture as the trace artifact",
-    "reconstruct": "recover phases from the trace and quantize them",
-    "analyze": "histograms, min-entropy, divergence, autocorrelation",
+    "reconstruct": "recover and quantize the phases; histograms, entropy, correlation",
     "extract": "Toeplitz-hash the quantized symbols into output bits",
     "test": "run the statistical battery on the extracted bits",
 }
@@ -54,7 +53,7 @@ ARTIFACTS = {
     "summary": "summary.json",
 }
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")
@@ -200,27 +199,27 @@ def ingest_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate,
     return outputs, {"trace": traceio.encode_trace(trace)}
 
 
-def _reconstruct(cfg: ExperimentConfig, trace):
-    """Normalize, reconstruct and quantize: the one path from trace to symbols."""
-    norm = reconstruction.normalize_iq(trace, method=cfg.analysis.normalize)
+def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
+    """Normalize, reconstruct and quantize once, for the symbols and their statistics."""
+    norm = reconstruction.normalize_iq(
+        traceio.decode_trace(artifacts.read("trace", "reconstruct")),
+        method=cfg.analysis.normalize)
     series = reconstruction.reconstruct_phase(norm.trace)
     symbols = reconstruction.quantize_phase(series, cfg.analysis.phase_bits)
-    return norm, series, symbols
-
-
-def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
-    norm, series, symbols = _reconstruct(
-        cfg, traceio.decode_trace(artifacts.read("trace", "reconstruct")))
+    stats, payloads = analyze_stage(cfg, norm, series, symbols)
     outputs = {"samples": len(series), "sample_rate": norm.trace.sample_rate,
                "zero_vectors": series.zero_vector_count,
-               "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q}
+               "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q,
+               **stats}
     del norm, series     # release the traces and phases before packing
-    return outputs, {"symbols": extractor.symbols_to_bits(symbols)}
+    payloads["symbols"] = extractor.symbols_to_bits(symbols)
+    return outputs, payloads
 
 
-def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
-    trace = traceio.decode_trace(artifacts.read("trace", "analyze"))
-    norm, series, symbols = _reconstruct(cfg, trace)
+# Not a stage; the name stays because perfbench/tracer.py wraps it by name.
+def analyze_stage(cfg: ExperimentConfig, norm, series, symbols) -> StageResult:
+    """Histograms, min-entropy, divergences and autocorrelation of
+    ``reconstruct_stage``'s normalized trace, phases and symbols."""
     bins = cfg.analysis.histogram_bins
     digest = cfg.digest
 
@@ -263,8 +262,7 @@ def analyze_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResul
         "timing_messages": warnings,
     }
     payloads["analysis"] = _json_bytes(report)
-    return ({"sample_rate": trace.sample_rate, "min_entropy_bits": hmin,
-             "kld_bits": klds}, payloads)
+    return {"min_entropy_bits": hmin, "kld_bits": klds}, payloads
 
 
 def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:

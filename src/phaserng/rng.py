@@ -44,7 +44,7 @@ def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
 
 def check_seed(seed: int) -> int:
     """``seed`` as an int; outside the 64-bit range it is refused, not reduced."""
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ParameterError(f"seed must be an integer, got {type(seed).__name__}")
     return check_scalar("seed", seed, bounds=(0, 2**64 - 1))
 

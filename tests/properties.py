@@ -132,7 +132,7 @@ mode = ratio
 def check_pipeline_determinism(tmpdir):
     """Two runs of the same configuration emit byte-identical artifacts."""
     cfg = cfg_mod.parse_config(_PIPELINE_INI)
-    stages = ["simulate", "reconstruct", "analyze", "extract"]
+    stages = ["simulate", "reconstruct", "extract"]
     outs = []
     for name in ("first", "second"):
         outdir = os.path.join(str(tmpdir), name)

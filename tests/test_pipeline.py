@@ -62,7 +62,7 @@ def full_run(tmp_path_factory):
     outdir = str(tmp_path_factory.mktemp("run"))
     cfg = make_config()
     summary = pipeline.run_pipeline(
-        cfg, ["simulate", "reconstruct", "analyze", "extract", "test"], outdir)
+        cfg, ["simulate", "reconstruct", "extract", "test"], outdir)
     return cfg, outdir, summary
 
 
@@ -71,8 +71,7 @@ class TestFullRun:
         cfg, outdir, summary = full_run
         assert summary["schema_version"] == pipeline.SCHEMA_VERSION
         assert summary["config_digest"] == cfg.digest
-        assert summary["stages"] == ["simulate", "reconstruct", "analyze",
-                                     "extract", "test"]
+        assert summary["stages"] == ["simulate", "reconstruct", "extract", "test"]
         assert summary["bits_per_sample"] == pytest.approx(9.8)
         assert summary["nominal_bit_rate"] == pytest.approx(9.8 * 200e6)
 
@@ -205,14 +204,16 @@ class TestFullRun:
         # Schema 6 moved only their schema_version (and, in the summary,
         # the hashes of the JSON reports, which carry it too).  Schema 7
         # moved their config_digest, and the summary gained simulate's
-        # ADC clip counts.
+        # ADC clip counts.  Schema 8 moved their schema_version, and the
+        # summary lost the analyze stage: reconstruct's outputs carry its
+        # min-entropies and divergences.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "c3443e1f9afabb46357500d7780167f3e110cd2b440dcbfdf289fb97d57d1d22")
+            "d423356efe00f416bfe737253da5706804072eb198f5ad00de65e55bf38d392b")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "495b94374290ebd68bcb2daa6e0634860962e9cac2bded1c67a9e7849d988788")
+            "11a92aae88e261a7b44831c4be747be383ba0ae7beee12731e29a919fa382f21")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "945735df5b566bf812cf0c3674d412765d1254a6d1d9cff2206726e0074d6766")
+            "9efef224a5495d5b75330324a062738ced1f5855f35dee64ccd98046c4c0a9b0")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -228,8 +229,7 @@ class TestDeterminism:
         cfg, outdir, summary = full_run
         again = str(tmp_path / "again")
         summary2 = pipeline.run_pipeline(
-            cfg, ["simulate", "reconstruct", "analyze", "extract", "test"],
-            again)
+            cfg, ["simulate", "reconstruct", "extract", "test"], again)
         assert summary2 == summary
         for name in ("trace.iqt", "extracted.bin", "symbols.bin"):
             assert sha256(os.path.join(again, name)) == \
@@ -253,14 +253,14 @@ class TestStagedExecution:
         assert list(s1["artifacts"]) == ["trace.iqt"]
         s2 = pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
         assert "symbols.bin" in s2["artifacts"]
-        s3 = pipeline.run_pipeline(cfg, ["analyze", "extract"], outdir)
-        assert s3["stages"] == ["analyze", "extract"]
+        s3 = pipeline.run_pipeline(cfg, ["extract"], outdir)
+        assert s3["stages"] == ["extract"]
         assert "extracted.bin" in s3["artifacts"]
 
     def test_staged_run_matches_one_shot(self, tmp_path, full_run):
         cfg, one_shot, _ = full_run
         outdir = str(tmp_path / "run")
-        for stage in ("simulate", "reconstruct", "analyze", "extract", "test"):
+        for stage in ("simulate", "reconstruct", "extract", "test"):
             pipeline.run_pipeline(cfg, [stage], outdir)
         for name in pipeline.ARTIFACTS.values():
             if name != "summary.json":
@@ -269,14 +269,44 @@ class TestStagedExecution:
                 with open(os.path.join(one_shot, name), "rb") as fh:
                     assert staged == fh.read(), name
 
-    def test_analyze_needs_only_the_trace(self, tmp_path):
+    def test_reconstruct_writes_symbols_and_analysis_from_the_trace(self, tmp_path):
         outdir = str(tmp_path / "run")
         cfg = make_config()
         pipeline.run_pipeline(cfg, ["simulate"], outdir)
-        summary = pipeline.run_pipeline(cfg, ["analyze"], outdir)
-        assert summary["stages"] == ["analyze"]
-        assert "analysis_report.json" in summary["artifacts"]
-        assert "symbols.bin" not in summary["artifacts"]
+        summary = pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
+        assert summary["stages"] == ["reconstruct"]
+        assert sorted(summary["artifacts"]) == [
+            "analysis_report.json", "hist_channel_i.csv", "hist_channel_q.csv",
+            "hist_phase.csv", "hist_symbols.csv", "symbols.bin", "trace.iqt"]
+        out = summary["stage_outputs"]["reconstruct"]
+        assert set(out) == {"samples", "sample_rate", "zero_vectors", "amplitude_i",
+                            "amplitude_q", "min_entropy_bits", "kld_bits"}
+
+    # One decode, one normalization, one atan2 and one quantization serve
+    # both the symbols and their statistics.
+    def test_one_shot_reconstructs_once(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            original = getattr(reconstruction, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in ("normalize_iq", "reconstruct_phase", "quantize_phase"):
+            monkeypatch.setattr(reconstruction, name, counting(name))
+        one_shot = [stage for stage in pipeline.STAGES if stage != "ingest"]
+        pipeline.run_pipeline(make_config(), one_shot, str(tmp_path))
+        assert calls == {"normalize_iq": 1, "reconstruct_phase": 1, "quantize_phase": 1}
+
+    def test_analyze_is_no_stage(self, tmp_path):
+        assert list(pipeline.STAGES) == ["simulate", "ingest", "reconstruct",
+                                         "extract", "test"]
+        with pytest.raises(ParameterError, match="unknown stages: analyze"):
+            pipeline.run_pipeline(make_config(), ["analyze"], str(tmp_path / "x"))
+        assert not os.path.exists(tmp_path / "x")
 
     def test_stage_order_is_canonical(self, tmp_path):
         outdir = str(tmp_path / "run")
@@ -286,7 +316,6 @@ class TestStagedExecution:
 
     @pytest.mark.parametrize("stage,missing", [
         ("reconstruct", "trace.iqt"),
-        ("analyze", "trace.iqt"),
         ("extract", "symbols.bin"),
         ("test", "extracted.bin"),
     ])
@@ -297,7 +326,6 @@ class TestStagedExecution:
 
     @pytest.mark.parametrize("stage,artifact", [
         ("reconstruct", "trace.iqt"),
-        ("analyze", "trace.iqt"),
         ("extract", "symbols.bin"),
     ])
     def test_stale_schema_refused(self, tmp_path, stage, artifact):
@@ -336,13 +364,12 @@ class TestStagedExecution:
         cfg_b = make_config(**{"min_entropy_rate = 0.98": "min_entropy_rate = 0.95"})
         assert cfg_a.digest != cfg_b.digest
         pipeline.run_pipeline(cfg_a, ["simulate", "reconstruct"], outdir)
-        summary = pipeline.run_pipeline(cfg_b, ["analyze", "extract"], outdir)
+        summary = pipeline.run_pipeline(cfg_b, ["extract"], outdir)
         artifacts = summary["artifacts"]
-        for name in ("trace.iqt", "symbols.bin", "toeplitz_seed.bin",
-                     "extracted.bin"):
+        for name in ("symbols.bin", "toeplitz_seed.bin", "extracted.bin"):
             side = json.load(open(os.path.join(outdir, name + ".meta.json")))
             assert artifacts[name]["config_digest"] == side["config_digest"], name
-        assert artifacts["trace.iqt"]["config_digest"] == cfg_a.digest
+        assert "trace.iqt" not in artifacts       # extract reads only the symbols
         assert artifacts["symbols.bin"]["config_digest"] == cfg_a.digest
         assert artifacts["extracted.bin"]["config_digest"] == cfg_b.digest
 
@@ -393,8 +420,8 @@ class TestAnalyzeDescribesItsTrace:
         cfg = make_config(**{"[simulation]":
                              "[detector_q]\ntransimpedance = 16e3\nadc_bits = 6\n\n"
                              "[simulation]"})
-        summary = pipeline.run_pipeline(cfg, ["simulate", "analyze"], str(tmp_path))
-        hmin = summary["stage_outputs"]["analyze"]["min_entropy_bits"]
+        summary = pipeline.run_pipeline(cfg, ["simulate", "reconstruct"], str(tmp_path))
+        hmin = summary["stage_outputs"]["reconstruct"]["min_entropy_bits"]
         # Read at detector_i's 10 bits, channel Q would give 4.619 bits.
         assert hmin["channel_q"] == pytest.approx(3.545, abs=1e-3)
         assert hmin["channel_i"] == pytest.approx(4.609, abs=1e-3)
@@ -403,7 +430,7 @@ class TestAnalyzeDescribesItsTrace:
         cfg = make_config(**{"[simulation]":
                              "[detector_q]\ntransimpedance = 16e3\n"
                              "response_time = 10e-9\n\n[simulation]"})
-        pipeline.run_pipeline(cfg, ["simulate", "analyze"], str(tmp_path))
+        pipeline.run_pipeline(cfg, ["simulate", "reconstruct"], str(tmp_path))
         report = json.load(open(os.path.join(str(tmp_path), "analysis_report.json")))
         assert report["timing_messages"][0].startswith(
             "warning: detector response time 1e-08 s is not below")
@@ -477,7 +504,7 @@ class TestIngest:
 
     # A later invocation that reads the ingested trace reports its rate too,
     # not the configured one.
-    @pytest.mark.parametrize("stages", [["reconstruct", "extract"], ["analyze"]])
+    @pytest.mark.parametrize("stages", [["reconstruct", "extract"], ["reconstruct"]])
     def test_staged_bit_rate_uses_the_trace_rate(self, tmp_path, stages):
         src, run = str(tmp_path / "src"), str(tmp_path / "run")
         pipeline.run_pipeline(make_config(**{"sample_rate = 200e6": "sample_rate = 50e6"}),
@@ -542,7 +569,7 @@ class TestAdcClipCounts:
 
 
 class TestLevelWarnings:
-    """analyze warns of each channel whose predicted amplitude its ADC clips.
+    """reconstruct warns of each channel whose predicted amplitude its ADC clips.
 
     With the ADC off there is no level check: the full run's report has no
     message at all.
@@ -554,7 +581,7 @@ class TestLevelWarnings:
 
     def level_messages(self, tmp_path, **overrides):
         cfg = make_config(**overrides)
-        pipeline.run_pipeline(cfg, ["simulate", "analyze"], str(tmp_path))
+        pipeline.run_pipeline(cfg, ["simulate", "reconstruct"], str(tmp_path))
         report = json.load(open(os.path.join(str(tmp_path), "analysis_report.json")))
         return [m for m in report["timing_messages"] if "ADC full scale" in m]
 
@@ -669,16 +696,19 @@ class TestFailedStageWritesNothing:
         return cli.main(["pipeline", "-c", str(config), "-o", str(outdir),
                          "--stages", stages, *extra])
 
-    def test_analyze_with_too_many_lags(self, tmp_path, capsys):
+    # The statistics fail after the symbols are computed: neither they nor
+    # the histograms are kept.
+    def test_reconstruct_with_too_many_lags(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         short = {"sample_count = 30000": "sample_count = 2000"}
         assert self.run(tmp_path, "simulate", outdir, **short) == 0
         before = sorted(os.listdir(outdir))
-        code = self.run(tmp_path, "analyze", outdir,
+        code = self.run(tmp_path, "reconstruct", outdir,
                         **short, **{"max_lag = 20": "max_lag = 5000"})
         assert code == 2
         assert "max_lag" in capsys.readouterr().err
         assert sorted(os.listdir(outdir)) == before
+        assert not [name for name in before if name.endswith((".bin", ".csv"))]
 
     # 1000 ten-bit symbols cannot fill one 40000-bit block: the run stops in
     # extract, after the generated seed is computed but before it is kept.
@@ -688,8 +718,9 @@ class TestFailedStageWritesNothing:
                  "input_bits = 4000": "input_bits = 40000"}
         assert self.run(tmp_path, "simulate,reconstruct,extract", outdir, **short) == 5
         # The earlier stages' artifacts stay; extract left none.
-        upstream = ["symbols.bin", "symbols.bin.meta.json",
-                    "trace.iqt", "trace.iqt.meta.json"]
+        upstream = ["analysis_report.json", "hist_channel_i.csv", "hist_channel_q.csv",
+                    "hist_phase.csv", "hist_symbols.csv", "symbols.bin",
+                    "symbols.bin.meta.json", "trace.iqt", "trace.iqt.meta.json"]
         assert sorted(os.listdir(outdir)) == upstream
         assert self.run(tmp_path, "extract", outdir, **short) == 5
         assert sorted(os.listdir(outdir)) == upstream
@@ -1006,6 +1037,16 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    # The statistics are part of reconstruct; analyze is no subcommand.
+    def test_analyze_is_unknown_subcommand(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "-c", config, "-o", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "analyze" in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_readme_quick_start_yields_enough_bits():

@@ -87,9 +87,10 @@ def test_check_seed_refuses_seeds_outside_64_bits(bad):
         rng.check_seed(bad)
 
 
-@pytest.mark.parametrize("bad", [1.5, "7", None])
+# A bool is an int to isinstance, but True would run seed 1's experiment.
+@pytest.mark.parametrize("bad", [1.5, "7", None, True])
 def test_check_seed_rejects_non_integers(bad):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^seed must be an integer, got"):
         rng.check_seed(bad)
 
 
