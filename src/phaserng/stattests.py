@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import rfft
 from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import ParameterError, SequenceLengthError, check_scalar
@@ -300,15 +299,41 @@ def approximate_entropy(bits, pattern_bits: int = 10, *,
     return [float(gammaincc(2.0 ** (m - 1), chi_sq / 2.0))]
 
 
-def dft_spectral(bits) -> list[float]:
-    """Count of low-magnitude DFT peaks vs the 95% threshold."""
+def _dft_work(n: int, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x, spectrum)`` buffers of an n-bit DFT: new, or ``work`` checked."""
+    if work is None:
+        return np.empty(n), np.empty(n // 2 + 1, dtype=np.complex128)
+    try:
+        x, spectrum = work
+    except (TypeError, ValueError):
+        raise ParameterError("work must be a pair (x, spectrum)") from None
+    for name, arr, dtype, size in (("x", x, np.float64, n),
+                                   ("spectrum", spectrum, np.complex128, n // 2 + 1)):
+        if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
+                or arr.shape != (size,)):
+            got = (f"{arr.dtype} {arr.shape}" if isinstance(arr, np.ndarray)
+                   else type(arr).__name__)
+            raise ParameterError(
+                f"work {name} must be a {np.dtype(dtype).name} array of shape "
+                f"({size},) for {n} bits, got {got}")
+    return x, spectrum
+
+
+def dft_spectral(bits, *, work=None) -> list[float]:
+    """Count of low-magnitude DFT peaks vs the 95% threshold.
+
+    ``work`` may carry the pair ``(x, spectrum)``, float64 of length n and
+    complex128 of length n // 2 + 1, for the call to overwrite instead of
+    allocating its own; a battery passes one pair to every sequence.
+    """
     b = _as_bits(bits)
     _require(b, 1000, "dft-spectral")
     n = b.size
-    x = b.astype(np.float64)
-    x *= 2.0
+    x, spectrum = _dft_work(n, work)
+    np.multiply(b, 2.0, out=x)
     x -= 1.0
-    moduli = np.abs(rfft(x))[:n // 2]
+    np.fft.rfft(x, out=spectrum)
+    moduli = np.abs(spectrum[:n // 2], out=x[:n // 2])
     threshold = math.sqrt(n * math.log(1.0 / 0.05))
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(moduli < threshold))
@@ -403,8 +428,9 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
     All sequences must have exactly ``config.sequence_bits`` bits.  Two
     lanes share the work: one worker thread runs ``dft_spectral`` on each
     sequence in turn, while the calling thread runs the other tests.  The
-    FFT and numpy release the GIL, so the lanes overlap, and with one
-    worker only one DFT's buffers are alive at a time.  A stream passes
+    FFT and numpy release the GIL, so the lanes overlap.  The worker
+    reuses one pair of DFT buffers for every sequence, which is safe
+    because a single worker runs one DFT at a time.  A stream passes
     when its pass proportion exceeds the 3-sigma bound and its p-values
     look uniform at ``UNIFORMITY_THRESHOLD``.
     """
@@ -419,9 +445,10 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
                 f"found one with {arr.size}")
 
     table = np.empty((len(arrays), len(STREAMS)), dtype=np.float64)
+    work = _dft_work(config.sequence_bits)
     dft_lane = ThreadPoolExecutor(max_workers=1)
     try:
-        dfts = [dft_lane.submit(dft_spectral, arr) for arr in arrays]
+        dfts = [dft_lane.submit(dft_spectral, arr, work=work) for arr in arrays]
         for i, arr in enumerate(arrays):
             table[i, :-1] = _all_but_dft(arr, config)
         for i, dft in enumerate(dfts):

@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.special import gammaincc
@@ -588,10 +590,10 @@ class TestBatteryLanes:
         failed, dft_calls = threading.Event(), []
         real_dft = st.dft_spectral
 
-        def dft(bits):
+        def dft(bits, **kwargs):
             dft_calls.append(1)
             failed.wait(timeout=30)
-            return real_dft(bits)
+            return real_dft(bits, **kwargs)
 
         def monobit(bits):
             failed.set()
@@ -606,6 +608,61 @@ class TestBatteryLanes:
             st.run_battery(seqs, config)
         assert len(dft_calls) < config.sequence_count
         assert threading.active_count() == threads
+
+
+def dft_work(n):
+    """A (x, spectrum) pair for an n-bit DFT, filled with NaN as stale data."""
+    return (np.full(n, np.nan),
+            np.full(n // 2 + 1, np.nan, dtype=np.complex128))
+
+
+class TestDftBuffers:
+    """``dft_spectral`` on caller-owned buffers, as the battery's DFT lane runs it."""
+
+    @pytest.mark.parametrize("n", [1000, 1001, 4096, 100_000])
+    def test_reused_buffers_give_the_allocating_p_value(self, n):
+        work = dft_work(n)
+        for seed in (86, 87):
+            b = rng.random_bits(n, seed=seed)
+            assert st.dft_spectral(b, work=work) == st.dft_spectral(b), seed
+
+    @pytest.mark.parametrize("n", [1000, 1001, 123_457, 1_000_000])
+    def test_spectrum_matches_scipy_bit_for_bit(self, n):
+        work = dft_work(n)
+        for seed in (88, 89, 90):
+            b = rng.random_bits(n, seed=seed)
+            st.dft_spectral(b, work=work)
+            oracle = scipy.fft.rfft(2.0 * b - 1.0)
+            np.testing.assert_array_equal(work[1].view(np.uint64),
+                                          oracle.view(np.uint64),
+                                          err_msg=f"seed={seed}")
+
+    def test_reused_buffers_trace_less_than_a_byte_per_bit(self):
+        n = 1_000_000
+        b, work = rng.random_bits(n, seed=91), dft_work(n)
+        tracemalloc.start()
+        try:
+            st.dft_spectral(b, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n
+
+    @pytest.mark.parametrize("work", [
+        (np.empty(1999), np.empty(1001, dtype=np.complex128)),
+        (np.empty(2000, dtype=np.float32), np.empty(1001, dtype=np.complex128)),
+        (np.empty(2000), np.empty(1000, dtype=np.complex128)),
+        (np.empty(2000), np.empty(1001, dtype=np.complex64)),
+        (np.empty(2000), np.empty(1001)),
+        (np.empty((2000, 1)), np.empty(1001, dtype=np.complex128)),
+        ([0.0] * 2000, np.empty(1001, dtype=np.complex128)),
+        np.empty(2000),
+        42,
+    ], ids=["x-size", "x-dtype", "spectrum-size", "spectrum-dtype",
+            "spectrum-real", "x-2d", "x-list", "not-a-pair", "not-iterable"])
+    def test_wrong_buffers_are_refused(self, work):
+        with pytest.raises(ParameterError, match="work"):
+            st.dft_spectral(rng.random_bits(2000, seed=92), work=work)
 
 
 class TestNullCalibration:
