@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import typing
 from dataclasses import MISSING, dataclass, fields
 
 from . import extractor, rng
-from .errors import FormatError, check_choice, check_scalar
+from .errors import FormatError, ParameterError, check_choice, check_scalar
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
 from .phasenoise import LaserParams
 from .reconstruction import NORMALIZE_METHODS
-from .stattests import TestConfig
 
 _BOOL = {"on": True, "true": True, "yes": True, "1": True,
          "off": False, "false": False, "no": False, "0": False}
@@ -79,6 +79,37 @@ class ExtractionParams:
         """
         return extractor.derive_params(self.min_entropy_rate, self.input_bits,
                                        2.0 ** -self.epsilon_exponent, self.mode)
+
+
+@dataclass(frozen=True)
+class TestConfig:
+    """Battery parameters: sequence geometry, levels, per-test knobs."""
+
+    sequence_bits: int = 1_000_000
+    sequence_count: int = 100
+    alpha: float = 0.01
+    block_frequency_block: int = 128
+    serial_pattern_bits: int = 16
+    approx_entropy_pattern_bits: int = 10
+
+    def __post_init__(self):
+        check_scalar("sequence_count", self.sequence_count, bounds=(1, None))
+        if not (0.0 < float(self.alpha) < 1.0):
+            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
+        block = check_scalar("block_frequency_block", self.block_frequency_block,
+                             bounds=(2, None))
+        serial_m = check_scalar("serial_pattern_bits", self.serial_pattern_bits,
+                                bounds=(2, 24))
+        apen_m = check_scalar("approx_entropy_pattern_bits",
+                              self.approx_entropy_pattern_bits, bounds=(1, 20))
+        # The largest of the eight tests' own minimum lengths.
+        need = max(1000, block, 1 << (serial_m + 2), 1 << (apen_m + 6))
+        check_scalar("sequence_bits", self.sequence_bits, bounds=(need, None))
+
+    def proportion_bound(self) -> float:
+        """Smallest acceptable pass proportion: 3 sigma below 1 - alpha."""
+        p = 1.0 - self.alpha
+        return p - 3.0 * math.sqrt(p * (1.0 - p) / self.sequence_count)
 
 
 @dataclass(frozen=True)

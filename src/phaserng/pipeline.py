@@ -13,6 +13,11 @@ that embeds) the configuration digest.  The bit artifacts are packed
 MSB-first bits whose sidecar also records their bit length.  A stage reads
 only artifacts that come with their sidecar.  The summary lists every
 artifact the invocation read or wrote, with its sha256 and config digest.
+
+Stages import what they run: ``analysis`` and ``stattests`` load
+``scipy.fft`` and ``scipy.special`` (about 0.3 s), so they are imported
+inside the stages that use them, and a staged ``simulate`` or ``ingest``
+starts on numpy alone.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ import os
 
 import numpy as np
 
-from . import (analysis, extractor, optics, phasenoise, reconstruction, stattests,
-               traceio)
-from .config import ExperimentConfig
+from . import extractor, optics, phasenoise, reconstruction, traceio
+from .config import ExperimentConfig, TestConfig
 from .errors import DependencyError, FormatError, InsufficientInputError, ParameterError
 
 #: Stage name -> one-line help, in canonical run order.  Stage ``s`` runs
@@ -161,7 +165,7 @@ def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode()
 
 
-def _hist_csv(hist: analysis.Histogram, ref, digest: str) -> bytes:
+def _hist_csv(hist, ref, digest: str) -> bytes:
     """CSV columns: bin center, count, reference density (blank if none)."""
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     density = ref.pdf(centers) if ref is not None else None
@@ -220,6 +224,8 @@ def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageR
 def analyze_stage(cfg: ExperimentConfig, norm, series, symbols) -> StageResult:
     """Histograms, min-entropy, divergences and autocorrelation of
     ``reconstruct_stage``'s normalized trace, phases and symbols."""
+    from . import analysis
+
     bins = cfg.analysis.histogram_bins
     digest = cfg.digest
 
@@ -282,7 +288,7 @@ def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResul
             "n": n, "m": m}, payloads
 
 
-def _check_bit_budget(have: int, tc: stattests.TestConfig) -> int:
+def _check_bit_budget(have: int, tc: TestConfig) -> int:
     """The bits the battery reads; InsufficientInputError if ``have`` is fewer."""
     need = tc.sequence_bits * tc.sequence_count
     if have < need:
@@ -292,6 +298,8 @@ def _check_bit_budget(have: int, tc: stattests.TestConfig) -> int:
 
 
 def test_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
+    from . import stattests
+
     bits = artifacts.read("extracted", "test")
     tc = cfg.test
     need = _check_bit_budget(bits.bit_length, tc)

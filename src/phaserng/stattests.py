@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
+from .config import TestConfig
 from .errors import ParameterError, SequenceLengthError, check_scalar
 from .extractor import BitStream, bit_array
 
@@ -55,37 +56,6 @@ _LONGEST_RUN_TABLE = (
     (128, 8, 1, 4,
      (0.2148, 0.3672, 0.2305, 0.1875)),
 )
-
-
-@dataclass(frozen=True)
-class TestConfig:
-    """Battery parameters: sequence geometry, levels, per-test knobs."""
-
-    sequence_bits: int = 1_000_000
-    sequence_count: int = 100
-    alpha: float = 0.01
-    block_frequency_block: int = 128
-    serial_pattern_bits: int = 16
-    approx_entropy_pattern_bits: int = 10
-
-    def __post_init__(self):
-        check_scalar("sequence_count", self.sequence_count, bounds=(1, None))
-        if not (0.0 < float(self.alpha) < 1.0):
-            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        block = check_scalar("block_frequency_block", self.block_frequency_block,
-                             bounds=(2, None))
-        serial_m = check_scalar("serial_pattern_bits", self.serial_pattern_bits,
-                                bounds=(2, 24))
-        apen_m = check_scalar("approx_entropy_pattern_bits",
-                              self.approx_entropy_pattern_bits, bounds=(1, 20))
-        # The largest of the eight tests' own minimum lengths.
-        need = max(1000, block, 1 << (serial_m + 2), 1 << (apen_m + 6))
-        check_scalar("sequence_bits", self.sequence_bits, bounds=(need, None))
-
-    def proportion_bound(self) -> float:
-        """Smallest acceptable pass proportion: 3 sigma below 1 - alpha."""
-        p = 1.0 - self.alpha
-        return p - 3.0 * math.sqrt(p * (1.0 - p) / self.sequence_count)
 
 
 def _as_bits(bits) -> np.ndarray:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from numpy.testing import assert_array_equal
 from scipy.fft import next_fast_len
 
@@ -251,8 +252,8 @@ class TestExtract:
     def test_inexact_product_raises(self, monkeypatch):
         # The rounding guard: a product off an integer by 0.25 or more is
         # refused rather than turned into bits.
-        irfft = ext.irfft
-        monkeypatch.setattr(ext, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+        irfft = scipy.fft.irfft    # the name extract looks up at call time
+        monkeypatch.setattr(scipy.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
         spec = ext.ToeplitzSpec.from_rng(32, 16, seed=8)
         with pytest.raises(FloatingPointError):
             ext.extract(ext.BitStream.from_bits(np.zeros(32, np.uint8)), spec)
