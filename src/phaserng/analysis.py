@@ -22,8 +22,11 @@ from .errors import DegenerateDataError, ParameterError, check_choice, check_sca
 
 _TWO_PI = 2.0 * np.pi
 
-#: Samples per chunk of :func:`autocorrelation`'s lag sums.
-_ACF_CHUNK = 1 << 16
+#: Length of each chunk's transform in :func:`autocorrelation`: the chunk
+#: (this less max_lag samples, and at least max_lag) and its zero padding.
+#: A power of two, which transforms about five times faster than the
+#: 2*3^8*5 = 65,610 points that chunks of 2^16 samples needed at lag 50.
+_ACF_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -227,21 +230,47 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
 
     R(k) = sum_i (x_i - mean)(x_{i+k} - mean) / (N * variance); R(0) is 1
     exactly.  The biased normalization keeps the sequence positive
-    semidefinite.  The lag sums accumulate over chunks of C = ``_ACF_CHUNK``
-    samples, each the FFT correlation of x[s:s+C] with x[s:s+C+max_lag], so
-    memory stays O(C + max_lag) beyond the input.
+    semidefinite.  The series is cut into chunks of C = max(``_ACF_CHUNK``
+    - max_lag, max_lag) samples.  The pairs inside a chunk come from one
+    transform per chunk: the chunks' power spectra are summed and inverted
+    once.  As max_lag <= C, a pair straddles at most one chunk edge; those
+    pairs are the correlation of the max_lag samples before each edge with
+    the max_lag after it, from one batched transform of length
+    ``next_fast_len(2 * max_lag)``.  Memory stays O(C + max_lag) beyond
+    the input.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("series must be 1-D")
     max_lag = check_scalar("max_lag", max_lag, bounds=(0, x.size - 1))
-    x = x - x.mean()
-    nfft = sp_fft.next_fast_len(_ACF_CHUNK + max_lag, real=True)
-    acov = np.zeros(max_lag + 1)
-    for s in range(0, x.size, _ACF_CHUNK):
-        head = sp_fft.rfft(x[s:s + _ACF_CHUNK], nfft)
-        span = sp_fft.rfft(x[s:s + _ACF_CHUNK + max_lag], nfft)
-        acov += sp_fft.irfft(np.conj(head) * span, nfft)[:max_lag + 1]
+    count = x.size
+    chunk = max(_ACF_CHUNK - max_lag, max_lag)
+    # Centred, with max_lag zeros after it: every edge has max_lag samples
+    # on each side, and the zeros add no pair.
+    centred = np.zeros(count + max_lag)
+    np.subtract(x, x.mean(), out=centred[:count])
+    nfft = sp_fft.next_fast_len(chunk + max_lag, real=True)
+    power = np.zeros(nfft // 2 + 1)
+    for s in range(0, count, chunk):
+        spec = sp_fft.rfft(centred[s:s + chunk], nfft)
+        power += spec.real ** 2
+        power += spec.imag ** 2
+    acov = sp_fft.irfft(power, nfft)[:max_lag + 1]
+    edges = np.arange(chunk, count, chunk)
+    if max_lag and edges.size:
+        # Row r holds the max_lag samples before edge r, then the max_lag
+        # after it; a batch of rows is about one chunk long.
+        nside = sp_fft.next_fast_len(2 * max_lag, real=True)
+        sides = np.arange(-max_lag, max_lag)
+        cross = np.zeros(nside // 2 + 1, dtype=np.complex128)
+        batch = max(1, chunk // max_lag)
+        for b in range(0, edges.size, batch):
+            spec = sp_fft.rfft(centred[edges[b:b + batch, None] + sides]
+                               .reshape(-1, 2, max_lag), nside)
+            cross += (spec[:, 1].conj() * spec[:, 0]).sum(axis=0)
+        # Entry j of the inverse sums after[q] * before[q + j]: the pairs
+        # max_lag - j apart.
+        acov[1:] += sp_fft.irfft(cross, nside)[max_lag - 1::-1]
     if acov[0] <= 0.0:
         raise DegenerateDataError("series variance is zero")
     out = acov / acov[0]

@@ -197,45 +197,70 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     changes another source's draws.  With ``switches.mismatch`` off the Q
     channel has the I channel's gain (``_gain_detectors``, which
     ``validate_device`` also applies).  Negative instantaneous power draws
-    are clamped to zero and counted in ``clamped_samples``.  The I and Q
-    chains run concurrently, Q on a worker thread that is joined before
-    this returns or raises; the bytes do not depend on the scheduling.
+    are clamped to zero and counted in ``clamped_samples``.
+
+    The work goes one RNG block of samples at a time.  The head (the phase
+    with its drift, the envelope with its intensity noise, and both gains)
+    runs on ``rng.map_blocks``'s threads, each block drawing straight into
+    its slices of the phase and output arrays; only the slow walk's
+    cumulative sum runs over the whole array.  Then the I and Q chains run
+    concurrently, Q on a worker thread that is joined before this returns
+    or raises.  The bytes do not depend on the scheduling.
     """
     count = len(path)
     seed = rng.check_seed(seed)
-    # Each full-length draw is reused as its working array.  Operands may
-    # swap (IEEE addition and multiplication commute) but no expression is
-    # reassociated, so the bytes equal those of the plain out-of-place
-    # expressions.
-    phase = np.asarray(path.increments, dtype=np.float64)
-    if switches.drift:
-        if ifm.drift_mode == "slow-walk" and ifm.drift_step > 0.0:
-            drift = rng.standard_normals(count, seed, rng.STREAM_DRIFT)
-            drift *= ifm.drift_step
-            np.cumsum(drift, out=drift)
-            drift += ifm.drift_phase - drift[0]   # walk starts at drift_phase
-            drift += phase
-            phase = drift
-        else:
-            phase = phase + ifm.drift_phase
-        phase += ifm.static_phase
-    else:
-        phase = phase + ifm.static_phase
-
+    increments = np.asarray(path.increments, dtype=np.float64)
+    walk = (switches.drift and ifm.drift_mode == "slow-walk"
+            and ifm.drift_step > 0.0)
+    intensity = switches.intensity and laser.intensity_sigma > 0.0
     k = float(ifm.delay_loss)
     t = float(ifm.bs_transmittance)
     p_sig = k * t * laser.mean_power
     p_lo = (1.0 - t) * laser.mean_power
+    level = np.sqrt(p_sig * p_lo)
+    gain_i, gain_q = (d.transimpedance * d.responsivity
+                      for d in _gain_detectors(det_i, det_q, switches))
+    blocks = range(0, count, rng.BLOCK_SIZE)
+    # Each block evaluates, in place on its slices, the whole-array expressions
+    #   phase = ((cumsum(step * n_drift) + (drift_phase - first)) + increments) + static_phase
+    #   envelope = sqrt(max(n_s * c_s + p_sig, 0) * max(n_lo * c_lo + p_lo, 0))
+    #   v_i = gain_i * envelope * cos(phase), v_q = envelope * gain_q * sin(phase)
+    # (without the walk, phase = (increments + drift_phase) + static_phase,
+    # or increments + static_phase with the drift off).  Operands may swap
+    # (IEEE addition and multiplication commute) but nothing is
+    # reassociated, so the bytes are those of the whole-array expressions.
+    phase = np.empty(count)
+    v_i = np.empty(count)
+    v_q = np.empty(count)
 
-    clamped = 0
-    if switches.intensity and laser.intensity_sigma > 0.0:
+    def head(lo: int) -> int:
+        """One block of the phase (before the walk's sum) and of v_i, v_q; its clamp count.
+
+        ``np.maximum(x, 0.0)`` returns x for every x >= +0.0, and p + s*n is
+        never -0.0, so clamping only the blocks that have a negative draw
+        gives the bytes of clamping the whole array.
+        """
+        hi = min(lo + rng.BLOCK_SIZE, count)
+        ph, env_i, env_q = phase[lo:hi], v_i[lo:hi], v_q[lo:hi]
+        if walk:
+            rng.standard_normals_range(lo, hi, seed, rng.STREAM_DRIFT, out=ph)
+            ph *= ifm.drift_step
+        elif switches.drift:
+            np.add(increments[lo:hi], ifm.drift_phase, out=ph)
+            ph += ifm.static_phase
+        else:
+            np.add(increments[lo:hi], ifm.static_phase, out=ph)
+        if not intensity:
+            env_i.fill(gain_i * level)
+            env_q.fill(level * gain_q)
+            return 0
         # The source power fluctuation epsilon(t) propagates through each
         # arm with that arm's transmission; the two arm draws are
         # independent but shared between the I and Q channels.
-        eps_s = rng.standard_normals(count, seed, rng.STREAM_INTENSITY_S)
+        eps_s = rng.standard_normals_range(lo, hi, seed, rng.STREAM_INTENSITY_S, out=env_q)
         eps_s *= k * t * laser.intensity_sigma
         eps_s += p_sig
-        eps_lo = rng.standard_normals(count, seed, rng.STREAM_INTENSITY_LO)
+        eps_lo = rng.standard_normals_range(lo, hi, seed, rng.STREAM_INTENSITY_LO, out=env_i)
         eps_lo *= (1.0 - t) * laser.intensity_sigma
         eps_lo += p_lo
         clamped = int(np.count_nonzero((eps_s < 0.0) | (eps_lo < 0.0)))
@@ -243,16 +268,23 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
             np.maximum(eps_s, 0.0, out=eps_s)
             np.maximum(eps_lo, 0.0, out=eps_lo)
         eps_s *= eps_lo
-        del eps_lo
-        envelope = np.sqrt(eps_s, out=eps_s)
-    else:
-        envelope = np.full(count, np.sqrt(p_sig * p_lo))
+        np.sqrt(eps_s, out=eps_s)
+        np.multiply(gain_i, eps_s, out=env_i)
+        env_q *= gain_q
+        return clamped
 
-    # v_i = (gain_i * envelope) * cos(phase), v_q = (gain_q * envelope) * sin(phase)
-    gain_i, gain_q = (d.transimpedance * d.responsivity
-                      for d in _gain_detectors(det_i, det_q, switches))
-    v_i = gain_i * envelope
-    v_q = np.multiply(envelope, gain_q, out=envelope)
+    clamped = sum(rng.map_blocks(head, blocks))
+    if walk:
+        np.cumsum(phase, out=phase)
+        start = ifm.drift_phase - phase[0]    # the walk starts at drift_phase
+
+        def finish(lo: int) -> None:
+            ph = phase[lo:lo + rng.BLOCK_SIZE]
+            ph += start
+            ph += increments[lo:lo + rng.BLOCK_SIZE]
+            ph += ifm.static_phase
+
+        rng.map_blocks(finish, blocks)
     if switches.bandwidth_limit:
         from scipy.signal import lfilter
 
@@ -267,7 +299,7 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
             alpha = -np.expm1(-path.sample_period / det.response_time)
             state = [0.0]
         noisy = switches.electrical and det.electrical_noise_sigma > 0.0
-        for lo in range(0, count, rng.BLOCK_SIZE):
+        for lo in blocks:
             hi = min(lo + rng.BLOCK_SIZE, count)
             seg = v[lo:hi]
             seg *= quadrature(phase[lo:hi])
@@ -290,17 +322,26 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
                    clamped_samples=clamped)
 
 
+def _level_indices(values, n_bits: int, lo: float, hi: float) -> np.ndarray:
+    """Each value's level of the n-bit quantizer over [lo, hi), as float64.
+
+    One new array, then in-place passes: the values below ``lo`` get level
+    0 and those from ``hi`` up the top level.
+    """
+    levels = 1 << n_bits
+    codes = np.asarray(values, dtype=np.float64) - lo
+    codes *= levels / (hi - lo)
+    np.floor(codes, out=codes)
+    np.clip(codes, 0, levels - 1, out=codes)
+    return codes
+
+
 def quantize_uniform(values, n_bits: int, lo: float, hi: float) -> np.ndarray:
     """Uniform n-bit quantizer over [lo, hi) with saturation at both ends."""
     n_bits = check_scalar("n_bits", n_bits, bounds=(1, 16))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ParameterError(f"need finite lo < hi, got {lo}, {hi}")
-    arr = np.asarray(values, dtype=np.float64)
-    levels = 1 << n_bits
-    scaled = (arr - lo) * (levels / (hi - lo))
-    codes = np.floor(scaled)
-    np.clip(codes, 0, levels - 1, out=codes)
-    return codes.astype(np.uint16)
+    return _level_indices(values, n_bits, lo, hi).astype(np.uint16)
 
 
 def adc_quantize(trace: IQTrace, det_i: DetectorParams,
@@ -310,14 +351,20 @@ def adc_quantize(trace: IQTrace, det_i: DetectorParams,
     Models digitization of the voltages before phase reconstruction: 2^bits
     uniform levels across [-fullscale, +fullscale), saturating outside.
     The trace records the I channel's ADC bits and full scale, and each
-    channel's count of samples outside that range.
+    channel's count of samples outside that range.  Level c snaps to
+    -F + (c + 0.5)*step, computed in place on the float64 levels of
+    ``quantize_uniform``: every level is an integer below 2^16, so the
+    bytes are those of going through its uint16 codes.
     """
     def snap(values: np.ndarray, det: DetectorParams) -> tuple[np.ndarray, int]:
         bits, full = int(det.adc_bits), det.adc_fullscale
         step = 2.0 * full / (1 << bits)
         clipped = int(np.count_nonzero(values < -full) + np.count_nonzero(values >= full))
-        codes = quantize_uniform(values, bits, -full, full)
-        return -full + (codes + 0.5) * step, clipped
+        snapped = _level_indices(values, bits, -full, full)
+        snapped += 0.5
+        snapped *= step
+        snapped += -full
+        return snapped, clipped
 
     (v_i, clipped_i), (v_q, clipped_q) = snap(trace.v_i, det_i), snap(trace.v_q, det_q)
     return replace(trace, v_i=v_i, v_q=v_q, adc_clipped_i=clipped_i,

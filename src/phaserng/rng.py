@@ -13,6 +13,10 @@ Each (seed, stream, block) triple keys an independent Philox instance via
 concatenation of its blocks.  Sequential and windowed generation
 therefore produce bit-identical output, which is what the
 reproducibility contract requires.
+
+``map_blocks`` is the one fan-out over blocks: it fills the blocks of a
+long draw concurrently, and ``optics.simulate_trace`` runs its per-block
+work through it, drawing into its own arrays with ``out=``.
 """
 
 from __future__ import annotations
@@ -56,21 +60,45 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def map_blocks(work, blocks) -> list:
+    """``[work(block) for block in blocks]``, on min(blocks, usable CPUs) threads.
+
+    ``work`` must touch only its own block's slices: numpy's fills and
+    ufuncs release the GIL, so the blocks run concurrently.  With one usable
+    CPU they run in turn on the calling thread.  A failed call cancels the
+    calls not yet started, and every thread is joined before the error
+    propagates.
+    """
+    workers = min(len(blocks), _usable_cpus())
+    if workers <= 1:
+        return [work(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, blocks))
+
+
 def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,
-               draw) -> np.ndarray:
+               draw, out: np.ndarray | None = None) -> np.ndarray:
     """Elements ``start:stop`` of the concatenation of the stream's blocks.
 
     ``draw(gen, out)`` fills ``out`` with the first ``out.size`` draws of a
     block.  Only the blocks overlapping the range are generated, each
     straight into its own slice of the result except a block that the range
-    starts inside.  The blocks are filled on min(blocks, usable CPUs)
-    threads; numpy's fills release the GIL, and every block has its own
-    generator, so the bytes do not depend on the thread count.
+    starts inside.  The result is ``out`` when given (a C-contiguous array of
+    ``dtype`` and length ``stop - start``), else a new array.  The blocks are
+    filled by ``map_blocks``; every block has its own generator, so the
+    bytes do not depend on the thread count.
     """
     start = check_scalar("start", start, bounds=(0, None))
     stop = check_scalar("stop", stop, bounds=(start, None))
     seed = check_seed(seed)
-    out = np.empty(stop - start, dtype=dtype)
+    if out is None:
+        out = np.empty(stop - start, dtype=dtype)
+    elif not (isinstance(out, np.ndarray) and out.dtype == dtype
+              and out.shape == (stop - start,) and out.flags.c_contiguous
+              and out.flags.writeable):
+        raise ParameterError(
+            f"out must be a writeable C-contiguous {np.dtype(dtype).name} array of "
+            f"shape ({stop - start},)")
 
     def fill(block: int) -> None:
         lo = block * BLOCK_SIZE
@@ -83,16 +111,7 @@ def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,
             draw(gen, head)
             out[:hi - start] = head[start - lo:]
 
-    blocks = range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE))
-    workers = min(len(blocks), _usable_cpus())
-    if workers <= 1:
-        for block in blocks:
-            fill(block)
-    else:
-        # A failed fill cancels the fills not yet started, and leaving the
-        # pool joins its threads before the error propagates.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
+    map_blocks(fill, range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)))
     return out
 
 
@@ -106,15 +125,18 @@ def standard_normals(count: int, seed: int, stream: int = 0) -> np.ndarray:
     return standard_normals_range(0, count, seed, stream)
 
 
-def standard_normals_range(start: int, stop: int, seed: int,
-                           stream: int = 0) -> np.ndarray:
+def standard_normals_range(start: int, stop: int, seed: int, stream: int = 0, *,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Draws ``start:stop`` of the stream, identical to a slice of the whole.
 
     Generates only the blocks overlapping the range, so a long stream can
-    be consumed in windows without materializing it.
+    be consumed in windows without materializing it.  With ``out`` (a
+    C-contiguous float64 array of length ``stop - start``, else
+    ``ParameterError``) the draws are written there and ``out`` returned,
+    so a caller can draw straight into a slice of its own working array.
     """
     return _blockwise(start, stop, seed, stream, np.float64,
-                      lambda gen, out: gen.standard_normal(out=out))
+                      lambda gen, block: gen.standard_normal(out=block), out)
 
 
 def random_bits(count: int, seed: int, stream: int = 0) -> np.ndarray:

@@ -246,6 +246,18 @@ class TestAutocorrelation:
         assert_allclose(an.autocorrelation(x, 50), autocorr_direct(x, 50),
                         atol=1e-16)
 
+    # With the transform patched to 16 points the chunks are max(16 - max_lag,
+    # max_lag) samples long: at lag 10 a last chunk of 3 samples is shorter
+    # than the lag; lag 0 has no pair across an edge; at lag N - 1 one chunk
+    # of N - 1 samples meets a last chunk of one.
+    @pytest.mark.parametrize("size, max_lag", [(8 * 10 + 3, 10), (1001, 0), (100, 99)],
+                             ids=["short-last-chunk", "lag-0", "lag-N-1"])
+    def test_pairs_across_chunk_edges(self, monkeypatch, size, max_lag):
+        monkeypatch.setattr(an, "_ACF_CHUNK", 16)
+        x = np.random.default_rng(size).normal(size=size)
+        assert_allclose(an.autocorrelation(x, max_lag), autocorr_direct(x, max_lag),
+                        atol=1e-16)
+
     def test_affine_invariance(self):
         x = np.random.default_rng(20).normal(size=10_000)
         base = an.autocorrelation(x, 30)

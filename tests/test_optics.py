@@ -366,6 +366,52 @@ class TestTraceBytesPinned:
         sha.update(trace.clamped_samples.to_bytes(8, "little"))
         assert sha.hexdigest() == digest
 
+    def test_head_per_block_equals_the_whole_array_expressions(self):
+        # 2^20 + 10 samples: a full RNG block and a block of ten.  With the
+        # mean power 4.5 sigma above zero, a few power draws of the full
+        # block are clamped and none of the short block's, so the head
+        # clamps one block and leaves the other as drawn.
+        from scipy.signal import lfilter
+
+        laser = ideal_laser(power=1e-3, intensity_sigma=1e-3 / 4.5)
+        count = rng.BLOCK_SIZE + 10
+        path = sample_phase_path(laser, T_D30, 5e-9, count, 3)
+        geometry = ifm(static_phase=0.3, drift_phase=0.7, drift_mode="slow-walk",
+                       drift_step=1e-2)
+        d_i = det(electrical_noise_sigma=0.05, response_time=2e-9)
+        d_q = det(transimpedance=15e3, electrical_noise_sigma=0.04,
+                  response_time=3e-9)
+        trace = optics.simulate_trace(path, laser, geometry, d_i, d_q,
+                                      optics.NoiseSwitches(**TestLanes.ALL_ON), seed=11)
+
+        def normals(stream):
+            return rng.standard_normals(count, 11, stream)
+
+        k, t, sigma = geometry.delay_loss, geometry.bs_transmittance, laser.intensity_sigma
+        walk = np.cumsum(normals(rng.STREAM_DRIFT) * geometry.drift_step)
+        phase = (walk + (geometry.drift_phase - walk[0]) + path.increments
+                 + geometry.static_phase)
+        p_s = (normals(rng.STREAM_INTENSITY_S) * (k * t * sigma)
+               + k * t * laser.mean_power)
+        p_lo = (normals(rng.STREAM_INTENSITY_LO) * ((1.0 - t) * sigma)
+                + (1.0 - t) * laser.mean_power)
+        clamps = (p_s < 0.0) | (p_lo < 0.0)
+        envelope = np.sqrt(np.maximum(p_s, 0.0) * np.maximum(p_lo, 0.0))
+
+        def channel(v, d, stream):
+            alpha = -np.expm1(-path.sample_period / d.response_time)
+            v = lfilter([alpha], [1.0, alpha - 1.0], v, zi=[0.0])[0]
+            return v + normals(stream) * d.electrical_noise_sigma
+
+        v_i = channel(d_i.transimpedance * d_i.responsivity * envelope * np.cos(phase),
+                      d_i, rng.STREAM_ELECTRICAL_I)
+        v_q = channel(envelope * (d_q.transimpedance * d_q.responsivity) * np.sin(phase),
+                      d_q, rng.STREAM_ELECTRICAL_Q)
+        assert clamps[:rng.BLOCK_SIZE].any() and not clamps[rng.BLOCK_SIZE:].any()
+        assert trace.clamped_samples == np.count_nonzero(clamps)
+        assert trace.v_i.tobytes() == v_i.tobytes()
+        assert trace.v_q.tobytes() == v_q.tobytes()
+
     def test_phase_path_is_not_modified(self):
         path = short_path(seed=12)
         before = path.increments.copy()
@@ -383,14 +429,18 @@ class TestLanes:
     ALL_ON = dict(intensity=True, electrical=True, drift=True, mismatch=True,
                   bandwidth_limit=True)
 
-    @pytest.mark.parametrize("failing", [rng.STREAM_ELECTRICAL_I, rng.STREAM_ELECTRICAL_Q])
+    # The head's streams fail on rng.map_blocks's threads, the electrical
+    # ones in the I lane on this thread and the Q lane on its worker.
+    @pytest.mark.parametrize("failing", [
+        rng.STREAM_DRIFT, rng.STREAM_INTENSITY_S, rng.STREAM_INTENSITY_LO,
+        rng.STREAM_ELECTRICAL_I, rng.STREAM_ELECTRICAL_Q])
     def test_a_failing_lane_raises_and_leaves_no_thread(self, monkeypatch, failing):
         real = rng.standard_normals_range
 
-        def draw(start, stop, seed, stream=0):
+        def draw(start, stop, seed, stream=0, **kwargs):
             if stream == failing:
                 raise RuntimeError(f"stream {stream}")
-            return real(start, stop, seed, stream)
+            return real(start, stop, seed, stream, **kwargs)
 
         monkeypatch.setattr(rng, "standard_normals_range", draw)
         path = short_path(count=rng.BLOCK_SIZE + 10, seed=4)

@@ -206,14 +206,16 @@ class TestFullRun:
         # moved their config_digest, and the summary gained simulate's
         # ADC clip counts.  Schema 8 moved their schema_version, and the
         # summary lost the analyze stage: reconstruct's outputs carry its
-        # min-entropies and divergences.
+        # min-entropies and divergences.  Schema 9 moved their
+        # schema_version (the autocorrelation's last digits moved the
+        # summary's hash of analysis_report.json too).
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "d423356efe00f416bfe737253da5706804072eb198f5ad00de65e55bf38d392b")
+            "04b4a979911c8ea13d56977a7695bea7b8ea468eabb2cc90d67db548a565a572")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "11a92aae88e261a7b44831c4be747be383ba0ae7beee12731e29a919fa382f21")
+            "e9722ae8f0723d843ff2ad0e7f4c0dab0fedf443d29d1c8122a26a6cbc370a76")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "9efef224a5495d5b75330324a062738ced1f5855f35dee64ccd98046c4c0a9b0")
+            "82136a23e87d4f52f489a1df40d880f0acbc0d83d37cda2331e986126cc2f70a")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run

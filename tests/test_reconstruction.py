@@ -233,6 +233,22 @@ class TestQuantizeUniform:
         code = rec.quantize_uniform([value], n_bits, -1.0, 1.0)[0]
         assert 0 <= code < (1 << n_bits)
 
+    # Oracle: the out-of-place floor, clip and cast that the in-place passes
+    # replaced, at every level edge and one ulp either side of it, at +-0.0
+    # and far outside the range.
+    @pytest.mark.parametrize("n_bits", range(1, 17))
+    @pytest.mark.parametrize("lo, hi", [(-np.pi, np.pi), (-1.0, 1.0)])
+    def test_matches_the_out_of_place_quantizer(self, lo, hi, n_bits):
+        levels = 1 << n_bits
+        edges = lo + np.arange(levels + 1) * ((hi - lo) / levels)
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-0.0, 0.0, -1e300, -1e6, -2.0 * hi, 2.0 * hi, 1e6, 1e300],
+            np.random.default_rng(n_bits).uniform(1.5 * lo, 1.5 * hi, 1000)])
+        direct = np.clip(np.floor((x - lo) * (levels / (hi - lo))), 0, levels - 1)
+        assert rec.quantize_uniform(x, n_bits, lo, hi).tobytes() == (
+            direct.astype(np.uint16).tobytes())
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             rec.quantize_uniform([0.0], 0, -1.0, 1.0)

@@ -176,6 +176,24 @@ def test_concurrent_bits_equal_the_serial_oracle(cpus, count):
     assert_array_equal(got, serial_oracle(0, count, 22, 7, bits))
 
 
+@pytest.mark.parametrize("start, stop", [(0, 0), (2345, 7890),
+                                         (rng.BLOCK_SIZE - 100, rng.BLOCK_SIZE + 200)])
+def test_range_into_out_equals_the_allocating_call(cpus, start, stop):
+    out = np.full(stop - start, np.nan)
+    got = rng.standard_normals_range(start, stop, seed=8, stream=2, out=out)
+    assert got is out
+    assert_array_equal(out, rng.standard_normals_range(start, stop, seed=8, stream=2))
+
+
+@pytest.mark.parametrize("out", [
+    np.empty(10, dtype=np.float32), np.empty(11), np.empty(9), np.empty((2, 5)),
+    np.empty(20)[::2], [0.0] * 10,
+], ids=["float32", "too-long", "too-short", "2-d", "strided", "list"])
+def test_range_refuses_a_wrong_out(out):
+    with pytest.raises(ParameterError, match="out must be"):
+        rng.standard_normals_range(5, 15, seed=1, out=out)
+
+
 def test_a_failing_fill_raises_and_leaves_no_thread(cpus):
     def draw(gen, out):
         if out.size == 10:  # the last block of the range
