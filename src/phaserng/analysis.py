@@ -20,8 +20,6 @@ from scipy.special import ndtr
 
 from .errors import DegenerateDataError, ParameterError, check_choice, check_scalar
 
-_TWO_PI = 2.0 * np.pi
-
 #: Length of each chunk's transform in :func:`autocorrelation`: the chunk
 #: (this less max_lag samples, and at least max_lag) and its zero padding.
 #: A power of two, which transforms about five times faster than the
@@ -85,9 +83,9 @@ class Histogram:
 class ReferenceLaw:
     """Closed-form reference distribution: gaussian, uniform, or arcsine.
 
-    The arcsine law with amplitude A is the distribution of A*cos(U) for
-    uniform U; its density diverges at the endpoints and is reported as 0
-    outside the open interval (-A, A).
+    Each law is described by its CDF alone; a histogram compares with its
+    ``bin_masses``.  The arcsine law with amplitude A is the distribution of
+    A*cos(U) for uniform U, supported on [-A, A].
     """
 
     kind: str
@@ -134,37 +132,24 @@ class ReferenceLaw:
             raise DegenerateDataError("zero-variance data cannot be gaussian-fitted")
         return cls("gaussian", (float(arr.mean()), var))
 
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        if self.kind == "gaussian":
-            mean, var = self.params
-            dens = np.exp(-0.5 * (arr - mean) ** 2 / var) / np.sqrt(_TWO_PI * var)
-        elif self.kind == "uniform":
-            a, b = self.params
-            dens = np.where((arr >= a) & (arr < b), 1.0 / (b - a), 0.0)
-        else:
-            amp = self.params[0]
-            inside = np.abs(arr) < amp
-            safe = np.where(inside, arr, 0.0)
-            dens = np.where(inside, 1.0 / (np.pi * np.sqrt(amp * amp - safe * safe)), 0.0)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(dens)
-        return dens
+    def cdf(self, x) -> np.ndarray:
+        """P(X <= x) at each point of ``x``, the law's one description.
 
-    def cdf(self, x):
+        The arcsine CDF takes ``math.asin`` one point at a time: numpy's
+        ``arcsin`` picks its SIMD loop at run time, and the loops differ in
+        the last bit.  The pipeline passes only bin edges, at most
+        ``histogram_bins + 1`` of them.
+        """
         arr = np.asarray(x, dtype=np.float64)
         if self.kind == "gaussian":
             mean, var = self.params
-            vals = ndtr((arr - mean) / math.sqrt(var))
-        elif self.kind == "uniform":
+            return ndtr((arr - mean) / math.sqrt(var))
+        if self.kind == "uniform":
             a, b = self.params
-            vals = np.clip((arr - a) / (b - a), 0.0, 1.0)
-        else:
-            amp = self.params[0]
-            vals = 0.5 + np.arcsin(np.clip(arr / amp, -1.0, 1.0)) / np.pi
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(vals)
-        return vals
+            return np.clip((arr - a) / (b - a), 0.0, 1.0)
+        amp = self.params[0]
+        angles = [math.asin(min(max(v / amp, -1.0), 1.0)) for v in arr.ravel().tolist()]
+        return 0.5 + np.reshape(angles, arr.shape) / math.pi
 
     def bin_masses(self, bin_edges) -> np.ndarray:
         """Probability mass the law assigns to each bin (CDF differences)."""

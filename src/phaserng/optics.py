@@ -24,7 +24,7 @@ when a ``NoiseSwitches`` turns ``bandwidth_limit`` on.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -204,8 +204,9 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     runs on ``rng.map_blocks``'s threads, each block drawing straight into
     its slices of the phase and output arrays; only the slow walk's
     cumulative sum runs over the whole array.  Then the I and Q chains run
-    concurrently, Q on a worker thread that is joined before this returns
-    or raises.  The bytes do not depend on the scheduling.
+    as two lanes through ``rng.map_blocks``, concurrently when two CPUs are
+    usable, else one after the other.  The bytes do not depend on the
+    scheduling.
     """
     count = len(path)
     seed = rng.check_seed(seed)
@@ -288,15 +289,19 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     if switches.bandwidth_limit:
         from scipy.signal import lfilter
 
-    def lane(v: np.ndarray, quadrature, det: DetectorParams, stream: int) -> None:
-        """Finish one channel in place, one RNG block of samples at a time.
+    def lane(channel) -> None:
+        """Finish one channel ``(v, quadrature, det, stream)`` in place, one
+        RNG block of samples at a time.
 
         Carrying the filter state across segments and drawing each
         segment's noise from its own block gives the bytes of the
-        whole-array computation with one block of temporaries.
+        whole-array computation with one block of temporaries.  The filter
+        coefficient comes from ``math``: numpy's ``expm1`` picks its SIMD
+        loop at run time, and the loops differ in the last bit.
         """
+        v, quadrature, det, stream = channel
         if switches.bandwidth_limit:
-            alpha = -np.expm1(-path.sample_period / det.response_time)
+            alpha = -math.expm1(-path.sample_period / det.response_time)
             state = [0.0]
         noisy = switches.electrical and det.electrical_noise_sigma > 0.0
         for lo in blocks:
@@ -310,13 +315,9 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
                 noise *= det.electrical_noise_sigma
                 seg += noise
 
-    # The Q lane runs on a worker thread while this thread runs the I lane;
-    # numpy, lfilter and the Philox fills release the GIL.  Leaving the
-    # pool joins the worker, also when a lane raised.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        q_lane = pool.submit(lane, v_q, np.sin, det_q, rng.STREAM_ELECTRICAL_Q)
-        lane(v_i, np.cos, det_i, rng.STREAM_ELECTRICAL_I)
-        q_lane.result()
+    # The lanes overlap: numpy, lfilter and the Philox fills release the GIL.
+    rng.map_blocks(lane, [(v_i, np.cos, det_i, rng.STREAM_ELECTRICAL_I),
+                          (v_q, np.sin, det_q, rng.STREAM_ELECTRICAL_Q)])
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
                    clamped_samples=clamped)

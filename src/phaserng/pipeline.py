@@ -57,7 +57,7 @@ ARTIFACTS = {
     "summary": "summary.json",
 }
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")
@@ -166,13 +166,15 @@ def _json_bytes(payload: dict) -> bytes:
 
 
 def _hist_csv(hist, ref, digest: str) -> bytes:
-    """CSV columns: bin center, count, reference density (blank if none)."""
-    centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
-    density = ref.pdf(centers) if ref is not None else None
+    """CSV columns: bin center, count, and the law ``ref``'s mean density
+    over the bin (its mass over the bin width), which count / (total *
+    width) estimates."""
+    edges = hist.bin_edges
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    density = ref.bin_masses(edges) / np.diff(edges)
     lines = [f"# config_digest={digest}", "bin_center,count,reference_density"]
-    for k, c in enumerate(centers):
-        d = "" if density is None else repr(float(density[k]))
-        lines.append(f"{float(c)!r},{int(hist.counts[k])},{d}")
+    lines += [f"{c!r},{n},{d!r}" for c, n, d in
+              zip(centers.tolist(), hist.counts.tolist(), density.tolist())]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -238,16 +240,18 @@ def analyze_stage(cfg: ExperimentConfig, norm, series, symbols) -> StageResult:
             analysis.symbol_counts(code, 1 << det.adc_bits))
         hist = analysis.Histogram.from_data(values, bins, (-1.1, 1.1))
         payloads[f"hist_{channel}"] = _hist_csv(hist, arc, digest)
-    sym_counts = analysis.symbol_counts(symbols.symbols, 1 << symbols.bits_per_symbol)
+    alphabet = 1 << symbols.bits_per_symbol
+    sym_counts = analysis.symbol_counts(symbols.symbols, alphabet)
     hmin["phase_symbols"] = analysis.min_entropy(sym_counts)
 
     uniform = analysis.ReferenceLaw.uniform(-np.pi, np.pi)
     hist_phase = analysis.Histogram.from_data(series.phases, bins, (-np.pi, np.pi))
     hist_symbols = analysis.Histogram(
-        bin_edges=np.arange((1 << symbols.bits_per_symbol) + 1, dtype=np.float64),
+        bin_edges=np.arange(alphabet + 1, dtype=np.float64),
         counts=sym_counts, total=int(sym_counts.sum()))
     payloads["hist_phase"] = _hist_csv(hist_phase, uniform, digest)
-    payloads["hist_symbols"] = _hist_csv(hist_symbols, None, digest)
+    payloads["hist_symbols"] = _hist_csv(
+        hist_symbols, analysis.ReferenceLaw.uniform(0, alphabet), digest)
 
     laws = {"vs_standard_gaussian": analysis.ReferenceLaw.gaussian(0.0, 1.0),
             "vs_moment_fit_gaussian": analysis.ReferenceLaw.gaussian_fit(series.phases),

@@ -14,9 +14,10 @@ concatenation of its blocks.  Sequential and windowed generation
 therefore produce bit-identical output, which is what the
 reproducibility contract requires.
 
-``map_blocks`` is the one fan-out over blocks: it fills the blocks of a
-long draw concurrently, and ``optics.simulate_trace`` runs its per-block
-work through it, drawing into its own arrays with ``out=``.
+``map_blocks`` is the simulation's one thread fan-out: it fills the blocks
+of a long draw concurrently, and ``optics.simulate_trace`` runs its per-block
+work (drawing into its own arrays with ``out=``) and its I and Q lanes
+through it.
 """
 
 from __future__ import annotations
@@ -63,17 +64,24 @@ def _usable_cpus() -> int:
 def map_blocks(work, blocks) -> list:
     """``[work(block) for block in blocks]``, on min(blocks, usable CPUs) threads.
 
-    ``work`` must touch only its own block's slices: numpy's fills and
-    ufuncs release the GIL, so the blocks run concurrently.  With one usable
-    CPU they run in turn on the calling thread.  A failed call cancels the
-    calls not yet started, and every thread is joined before the error
-    propagates.
+    A block is any item: an RNG block index, or one of ``simulate_trace``'s
+    two channels.  ``work`` must touch only its own block's slices: numpy's
+    fills and ufuncs release the GIL, so the blocks run concurrently.  The
+    calling thread runs the first block and the other threads the rest;
+    with one usable CPU all run in turn on the calling thread.  A failed call
+    cancels the calls not yet started, and every thread is joined before
+    the error propagates.
     """
     workers = min(len(blocks), _usable_cpus())
     if workers <= 1:
         return [work(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, blocks))
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        try:
+            rest = [pool.submit(work, block) for block in blocks[1:]]
+            return [work(blocks[0])] + [future.result() for future in rest]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,

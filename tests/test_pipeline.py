@@ -148,7 +148,34 @@ class TestFullRun:
         sym_lines = open(os.path.join(outdir, "hist_symbols.csv")).read().splitlines()
         sym_rows = [line.split(",") for line in sym_lines[2:]]
         assert len(sym_rows) == 1024
-        assert all(r[2] == "" for r in sym_rows)  # no reference law
+        assert all(float(r[2]) == 1 / 1024 for r in sym_rows)  # uniform law
+
+    def test_histogram_reference_is_bin_mass_over_width(self, full_run):
+        # count / (total * width) estimates the law's mass in the bin over
+        # the bin's width, so that is the reference column: in the bins
+        # that straddle the arcsine law's support edges at +-1 too.
+        _, outdir, _ = full_run
+
+        def arcsine(x):
+            return 0.5 + math.asin(min(max(x, -1.0), 1.0)) / math.pi
+
+        voltage = np.linspace(-1.1, 1.1, 257)
+        laws = {"hist_channel_i.csv": (voltage, arcsine),
+                "hist_channel_q.csv": (voltage, arcsine),
+                "hist_phase.csv": (np.linspace(-math.pi, math.pi, 257),
+                                   lambda x: (x + math.pi) / (2 * math.pi)),
+                "hist_symbols.csv": (np.arange(1025.0), lambda x: x / 1024)}
+        for name, (edges, cdf) in laws.items():
+            rows = np.loadtxt(os.path.join(outdir, name), delimiter=",", skiprows=2)
+            np.testing.assert_array_equal(rows[:, 0], 0.5 * (edges[:-1] + edges[1:]))
+            masses = np.diff([cdf(x) for x in edges])
+            np.testing.assert_allclose(rows[:, 2], masses / np.diff(edges),
+                                       rtol=1e-12, atol=0.0, err_msg=name)
+            if edges is voltage:
+                straddling = (np.abs(edges[:-1]) < 1.0) != (np.abs(edges[1:]) < 1.0)
+                assert np.count_nonzero(straddling) == 2
+                assert np.all(rows[straddling, 2] > 2.9), name   # 0.0 at the centre
+                assert np.all(rows[np.abs(rows[:, 0]) > 1.01, 2] == 0.0), name
 
     def test_extract_output(self, full_run):
         _, outdir, summary = full_run
@@ -175,7 +202,8 @@ class TestFullRun:
         # the Toeplitz seed is drawn on its own stream and did not move.
         # Schema 4 changed only symbols.bin, to packed bits.
         # Schema 5 moved only the histograms' config_digest line, and so did
-        # schema 7 (output_bits left the config).
+        # schema 7 (output_bits left the config).  Schema 10 moved only their
+        # reference column, to each law's bin mass over the bin width.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt")) == (
             "c571b2b37e7acdf7ac2b97f9f19e6e9338e7e60679d29bc0f8f4ec41c4a5f332")
@@ -185,13 +213,13 @@ class TestFullRun:
             "7aee3fac9103ee50711c5a4ba15ff3d15da96732dd0a2b5e5a4daedf030c2ce4")
         hists = {
             "hist_channel_i.csv":
-                "126a7f968bd907a2f915df5bb635cbb0ed0cafae95a37a5f43e8c3544c219033",
+                "6e2f86afb4dfb4e3bc3e63f0b6ac72bb55bc3f57c3d36737c3d5ca94fe3658bd",
             "hist_channel_q.csv":
-                "3da8d84321f7839cd92e67baf43336d56516b94dff3285eb9dd1c8f2182a6aa0",
+                "06db6674e445d7ac5262327591380506a87577a2e95dfe762fb946fd7a9198f6",
             "hist_phase.csv":
-                "7d103da6c51d533ea333d60e82abfc256fe0f64a03b25d35cbf5aa5c9834f816",
+                "0091307d9340d1a4c2d6c5893aab7957100aa9cb5f1ba1c250423d8037d54ddd",
             "hist_symbols.csv":
-                "9eeb3fb196724ffeb21d324696e8443a79018acbfa69be5e8556799a68af1e27",
+                "7c3d10f54dc68394985445a11e1776cc75fff05fea8512d851f7409a134e69ec",
         }
         for name, digest in hists.items():
             assert sha256(os.path.join(outdir, name)) == digest, name
@@ -208,14 +236,16 @@ class TestFullRun:
         # summary lost the analyze stage: reconstruct's outputs carry its
         # min-entropies and divergences.  Schema 9 moved their
         # schema_version (the autocorrelation's last digits moved the
-        # summary's hash of analysis_report.json too).
+        # summary's hash of analysis_report.json too).  Schema 10 moved
+        # their schema_version, and the summary's hashes of the histogram
+        # CSVs and of the JSON reports.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "04b4a979911c8ea13d56977a7695bea7b8ea468eabb2cc90d67db548a565a572")
+            "b0f8f0ed9ac2cd0dcc38fc2a104347eba1e192c7230d14a5ccdf27fa3a895c19")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "e9722ae8f0723d843ff2ad0e7f4c0dab0fedf443d29d1c8122a26a6cbc370a76")
+            "8884126be612d032eb7a5ac2452c5ef1933ca8e52f810ee349afcaaadb67a55c")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "82136a23e87d4f52f489a1df40d880f0acbc0d83d37cda2331e986126cc2f70a")
+            "1584145b4bc84dafff42c4f2bcb1f82266599a04c27785fb8ca7771a0fb1683c")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -224,6 +254,24 @@ class TestFullRun:
         assert report["schema_version"] == pipeline.SCHEMA_VERSION
         assert len(report["streams"]) == 10
         assert summary["stage_outputs"]["test"]["passed"] is True
+
+
+class TestHistogramCsv:
+    def test_arcsine_bytes_pinned(self):
+        # A fixed histogram on the pipeline's voltage edges.  The arcsine
+        # CDF takes math.asin, so these bytes hold with every dispatched
+        # numpy SIMD target on or off.
+        from phaserng import analysis
+
+        counts = np.arange(256) * 37 % 101
+        hist = analysis.Histogram(bin_edges=np.linspace(-1.1, 1.1, 257),
+                                  counts=counts, total=int(counts.sum()))
+        blob = pipeline._hist_csv(hist, analysis.ReferenceLaw.arcsine(1.0), "0" * 64)
+        assert blob.splitlines()[:3] == [
+            b"# config_digest=" + b"0" * 64, b"bin_center,count,reference_density",
+            b"-1.095703125,0,0.0"]
+        assert hashlib.sha256(blob).hexdigest() == (
+            "411cfaef22bced296d44720e64b39a8d6ec1e3b391be9731476d7045a5b863a8")
 
 
 class TestDeterminism:
