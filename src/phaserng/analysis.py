@@ -12,13 +12,14 @@ coarse binning does not bias the divergence.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sp_fft
 from scipy.special import ndtr
 
-from .errors import DegenerateDataError, ParameterError, check_choice, check_scalar
+from .errors import DegenerateDataError, ParameterError, check_scalar
 
 #: Length of each chunk's transform in :func:`autocorrelation`: the chunk
 #: (this less max_lag samples, and at least max_lag) and its zero padding.
@@ -32,13 +33,13 @@ class Histogram:
     """Binned counts with explicit edges.
 
     ``bin_edges`` has length B+1 and is strictly increasing; ``counts`` has
-    length B and sums to ``total``.  Out-of-range data must be handled by
-    the caller before binning (``from_data`` counts only in-range points).
+    length B, and ``total`` is their sum.  Out-of-range data must be
+    handled by the caller before binning (``from_data`` counts only
+    in-range points).
     """
 
     bin_edges: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    total: int
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=np.float64)
@@ -51,11 +52,8 @@ class Histogram:
             raise ParameterError("counts length must equal len(bin_edges) - 1")
         if np.any(counts < 0):
             raise ParameterError("counts must be non-negative")
-        if int(counts.sum()) != int(self.total):
-            raise ParameterError("total must equal sum(counts)")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(self.total))
 
     @classmethod
     def from_data(cls, data, bins: int = 256,
@@ -70,56 +68,60 @@ class Histogram:
             raise ParameterError("data must be a non-empty 1-D array")
         bins = check_scalar("bins", bins, bounds=(1, None))
         counts, edges = np.histogram(arr, bins=bins, range=value_range)
-        return cls(bin_edges=edges, counts=counts, total=int(counts.sum()))
+        return cls(bin_edges=edges, counts=counts)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def probabilities(self) -> np.ndarray:
-        if self.total == 0:
+        total = self.total
+        if total == 0:
             raise DegenerateDataError("histogram is empty")
-        return self.counts / self.total
+        return self.counts / total
 
 
 @dataclass(frozen=True)
 class ReferenceLaw:
-    """Closed-form reference distribution: gaussian, uniform, or arcsine.
+    """Closed-form reference distribution, described by its CDF alone.
 
-    Each law is described by its CDF alone; a histogram compares with its
-    ``bin_masses``.  The arcsine law with amplitude A is the distribution of
-    A*cos(U) for uniform U, supported on [-A, A].
+    Each constructor (``gaussian``, ``uniform``, ``arcsine``,
+    ``gaussian_fit``) checks its own parameters and binds the law's CDF; a
+    histogram compares with its ``bin_masses``.  The arcsine law with
+    amplitude A is the distribution of A*cos(U) for uniform U, supported
+    on [-A, A].
     """
 
-    kind: str
-    params: tuple[float, ...]
-
-    _KINDS = ("gaussian", "uniform", "arcsine")
-
-    def __post_init__(self):
-        check_choice("reference kind", self.kind, self._KINDS)
-        params = tuple(float(p) for p in self.params)
-        if not all(math.isfinite(p) for p in params):
-            raise ParameterError("reference parameters must be finite")
-        if self.kind == "gaussian":
-            if len(params) != 2 or params[1] <= 0.0:
-                raise ParameterError("gaussian requires (mean, variance) with variance > 0")
-        elif self.kind == "uniform":
-            if len(params) != 2 or not params[0] < params[1]:
-                raise ParameterError("uniform requires (a, b) with a < b")
-        else:
-            if len(params) != 1 or params[0] <= 0.0:
-                raise ParameterError("arcsine requires (amplitude,) with amplitude > 0")
-        object.__setattr__(self, "params", params)
+    _cdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     @classmethod
     def gaussian(cls, mean: float, variance: float) -> "ReferenceLaw":
-        return cls("gaussian", (mean, variance))
+        mean = float(mean)
+        if not math.isfinite(mean):
+            raise ParameterError(f"gaussian mean must be finite, got {mean}")
+        scale = math.sqrt(check_scalar("variance", variance))
+        return cls(lambda x: ndtr((x - mean) / scale))
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "ReferenceLaw":
-        return cls("uniform", (a, b))
+        a, b = float(a), float(b)
+        if not -math.inf < a < b < math.inf:
+            raise ParameterError(f"uniform requires finite a < b, got ({a}, {b})")
+        return cls(lambda x: np.clip((x - a) / (b - a), 0.0, 1.0))
 
     @classmethod
     def arcsine(cls, amplitude: float) -> "ReferenceLaw":
-        return cls("arcsine", (amplitude,))
+        """Arcsine law on [-amplitude, amplitude].  Its CDF takes ``math.asin``
+        one point at a time: numpy's ``arcsin`` picks its SIMD loop at run
+        time, and the loops differ in the last bit.  The pipeline passes only
+        bin edges, at most ``histogram_bins + 1`` of them."""
+        amp = check_scalar("amplitude", amplitude)
+
+        def cdf(x: np.ndarray) -> np.ndarray:
+            angles = [math.asin(min(max(v / amp, -1.0), 1.0)) for v in x.ravel().tolist()]
+            return 0.5 + np.reshape(angles, x.shape) / math.pi
+        return cls(cdf)
 
     @classmethod
     def gaussian_fit(cls, data) -> "ReferenceLaw":
@@ -130,31 +132,15 @@ class ReferenceLaw:
         var = float(arr.var())
         if var <= 0.0:
             raise DegenerateDataError("zero-variance data cannot be gaussian-fitted")
-        return cls("gaussian", (float(arr.mean()), var))
+        return cls.gaussian(float(arr.mean()), var)
 
     def cdf(self, x) -> np.ndarray:
-        """P(X <= x) at each point of ``x``, the law's one description.
-
-        The arcsine CDF takes ``math.asin`` one point at a time: numpy's
-        ``arcsin`` picks its SIMD loop at run time, and the loops differ in
-        the last bit.  The pipeline passes only bin edges, at most
-        ``histogram_bins + 1`` of them.
-        """
-        arr = np.asarray(x, dtype=np.float64)
-        if self.kind == "gaussian":
-            mean, var = self.params
-            return ndtr((arr - mean) / math.sqrt(var))
-        if self.kind == "uniform":
-            a, b = self.params
-            return np.clip((arr - a) / (b - a), 0.0, 1.0)
-        amp = self.params[0]
-        angles = [math.asin(min(max(v / amp, -1.0), 1.0)) for v in arr.ravel().tolist()]
-        return 0.5 + np.reshape(angles, arr.shape) / math.pi
+        """P(X <= x) at each point of ``x``, float64 in ``x``'s shape."""
+        return self._cdf(np.asarray(x, dtype=np.float64))
 
     def bin_masses(self, bin_edges) -> np.ndarray:
         """Probability mass the law assigns to each bin (CDF differences)."""
-        edges = np.asarray(bin_edges, dtype=np.float64)
-        return np.diff(self.cdf(edges))
+        return np.diff(self.cdf(bin_edges))
 
 
 def symbol_counts(symbols, alphabet_size: int) -> np.ndarray:
@@ -191,8 +177,6 @@ def kld(hist: Histogram, ref: ReferenceLaw) -> float:
     the reference assigns to the bin.  An occupied bin with zero reference
     mass means the supports disagree; the divergence is then +inf.
     """
-    if hist.total < 1:
-        raise ParameterError("histogram total must be >= 1")
     p = hist.probabilities
     q = ref.bin_masses(hist.bin_edges)
     occupied = p > 0.0

@@ -247,8 +247,7 @@ def analyze_stage(cfg: ExperimentConfig, norm, series, symbols) -> StageResult:
     uniform = analysis.ReferenceLaw.uniform(-np.pi, np.pi)
     hist_phase = analysis.Histogram.from_data(series.phases, bins, (-np.pi, np.pi))
     hist_symbols = analysis.Histogram(
-        bin_edges=np.arange(alphabet + 1, dtype=np.float64),
-        counts=sym_counts, total=int(sym_counts.sum()))
+        bin_edges=np.arange(alphabet + 1, dtype=np.float64), counts=sym_counts)
     payloads["hist_phase"] = _hist_csv(hist_phase, uniform, digest)
     payloads["hist_symbols"] = _hist_csv(
         hist_symbols, analysis.ReferenceLaw.uniform(0, alphabet), digest)

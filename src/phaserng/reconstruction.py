@@ -158,9 +158,12 @@ def reconstruct_phase(trace: IQTrace) -> PhaseSeries:
     result does not depend on the overall amplitude, only the ratio.  Exact
     (0, 0) samples map to phase 0 and are counted.
     """
-    zeros = int(np.count_nonzero((trace.v_i == 0.0) & (trace.v_q == 0.0)))
+    zero = (trace.v_i == 0.0) & (trace.v_q == 0.0)
+    zeros = int(np.count_nonzero(zero))
     phases = np.arctan2(trace.v_q, trace.v_i)
     np.copyto(phases, -np.pi, where=(phases == np.pi))
+    if zeros:      # arctan2 takes (v_i, v_q) = (-0.0, +-0.0) to +-pi
+        phases[zero] = 0.0
     return PhaseSeries(phases=phases, zero_vector_count=zeros)
 
 

@@ -30,7 +30,7 @@ from array import array
 
 import numpy as np
 
-from .errors import FormatError, check_scalar
+from .errors import FormatError, ParameterError, check_scalar
 from .optics import IQTrace
 
 MAGIC = b"IQT1"
@@ -39,6 +39,7 @@ HEADER_SIZE = 32
 _HEADER = struct.Struct("<4sBBBBQdd")
 _SAMPLE_PAIR_BYTES = 8            # two float32s
 _QUOTE_CHARS = 40                 # longest line excerpt a CSV error quotes
+_F32_MAX = float(np.finfo(np.float32).max)   # largest sample the payload holds
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -61,7 +62,15 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def encode_trace(trace: IQTrace) -> bytes:
-    """Serialize a trace to the binary format."""
+    """Serialize a trace to the binary format.
+
+    A sample beyond float32's range is refused, before the cast that would
+    make it inf and so drop its row when the trace is read back.
+    """
+    peak = max(trace.v_i.max(), -trace.v_i.min(), trace.v_q.max(), -trace.v_q.min())
+    if peak > _F32_MAX:
+        raise ParameterError(f"trace sample magnitude {peak:.4g} is beyond the "
+                             f"float32 range ±{_F32_MAX:.7g}")
     count = trace.v_i.size
     header = _HEADER.pack(MAGIC, VERSION, 0, 2, trace.adc_bits,
                           count, trace.sample_rate, trace.fullscale)
@@ -165,6 +174,9 @@ def read_trace_csv(path: str, sample_rate: float) -> IQTrace:
                 if not (math.isfinite(vi) and math.isfinite(vq)):
                     rejected += 1
                     continue
+                if abs(vi) > _F32_MAX or abs(vq) > _F32_MAX:
+                    raise FormatError(f"value beyond the float32 range ±{_F32_MAX:.7g} "
+                                      f"at line {lineno}: {_excerpt(line)}")
                 v_i.append(vi)
                 v_q.append(vq)
         except UnicodeDecodeError:

@@ -20,7 +20,7 @@ ARCSINE_HMIN_1024 = 5.651261231700643
 def uniform_hist(bins=256, per_bin=1000, lo=-np.pi, hi=np.pi):
     edges = np.linspace(lo, hi, bins + 1)
     counts = np.full(bins, per_bin, dtype=np.int64)
-    return an.Histogram(bin_edges=edges, counts=counts, total=bins * per_bin)
+    return an.Histogram(bin_edges=edges, counts=counts)
 
 
 class TestHistogram:
@@ -36,6 +36,12 @@ class TestHistogram:
                                       value_range=(0.0, 1.0))
         assert hist.total == 1
 
+    def test_total_is_the_binned_count(self):
+        data = np.random.default_rng(3).normal(size=1000)
+        hist = an.Histogram.from_data(data, bins=16, value_range=(-1.0, 1.0))
+        assert hist.total == hist.counts.sum() < data.size
+        assert type(hist.total) is int
+
     def test_probabilities_sum_to_one(self):
         hist = an.Histogram.from_data(np.random.default_rng(0).normal(size=500))
         assert hist.probabilities.sum() == pytest.approx(1.0)
@@ -43,13 +49,11 @@ class TestHistogram:
     def test_validation(self):
         edges = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ParameterError):
-            an.Histogram(bin_edges=edges[::-1], counts=np.array([1, 1]), total=2)
+            an.Histogram(bin_edges=edges[::-1], counts=np.array([1, 1]))
         with pytest.raises(ParameterError):
-            an.Histogram(bin_edges=edges, counts=np.array([1]), total=1)
+            an.Histogram(bin_edges=edges, counts=np.array([1]))
         with pytest.raises(ParameterError):
-            an.Histogram(bin_edges=edges, counts=np.array([1, 1]), total=3)
-        with pytest.raises(ParameterError):
-            an.Histogram(bin_edges=edges, counts=np.array([-1, 1]), total=0)
+            an.Histogram(bin_edges=edges, counts=np.array([-1, 1]))
         with pytest.raises(ParameterError):
             an.Histogram.from_data([], bins=4)
 
@@ -99,9 +103,9 @@ class TestReferenceLaw:
     def test_gaussian_fit_matches_moments(self):
         rng = np.random.default_rng(5)
         data = rng.normal(loc=2.0, scale=3.0, size=100_000)
-        law = an.ReferenceLaw.gaussian_fit(data)
-        assert law.params[0] == pytest.approx(data.mean())
-        assert law.params[1] == pytest.approx(data.var())
+        edges = np.linspace(-10.0, 14.0, 257)
+        fit = an.ReferenceLaw.gaussian_fit(data).cdf(edges)
+        assert_array_equal(fit, an.ReferenceLaw.gaussian(data.mean(), data.var()).cdf(edges))
 
     def test_gaussian_fit_rejects_degenerate(self):
         with pytest.raises(DegenerateDataError):
@@ -109,13 +113,27 @@ class TestReferenceLaw:
         with pytest.raises(ParameterError):
             an.ReferenceLaw.gaussian_fit([1.0])
 
+    @pytest.mark.parametrize("law", [
+        an.ReferenceLaw.gaussian(0.5, 2.0), an.ReferenceLaw.uniform(-1.0, 1.0),
+        an.ReferenceLaw.arcsine(1.25), an.ReferenceLaw.gaussian_fit([0.0, 1.0, 3.0]),
+    ], ids=["gaussian", "uniform", "arcsine", "gaussian_fit"])
+    @pytest.mark.parametrize("x", [0.25, [-2.0, 0.0, 0.5], [[-1.0, 0.0, 1.0], [2.0, -0.5, 0.5]]],
+                             ids=["scalar", "list", "2-D"])
+    def test_cdf_keeps_the_shape_in_float64(self, law, x):
+        cdf = law.cdf(x)
+        assert cdf.dtype == np.float64
+        assert cdf.shape == np.shape(x)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            an.ReferenceLaw("beta", (1.0,))
         with pytest.raises(ParameterError):
             an.ReferenceLaw.gaussian(0.0, 0.0)
         with pytest.raises(ParameterError):
+            an.ReferenceLaw.gaussian(math.nan, 1.0)
+        with pytest.raises(ParameterError):
             an.ReferenceLaw.uniform(1.0, 1.0)
+        with pytest.raises(ParameterError):
+            an.ReferenceLaw.uniform(-math.inf, 1.0)
         with pytest.raises(ParameterError):
             an.ReferenceLaw.arcsine(-1.0)
 
@@ -194,8 +212,7 @@ class TestKld:
         assert an.kld(hist, ref) >= 0.0
 
     def test_empty_histogram_rejected(self):
-        hist = an.Histogram(bin_edges=np.array([0.0, 1.0]),
-                            counts=np.array([0]), total=0)
+        hist = an.Histogram(bin_edges=np.array([0.0, 1.0]), counts=np.array([0]))
         with pytest.raises(ParameterError):
             an.kld(hist, an.ReferenceLaw.uniform(0.0, 1.0))
 
@@ -207,8 +224,8 @@ class TestTotalVariation:
 
     def test_disjoint_is_one(self):
         edges = np.linspace(0, 1, 3)
-        a = an.Histogram(bin_edges=edges, counts=np.array([10, 0]), total=10)
-        b = an.Histogram(bin_edges=edges, counts=np.array([0, 10]), total=10)
+        a = an.Histogram(bin_edges=edges, counts=np.array([10, 0]))
+        b = an.Histogram(bin_edges=edges, counts=np.array([0, 10]))
         assert an.total_variation(a, b) == 1.0
 
     def test_symmetric_and_bounded(self):
@@ -216,8 +233,8 @@ class TestTotalVariation:
         edges = np.linspace(-1, 1, 33)
         ca = rng.integers(0, 50, 32)
         cb = rng.integers(0, 50, 32)
-        a = an.Histogram(bin_edges=edges, counts=ca, total=int(ca.sum()))
-        b = an.Histogram(bin_edges=edges, counts=cb, total=int(cb.sum()))
+        a = an.Histogram(bin_edges=edges, counts=ca)
+        b = an.Histogram(bin_edges=edges, counts=cb)
         tv = an.total_variation(a, b)
         assert tv == an.total_variation(b, a)
         assert 0.0 <= tv <= 1.0
@@ -225,7 +242,7 @@ class TestTotalVariation:
     def test_requires_identical_edges(self):
         a = uniform_hist(bins=4)
         b = an.Histogram(bin_edges=np.linspace(-1, 1, 5),
-                         counts=np.full(4, 10), total=40)
+                         counts=np.full(4, 10))
         with pytest.raises(ParameterError):
             an.total_variation(a, b)
 

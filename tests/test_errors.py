@@ -46,6 +46,8 @@ GUARDED = {
     "delay_time.fiber_index": (lambda v: phasenoise.delay_time(6.0, v), False),
     "phase_variance.coherence_time": (
         lambda v: phasenoise.phase_variance(6.0, 1.5, v), False),
+    "ReferenceLaw.gaussian.variance": (lambda v: analysis.ReferenceLaw.gaussian(0.0, v), False),
+    "ReferenceLaw.arcsine.amplitude": (lambda v: analysis.ReferenceLaw.arcsine(v), False),
     "wrapped_gaussian_pdf.sigma_sq": (
         lambda v: phasenoise.wrapped_gaussian_pdf(0.0, v), False),
     "sample_phase_path.delay_time": (lambda v: phasenoise.sample_phase_path(
@@ -146,7 +148,6 @@ CHOICES = {
     "extraction mode": lambda v: config.ExtractionParams(mode=v),
     "derive_params.extraction mode": lambda v: extractor.derive_params(0.98, 4000, mode=v),
     "drift_mode": lambda v: optics.InterferometerParams(6.0, drift_mode=v),
-    "reference kind": lambda v: analysis.ReferenceLaw(v, (1.0,)),
 }
 
 

@@ -264,8 +264,7 @@ class TestHistogramCsv:
         from phaserng import analysis
 
         counts = np.arange(256) * 37 % 101
-        hist = analysis.Histogram(bin_edges=np.linspace(-1.1, 1.1, 257),
-                                  counts=counts, total=int(counts.sum()))
+        hist = analysis.Histogram(bin_edges=np.linspace(-1.1, 1.1, 257), counts=counts)
         blob = pipeline._hist_csv(hist, analysis.ReferenceLaw.arcsine(1.0), "0" * 64)
         assert blob.splitlines()[:3] == [
             b"# config_digest=" + b"0" * 64, b"bin_center,count,reference_density",
@@ -929,6 +928,29 @@ class TestCli:
                          "-o", str(tmp_path / "o")])
         assert code == 3
         assert "cannot read or write" in capsys.readouterr().err
+
+    # The 7e38 V swing overflows float32, so trace.iqt would hold inf rows
+    # that reading drops.  The stage is refused and nothing is written.
+    def test_exit_2_trace_beyond_float32(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, BASE_INI.replace("transimpedance = 16e3", "transimpedance = 7e38"))
+        outdir = tmp_path / "out"
+        code = cli.main(["pipeline", "-c", config, "-o", str(outdir),
+                         "--stages", "simulate,reconstruct"])
+        assert code == 2
+        assert "beyond the float32 range" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_exit_3_csv_value_beyond_float32(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        capture = tmp_path / "capture.csv"
+        capture.write_text("v_i,v_q\n0.5,0.1\n1e39,0.1\n")
+        outdir = tmp_path / "out"
+        code = cli.main(["ingest", "-c", config, "-o", str(outdir),
+                         "--input", str(capture)])
+        assert code == 3
+        assert "float32 range ±3.402823e+38 at line 3" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_exit_3_corrupt_trace(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

@@ -50,6 +50,15 @@ class TestReconstructPhase:
         assert series.zero_vector_count == 2
         assert series.phases[0] == 0.0
 
+    # arctan2 takes (-0.0, -0.0) to -pi and (-0.0, +0.0) to +pi.
+    def test_signed_zero_vectors_map_to_zero(self):
+        trace = optics.IQTrace(v_i=np.array([-0.0, -0.0, 0.0, 0.0]),
+                               v_q=np.array([-0.0, 0.0, -0.0, 0.0]), sample_rate=1.0)
+        series = rec.reconstruct_phase(trace)
+        assert series.zero_vector_count == 4
+        assert_array_equal(series.phases, 0.0)
+        assert_array_equal(rec.quantize_phase(series, 10).symbols, 512)
+
     def test_quadrant_signs(self):
         trace = optics.IQTrace(v_i=np.array([1.0, -1.0, -1.0, 1.0]),
                                v_q=np.array([1.0, 1.0, -1.0, -1.0]),

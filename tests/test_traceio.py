@@ -90,6 +90,34 @@ class TestBinaryRoundTrip:
         assert back.sample_rate == rate
 
 
+class TestFloat32Range:
+    # 3.5e38 is finite in float64 and inf in float32; the largest float32
+    # itself is kept.
+    @pytest.mark.parametrize("channel", ["v_i", "v_q"])
+    @pytest.mark.parametrize("value", [3.5e38, -3.5e38])
+    def test_encode_refuses_before_the_cast(self, channel, value):
+        trace = make_trace(count=8)
+        samples = {"v_i": trace.v_i.copy(), "v_q": trace.v_q.copy()}
+        samples[channel][5] = value
+        with pytest.raises(ParameterError, match="beyond the float32 range ±3.402823e"):
+            traceio.encode_trace(IQTrace(sample_rate=1.0, **samples))
+
+    def test_largest_float32_round_trips(self):
+        top = float(np.finfo(np.float32).max)
+        trace = IQTrace(v_i=[top, -top], v_q=[0.5, -top], sample_rate=1.0)
+        back = traceio.decode_trace(traceio.encode_trace(trace))
+        np.testing.assert_array_equal(back.v_i, trace.v_i)
+        np.testing.assert_array_equal(back.v_q, trace.v_q)
+        assert back.rejected_rows == 0
+
+    @pytest.mark.parametrize("row", ["1e39,0.1", "0.1,-1e39"])
+    def test_csv_refusal_names_the_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"# capture\nv_i,v_q\n0.5,0.1\n{row}\n")
+        with pytest.raises(FormatError, match=f"at line 4: '{row}'"):
+            traceio.read_trace_csv(str(path), sample_rate=1.0)
+
+
 class TestBinaryHeaderValidation:
     @pytest.mark.parametrize("kwargs,offset", [
         ({"magic": b"IQT2"}, "byte 0"),
