@@ -129,6 +129,8 @@ class ReferenceLaw:
         arr = np.asarray(data, dtype=np.float64)
         if arr.size < 2:
             raise ParameterError("need at least 2 points to fit a gaussian")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError("gaussian_fit data must be finite")
         var = float(arr.var())
         if var <= 0.0:
             raise DegenerateDataError("zero-variance data cannot be gaussian-fitted")

@@ -197,7 +197,8 @@ def extract(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
     (true at the default n = 4000, m = 3820: the bound is 0.07 and the
     largest residue measured 2.4e-4), else in float64, where the bound is
     about 5e-9 even at n = 1e5.  Either way a residue of 0.25 or more
-    raises FloatingPointError instead of emitting bits.
+    raises FloatingPointError instead of emitting bits.  The chunks run on
+    ``rng.map_blocks``, each into its own rows of the output.
 
     The trailing partial block is discarded (its size is reported, never
     zero-padded into a biased block).  Output blocks appear in input order.
@@ -219,7 +220,8 @@ def extract(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
     seed_spectrum = rfft(spec.seed_bits.astype(dtype), size)
     packed = np.frombuffer(bits.data, dtype=np.uint8)
     out = np.empty((blocks, m), dtype=np.uint8)
-    for start in range(0, blocks, chunk):
+
+    def hash_chunk(start: int) -> None:
         stop = min(start + chunk, blocks)
         lo, hi = start * n, stop * n
         x = np.unpackbits(packed[lo // 8:(hi + 7) // 8],
@@ -232,6 +234,8 @@ def extract(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
             raise FloatingPointError(
                 "Toeplitz FFT product is not within 0.25 of an integer")
         out[start:stop] = coeffs.astype(np.int64) & 1
+
+    rng.map_blocks(hash_chunk, range(0, blocks, chunk))
     return ExtractResult(bits=BitStream.from_bits(out.ravel()),
                          blocks=blocks, discarded_bits=discarded)
 

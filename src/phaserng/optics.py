@@ -36,6 +36,11 @@ from .phasenoise import LaserParams, PhasePath, delay_time, phase_variance, wrap
 #: How the classical phase phi_0 evolves when the drift switch is on.
 DRIFT_MODES = ("fixed", "slow-walk")
 
+#: Samples per call of the detector filter.  lfilter returns a new array,
+#: so a short piece keeps its output small; the carried state makes the
+#: bytes those of one call over the whole trace.
+_FILTER_PIECE = 1 << 16
+
 
 @dataclass(frozen=True)
 class InterferometerParams:
@@ -290,59 +295,79 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
         from scipy.signal import lfilter
 
     def lane(channel) -> None:
-        """Finish one channel ``(v, quadrature, det, stream)`` in place, one
-        RNG block of samples at a time.
+        """Finish one channel ``(v, quadrature, det, stream, scratch)`` in
+        place, one RNG block of samples at a time.
 
         Carrying the filter state across segments and drawing each
         segment's noise from its own block gives the bytes of the
-        whole-array computation with one block of temporaries.  The filter
-        coefficient comes from ``math``: numpy's ``expm1`` picks its SIMD
-        loop at run time, and the loops differ in the last bit.
+        whole-array computation.  The quadrature and the noise go through
+        the lane's one-block ``scratch``, which the calling thread
+        allocated, and the filter runs ``_FILTER_PIECE`` samples at a
+        time, so a lane allocates no block-sized array of its own.  The
+        filter coefficient comes from ``math``: numpy's ``expm1`` picks its
+        SIMD loop at run time, and the loops differ in the last bit.
         """
-        v, quadrature, det, stream = channel
+        v, quadrature, det, stream, scratch = channel
         if switches.bandwidth_limit:
             alpha = -math.expm1(-path.sample_period / det.response_time)
             state = [0.0]
         noisy = switches.electrical and det.electrical_noise_sigma > 0.0
         for lo in blocks:
             hi = min(lo + rng.BLOCK_SIZE, count)
-            seg = v[lo:hi]
-            seg *= quadrature(phase[lo:hi])
+            seg, tmp = v[lo:hi], scratch[:hi - lo]
+            seg *= quadrature(phase[lo:hi], out=tmp)
             if switches.bandwidth_limit:
-                seg[:], state = lfilter([alpha], [1.0, alpha - 1.0], seg, zi=state)
+                for a in range(0, hi - lo, _FILTER_PIECE):
+                    piece = seg[a:a + _FILTER_PIECE]
+                    piece[:], state = lfilter([alpha], [1.0, alpha - 1.0], piece, zi=state)
             if noisy:
-                noise = rng.standard_normals_range(lo, hi, seed, stream)
+                noise = rng.standard_normals_range(lo, hi, seed, stream, out=tmp)
                 noise *= det.electrical_noise_sigma
                 seg += noise
 
-    # The lanes overlap: numpy, lfilter and the Philox fills release the GIL.
-    rng.map_blocks(lane, [(v_i, np.cos, det_i, rng.STREAM_ELECTRICAL_I),
-                          (v_q, np.sin, det_q, rng.STREAM_ELECTRICAL_Q)])
+    # The lanes overlap: numpy and the Philox fills release the GIL.
+    block = min(count, rng.BLOCK_SIZE)
+    rng.map_blocks(lane, [(v_i, np.cos, det_i, rng.STREAM_ELECTRICAL_I, np.empty(block)),
+                          (v_q, np.sin, det_q, rng.STREAM_ELECTRICAL_Q, np.empty(block))])
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
                    clamped_samples=clamped)
 
 
-def _level_indices(values, n_bits: int, lo: float, hi: float) -> np.ndarray:
-    """Each value's level of the n-bit quantizer over [lo, hi), as float64.
+def _level_indices(values: np.ndarray, n_bits: int, lo: float, hi: float,
+                   out: np.ndarray) -> np.ndarray:
+    """Each value's level of the n-bit quantizer over [lo, hi), into ``out``.
 
-    One new array, then in-place passes: the values below ``lo`` get level
-    0 and those from ``hi`` up the top level.
+    In-place passes on the float64 ``out``: the values below ``lo`` get
+    level 0 and those from ``hi`` up the top level.
     """
     levels = 1 << n_bits
-    codes = np.asarray(values, dtype=np.float64) - lo
-    codes *= levels / (hi - lo)
-    np.floor(codes, out=codes)
-    np.clip(codes, 0, levels - 1, out=codes)
-    return codes
+    np.subtract(values, lo, out=out)
+    out *= levels / (hi - lo)
+    np.floor(out, out=out)
+    np.clip(out, 0, levels - 1, out=out)
+    return out
 
 
 def quantize_uniform(values, n_bits: int, lo: float, hi: float) -> np.ndarray:
-    """Uniform n-bit quantizer over [lo, hi) with saturation at both ends."""
+    """Uniform n-bit quantizer over [lo, hi) with saturation at both ends.
+
+    Runs on ``rng.map_spans``: each span quantizes into its own slices of
+    the float64 levels and the codes.
+    """
     n_bits = check_scalar("n_bits", n_bits, bounds=(1, 16))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ParameterError(f"need finite lo < hi, got {lo}, {hi}")
-    return _level_indices(values, n_bits, lo, hi).astype(np.uint16)
+    arr = np.asarray(values, dtype=np.float64)
+    flat = arr.reshape(-1)
+    levels = np.empty(flat.size)
+    codes = np.empty(flat.size, dtype=np.uint16)
+
+    def span(s: slice) -> None:
+        codes[s] = _level_indices(flat[s], n_bits, lo, hi, levels[s])
+
+    rng.map_spans(span, flat.size)
+    return codes.reshape(arr.shape)
 
 
 def adc_quantize(trace: IQTrace, det_i: DetectorParams,
@@ -355,19 +380,24 @@ def adc_quantize(trace: IQTrace, det_i: DetectorParams,
     channel's count of samples outside that range.  Level c snaps to
     -F + (c + 0.5)*step, computed in place on the float64 levels of
     ``quantize_uniform``: every level is an integer below 2^16, so the
-    bytes are those of going through its uint16 codes.
+    bytes are those of going through its uint16 codes.  The channels run
+    as two lanes through ``rng.map_blocks``, each into an array that the
+    calling thread allocated.
     """
-    def snap(values: np.ndarray, det: DetectorParams) -> tuple[np.ndarray, int]:
+    def snap(channel) -> int:
+        values, det, snapped = channel
         bits, full = int(det.adc_bits), det.adc_fullscale
         step = 2.0 * full / (1 << bits)
         clipped = int(np.count_nonzero(values < -full) + np.count_nonzero(values >= full))
-        snapped = _level_indices(values, bits, -full, full)
+        _level_indices(values, bits, -full, full, snapped)
         snapped += 0.5
         snapped *= step
         snapped += -full
-        return snapped, clipped
+        return clipped
 
-    (v_i, clipped_i), (v_q, clipped_q) = snap(trace.v_i, det_i), snap(trace.v_q, det_q)
+    v_i, v_q = np.empty(len(trace)), np.empty(len(trace))
+    clipped_i, clipped_q = rng.map_blocks(
+        snap, [(trace.v_i, det_i, v_i), (trace.v_q, det_q, v_q)])
     return replace(trace, v_i=v_i, v_q=v_q, adc_clipped_i=clipped_i,
                    adc_clipped_q=clipped_q, adc_bits=int(det_i.adc_bits),
                    fullscale=det_i.adc_fullscale)
@@ -378,7 +408,9 @@ def boxcar_decimate(trace: IQTrace, factor: int) -> IQTrace:
 
     Models averaging acquisition (high-resolution mode) of a digitizer
     running ``factor`` times faster than the delivered sample rate.  A
-    trailing partial window is dropped.
+    trailing partial window is dropped.  The channels run as two lanes
+    through ``rng.map_blocks``, each into an array that the calling thread
+    allocated.
     """
     factor = check_scalar("factor", factor, bounds=(1, None))
     if factor == 1:
@@ -386,13 +418,18 @@ def boxcar_decimate(trace: IQTrace, factor: int) -> IQTrace:
     full = len(trace) // factor
     if full == 0:
         raise ParameterError(f"trace too short to decimate by {factor}")
-    v_i = _window_mean(trace.v_i[:full * factor].reshape(full, factor))
-    v_q = _window_mean(trace.v_q[:full * factor].reshape(full, factor))
+    def average(lane) -> None:
+        values, out = lane
+        _window_mean(values[:full * factor].reshape(full, factor), out)
+
+    v_i, v_q = np.empty(full), np.empty(full)
+    rng.map_blocks(average, [(trace.v_i, v_i), (trace.v_q, v_q)])
     return replace(trace, v_i=v_i, v_q=v_q, sample_rate=trace.sample_rate / factor)
 
 
-def _window_mean(windows: np.ndarray) -> np.ndarray:
-    """Row means of a 2-D float64 array, bit-identical to ``mean(axis=1)``.
+def _window_mean(windows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row means of a 2-D float64 array into ``out``, bit-identical to
+    ``mean(axis=1)``.
 
     Below 8 columns numpy sums each row left to right from +0.0, one row at
     a time; summing whole columns in that order gives the same bytes (also
@@ -401,8 +438,8 @@ def _window_mean(windows: np.ndarray) -> np.ndarray:
     """
     factor = windows.shape[1]
     if factor >= 8:
-        return windows.mean(axis=1)
-    total = 0.0 + windows[:, 0]
+        return windows.mean(axis=1, out=out)
+    total = np.add(0.0, windows[:, 0], out=out)
     for k in range(1, factor):
         total += windows[:, k]
     total /= factor

@@ -170,7 +170,10 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
     correlation max(0, 1 - k*sample_period/delay_time).  Disjoint windows
     are drawn i.i.d.; overlapping ones come from phi drawn exactly at the
     merged window edges (draw order in the module docstring), streamed in
-    chunks of ``_CHUNK_GRID_STEPS`` gaps.
+    chunks of ``_CHUNK_GRID_STEPS`` gaps.  Each chunk's scaling and scatter
+    run on ``rng.map_spans``, partitioned by output sample: a sample's two
+    gaps may lie in different spans of the grid, but only its own span
+    writes it.  The cumulative sum runs over the whole chunk.
     """
     count = check_scalar("count", count, bounds=(1, None))
     delay_time = check_scalar("delay_time", delay_time)
@@ -201,18 +204,37 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
         for k0 in range(0, gaps, _CHUNK_GRID_STEPS):
             k1 = min(k0 + _CHUNK_GRID_STEPS, gaps)
             walk = rng.standard_normals_range(k0, k1, seed, stream)
-            parts = []
+            # Gap first + j*stride of a region feeds sample sample + j; in
+            # this chunk j runs over [j0, j1).
+            live, lo, hi = [], count, 0
             for first, stop, stride, sample, sigma, op in regions:
                 j0 = max(0, -(-(k0 - first) // stride))
                 j1 = -(-(min(stop, k1) - first) // stride)
                 if j0 < j1:
-                    src = slice(first + j0 * stride - k0, min(stop, k1) - k0, stride)
+                    live.append((first - k0, stride, sample, j0, j1, sigma, op))
+                    lo, hi = min(lo, sample + j0), max(hi, sample + j1)
+
+            def pieces(samples: slice):
+                """(walk slice, increments slice, sigma, op) per region, for ``samples``."""
+                for first, stride, sample, j0, j1, sigma, op in live:
+                    a = max(j0, samples.start - sample)
+                    b = min(j1, samples.stop - sample)
+                    if a < b:
+                        yield (slice(first + a * stride, first + b * stride, stride),
+                               slice(sample + a, sample + b), sigma, op)
+
+            def scale(samples: slice) -> None:
+                for src, _, sigma, _ in pieces(samples):
                     walk[src] *= sigma
-                    parts.append((src, slice(sample + j0, sample + j1), op))
+
+            def scatter(samples: slice) -> None:
+                for src, dst, _, op in pieces(samples):
+                    op(increments[dst], walk[src], out=increments[dst])
+
+            rng.map_spans(scale, hi, lo)
             walk[0] += carry
             np.cumsum(walk, out=walk)
             carry = walk[-1]
-            for src, dst, op in parts:
-                op(increments[dst], walk[src], out=increments[dst])
+            rng.map_spans(scatter, hi, lo)
 
     return PhasePath(increments=increments, sample_period=sample_period)

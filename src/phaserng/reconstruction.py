@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rng
 from .errors import DegenerateDataError, ParameterError, check_choice, check_scalar
 from .optics import IQTrace, quantize_uniform
 
@@ -135,18 +136,24 @@ def normalize_iq(trace: IQTrace, method: str = "percentile") -> NormalizedIQ:
     estimated: "percentile" takes half the spread between the 0.1% and
     99.9% quantiles (robust to noise tails); "arcsine-fit" matches the
     second moment of the arcsine law (best on clean interference data).
-    Idempotent up to estimator tolerance.
+    Idempotent up to estimator tolerance.  The channels run as two lanes
+    through ``rng.map_blocks``, each with its whole-array mean and
+    amplitude, into an array that the calling thread allocated.
     """
     check_choice("normalization method", method, NORMALIZE_METHODS)
     if len(trace) < _MIN_NORMALIZE_SAMPLES:
         raise ParameterError(
             f"normalization needs >= {_MIN_NORMALIZE_SAMPLES} samples, got {len(trace)}")
-    v_i = trace.v_i - trace.v_i.mean()
-    v_q = trace.v_q - trace.v_q.mean()
-    amp_i = _estimate_amplitude(v_i, method)
-    amp_q = _estimate_amplitude(v_q, method)
-    v_i /= amp_i
-    v_q /= amp_q
+
+    def scale(lane) -> float:
+        values, centred = lane
+        np.subtract(values, values.mean(), out=centred)
+        amplitude = _estimate_amplitude(centred, method)
+        centred /= amplitude
+        return amplitude
+
+    v_i, v_q = np.empty(len(trace)), np.empty(len(trace))
+    amp_i, amp_q = rng.map_blocks(scale, [(trace.v_i, v_i), (trace.v_q, v_q)])
     out = replace(trace, v_i=v_i, v_q=v_q)
     return NormalizedIQ(trace=out, amplitude_i=amp_i, amplitude_q=amp_q)
 
@@ -156,14 +163,22 @@ def reconstruct_phase(trace: IQTrace) -> PhaseSeries:
 
     Output lies in [-pi, pi) (the +pi branch is folded onto -pi).  The
     result does not depend on the overall amplitude, only the ratio.  Exact
-    (0, 0) samples map to phase 0 and are counted.
+    (0, 0) samples map to phase 0 and are counted.  Runs on
+    ``rng.map_spans``: each span writes its own slice of the phases.
     """
-    zero = (trace.v_i == 0.0) & (trace.v_q == 0.0)
-    zeros = int(np.count_nonzero(zero))
-    phases = np.arctan2(trace.v_q, trace.v_i)
-    np.copyto(phases, -np.pi, where=(phases == np.pi))
-    if zeros:      # arctan2 takes (v_i, v_q) = (-0.0, +-0.0) to +-pi
-        phases[zero] = 0.0
+    phases = np.empty(len(trace))
+
+    def span(s: slice) -> int:
+        v_i, v_q, ph = trace.v_i[s], trace.v_q[s], phases[s]
+        zero = (v_i == 0.0) & (v_q == 0.0)
+        zeros = int(np.count_nonzero(zero))
+        np.arctan2(v_q, v_i, out=ph)
+        np.copyto(ph, -np.pi, where=(ph == np.pi))
+        if zeros:      # arctan2 takes (v_i, v_q) = (-0.0, +-0.0) to +-pi
+            ph[zero] = 0.0
+        return zeros
+
+    zeros = sum(rng.map_spans(span, len(phases)))
     return PhaseSeries(phases=phases, zero_vector_count=zeros)
 
 

@@ -14,15 +14,23 @@ concatenation of its blocks.  Sequential and windowed generation
 therefore produce bit-identical output, which is what the
 reproducibility contract requires.
 
-``map_blocks`` is the simulation's one thread fan-out: it fills the blocks
-of a long draw concurrently, and ``optics.simulate_trace`` runs its per-block
-work (drawing into its own arrays with ``out=``) and its I and Q lanes
-through it.
+``map_blocks`` is the one thread fan-out of every per-sample kernel (the
+battery keeps its own DFT lane).  Every thread, the caller's included,
+takes the next unstarted item until none remain, so the items spread
+evenly over the usable CPUs.  It fills the blocks of a long draw;
+``optics.simulate_trace`` runs its per-block work and its I and Q lanes
+through it; ``boxcar_decimate``, ``adc_quantize`` and ``normalize_iq`` run
+one lane per channel; the extractor's FFT chunks are its items too.
+``map_spans`` hands out the ``SPAN``-long pieces of a kernel whose output
+elements are independent: the reconstruction, the phase quantizer, and
+the phase path's scaling and scatter.  Each item writes only its own slices, so the bytes never depend
+on the thread count.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,6 +39,12 @@ from .errors import ParameterError, check_scalar
 
 #: Number of draws per block.  Fixed: changing it changes every stream.
 BLOCK_SIZE = 1 << 20
+
+#: Elements per span of ``map_spans``.  Fixed, whatever the CPU count, and a
+#: power of two: every span but the last holds a whole number of SIMD
+#: vectors and starts with the array's alignment, so numpy's vector loops
+#: and their tail handling see each element as in one whole-array call.
+SPAN = 1 << 18
 
 #: The seed contract's streams, one per consumer: turning one on moves no other's draws.
 STREAM_PHASE = 0              # delay-line phase path
@@ -64,24 +78,47 @@ def _usable_cpus() -> int:
 def map_blocks(work, blocks) -> list:
     """``[work(block) for block in blocks]``, on min(blocks, usable CPUs) threads.
 
-    A block is any item: an RNG block index, or one of ``simulate_trace``'s
-    two channels.  ``work`` must touch only its own block's slices: numpy's
-    fills and ufuncs release the GIL, so the blocks run concurrently.  The
-    calling thread runs the first block and the other threads the rest;
-    with one usable CPU all run in turn on the calling thread.  A failed call
-    cancels the calls not yet started, and every thread is joined before
-    the error propagates.
+    A block is any item: an RNG block index, a channel, or a span.  ``work``
+    must touch only its own item's slices: numpy's fills and ufuncs release
+    the GIL, so the items run concurrently.  Every thread, the calling one
+    included, takes the next unstarted item until none remain; the results
+    come back in item order.  With one usable CPU all run in turn on the
+    calling thread.  A failed call stops the hand-out, and every thread is
+    joined before the error propagates.
     """
+    blocks = list(blocks)
     workers = min(len(blocks), _usable_cpus())
     if workers <= 1:
         return [work(block) for block in blocks]
+    results = [None] * len(blocks)
+    items = iter(range(len(blocks)))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def take() -> None:
+        while not failed.is_set():
+            with lock:
+                index = next(items, None)
+            if index is None:
+                return
+            try:
+                results[index] = work(blocks[index])
+            except BaseException:
+                failed.set()
+                raise
+
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        try:
-            rest = [pool.submit(work, block) for block in blocks[1:]]
-            return [work(blocks[0])] + [future.result() for future in rest]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        helpers = [pool.submit(take) for _ in range(workers - 1)]
+        take()
+        for helper in helpers:
+            helper.result()
+    return results
+
+
+def map_spans(work, stop: int, start: int = 0) -> list:
+    """``map_blocks`` over the slices of ``range(start, stop)`` cut at the multiples of ``SPAN``."""
+    return map_blocks(work, [slice(max(lo, start), min(lo + SPAN, stop))
+                             for lo in range(start - start % SPAN, stop, SPAN)])
 
 
 def _blockwise(start: int, stop: int, seed: int, stream: int, dtype,

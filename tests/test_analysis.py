@@ -136,6 +136,11 @@ class TestReferenceLaw:
             an.ReferenceLaw.uniform(-math.inf, 1.0)
         with pytest.raises(ParameterError):
             an.ReferenceLaw.arcsine(-1.0)
+        # Refused before the variance, which would warn on inf or NaN.
+        with pytest.raises(ParameterError, match="finite"):
+            an.ReferenceLaw.gaussian_fit([0.0, math.inf])
+        with pytest.raises(ParameterError, match="finite"):
+            an.ReferenceLaw.gaussian_fit([1.0, math.nan, 2.0])
 
 
 class TestMinEntropy:

@@ -205,6 +205,42 @@ def test_a_failing_fill_raises_and_leaves_no_thread(cpus):
         rng._blockwise(0, 3 * rng.BLOCK_SIZE + 10, 3, 0, np.float64, draw)
     assert threading.active_count() == before
 
+    # With many items queued, the failing first item stops the hand-out:
+    # every other item waits until it fails, so each thread finishes the
+    # item it holds and takes at most a few more before it sees the failure.
+    started, failing = [], threading.Event()
+
+    def work(item):
+        started.append(item)
+        if item == 0:
+            failing.set()
+            raise RuntimeError("item failed")
+        failing.wait(timeout=30)
+
+    with pytest.raises(RuntimeError, match="item failed"):
+        rng.map_blocks(work, range(1000))
+    assert threading.active_count() == before
+    assert len(started) < 100
+
+
+def test_every_thread_takes_items_and_the_results_keep_their_order(monkeypatch):
+    # Each item waits at a two-party barrier, so the items run in pairs on
+    # two threads: a hand-out that left the calling thread one item would
+    # leave the third item alone at the barrier.
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+    barrier = threading.Barrier(2, timeout=10)
+    runs = []
+
+    def work(item):
+        runs.append(threading.get_ident())
+        barrier.wait()
+        return item * item
+
+    before = threading.active_count()
+    assert rng.map_blocks(work, range(6)) == [0, 1, 4, 9, 16, 25]
+    assert threading.active_count() == before
+    assert sorted(runs.count(thread) for thread in set(runs)) == [3, 3]
+
 
 def test_stream_numbers_are_distinct_pinned_integers():
     # The seed contract: changing a number moves every draw of its consumer.
