@@ -177,15 +177,18 @@ def kld(hist: Histogram, ref: ReferenceLaw) -> float:
 
     D = sum over occupied bins of p_i * log2(p_i / q_i), with q_i the mass
     the reference assigns to the bin.  An occupied bin with zero reference
-    mass means the supports disagree; the divergence is then +inf.
+    mass means the supports disagree; the divergence is then +inf.  The
+    logs come from ``math.log2`` and the sum from ``math.fsum``, one
+    occupied bin at a time: numpy's ``log2`` picks its SIMD loop at run
+    time, and the loops differ in the last bit.
     """
     p = hist.probabilities
     q = ref.bin_masses(hist.bin_edges)
     occupied = p > 0.0
     if np.any(q[occupied] <= 0.0):
         return math.inf
-    p_occ = p[occupied]
-    return float(np.sum(p_occ * np.log2(p_occ / q[occupied])))
+    return math.fsum(pi * math.log2(pi / qi)
+                     for pi, qi in zip(p[occupied].tolist(), q[occupied].tolist()))
 
 
 def total_variation(a: Histogram, b: Histogram) -> float:

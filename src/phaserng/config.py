@@ -61,24 +61,22 @@ class ExtractionParams:
 
     input_bits: int = 4000
     min_entropy_rate: float = 0.98
-    epsilon_exponent: int = 50
-    mode: str = "lemma"               # one of extractor.MODES
+    epsilon_exponent: int = extractor.EPSILON_EXPONENT   # epsilon = 2^-x; 0: no margin
     seed_file: str = ""
 
     def __post_init__(self):
         check_scalar("input_bits", self.input_bits, bounds=(1, None))
-        check_scalar("epsilon_exponent", self.epsilon_exponent, bounds=(1, 1074))
-        self.block_bits   # a rate or mode that cannot size m is refused at load
+        self.block_bits   # a rate or margin that cannot size m is refused at load
 
     @property
     def block_bits(self) -> tuple[int, int]:
-        """Toeplitz block sizes (n, m), m derived from the rate and mode.
+        """Toeplitz block sizes (n, m), m derived from the rate and epsilon_exponent.
 
         Raises InsufficientEntropyError when the rate cannot fund one output
         bit per block.
         """
         return extractor.derive_params(self.min_entropy_rate, self.input_bits,
-                                       2.0 ** -self.epsilon_exponent, self.mode)
+                                       self.epsilon_exponent)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,8 @@
 
 A seeded n-by-m Toeplitz matrix T (T[i, j] = seed[i - j + n - 1]) maps
 each n-bit input block to an m-bit output block, y = T.x over GF(2).
-Output length per block is chosen from the input min-entropy rate, either
-by the leftover-hash-lemma bound (with an explicit security parameter) or
-as the plain entropy-rate fraction.
+Output length per block is chosen from the input min-entropy rate less
+the leftover-hash-lemma margin of an explicit security parameter.
 
 The production multiply is a chunked real FFT convolution of each block
 with the seed; a naive O(n*m) dense multiply is kept as the test oracle.
@@ -22,10 +21,8 @@ from . import rng
 from .errors import (FormatError, InsufficientEntropyError, InsufficientInputError,
                      ParameterError, check_choice, check_scalar)
 
-DEFAULT_EPSILON = 2.0 ** -50
-
-#: How ``derive_params`` sizes m: the leftover-hash-lemma bound or the plain rate.
-MODES = ("lemma", "ratio")
+#: Default security parameter: epsilon = 2^-EPSILON_EXPONENT.
+EPSILON_EXPONENT = 50
 
 
 def bit_array(bits, name: str = "bits") -> np.ndarray:
@@ -112,29 +109,27 @@ class ToeplitzSpec:
 
 
 def derive_params(min_entropy_rate: float, n: int,
-                  epsilon: float = DEFAULT_EPSILON,
+                  epsilon_exponent: int = EPSILON_EXPONENT,
                   mode: str = "lemma") -> tuple[int, int]:
     """Choose the output block length m for input blocks of n bits.
 
-    "lemma" applies the leftover-hash-lemma bound
-    m = floor(n*rate - 2*log2(1/epsilon)), paying 2*log2(1/epsilon) bits
-    for a statistical distance of at most epsilon.  "ratio" keeps the full
-    entropy budget, m = floor(n*rate), with no security margin.
+    The leftover-hash lemma pays 2*log2(1/epsilon) bits for a statistical
+    distance of at most epsilon = 2^-epsilon_exponent, so
+    m = floor(n*rate) - 2*epsilon_exponent, in integers.  Exponent 0 keeps
+    the full entropy budget with no margin; ``mode="ratio"`` spells that.
     """
     rate = float(min_entropy_rate)
     if not (0.0 < rate <= 1.0):
         raise ParameterError(f"min_entropy_rate must be in (0, 1], got {rate}")
     n = check_scalar("n", n, bounds=(1, None))
-    if check_choice("extraction mode", mode, MODES) == "lemma":
-        if not (0.0 < epsilon < 1.0):
-            raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-        m = math.floor(n * rate + 2.0 * math.log2(epsilon))   # finite for any epsilon > 0
-    else:
-        m = math.floor(n * rate)
+    exponent = check_scalar("epsilon_exponent", epsilon_exponent, bounds=(0, None))
+    if check_choice("extraction mode", mode, ("lemma", "ratio")) == "ratio":
+        exponent = 0
+    m = math.floor(n * rate) - 2 * exponent
     if m < 1:
         raise InsufficientEntropyError(
             f"derived output length {m} <= 0: entropy rate {rate} over {n}-bit "
-            "blocks cannot fund extraction at this epsilon")
+            f"blocks cannot fund extraction at epsilon = 2^-{exponent}")
     return n, m
 
 

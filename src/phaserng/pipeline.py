@@ -57,7 +57,7 @@ ARTIFACTS = {
     "summary": "summary.json",
 }
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")

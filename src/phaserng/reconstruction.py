@@ -37,10 +37,9 @@ class PhaseSeries:
         arr = np.asarray(self.phases, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("phases must be a non-empty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("phases must be finite")
-        if arr.min() < -np.pi or arr.max() >= np.pi:
-            raise ParameterError("phases must lie in [-pi, pi)")
+        # NaN and +-inf fail these comparisons too.
+        if not (arr.min() >= -np.pi and arr.max() < np.pi):
+            raise ParameterError("phases must be finite and lie in [-pi, pi)")
         object.__setattr__(self, "phases", arr)
 
     def __len__(self) -> int:
@@ -63,7 +62,7 @@ class SymbolStream:
             raise ParameterError("symbols must be integers")
         if arr.min() < 0 or int(arr.max()) >= (1 << n):
             raise ParameterError(f"symbols must lie in [0, 2^{n})")
-        object.__setattr__(self, "symbols", arr.astype(np.uint16))
+        object.__setattr__(self, "symbols", arr.astype(np.uint16, copy=False))
         object.__setattr__(self, "bits_per_symbol", n)
 
     def __len__(self) -> int:

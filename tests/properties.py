@@ -125,7 +125,7 @@ seed = 77
 [extraction]
 input_bits = 4000
 min_entropy_rate = 0.98
-mode = ratio
+epsilon_exponent = 0
 """
 
 

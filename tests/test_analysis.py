@@ -222,6 +222,25 @@ class TestKld:
             an.kld(hist, an.ReferenceLaw.uniform(0.0, 1.0))
 
 
+class TestKldBitsPinned:
+    """kld's bits for one fixed histogram, whatever SIMD loops numpy picks.
+
+    On an AVX-512 host ``np.log2`` misses the uniform value in its last bit,
+    and a pairwise ``np.sum`` of the same terms misses the other two.
+    """
+
+    HIST = an.Histogram(bin_edges=np.linspace(-0.96, 0.96, 9),
+                        counts=np.array([914, 882, 786, 626, 402, 114, 771, 355]))
+
+    @pytest.mark.parametrize("law, expected", [
+        (an.ReferenceLaw.uniform(-1.0, 1.0), 0.22837420746744191),
+        (an.ReferenceLaw.gaussian(0.0, 1.0), 0.7976579567853899),
+        (an.ReferenceLaw.arcsine(1.0), 0.47819890918757774),
+    ], ids=["uniform", "standard-gaussian", "arcsine"])
+    def test_bits(self, law, expected):
+        assert an.kld(self.HIST, law) == expected
+
+
 class TestTotalVariation:
     def test_identical_is_zero(self):
         h = uniform_hist(bins=16, per_bin=10)

@@ -48,7 +48,7 @@ seed = 11
 [extraction]
 input_bits = 4000
 min_entropy_rate = 0.98
-mode = ratio
+epsilon_exponent = 0
 
 [test]
 sequence_bits = 4096

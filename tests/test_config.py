@@ -5,7 +5,7 @@ from dataclasses import MISSING, fields
 import pytest
 
 from phaserng import config as cfg
-from phaserng.errors import FormatError, ParameterError
+from phaserng.errors import FormatError, InsufficientEntropyError, ParameterError
 
 MINIMAL = """\
 [laser]
@@ -74,8 +74,7 @@ normalize = arcsine-fit
 [extraction]
 input_bits = 4000
 min_entropy_rate = 0.98
-epsilon_exponent = 50
-mode = ratio
+epsilon_exponent = 0
 seed_file = seed.bin
 
 [test]
@@ -108,7 +107,7 @@ class TestHappyPath:
         assert c.simulation.adc_quantize is False
         assert c.simulation.oversample_factor == 2
         assert c.analysis.normalize == "arcsine-fit"
-        assert c.extraction.mode == "ratio"
+        assert c.extraction.epsilon_exponent == 0
         assert c.extraction.block_bits == (4000, 3920)
         assert c.test.sequence_count == 100
 
@@ -124,7 +123,7 @@ class TestHappyPath:
         assert c.analysis.phase_bits == 10
         assert c.analysis.normalize == "percentile"
         assert c.extraction.input_bits == 4000
-        assert c.extraction.mode == "lemma"
+        assert c.extraction.epsilon_exponent == 50
         assert c.test.sequence_bits == 1_000_000
 
     def test_detector_q_mirrors_detector_i_when_absent(self):
@@ -210,7 +209,8 @@ class TestStrictness:
             cfg.parse_config(MINIMAL.replace("sample_rate = 200e6",
                                              "sample_rate = inf"))
 
-    # 2**-1074 is the smallest positive double; 2**-1075 rounds to zero.
+    # m = floor(n * rate) - 2 * epsilon_exponent, in integers: 2**-1074 is
+    # the smallest positive double, yet no exponent is capped there.
     @pytest.mark.parametrize("exponent,block", [(50, (4000, 3820)),
                                                 (1024, (4000, 1872)),
                                                 (1074, (4000, 1772))])
@@ -219,10 +219,26 @@ class TestStrictness:
             MINIMAL + f"\n[extraction]\nepsilon_exponent = {exponent}\n")
         assert config.extraction.block_bits == block
 
-    def test_epsilon_exponent_1075_is_refused_by_name(self):
+    @pytest.mark.parametrize("exponent,block", [(0, (4000, 3920)),
+                                                (1075, (4000, 1770))])
+    def test_epsilon_exponent_zero_and_past_1074(self, exponent, block):
+        config = cfg.parse_config(
+            MINIMAL + f"\n[extraction]\nepsilon_exponent = {exponent}\n")
+        assert config.extraction.block_bits == block
+
+    def test_epsilon_exponent_that_consumes_the_block_is_refused(self):
+        with pytest.raises(InsufficientEntropyError, match="derived output length 0"):
+            cfg.parse_config(MINIMAL + "\n[extraction]\nepsilon_exponent = 1960\n")
+
+    def test_negative_epsilon_exponent_is_refused_by_name(self):
         with pytest.raises(ParameterError, match=r"epsilon_exponent must be an "
-                                                 r"integer in \[1, 1074\], got 1075"):
-            cfg.parse_config(MINIMAL + "\n[extraction]\nepsilon_exponent = 1075\n")
+                                                 r"integer >= 0, got -1"):
+            cfg.parse_config(MINIMAL + "\n[extraction]\nepsilon_exponent = -1\n")
+
+    # mode = ratio was epsilon_exponent = 0; the key is gone.
+    def test_mode_is_an_unknown_key(self):
+        with pytest.raises(FormatError, match=r"\[extraction\] has unknown keys: mode"):
+            cfg.parse_config(MINIMAL + "\n[extraction]\nmode = ratio\n")
 
     # Seeds are 64-bit: a wider one would alias a seed in range (2**64 gives
     # seed 0's artifacts) under a different config digest.
@@ -302,19 +318,20 @@ def readme_text():
 class TestDigestPins:
     # Known answers: the canonical rendering, and so every artifact's
     # config_digest, must not move when the parser is reorganized.  Schema 7
-    # moved all three: [extraction] output_bits is gone.
+    # moved all three: [extraction] output_bits is gone.  Schema 11 moved
+    # them again: [extraction] mode is gone.
     def test_minimal(self):
         assert cfg.parse_config(MINIMAL).digest == (
-            "4fb716ef0e3ba3d25bbeaa7523262c2d7acc4c23a8ee899ec5fae65704a68acf")
+            "a07711b5bded873f731cb14bb5ae84a98e7cdbeb8f8e21c267d813865e220f45")
 
     def test_full(self):
         assert cfg.parse_config(FULL).digest == (
-            "da3855c30ec4840e526ed9243d039cd996bb8003c5fbce90b0f796dc3bcb352a")
+            "9a53d68f2a9a21b6d0c9f0c71a6b240c0391d13e9317161142ea5249f1df4e67")
 
     def test_readme_quick_start(self):
         block = re.search(r"```ini\n(.*?)```", readme_text(), re.S).group(1)
         assert cfg.parse_config(block).digest == (
-            "877786836568d726fb938c3593aed1cc67772144e9607e9f0f6c827c069631fe")
+            "47ffc3f70dca5fee2fcd4ad90771501eb8cfcb2facd32c910c8491d2b0675213")
 
 
 def test_every_resolved_field_round_trips():

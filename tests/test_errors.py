@@ -80,8 +80,8 @@ INTEGERS = {
     "histogram_bins": (lambda v: config.AnalysisParams(histogram_bins=v), 2),
     "AnalysisParams.max_lag": (lambda v: config.AnalysisParams(max_lag=v), 1),
     "input_bits": (lambda v: config.ExtractionParams(
-        input_bits=v, min_entropy_rate=1.0, mode="ratio"), 1),
-    "epsilon_exponent": (lambda v: config.ExtractionParams(epsilon_exponent=v), 1),
+        input_bits=v, min_entropy_rate=1.0, epsilon_exponent=0), 1),
+    "epsilon_exponent": (lambda v: config.ExtractionParams(epsilon_exponent=v), 0),
     "sample_count": (lambda v: config.SimulationParams(v, 1e6, seed=0), 1),
     "oversample_factor": (
         lambda v: config.SimulationParams(10, 1e6, seed=0, oversample_factor=v), 1),
@@ -97,7 +97,8 @@ INTEGERS = {
     "block_frequency.block": (lambda v: stattests.block_frequency(BITS, v), 1),
     "from_data.bins": (lambda v: analysis.Histogram.from_data(ONES, v), 1),
     "autocorrelation.max_lag": (lambda v: analysis.autocorrelation(np.arange(8.0), v), 0),
-    "derive_params.n": (lambda v: extractor.derive_params(1.0, v, mode="ratio"), 1),
+    "derive_params.n": (lambda v: extractor.derive_params(1.0, v, 0), 1),
+    "derive_params.epsilon_exponent": (lambda v: extractor.derive_params(1.0, 4000, v), 0),
     "input_block_bits": (lambda v: extractor.ToeplitzSpec(v, 1, np.zeros(1)), 1),
     "output_block_bits": (lambda v: extractor.ToeplitzSpec(4, v, np.zeros(4)), 1),
     "bit_length": (lambda v: extractor.BitStream(b"", v), 0),
@@ -145,7 +146,6 @@ def test_every_seeded_call_refuses_seeds_outside_64_bits(name):
 CHOICES = {
     "normalize method": lambda v: config.AnalysisParams(normalize=v),
     "normalization method": lambda v: reconstruction.normalize_iq(TRACE, v),
-    "extraction mode": lambda v: config.ExtractionParams(mode=v),
     "derive_params.extraction mode": lambda v: extractor.derive_params(0.98, 4000, mode=v),
     "drift_mode": lambda v: optics.InterferometerParams(6.0, drift_mode=v),
 }
@@ -162,7 +162,6 @@ def test_every_option_set_refuses_unknown_names(name, value):
 
 def test_defaults_are_members_of_their_option_sets():
     assert config.AnalysisParams().normalize in reconstruction.NORMALIZE_METHODS
-    assert config.ExtractionParams().mode in extractor.MODES
     assert optics.InterferometerParams(6.0).drift_mode in optics.DRIFT_MODES
 
 

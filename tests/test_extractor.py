@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -96,26 +97,74 @@ class TestToeplitzSpec:
         assert not np.array_equal(a.seed_bits, c.seed_bits)
 
 
+def float_formula(rate, n, exponent):
+    """m as sized through a double epsilon = 2^-exponent, or None if refused."""
+    m = math.floor(n * rate + 2.0 * math.log2(2.0 ** -exponent))
+    return m if m >= 1 else None
+
+
+def integer_formula(rate, n, exponent, mode="lemma"):
+    try:
+        return ext.derive_params(rate, n, exponent, mode)[1]
+    except InsufficientEntropyError:
+        return None
+
+
 class TestDeriveParams:
     def test_ratio_mode_reference_values(self):
         assert ext.derive_params(0.98, 4000, mode="ratio") == (4000, 3920)
+        assert ext.derive_params(0.98, 4000, 0) == (4000, 3920)
 
     def test_lemma_mode_reference_values(self):
-        # floor(4000 * 0.98 - 2 * 50) with epsilon = 2^-50
+        # floor(4000 * 0.98) - 2 * 50 with epsilon = 2^-50
         assert ext.derive_params(0.98, 4000, mode="lemma") == (4000, 3820)
+        assert ext.derive_params(0.98, 4000) == (4000, 3820)
 
     def test_lemma_margin_at_smallest_epsilon(self):
-        # 1/epsilon overflows a double here; the margin is still exactly 2148.
-        assert ext.derive_params(0.98, 4000, epsilon=2.0 ** -1074) == (4000, 1772)
+        # 1/epsilon would overflow a double here; the margin is exactly 2148.
+        assert ext.derive_params(0.98, 4000, 1074) == (4000, 1772)
+        # 2^-1075 is no double at all; the margin is 2150.
+        assert ext.derive_params(0.98, 4000, 1075) == (4000, 1770)
 
     def test_lemma_epsilon_cost(self):
-        _, loose = ext.derive_params(0.9, 10_000, epsilon=2.0 ** -10)
-        _, tight = ext.derive_params(0.9, 10_000, epsilon=2.0 ** -80)
+        _, loose = ext.derive_params(0.9, 10_000, 10)
+        _, tight = ext.derive_params(0.9, 10_000, 80)
         assert loose - tight == 2 * (80 - 10)
 
     def test_small_block_cannot_fund_lemma(self):
         with pytest.raises(InsufficientEntropyError):
             ext.derive_params(1.0, 64, mode="lemma")
+        with pytest.raises(InsufficientEntropyError, match="derived output length 0"):
+            ext.derive_params(0.98, 4000, 1960)
+        assert ext.derive_params(0.98, 4000, 1959) == (4000, 2)
+
+    def test_ratio_mode_is_exponent_zero(self):
+        for rate in (0.001, 0.5, 0.9, 0.98, 0.999, 1.0):
+            for n in (1, 64, 999, 4000, 10_000, 200_000):
+                for exponent in (0, 1, 50):
+                    assert integer_formula(rate, n, 0) == (
+                        integer_formula(rate, n, exponent, mode="ratio"))
+
+    # Schema 10 sized m through a double epsilon = 2^-x; every config it
+    # loaded keeps its m.
+    def test_float_formula_on_a_grid(self):
+        rates = [k / 1000 for k in range(1, 1001)] + [0.1 + 0.2]
+        for rate in rates:
+            for n in (1, 100, 4000, 4001, 65_536, 200_000):
+                for exponent in (0, 1, 50, 1000, 1074):
+                    assert integer_formula(rate, n, exponent) == (
+                        float_formula(rate, n, exponent)), (rate, n, exponent)
+
+    def test_float_formula_on_random_triples(self):
+        gen = np.random.default_rng(34)
+        rates = np.concatenate([gen.uniform(0.0, 1.0, 20_000),
+                                gen.integers(1, 1001, 20_000) / 1000])
+        ns = gen.integers(1, 200_001, rates.size)
+        exponents = gen.integers(0, 1075, rates.size)
+        for rate, n, exponent in zip(rates.tolist(), ns.tolist(), exponents.tolist()):
+            rate = rate or 1.0
+            assert integer_formula(rate, n, exponent) == (
+                float_formula(rate, n, exponent)), (rate, n, exponent)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -124,8 +173,10 @@ class TestDeriveParams:
             ext.derive_params(1.5, 100)
         with pytest.raises(ParameterError):
             ext.derive_params(0.9, 0)
-        with pytest.raises(ParameterError):
-            ext.derive_params(0.9, 100, epsilon=1.0)
+        with pytest.raises(ParameterError, match="epsilon_exponent"):
+            ext.derive_params(0.9, 100, -1)
+        with pytest.raises(ParameterError, match="epsilon_exponent"):
+            ext.derive_params(0.9, 100, 1.5)
         with pytest.raises(ParameterError):
             ext.derive_params(0.9, 100, mode="exact")
 

@@ -35,7 +35,7 @@ max_lag = 20
 [extraction]
 input_bits = 4000
 min_entropy_rate = 0.98
-mode = ratio
+epsilon_exponent = 0
 
 [test]
 sequence_bits = 4096
@@ -204,6 +204,8 @@ class TestFullRun:
         # Schema 5 moved only the histograms' config_digest line, and so did
         # schema 7 (output_bits left the config).  Schema 10 moved only their
         # reference column, to each law's bin mass over the bin width.
+        # Schema 11 moved only their config_digest line ([extraction] mode
+        # left the config).
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt")) == (
             "c571b2b37e7acdf7ac2b97f9f19e6e9338e7e60679d29bc0f8f4ec41c4a5f332")
@@ -213,13 +215,13 @@ class TestFullRun:
             "7aee3fac9103ee50711c5a4ba15ff3d15da96732dd0a2b5e5a4daedf030c2ce4")
         hists = {
             "hist_channel_i.csv":
-                "6e2f86afb4dfb4e3bc3e63f0b6ac72bb55bc3f57c3d36737c3d5ca94fe3658bd",
+                "f931576055343c511aa40f24b3cf0a40f942e57980c7552ce1ddfe110b8cca36",
             "hist_channel_q.csv":
-                "06db6674e445d7ac5262327591380506a87577a2e95dfe762fb946fd7a9198f6",
+                "eda34692af941e587e8627b7dd90a550c6a3699d60ec3b0d5bb40dbce6bc1116",
             "hist_phase.csv":
-                "0091307d9340d1a4c2d6c5893aab7957100aa9cb5f1ba1c250423d8037d54ddd",
+                "41066314e81f5c70d9ed1f8d75ef4abf840ff809e6e65a8330cbd93e71b966c0",
             "hist_symbols.csv":
-                "7c3d10f54dc68394985445a11e1776cc75fff05fea8512d851f7409a134e69ec",
+                "df74af998ff23bacb2957057bbc21915cd87a921ec91c906de640cc524914526",
         }
         for name, digest in hists.items():
             assert sha256(os.path.join(outdir, name)) == digest, name
@@ -238,14 +240,17 @@ class TestFullRun:
         # schema_version (the autocorrelation's last digits moved the
         # summary's hash of analysis_report.json too).  Schema 10 moved
         # their schema_version, and the summary's hashes of the histogram
-        # CSVs and of the JSON reports.
+        # CSVs and of the JSON reports.  Schema 11 moved their
+        # schema_version and config_digest, and in the summary the hashes of
+        # every file that carries either and the last digits of the
+        # divergences, which kld now sums with math.fsum.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "b0f8f0ed9ac2cd0dcc38fc2a104347eba1e192c7230d14a5ccdf27fa3a895c19")
+            "32013796b156656537e22126ec2fd60fec37d4a49f5ba7c717daa9a25adb0918")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "8884126be612d032eb7a5ac2452c5ef1933ca8e52f810ee349afcaaadb67a55c")
+            "e72d760825ddb78ad0aa1cfcec28681d8327699f5cba699f12815481c1791bd8")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "1584145b4bc84dafff42c4f2bcb1f82266599a04c27785fb8ca7771a0fb1683c")
+            "cc33b5114bb52a9f2dd1cda537dbeceb6701de911d34cb21382600ca3f5555f1")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -445,7 +450,7 @@ class TestStagedExecution:
 class TestBitRate:
     # At (4000, 3820) (m / n) * 10 is 9.549999999999999 and 10 * m / n is 9.55.
     def test_summary_rate_is_the_library_rate(self, tmp_path):
-        cfg = make_config(**{"mode = ratio": "mode = lemma"})
+        cfg = make_config(**{"epsilon_exponent = 0": "epsilon_exponent = 50"})
         n, m = cfg.extraction.block_bits
         assert (n, m) == (4000, 3820)
         summary = pipeline.run_pipeline(cfg, ["simulate"], str(tmp_path))
@@ -454,7 +459,7 @@ class TestBitRate:
             cfg.analysis.phase_bits, spec)
 
     def test_rate_counts_phase_bits_not_adc_bits(self, tmp_path):
-        cfg = make_config(**{"mode = ratio": "mode = lemma",
+        cfg = make_config(**{"epsilon_exponent = 0": "epsilon_exponent = 50",
                              "max_lag = 20": "max_lag = 20\nphase_bits = 8",
                              "16e3": "16e3\nadc_bits = 10"})
         n, m = cfg.extraction.block_bits
@@ -874,14 +879,16 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    # Keys that once duplicated coherence_time or the rate that sizes m,
-    # fixed the battery's gates, or spelled a [switches] key in [simulation].
+    # Keys that once duplicated coherence_time, the rate that sizes m or the
+    # margin epsilon_exponent sets, fixed the battery's gates, or spelled a
+    # [switches] key in [simulation].
     @pytest.mark.parametrize("section,line", [
         ("laser", "linewidth = 5e7"),
         ("test", "proportion_mode = fixed"),
         ("test", "fixed_proportion = 0.98"),
         ("test", "uniformity_threshold = 1e-4"),
         ("extraction", "output_bits = 3920"),
+        ("extraction", "mode = ratio"),
         ("simulation", "noise_drift = on"),
     ])
     def test_exit_3_removed_key(self, tmp_path, capsys, section, line):
@@ -1082,7 +1089,8 @@ class TestCli:
 
     # A key outside its range is refused at load, by its INI name.
     @pytest.mark.parametrize("needle,replacement,key", [
-        ("min_entropy_rate = 0.98", "epsilon_exponent = 1075", "epsilon_exponent"),
+        pytest.param("epsilon_exponent = 0", "epsilon_exponent = -1", "epsilon_exponent",
+                     id="negative-epsilon_exponent"),
         ("min_entropy_rate = 0.98", "min_entropy_rate = 1.5", "min_entropy_rate"),
     ])
     def test_exit_2_key_out_of_range(self, tmp_path, capsys, needle, replacement, key):
@@ -1102,8 +1110,17 @@ class TestCli:
 
     def test_smallest_epsilon_runs(self, tmp_path, capsys):
         config = self.write_config(
-            tmp_path, BASE_INI.replace("mode = ratio", "epsilon_exponent = 1074"))
+            tmp_path, BASE_INI.replace("epsilon_exponent = 0", "epsilon_exponent = 1074"))
         assert cli.main(["simulate", "-c", config, "-o", str(tmp_path / "out")]) == 0
+
+    # floor(4000 * 0.98) - 2 * 1960 = 0 bits per block.
+    def test_exit_5_margin_that_consumes_the_block(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, BASE_INI.replace("epsilon_exponent = 0", "epsilon_exponent = 1960"))
+        outdir = tmp_path / "out"
+        assert cli.main(["simulate", "-c", config, "-o", str(outdir)]) == 5
+        assert "derived output length 0" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

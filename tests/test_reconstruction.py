@@ -306,14 +306,21 @@ class TestQuantizePhase:
 
 class TestValidation:
     def test_phase_series_range_checked(self):
-        with pytest.raises(ParameterError):
-            rec.PhaseSeries(phases=np.array([np.pi]))
-        with pytest.raises(ParameterError):
-            rec.PhaseSeries(phases=np.array([-np.pi - 1e-9]))
-        with pytest.raises(ParameterError):
-            rec.PhaseSeries(phases=np.array([np.nan]))
-        with pytest.raises(ParameterError):
-            rec.PhaseSeries(phases=np.array([]))
+        for phases in ([np.pi], [-np.pi - 1e-9], [np.nan], [0.0, np.nan, 1.0],
+                       [np.inf], [-np.inf], []):
+            with pytest.raises(ParameterError, match="phases must be"):
+                rec.PhaseSeries(phases=np.array(phases))
+
+    def test_phase_series_keeps_the_edges_of_its_range(self):
+        phases = np.array([-np.pi, np.nextafter(np.pi, 0.0)])
+        assert_array_equal(rec.PhaseSeries(phases=phases).phases, phases)
+
+    def test_symbol_stream_keeps_a_uint16_array_without_copying(self):
+        symbols = np.array([0, 5, 1023], dtype=np.uint16)
+        assert rec.SymbolStream(symbols, 10).symbols is symbols
+        widened = rec.SymbolStream(symbols.astype(np.int64), 10).symbols
+        assert widened.dtype == np.uint16
+        assert_array_equal(widened, symbols)
 
     def test_symbol_stream_checked(self):
         with pytest.raises(ParameterError):
