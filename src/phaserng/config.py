@@ -27,7 +27,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 
 from . import extractor, rng
-from .errors import FormatError, ParameterError, check_choice, check_scalar
+from .errors import FormatError, ParameterError, check_choice, check_fields
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
 from .phasenoise import LaserParams
 from .reconstruction import NORMALIZE_METHODS
@@ -49,9 +49,9 @@ class AnalysisParams:
     normalize: str = "percentile"     # one of NORMALIZE_METHODS
 
     def __post_init__(self):
-        check_scalar("phase_bits", self.phase_bits, bounds=(1, 16))
-        check_scalar("histogram_bins", self.histogram_bins, bounds=(2, None))
-        check_scalar("max_lag", self.max_lag, bounds=(1, None))
+        check_fields(self, "phase_bits", bounds=(1, 16))
+        check_fields(self, "histogram_bins", bounds=(2, None))
+        check_fields(self, "max_lag", bounds=(1, None))
         check_choice("normalize method", self.normalize, NORMALIZE_METHODS)
 
 
@@ -65,8 +65,10 @@ class ExtractionParams:
     seed_file: str = ""
 
     def __post_init__(self):
-        check_scalar("input_bits", self.input_bits, bounds=(1, None))
+        check_fields(self, "input_bits", bounds=(1, None))
         self.block_bits   # a rate or margin that cannot size m is refused at load
+        check_fields(self, "epsilon_exponent", bounds=(0, None))
+        check_fields(self, "min_entropy_rate")
 
     @property
     def block_bits(self) -> tuple[int, int]:
@@ -91,18 +93,17 @@ class TestConfig:
     approx_entropy_pattern_bits: int = 10
 
     def __post_init__(self):
-        check_scalar("sequence_count", self.sequence_count, bounds=(1, None))
+        check_fields(self, "sequence_count", bounds=(1, None))
         if not (0.0 < float(self.alpha) < 1.0):
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        block = check_scalar("block_frequency_block", self.block_frequency_block,
-                             bounds=(2, None))
-        serial_m = check_scalar("serial_pattern_bits", self.serial_pattern_bits,
-                                bounds=(2, 24))
-        apen_m = check_scalar("approx_entropy_pattern_bits",
-                              self.approx_entropy_pattern_bits, bounds=(1, 20))
+        check_fields(self, "alpha")
+        check_fields(self, "block_frequency_block", bounds=(2, None))
+        check_fields(self, "serial_pattern_bits", bounds=(2, 24))
+        check_fields(self, "approx_entropy_pattern_bits", bounds=(1, 20))
         # The largest of the eight tests' own minimum lengths.
-        need = max(1000, block, 1 << (serial_m + 2), 1 << (apen_m + 6))
-        check_scalar("sequence_bits", self.sequence_bits, bounds=(need, None))
+        need = max(1000, self.block_frequency_block, 1 << (self.serial_pattern_bits + 2),
+                   1 << (self.approx_entropy_pattern_bits + 6))
+        check_fields(self, "sequence_bits", bounds=(need, None))
 
     def proportion_bound(self) -> float:
         """Smallest acceptable pass proportion: 3 sigma below 1 - alpha."""
@@ -121,10 +122,10 @@ class SimulationParams:
     oversample_factor: int = 1        # detector-averaging acquisition model
 
     def __post_init__(self):
-        check_scalar("sample_count", self.sample_count, bounds=(1, None))
-        check_scalar("sample_rate", self.sample_rate)
-        rng.check_seed(self.seed)
-        check_scalar("oversample_factor", self.oversample_factor, bounds=(1, None))
+        check_fields(self, "sample_count", bounds=(1, None))
+        check_fields(self, "sample_rate")
+        object.__setattr__(self, "seed", rng.check_seed(self.seed))
+        check_fields(self, "oversample_factor", bounds=(1, None))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ malformed files, missing pipeline inputs, and entropy bookkeeping.  Each
 public class carries its CLI exit code as ``exit_code`` (subclasses inherit
 it), the only place the codes are declared.  :func:`check_scalar` is the
 one guard every module applies to its scalar physical and geometry
-arguments, and :func:`check_choice` the one guard of every option set.
+arguments (:func:`check_fields` stores what it returns on a dataclass),
+and :func:`check_choice` the one guard of every option set.
 """
 
 import math
@@ -87,6 +88,13 @@ def check_scalar(name: str, value, *, zero_ok: bool = False,
         kind = "non-negative" if zero_ok else "positive"
         raise ParameterError(f"{name} must be {kind} and finite, got {value}")
     return number
+
+
+def check_fields(obj, *names: str, **kwargs) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to what
+    :func:`check_scalar` returns for it, so equal values render alike."""
+    for name in names:
+        object.__setattr__(obj, name, check_scalar(name, getattr(obj, name), **kwargs))
 
 
 def check_choice(name: str, value, choices: tuple[str, ...]):

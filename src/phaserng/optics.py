@@ -14,12 +14,9 @@ phi_0 the slow classical drift of the interferometer.
 
 Each imperfection is individually switchable: laser intensity
 fluctuations, additive electrical noise, classical phase drift, detector
-gain mismatch, and a single-pole detector-bandwidth limit.  With every
-switch off the trace is the ideal noiseless model.
-
-The bandwidth limit is ``scipy.signal.lfilter``.  ``scipy.signal`` takes
-about a second to import and nothing else uses it, so it is imported only
-when a ``NoiseSwitches`` turns ``bandwidth_limit`` on.
+gain mismatch, and a single-pole detector-bandwidth limit, a numpy scan
+(``_single_pole``) that releases the GIL, so the I and Q lanes filter
+concurrently.  With every switch off the trace is the ideal noiseless model.
 """
 
 from __future__ import annotations
@@ -30,16 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .errors import ParameterError, check_choice, check_scalar
+from .errors import ParameterError, check_choice, check_fields, check_scalar
 from .phasenoise import LaserParams, PhasePath, delay_time, phase_variance, wrap_phase
 
 #: How the classical phase phi_0 evolves when the drift switch is on.
 DRIFT_MODES = ("fixed", "slow-walk")
-
-#: Samples per call of the detector filter.  lfilter returns a new array,
-#: so a short piece keeps its output small; the carried state makes the
-#: bytes those of one call over the whole trace.
-_FILTER_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,11 +59,11 @@ class InterferometerParams:
             raise ParameterError(
                 f"bs_transmittance must be in (0, 1), got {self.bs_transmittance}")
         check_choice("drift_mode", self.drift_mode, DRIFT_MODES)
-        check_scalar("drift_step", self.drift_step, zero_ok=True)
         object.__setattr__(self, "static_phase", wrap_phase(self.static_phase))
         object.__setattr__(self, "drift_phase", wrap_phase(self.drift_phase))
-        # Range checks for delay_length/fiber_index happen here.
-        delay_time(self.delay_length, self.fiber_index)
+        delay_time(self.delay_length, self.fiber_index)    # its range checks
+        check_fields(self, "delay_length", "drift_step", zero_ok=True)
+        check_fields(self, "fiber_index", "delay_loss", "bs_transmittance")
 
     @property
     def delay_time(self) -> float:
@@ -90,10 +82,9 @@ class DetectorParams:
     adc_fullscale: float = 1.0        # V, half-range: ADC spans [-F, +F]
 
     def __post_init__(self):
-        for name in ("transimpedance", "responsivity", "response_time", "adc_fullscale"):
-            check_scalar(name, getattr(self, name))
-        check_scalar("electrical_noise_sigma", self.electrical_noise_sigma, zero_ok=True)
-        check_scalar("adc_bits", self.adc_bits, bounds=(1, 16))
+        check_fields(self, "transimpedance", "responsivity", "response_time", "adc_fullscale")
+        check_fields(self, "electrical_noise_sigma", zero_ok=True)
+        check_fields(self, "adc_bits", bounds=(1, 16))
 
 
 @dataclass(frozen=True)
@@ -105,12 +96,6 @@ class NoiseSwitches:
     drift: bool = False
     mismatch: bool = False
     bandwidth_limit: bool = False
-
-    def __post_init__(self):
-        if self.bandwidth_limit:
-            # Pay scipy.signal's import (about 1 s) when the device is configured,
-            # not inside the first simulate_trace, which imports lfilter itself.
-            import scipy.signal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -291,8 +276,6 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
             ph += ifm.static_phase
 
         rng.map_blocks(finish, blocks)
-    if switches.bandwidth_limit:
-        from scipy.signal import lfilter
 
     def lane(channel) -> None:
         """Finish one channel ``(v, quadrature, det, stream, scratch)`` in
@@ -302,24 +285,22 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
         segment's noise from its own block gives the bytes of the
         whole-array computation.  The quadrature and the noise go through
         the lane's one-block ``scratch``, which the calling thread
-        allocated, and the filter runs ``_FILTER_PIECE`` samples at a
-        time, so a lane allocates no block-sized array of its own.  The
-        filter coefficient comes from ``math``: numpy's ``expm1`` picks its
-        SIMD loop at run time, and the loops differ in the last bit.
+        allocated, and the filter works in place, so a lane allocates no
+        block-sized array of its own.  The filter coefficient comes from
+        ``math``: numpy's ``expm1`` picks its SIMD loop at run time, and the
+        loops differ in the last bit.
         """
         v, quadrature, det, stream, scratch = channel
         if switches.bandwidth_limit:
             alpha = -math.expm1(-path.sample_period / det.response_time)
-            state = [0.0]
+            state = 0.0
         noisy = switches.electrical and det.electrical_noise_sigma > 0.0
         for lo in blocks:
             hi = min(lo + rng.BLOCK_SIZE, count)
             seg, tmp = v[lo:hi], scratch[:hi - lo]
             seg *= quadrature(phase[lo:hi], out=tmp)
             if switches.bandwidth_limit:
-                for a in range(0, hi - lo, _FILTER_PIECE):
-                    piece = seg[a:a + _FILTER_PIECE]
-                    piece[:], state = lfilter([alpha], [1.0, alpha - 1.0], piece, zi=state)
+                state = _single_pole(seg, alpha, state)
             if noisy:
                 noise = rng.standard_normals_range(lo, hi, seed, stream, out=tmp)
                 noise *= det.electrical_noise_sigma
@@ -332,6 +313,51 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
                    clamped_samples=clamped)
+
+
+def _single_pole(x: np.ndarray, alpha: float, state: float) -> float:
+    """Filter ``x`` in place, y[n] = alpha*x[n] + c*y[n-1] with c = 1 - alpha
+    from y[-1] = ``state``; return the last y.
+
+    Each RNG block is cut into rows of L samples, L a power of two up to
+    2^10 with c^-(L-1) at most 2^512.  A row times alpha*c^-k, summed along
+    the row, plus c times its carry-in (from a doubling pass over the row
+    ends), times c^k, is y.  The tail runs in Python.  A block is whole
+    rows, so calls split at block edges with the state carried give one
+    call's bytes.  The tables use Python's ``**``: numpy's ``power`` picks
+    its SIMD loop at run time, and the loops differ in the last bit.
+    """
+    c = 1.0 - alpha
+    if c == 0.0:
+        x *= alpha
+        return float(x[-1])
+    width = 1 << 10
+    while width > 1 and (width - 1) * -math.log2(c) > 512:
+        width >>= 1
+    up = np.array([alpha * c ** -k for k in range(width)])
+    down = np.array([c ** k for k in range(width)])
+    for lo in range(0, x.size, rng.BLOCK_SIZE):
+        seg = x[lo:lo + rng.BLOCK_SIZE]
+        rows = seg.size // width
+        if rows:
+            body = seg[:rows * width].reshape(rows, width)
+            body *= up
+            np.cumsum(body, axis=1, out=body)
+            carry = np.empty(rows + 1)    # y[-1], then y at each row's end
+            carry[0] = state
+            np.multiply(body[:, -1], down[-1], out=carry[1:])
+            carry[1] += c ** width * state
+            factor, shift = c ** width, 1
+            while shift < rows and factor > 0.0:
+                carry[1 + shift:] += factor * carry[1:-shift]
+                factor, shift = factor * factor, 2 * shift
+            carry *= c
+            body += carry[:-1, None]
+            body *= down
+            state = float(body[-1, -1])
+        for n in range(rows * width, seg.size):
+            state = seg[n] = alpha * float(seg[n]) + c * state
+    return state
 
 
 def _level_indices(values: np.ndarray, n_bits: int, lo: float, hi: float,

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import ParameterError, check_scalar
+from .errors import ParameterError, check_fields, check_scalar
 
 #: Speed of light in vacuum, m/s (exact by SI definition).
 SPEED_OF_LIGHT = 299_792_458.0
@@ -69,9 +69,8 @@ class LaserParams:
     intensity_sigma: float = 0.0      # W, std. dev. of power fluctuations
 
     def __post_init__(self):
-        check_scalar("coherence_time", self.coherence_time)
-        check_scalar("mean_power", self.mean_power)
-        check_scalar("intensity_sigma", self.intensity_sigma, zero_ok=True)
+        check_fields(self, "coherence_time", "mean_power")
+        check_fields(self, "intensity_sigma", zero_ok=True)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ ARTIFACTS = {
     "summary": "summary.json",
 }
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")
@@ -256,7 +256,7 @@ def analyze_stage(cfg: ExperimentConfig, norm, series, symbols) -> StageResult:
             "vs_moment_fit_gaussian": analysis.ReferenceLaw.gaussian_fit(series.phases),
             "vs_uniform": uniform}
     klds = {name: analysis.kld(hist_phase, law) for name, law in laws.items()}
-    autocorr = analysis.autocorrelation(series.phases, cfg.analysis.max_lag)
+    autocorr = analysis.autocorrelation(symbols.symbols, cfg.analysis.max_lag)
     warnings = optics.validate_device(cfg.laser, cfg.interferometer, cfg.detector_i,
                                       cfg.detector_q, cfg.switches,
                                       cfg.simulation.adc_quantize)

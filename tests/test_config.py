@@ -2,6 +2,7 @@ import os
 import re
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 from phaserng import config as cfg
@@ -297,6 +298,29 @@ coherence_time = 6e-9  # 6 ns
                              ("sample_count = 1000", "sample_count = 1001")]:
             changed = cfg.parse_config(MINIMAL.replace(needle, repl)).digest
             assert changed != base, needle
+
+    def test_library_built_config_has_the_parsed_digest(self):
+        # Each section stores the value its guard returns, so an int given
+        # for a float field, or a whole float for an int one, renders as
+        # the parser's value does.
+        from phaserng import extractor, optics, phasenoise
+
+        det = optics.DetectorParams(transimpedance=16000, adc_bits=10.0)
+        built = cfg.ExperimentConfig(
+            laser=phasenoise.LaserParams(coherence_time=6e-9, mean_power=1),
+            interferometer=optics.InterferometerParams(delay_length=6, delay_loss=1),
+            detector_i=det, detector_q=det,
+            simulation=cfg.SimulationParams(sample_count=1000.0, sample_rate=200_000_000,
+                                            seed=np.int64(7)),
+            analysis=cfg.AnalysisParams(max_lag=50.0),
+            extraction=cfg.ExtractionParams(
+                epsilon_exponent=float(extractor.EPSILON_EXPONENT), min_entropy_rate=0.98),
+            test=cfg.TestConfig(sequence_count=100.0))
+        parsed = cfg.parse_config(MINIMAL)
+        assert built == parsed
+        assert f"epsilon_exponent = {extractor.EPSILON_EXPONENT}\n" in built.canonical_text()
+        assert built.canonical_text() == parsed.canonical_text()
+        assert built.digest == parsed.digest
 
     def test_canonical_text_covers_every_block(self):
         text = cfg.parse_config(FULL).canonical_text()

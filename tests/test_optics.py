@@ -304,16 +304,17 @@ class TestTraceBytesPinned:
 
     The digests were computed with the out-of-place implementation that
     preceded the in-place one; both must give the same bytes.  The
-    intensity noise is large enough that some power draws are clamped.
-    Since the filter coefficient comes from ``math.expm1``, the digests
-    hold with every dispatched numpy SIMD target on or off; the
-    bandwidth-limited ones are what numpy's baseline loops gave before.
+    bandwidth-limited ones were re-pinned when ``_single_pole`` replaced
+    ``scipy.signal.lfilter``.  The intensity noise is large enough that
+    some power draws are clamped.  Since the filter's coefficient and
+    tables come from ``math`` and Python floats, the digests hold with
+    every dispatched numpy SIMD target on or off.
     """
 
     @pytest.mark.parametrize("drift_mode, digest", [
-        ("fixed", "d2fcdff624755e185ec5a611ef8e622f9d6dc77f5f66f39fd05b287ebfe19d78"),
-        ("slow-walk", "19ba24a661893e9ffd5a1bd587879892dbc2807b07c4201be55201cd590098b1"),
-    ])
+        ("fixed", "25b1a4b01a7f8576c5dc97919f8047f8708abb180e369e86157bc7a0e3f0fe16"),
+        ("slow-walk", "56c1dbcc6602fa53c08307094cff0e0799f5b7763b4ccf0c50d2edf4624a2007"),
+    ], ids=["fixed", "slow-walk"])
     def test_all_switch_combinations(self, drift_mode, digest):
         laser = ideal_laser(power=1e-3, intensity_sigma=5e-4)
         path = sample_phase_path(laser, T_D30, 5e-9, 4096, 3)
@@ -340,17 +341,17 @@ class TestTraceBytesPinned:
         return laser, sample_phase_path(laser, T_D30, 5e-9, rng.BLOCK_SIZE + 4099, 3)
 
     # Computed with the whole-array implementation that preceded the
-    # block-by-block lanes.  2^20 + 4099 samples cross one RNG block
-    # boundary, so a wrong filter-state carry or a misaligned noise block
-    # changes the bytes.
+    # block-by-block lanes (the bandwidth-limited two with ``_single_pole``).
+    # 2^20 + 4099 samples cross one RNG block boundary, so a wrong
+    # filter-state carry or a misaligned noise block changes the bytes.
     @pytest.mark.parametrize("flags, drift_mode, digest", [
         ({}, "fixed",
          "1b77cd2e3300d3bf54e29be6b486ca4f1b07fdc59674b2483861d9b4348b8229"),
         (dict(intensity=True, electrical=True, drift=True, mismatch=True,
               bandwidth_limit=True), "slow-walk",
-         "5e6d97df77c38265d18edf1e64bfa66beda7b7d42f40700f0fd601ce23c3d6a1"),
+         "174ca5a405dbd31e0f5d6c44452d32b04d98d219d48d75b78da36a1907116ef3"),
         (dict(electrical=True, bandwidth_limit=True), "fixed",
-         "1f52425569edb59b5948494dda7266318450a7289fc92e7aba90e1ec63cf2e3d"),
+         "ffdd051c8936106d033290b277ce7c27540fcdcf1cb4b15ab57444fa9aa4d682"),
         (dict(intensity=True, drift=True), "slow-walk",
          "01b580b88903adb98d24ec61917be7d8133ab5f26afe4467d0edd81650c38e70"),
     ], ids=["all-off", "all-on", "bandwidth+electrical", "intensity+drift"])
@@ -374,8 +375,6 @@ class TestTraceBytesPinned:
         # mean power 4.5 sigma above zero, a few power draws of the full
         # block are clamped and none of the short block's, so the head
         # clamps one block and leaves the other as drawn.
-        from scipy.signal import lfilter
-
         laser = ideal_laser(power=1e-3, intensity_sigma=1e-3 / 4.5)
         count = rng.BLOCK_SIZE + 10
         path = sample_phase_path(laser, T_D30, 5e-9, count, 3)
@@ -403,7 +402,7 @@ class TestTraceBytesPinned:
 
         def channel(v, d, stream):
             alpha = -math.expm1(-path.sample_period / d.response_time)
-            v = lfilter([alpha], [1.0, alpha - 1.0], v, zi=[0.0])[0]
+            optics._single_pole(v, alpha, 0.0)    # one whole-array call
             return v + normals(stream) * d.electrical_noise_sigma
 
         v_i = channel(d_i.transimpedance * d_i.responsivity * envelope * np.cos(phase),
@@ -424,6 +423,45 @@ class TestTraceBytesPinned:
                                   det(electrical_noise_sigma=0.01), det(),
                                   optics.NoiseSwitches(*flags), seed=2)
         assert_array_equal(path.increments, before)
+
+
+class TestSinglePole:
+    """The detector filter against its recurrence, one sample at a time.
+
+    alpha = 1 is the c = 0 case; alpha = 1e-5 sums the longest rows with
+    the least decay, where the row sums round the most.
+    """
+
+    ALPHAS = [1e-5, 0.01, 0.5, -math.expm1(-4.0), 1.0]
+
+    @staticmethod
+    def recurrence(x, alpha, state):
+        c = 1.0 - alpha
+        out = []
+        for value in x.tolist():
+            state = alpha * value + c * state
+            out.append(state)
+        return np.array(out)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_the_recurrence(self, alpha):
+        x = rng.standard_normals(3 * (1 << 14) + 77, 5) * 3.0 + 2.0
+        want = self.recurrence(x, alpha, 0.7)
+        got = x.copy()
+        last = optics._single_pole(got, alpha, 0.7)
+        assert last == got[-1]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_calls_split_at_block_edges_give_one_calls_bytes(self, alpha):
+        x = rng.standard_normals(2 * rng.BLOCK_SIZE + 4099, 6)
+        whole = x.copy()
+        last = optics._single_pole(whole, alpha, -0.3)
+        state = -0.3
+        for lo in range(0, x.size, rng.BLOCK_SIZE):
+            state = optics._single_pole(x[lo:lo + rng.BLOCK_SIZE], alpha, state)
+        assert x.tobytes() == whole.tobytes()
+        assert state == last
 
 
 class TestLanes:

@@ -134,6 +134,11 @@ class TestFullRun:
         assert report["kld_bits"]["vs_standard_gaussian"] > 0.5
         assert len(report["autocorrelation"]) == 21
         assert report["autocorrelation"][0] == 1.0
+        # The report's autocorrelation is of the symbols that extract hashes.
+        bits = np.unpackbits(np.fromfile(os.path.join(outdir, "symbols.bin"), np.uint8))
+        symbols = bits.reshape(-1, 10) @ (1 << np.arange(9, -1, -1))
+        from phaserng import analysis
+        assert report["autocorrelation"] == analysis.autocorrelation(symbols, 20).tolist()
         assert report["timing_messages"] == []     # a sound device
 
     def test_histogram_artifacts(self, full_run):
@@ -243,14 +248,18 @@ class TestFullRun:
         # CSVs and of the JSON reports.  Schema 11 moved their
         # schema_version and config_digest, and in the summary the hashes of
         # every file that carries either and the last digits of the
-        # divergences, which kld now sums with math.fsum.
+        # divergences, which kld now sums with math.fsum.  Schema 12 moved
+        # their schema_version, and in the summary the hashes of the files
+        # that carry it, analysis_report.json's with its autocorrelation,
+        # now of the symbols.  These bytes hold with every dispatched numpy
+        # SIMD target on or off.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "32013796b156656537e22126ec2fd60fec37d4a49f5ba7c717daa9a25adb0918")
+            "f2b680d61642fc43700d8e5ddb1fc12e9f3845cd294c00b36d7f91a9ab47fc98")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "e72d760825ddb78ad0aa1cfcec28681d8327699f5cba699f12815481c1791bd8")
+            "163b638be230cb81e21acabc9fc90fff59c779f06281efc393650ec9314a780a")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "cc33b5114bb52a9f2dd1cda537dbeceb6701de911d34cb21382600ca3f5555f1")
+            "8d6c0811c1a56fbdfafcb9c6c391bdf333c6f0a8826fc6c1e5f973f8f19e672b")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
