@@ -16,8 +16,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import ndtr
 
 from .errors import DegenerateDataError, ParameterError, check_scalar
 
@@ -82,6 +80,14 @@ class Histogram:
         return self.counts / total
 
 
+def _pointwise(cdf: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """A CDF over arrays from the scalar ``cdf``, applied one point at a
+    time with ``math``: numpy's transcendental loops pick their SIMD
+    variant at run time, and the variants differ in the last bit.  The
+    pipeline passes only bin edges, at most ``histogram_bins + 1`` of them."""
+    return lambda x: np.reshape([cdf(v) for v in x.ravel().tolist()], x.shape)
+
+
 @dataclass(frozen=True)
 class ReferenceLaw:
     """Closed-form reference distribution, described by its CDF alone.
@@ -101,7 +107,7 @@ class ReferenceLaw:
         if not math.isfinite(mean):
             raise ParameterError(f"gaussian mean must be finite, got {mean}")
         scale = math.sqrt(check_scalar("variance", variance))
-        return cls(lambda x: ndtr((x - mean) / scale))
+        return cls(_pointwise(lambda v: 0.5 * math.erfc(-((v - mean) / scale) / math.sqrt(2.0))))
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "ReferenceLaw":
@@ -112,16 +118,10 @@ class ReferenceLaw:
 
     @classmethod
     def arcsine(cls, amplitude: float) -> "ReferenceLaw":
-        """Arcsine law on [-amplitude, amplitude].  Its CDF takes ``math.asin``
-        one point at a time: numpy's ``arcsin`` picks its SIMD loop at run
-        time, and the loops differ in the last bit.  The pipeline passes only
-        bin edges, at most ``histogram_bins + 1`` of them."""
+        """Arcsine law on [-amplitude, amplitude]."""
         amp = check_scalar("amplitude", amplitude)
-
-        def cdf(x: np.ndarray) -> np.ndarray:
-            angles = [math.asin(min(max(v / amp, -1.0), 1.0)) for v in x.ravel().tolist()]
-            return 0.5 + np.reshape(angles, x.shape) / math.pi
-        return cls(cdf)
+        return cls(_pointwise(
+            lambda v: 0.5 + math.asin(min(max(v / amp, -1.0), 1.0)) / math.pi))
 
     @classmethod
     def gaussian_fit(cls, data) -> "ReferenceLaw":
@@ -209,9 +209,9 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     transform per chunk: the chunks' power spectra are summed and inverted
     once.  As max_lag <= C, a pair straddles at most one chunk edge; those
     pairs are the correlation of the max_lag samples before each edge with
-    the max_lag after it, from one batched transform of length
-    ``next_fast_len(2 * max_lag)``.  Memory stays O(C + max_lag) beyond
-    the input.
+    the max_lag after it, from one batched transform whose length is the
+    smallest power of two >= 2 * max_lag.  Memory stays O(C + max_lag)
+    beyond the input.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
@@ -223,23 +223,23 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     # on each side, and the zeros add no pair.
     centred = np.zeros(count + max_lag)
     np.subtract(x, x.mean(), out=centred[:count])
-    nfft = sp_fft.next_fast_len(chunk + max_lag, real=True)
+    nfft = 1 << (chunk + max_lag - 1).bit_length()   # _ACF_CHUNK up to lag 2^13
     power = np.zeros(nfft // 2 + 1)
     for s in range(0, count, chunk):
-        spec = sp_fft.rfft(centred[s:s + chunk], nfft)
+        spec = np.fft.rfft(centred[s:s + chunk], nfft)
         power += spec.real ** 2
         power += spec.imag ** 2
-    acov = sp_fft.irfft(power, nfft)[:max_lag + 1]
+    acov = np.fft.irfft(power, nfft)[:max_lag + 1]
     edges = np.arange(chunk, count, chunk)
     if max_lag and edges.size:
         # Row r holds the max_lag samples before edge r, then the max_lag
         # after it; a batch of rows is about one chunk long.
-        nside = sp_fft.next_fast_len(2 * max_lag, real=True)
+        nside = 1 << (2 * max_lag - 1).bit_length()
         sides = np.arange(-max_lag, max_lag)
         cross = np.zeros(nside // 2 + 1, dtype=np.complex128)
         batch = max(1, chunk // max_lag)
         for b in range(0, edges.size, batch):
-            spec = sp_fft.rfft(centred[edges[b:b + batch, None] + sides]
+            spec = np.fft.rfft(centred[edges[b:b + batch, None] + sides]
                                .reshape(-1, 2, max_lag), nside)
             # conj(after) * before from real products, which round alike in every SIMD loop.
             after, before = spec[:, 1], spec[:, 0]
@@ -247,7 +247,7 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
             cross.imag += (after.real * before.imag - after.imag * before.real).sum(axis=0)
         # Entry j of the inverse sums after[q] * before[q + j]: the pairs
         # max_lag - j apart.
-        acov[1:] += sp_fft.irfft(cross, nside)[max_lag - 1::-1]
+        acov[1:] += np.fft.irfft(cross, nside)[max_lag - 1::-1]
     if acov[0] <= 0.0:
         raise DegenerateDataError("series variance is zero")
     out = acov / acov[0]

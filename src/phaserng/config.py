@@ -27,7 +27,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 
 from . import extractor, rng
-from .errors import FormatError, ParameterError, check_choice, check_fields
+from .errors import FormatError, ParameterError, check_choice, check_fields, check_flags
 from .optics import DetectorParams, InterferometerParams, NoiseSwitches
 from .phasenoise import LaserParams
 from .reconstruction import NORMALIZE_METHODS
@@ -125,6 +125,7 @@ class SimulationParams:
         check_fields(self, "sample_count", bounds=(1, None))
         check_fields(self, "sample_rate")
         object.__setattr__(self, "seed", rng.check_seed(self.seed))
+        check_flags(self, "adc_quantize")
         check_fields(self, "oversample_factor", bounds=(1, None))
 
 

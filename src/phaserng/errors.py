@@ -8,7 +8,8 @@ public class carries its CLI exit code as ``exit_code`` (subclasses inherit
 it), the only place the codes are declared.  :func:`check_scalar` is the
 one guard every module applies to its scalar physical and geometry
 arguments (:func:`check_fields` stores what it returns on a dataclass),
-and :func:`check_choice` the one guard of every option set.
+:func:`check_flags` the one guard of every switch, and
+:func:`check_choice` the one guard of every option set.
 """
 
 import math
@@ -95,6 +96,17 @@ def check_fields(obj, *names: str, **kwargs) -> None:
     :func:`check_scalar` returns for it, so equal values render alike."""
     for name in names:
         object.__setattr__(obj, name, check_scalar(name, getattr(obj, name), **kwargs))
+
+
+def check_flags(obj, *names: str) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to a real bool,
+    so equal switches render alike; anything but a bool or the integer 0
+    or 1 is a ParameterError."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Integral) and value in (0, 1)):
+            raise ParameterError(f"{name} must be a bool or 0/1, got {value!r}")
+        object.__setattr__(obj, name, bool(value))
 
 
 def check_choice(name: str, value, choices: tuple[str, ...]):

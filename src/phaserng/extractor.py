@@ -149,35 +149,14 @@ class ExtractResult(NamedTuple):
     discarded_bits: int
 
 
-#: Bytes of one FFT chunk's padded rows (blocks x L floats), at least one
+#: Bytes of one FFT chunk's padded rows (blocks x L float64s), at least one
 #: block.  The working set is a few arrays of that size whatever n is; at
-#: n = 4000 a float32 chunk holds 32 blocks.  Smaller chunks stay in cache:
-#: 1 MB hashed faster than 4 MB or 16 MB, in float32 and in float64.
+#: n = 4000 a chunk holds 16 blocks.
 _CHUNK_BYTES = 1 << 20
 
 #: Rounding guard: an exact coefficient is an integer, so a computed one
 #: within 0.25 of it rounds back to it.
 _GUARD = 0.25
-
-#: c of the a-priori error bound c * u * log2(L) * ||x||_2 * ||s||_2 on any
-#: coefficient of the FFT product.  Higham, Accuracy and Stability of
-#: Numerical Algorithms, 2nd ed., Thm 24.2: a length-L FFT has normwise
-#: relative error at most log2(L) * eta, eta = mu + gamma_4 * (sqrt(2) + mu),
-#: so eta ~ (1 + 4 sqrt(2)) u with twiddle factors accurate to mu = u.  A
-#: transform error e feeds one coefficient as e convolved with the other
-#: operand, at most ||e||_2 times that operand's norm (Cauchy-Schwarz).  Three
-#: transforms give 3 (1 + 4 sqrt(2)) = 19.97; 24 also covers the pointwise
-#: complex product (sqrt(2) gamma_2) and second-order terms.
-_FFT_ERROR_C = 24.0
-
-
-def _fft_dtype(spec: ToeplitzSpec, size: int):
-    """float32 when the a-priori bound on the FFT product's error, with
-    ||x||_2 <= sqrt(n) and ||s||_2 = sqrt(popcount(seed)), is below the
-    rounding guard in single precision; float64 otherwise."""
-    norms = math.sqrt(spec.input_block_bits * int(np.count_nonzero(spec.seed_bits)))
-    bound = _FFT_ERROR_C * 2.0 ** -24 * math.log2(size) * norms
-    return np.float32 if bound < _GUARD else np.float64
 
 
 def extract(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
@@ -185,34 +164,27 @@ def extract(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
 
     Output block y = T.x is coefficients n-1 .. n+m-2 of the polynomial
     product seed * x, reduced mod 2.  The product is a real circular
-    convolution of length L >= n + m - 1, computed by rFFT over chunks of
-    whole blocks; at that length the needed coefficients do not alias.
-    The exact coefficients are integers in [0, n].  The transforms run in
-    float32 when the a-priori error bound of ``_fft_dtype`` is below 0.25
-    (true at the default n = 4000, m = 3820: the bound is 0.07 and the
-    largest residue measured 2.4e-4), else in float64, where the bound is
-    about 5e-9 even at n = 1e5.  Either way a residue of 0.25 or more
+    convolution of length L, the smallest power of two >= n + m - 1,
+    computed by rFFT over chunks of whole blocks; at that length the needed
+    coefficients do not alias.  The exact coefficients are integers in
+    [0, n].  The transforms run in float64, where the a-priori error bound
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 24.2) is about 5e-9 even at n = 1e5; a residue of 0.25 or more
     raises FloatingPointError instead of emitting bits.  The chunks run on
     ``rng.map_blocks``, each into its own rows of the output.
 
     The trailing partial block is discarded (its size is reported, never
     zero-padded into a biased block).  Output blocks appear in input order.
     """
-    # Imported here, so a run that never hashes starts without scipy.
-    # numpy.fft is no substitute: on the 32-row float32 chunks at n = 4000
-    # it took 2.2-2.8 times as long as scipy.fft, which batches the rows.
-    from scipy.fft import irfft, next_fast_len, rfft
-
     n, m = spec.input_block_bits, spec.output_block_bits
     if bits.bit_length < n:
         raise InsufficientInputError(
             f"need at least one {n}-bit block, got {bits.bit_length} bits")
     blocks = bits.bit_length // n
     discarded = bits.bit_length - blocks * n
-    size = next_fast_len(n + m - 1, real=True)
-    dtype = _fft_dtype(spec, size)
-    chunk = max(1, _CHUNK_BYTES // (size * np.dtype(dtype).itemsize))
-    seed_spectrum = rfft(spec.seed_bits.astype(dtype), size)
+    size = 1 << (n + m - 2).bit_length()
+    chunk = max(1, _CHUNK_BYTES // (8 * size))
+    seed_spectrum = np.fft.rfft(spec.seed_bits.astype(np.float64), size)
     packed = np.frombuffer(bits.data, dtype=np.uint8)
     out = np.empty((blocks, m), dtype=np.uint8)
 
@@ -221,9 +193,9 @@ def extract(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
         lo, hi = start * n, stop * n
         x = np.unpackbits(packed[lo // 8:(hi + 7) // 8],
                           count=lo % 8 + hi - lo)[lo % 8:]
-        x = x.reshape(stop - start, n).astype(dtype)
-        conv = irfft(rfft(x, size, axis=1) * seed_spectrum, size,
-                     axis=1)[:, n - 1:n + m - 1]
+        x = x.reshape(stop - start, n).astype(np.float64)
+        conv = np.fft.irfft(np.fft.rfft(x, size) * seed_spectrum,
+                            size)[:, n - 1:n + m - 1]
         coeffs = np.rint(conv)
         if np.max(np.abs(conv - coeffs)) >= _GUARD:
             raise FloatingPointError(

@@ -22,12 +22,12 @@ concurrently.  With every switch off the trace is the ideal noiseless model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import rng
-from .errors import ParameterError, check_choice, check_fields, check_scalar
+from .errors import ParameterError, check_choice, check_fields, check_flags, check_scalar
 from .phasenoise import LaserParams, PhasePath, delay_time, phase_variance, wrap_phase
 
 #: How the classical phase phi_0 evolves when the drift switch is on.
@@ -96,6 +96,9 @@ class NoiseSwitches:
     drift: bool = False
     mismatch: bool = False
     bandwidth_limit: bool = False
+
+    def __post_init__(self):
+        check_flags(self, *(f.name for f in fields(self)))
 
 
 @dataclass(frozen=True)

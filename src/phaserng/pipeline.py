@@ -14,10 +14,9 @@ MSB-first bits whose sidecar also records their bit length.  A stage reads
 only artifacts that come with their sidecar.  The summary lists every
 artifact the invocation read or wrote, with its sha256 and config digest.
 
-Stages import what they run: ``analysis`` and ``stattests`` load
-``scipy.fft`` and ``scipy.special`` (about 0.3 s), so they are imported
-inside the stages that use them, and a staged ``simulate`` or ``ingest``
-starts on numpy alone.
+Every stage runs on numpy and the standard library alone.  ``analysis`` and
+``stattests`` are imported inside the stages that use them, so a staged
+``simulate`` or ``ingest`` does not load them.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ ARTIFACTS = {
     "summary": "summary.json",
 }
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")

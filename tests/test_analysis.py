@@ -227,6 +227,8 @@ class TestKldBitsPinned:
 
     On an AVX-512 host ``np.log2`` misses the uniform value in its last bit,
     and a pairwise ``np.sum`` of the same terms misses the other two.
+    Schema 13 moved the gaussian value by one ulp, from 0.7976579567853899:
+    its CDF is ``math.erfc``'s, no longer ``scipy.special.ndtr``'s.
     """
 
     HIST = an.Histogram(bin_edges=np.linspace(-0.96, 0.96, 9),
@@ -234,7 +236,7 @@ class TestKldBitsPinned:
 
     @pytest.mark.parametrize("law, expected", [
         (an.ReferenceLaw.uniform(-1.0, 1.0), 0.22837420746744191),
-        (an.ReferenceLaw.gaussian(0.0, 1.0), 0.7976579567853899),
+        (an.ReferenceLaw.gaussian(0.0, 1.0), 0.79765795678539),
         (an.ReferenceLaw.arcsine(1.0), 0.47819890918757774),
     ], ids=["uniform", "standard-gaussian", "arcsine"])
     def test_bits(self, law, expected):

@@ -301,8 +301,8 @@ coherence_time = 6e-9  # 6 ns
 
     def test_library_built_config_has_the_parsed_digest(self):
         # Each section stores the value its guard returns, so an int given
-        # for a float field, or a whole float for an int one, renders as
-        # the parser's value does.
+        # for a float field, a whole float for an int one, or 0 for a bool
+        # one, renders as the parser's value does.
         from phaserng import extractor, optics, phasenoise
 
         det = optics.DetectorParams(transimpedance=16000, adc_bits=10.0)
@@ -311,7 +311,8 @@ coherence_time = 6e-9  # 6 ns
             interferometer=optics.InterferometerParams(delay_length=6, delay_loss=1),
             detector_i=det, detector_q=det,
             simulation=cfg.SimulationParams(sample_count=1000.0, sample_rate=200_000_000,
-                                            seed=np.int64(7)),
+                                            seed=np.int64(7), adc_quantize=0),
+            switches=optics.NoiseSwitches(drift=0),
             analysis=cfg.AnalysisParams(max_lag=50.0),
             extraction=cfg.ExtractionParams(
                 epsilon_exponent=float(extractor.EPSILON_EXPONENT), min_entropy_rate=0.98),

@@ -142,6 +142,22 @@ def test_every_seeded_call_refuses_seeds_outside_64_bits(name):
         SEEDED[name](2**64 + 3)
 
 
+# Switch -> call that passes the value to check_flags.
+FLAGS = {name: (lambda v, name=name: optics.NoiseSwitches(**{name: v}))
+         for name in ("intensity", "electrical", "drift", "mismatch", "bandwidth_limit")}
+FLAGS["adc_quantize"] = lambda v: config.SimulationParams(10, 1e6, seed=0, adc_quantize=v)
+
+
+# A switch stores a real bool, whatever integer 0 or 1 spelled it.
+@pytest.mark.parametrize("value", [2, -1, 0.0, 1.0, "on", None])
+@pytest.mark.parametrize("name", sorted(FLAGS))
+def test_every_switch_is_a_bool(name, value):
+    for good in (True, False, 1, np.int64(0)):
+        assert getattr(FLAGS[name](good), name) is bool(good)
+    with pytest.raises(ParameterError, match=name):
+        FLAGS[name](value)
+
+
 # Option set -> call that passes the value to its guard.
 CHOICES = {
     "normalize method": lambda v: config.AnalysisParams(normalize=v),

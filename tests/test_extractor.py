@@ -3,9 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 from numpy.testing import assert_array_equal
-from scipy.fft import next_fast_len
 
 from phaserng import extractor as ext
 from phaserng import rng
@@ -245,9 +243,8 @@ class TestExtract:
         # discarded.
         gen = np.random.default_rng(5)
         spec = ext.ToeplitzSpec.from_rng(97, 41, seed=2)
-        size = next_fast_len(97 + 41 - 1, real=True)
-        itemsize = np.dtype(ext._fft_dtype(spec, size)).itemsize
-        monkeypatch.setattr(ext, "_CHUNK_BYTES", 64 * size * itemsize)
+        size = 256    # the power of two >= n + m - 1 = 137, in float64s
+        monkeypatch.setattr(ext, "_CHUNK_BYTES", 64 * size * 8)
         blocks = 2 * 64 + 22
         x = ext.BitStream.from_bits(gen.integers(0, 2, 97 * blocks + 50))
         fast = ext.extract(x, spec)
@@ -264,8 +261,8 @@ class TestExtract:
         assert ext.extract(x, spec).bits == ext.extract_naive(x, spec).bits
 
     def test_working_set_bounded_at_wide_blocks(self):
-        # 0.76 MB of input at n = 1e5, m = 95000: float64 rows of L = 196608
-        # take 1.6 MB per block, so whole-input chunks would need ~290 MB.
+        # 0.76 MB of input at n = 1e5, m = 95000: float64 rows of L = 262144
+        # take 2.1 MB per block, so whole-input chunks would need ~380 MB.
         spec = ext.ToeplitzSpec.from_rng(100_000, 95_000, seed=10)
         x = ext.BitStream(data=np.random.default_rng(10).bytes(760_000),
                           bit_length=8 * 760_000)
@@ -278,33 +275,19 @@ class TestExtract:
         assert out.blocks == 60
         assert peak < 48e6
 
-    @pytest.mark.parametrize("precision", ["chosen", "float64"])
-    def test_both_precisions_match_oracle_at_default_geometry(self, precision,
-                                                              monkeypatch):
+    def test_default_geometry_matches_oracle(self):
         spec = ext.ToeplitzSpec.from_rng(4000, 3820, seed=11)
-        assert ext._fft_dtype(spec, next_fast_len(7819, real=True)) is np.float32
-        if precision == "float64":
-            monkeypatch.setattr(ext, "_fft_dtype", lambda spec, size: np.float64)
         x = ext.BitStream.from_bits(
             np.random.default_rng(11).integers(0, 2, 3 * 4000 + 17))
         fast = ext.extract(x, spec)
         assert fast.bits == ext.extract_naive(x, spec).bits
         assert fast.blocks == 3 and fast.discarded_bits == 17
 
-    def test_precision_follows_the_error_bound(self):
-        # bound = 24 u log2(L) sqrt(n popcount(seed)), u = 2^-24:
-        # n = 4000, all-ones seed: 0.10 -> float32; n = m = 12000, all-ones
-        # seed: 0.35 -> float64.
-        for n, m, dtype in ((4000, 3820, np.float32), (12000, 12000, np.float64)):
-            spec = ext.ToeplitzSpec(input_block_bits=n, output_block_bits=m,
-                                    seed_bits=np.ones(n + m - 1, np.uint8))
-            assert ext._fft_dtype(spec, next_fast_len(n + m - 1, real=True)) is dtype
-
     def test_inexact_product_raises(self, monkeypatch):
         # The rounding guard: a product off an integer by 0.25 or more is
         # refused rather than turned into bits.
-        irfft = scipy.fft.irfft    # the name extract looks up at call time
-        monkeypatch.setattr(scipy.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+        irfft = np.fft.irfft    # the name extract looks up at call time
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
         spec = ext.ToeplitzSpec.from_rng(32, 16, seed=8)
         with pytest.raises(FloatingPointError):
             ext.extract(ext.BitStream.from_bits(np.zeros(32, np.uint8)), spec)

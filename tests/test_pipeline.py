@@ -251,15 +251,18 @@ class TestFullRun:
         # divergences, which kld now sums with math.fsum.  Schema 12 moved
         # their schema_version, and in the summary the hashes of the files
         # that carry it, analysis_report.json's with its autocorrelation,
-        # now of the symbols.  These bytes hold with every dispatched numpy
-        # SIMD target on or off.
+        # now of the symbols.  Schema 13 moved their schema_version, and in
+        # the summary the hashes of the JSON reports and the last digits of
+        # the gaussian divergences: the tails are math.erfc's and
+        # _gammaincc's, the autocorrelation's transforms numpy.fft's.  These
+        # bytes hold with every dispatched numpy SIMD target on or off.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "f2b680d61642fc43700d8e5ddb1fc12e9f3845cd294c00b36d7f91a9ab47fc98")
+            "c6aacb16d89b892178ab6b53ba91879cf86bb451336f1f8419d63450f87b548e")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "163b638be230cb81e21acabc9fc90fff59c779f06281efc393650ec9314a780a")
+            "779ee8d21c8c3521cf721bb237a008a5056a935605eb5d0eed376ff0afed7134")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "8d6c0811c1a56fbdfafcb9c6c391bdf333c6f0a8826fc6c1e5f973f8f19e672b")
+            "09e83c740cb9576cbb8ec869d093d0244f6813282da1885eab231ac36e6a5df8")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
