@@ -56,7 +56,7 @@ ARTIFACTS = {
     "summary": "summary.json",
 }
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")
@@ -75,12 +75,16 @@ class _ArtifactGate:
     it carries: the run's own for a write, its sidecar's for a read.  The
     summary lists exactly these records.  The sidecar of ``extracted.bin``
     records its block size m, and a read refuses another m than the run's.
+    The sidecar of ``symbols.bin`` records ``symbol_counts``: the symbol
+    count N and the largest symbol count c, which ``reconstruct`` sets
+    before its write and a read sets from the sidecar.
     """
 
     def __init__(self, outdir: str, digest: str, m: int):
         self.outdir = outdir
         self.digest = digest
         self.m = m
+        self.symbol_counts: tuple[int, int] | None = None
         self.records: dict[str, dict] = {}
 
     def read(self, key: str, stage: str):
@@ -126,6 +130,12 @@ class _ArtifactGate:
             raise DependencyError(
                 f"stage {stage!r} refuses artifact {name!r} hashed at "
                 f"m = {meta.get('output_block_bits')}, not at m = {self.m}")
+        if key == "symbols":
+            counts = meta.get("symbol_count"), meta.get("max_symbol_count")
+            if not (all(type(v) is int for v in counts) and 0 <= counts[1] <= counts[0]):
+                raise FormatError(f"sidecar {sidecar!r} gives symbol counts {counts!r}, "
+                                  f"not integers 0 <= max_symbol_count <= symbol_count")
+            self.symbol_counts = counts
         self.records[key] = {"sha256": sha, "config_digest": meta.get("config_digest")}
         if key not in _BIT_ARTIFACTS:
             return data
@@ -157,6 +167,8 @@ class _ArtifactGate:
                 meta["bit_length"] = payload.bit_length
             if key == "extracted":
                 meta["output_block_bits"] = self.m
+            if key == "symbols":
+                meta["symbol_count"], meta["max_symbol_count"] = self.symbol_counts
             traceio.atomic_write_bytes(path + ".meta.json", _json_bytes(meta))
 
 
@@ -212,6 +224,7 @@ def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageR
     series = reconstruction.reconstruct_phase(norm.trace)
     symbols = reconstruction.quantize_phase(series, cfg.analysis.phase_bits)
     stats, payloads = analyze_stage(cfg, norm, series, symbols)
+    artifacts.symbol_counts = (len(series), stats.pop("max_symbol_count"))
     outputs = {"samples": len(series), "sample_rate": norm.trace.sample_rate,
                "zero_vectors": series.zero_vector_count,
                "amplitude_i": norm.amplitude_i, "amplitude_q": norm.amplitude_q,
@@ -224,7 +237,9 @@ def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageR
 # Not a stage; the name stays because perfbench/tracer.py wraps it by name.
 def analyze_stage(cfg: ExperimentConfig, norm, series, symbols) -> StageResult:
     """Histograms, min-entropy, divergences and autocorrelation of
-    ``reconstruct_stage``'s normalized trace, phases and symbols."""
+    ``reconstruct_stage``'s normalized trace, phases and symbols, and the
+    largest symbol count, which ``reconstruct_stage`` takes for the
+    symbols' sidecar."""
     from . import analysis
 
     bins = cfg.analysis.histogram_bins
@@ -270,11 +285,14 @@ def analyze_stage(cfg: ExperimentConfig, norm, series, symbols) -> StageResult:
         "timing_messages": warnings,
     }
     payloads["analysis"] = _json_bytes(report)
-    return {"min_entropy_bits": hmin, "kld_bits": klds}, payloads
+    return ({"min_entropy_bits": hmin, "kld_bits": klds,
+             "max_symbol_count": int(sym_counts.max())}, payloads)
 
 
 def extract_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageResult:
     raw_bits = artifacts.read("symbols", "extract")
+    extractor.check_count_claim(*artifacts.symbol_counts, cfg.analysis.phase_bits,
+                                cfg.extraction.min_entropy_rate)
     n, m = cfg.extraction.block_bits
     payloads = {}
     if cfg.extraction.seed_file:

@@ -245,7 +245,8 @@ class TestExtract:
         spec = ext.ToeplitzSpec.from_rng(97, 41, seed=2)
         size = 256    # the power of two >= n + m - 1 = 137, in float64s
         monkeypatch.setattr(ext, "_CHUNK_BYTES", 64 * size * 8)
-        blocks = 2 * 64 + 22
+        assert ext._layout(spec) == (size, 7, 6, 64 * 6)
+        blocks = 2 * 64 * 6 + 22
         x = ext.BitStream.from_bits(gen.integers(0, 2, 97 * blocks + 50))
         fast = ext.extract(x, spec)
         naive = ext.extract_naive(x, spec)
@@ -319,6 +320,115 @@ class TestExtract:
         for fn in (ext.extract, ext.extract_naive):
             with pytest.raises(InsufficientInputError):
                 fn(short, spec)
+
+
+class TestPackedRows:
+    """One FFT row hashes k blocks as base-2^s digits; every case against
+    the dense oracle."""
+
+    def assert_matches_oracle(self, bits, spec):
+        fast = ext.extract(bits, spec)
+        naive = ext.extract_naive(bits, spec)
+        assert fast.bits == naive.bits
+        assert fast.blocks == naive.blocks
+        assert fast.discarded_bits == naive.discarded_bits
+
+    # With an all-ones seed and all-ones blocks every coefficient is n, the
+    # largest a digit holds: 63 = 2^6 - 1 sets every bit of its 6-bit
+    # digit, and 64 = 2^6 carries out of a 6-bit digit into the next block.
+    @pytest.mark.parametrize("n", [63, 64, 255, 256])
+    def test_all_ones_coefficients_do_not_carry(self, n):
+        m = n // 2
+        spec = ext.ToeplitzSpec(input_block_bits=n, output_block_bits=m,
+                                seed_bits=np.ones(n + m - 1, np.uint8))
+        k = ext._layout(spec)[2]
+        assert k >= 4
+        bits = ext.BitStream.from_bits(np.ones(n * (2 * k + 1), np.uint8))
+        out = ext.extract(bits, spec)
+        assert_array_equal(out.bits.to_bits(), np.full(m * (2 * k + 1), n % 2))
+        self.assert_matches_oracle(bits, spec)
+
+    # At (1500, 1432) a row holds 3 blocks; a chunk of 2 rows holds 6, so
+    # 13 and 14 blocks fill two chunks and leave a row of 1 or 2 blocks.
+    @pytest.mark.parametrize("blocks", [13, 14])
+    def test_part_filled_last_row(self, monkeypatch, blocks):
+        spec = ext.ToeplitzSpec.from_rng(1500, 1432, seed=12)
+        monkeypatch.setattr(ext, "_CHUNK_BYTES", 2 * 4096 * 8)
+        assert ext._layout(spec) == (4096, 11, 3, 6)
+        gen = np.random.default_rng(blocks)
+        self.assert_matches_oracle(
+            ext.BitStream.from_bits(gen.integers(0, 2, 1500 * blocks + 9)), spec)
+
+    # The error bound is 0 at an all-zero seed, so only the 2^53 cap on
+    # n * (1 + K + ... + K^(k-1)) stops k: 4000 * (2^48 - 1) / 4095 is
+    # about 2.7e14, and a fifth digit would make it about 1.1e18.
+    def test_zero_seed_is_stopped_by_the_cap(self):
+        zero = ext.ToeplitzSpec(input_block_bits=4000, output_block_bits=3820,
+                                seed_bits=np.zeros(7819, np.uint8))
+        assert ext._layout(zero)[1:3] == (12, 4)
+        spec = ext.ToeplitzSpec(input_block_bits=1500, output_block_bits=1432,
+                                seed_bits=np.zeros(2931, np.uint8))
+        assert ext._layout(spec)[1:3] == (11, 4)
+        gen = np.random.default_rng(14)
+        self.assert_matches_oracle(
+            ext.BitStream.from_bits(gen.integers(0, 2, 1500 * 6)), spec)
+
+    # The bound 24 u log2(L) sqrt(n popcount) (K^k - 1)/(K - 1) against 0.25:
+    # about 2.3e-3 at k = 3 and 9.4 at k = 4 for the default geometry, and
+    # 6.2e-4 at k = 2 and 81 at k = 3 for n = 1e5.
+    @pytest.mark.parametrize("n, m, layout", [
+        (4000, 3820, (8192, 12, 3, 48)),
+        (100_000, 95_000, (262144, 17, 2, 2)),
+    ])
+    def test_blocks_per_row(self, n, m, layout):
+        assert ext._layout(ext.ToeplitzSpec.from_rng(n, m, seed=1)) == layout
+
+
+class TestCountClaim:
+    """The rate claim against the largest symbol count."""
+
+    @staticmethod
+    def binomial_union_bound(symbols, largest, bits, rate):
+        p0 = 2.0 ** (-bits * rate)
+        tail = math.fsum(math.comb(symbols, j) * p0 ** j * (1 - p0) ** (symbols - j)
+                         for j in range(largest, symbols + 1))
+        return min(1.0, 2 ** bits * tail)
+
+    @pytest.mark.parametrize("bits, rate", [(1, 0.5), (2, 0.9), (4, 0.98), (10, 0.98)])
+    def test_chernoff_never_below_the_binomial_tail(self, bits, rate):
+        for symbols in (1, 2, 5, 17, 60, 150):
+            for largest in range(symbols + 1):
+                exact = self.binomial_union_bound(symbols, largest, bits, rate)
+                bound = ext.max_count_bound(symbols, largest, bits, rate)
+                assert 0.0 <= bound <= 1.0
+                assert bound >= exact * (1 - 1e-12), (symbols, largest)
+
+    def test_no_excess_is_no_evidence(self):
+        # p0 = 2^-9.8 = 1.12e-3: 1124 of 1e6 is at the claim.
+        assert ext.max_count_bound(10**6, 1124, 10, 0.98) == 1.0
+        assert ext.max_count_bound(10**6, 0, 10, 0.98) == 1.0
+
+    # The measured rows: criterion 9's config, the quick start and the
+    # paper budget with the ADC on pass; a saturated ADC is refused.
+    @pytest.mark.parametrize("symbols, largest, refused", [
+        (20_000, 38, False), (10**6, 1083, False), (10**7, 11271, False),
+        (10**6, 252470, True), (20_000, 5000, True), (100, 100, True)])
+    def test_refusals(self, symbols, largest, refused):
+        if refused:
+            with pytest.raises(InsufficientEntropyError, match=f"{largest} times"):
+                ext.check_count_claim(symbols, largest, 10, 0.98)
+        else:
+            ext.check_count_claim(symbols, largest, 10, 0.98)
+
+    def test_refusal_threshold(self):
+        # The bound falls through alpha between two adjacent counts.
+        bounds = [ext.max_count_bound(10**6, c, 10, 0.98) for c in range(1124, 1400)]
+        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+        first = next(c for c, b in zip(range(1124, 1400), bounds)
+                     if b < ext.COUNT_TEST_ALPHA)
+        ext.check_count_claim(10**6, first - 1, 10, 0.98)
+        with pytest.raises(InsufficientEntropyError):
+            ext.check_count_claim(10**6, first, 10, 0.98)
 
 
 def test_bits_per_sample():

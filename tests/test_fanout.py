@@ -110,14 +110,16 @@ def test_quantize_uniform(on_cpus):
 
 
 def test_extract(on_cpus):
+    # Three whole chunks and a fourth whose last row holds one block of k.
     n, m = 64, 48
     spec = extractor.ToeplitzSpec.from_rng(n, m, seed=6)
-    size = 112                                     # next_fast_len(n + m - 1)
-    chunk = extractor._CHUNK_BYTES // (size * 4)   # float32 blocks per chunk
-    bits = extractor.BitStream.from_bits(rng.random_bits(3 * chunk * n + 1000, 7))
+    _, _, k, chunk = extractor._layout(spec)
+    assert k > 1
+    blocks = 3 * chunk + 2 * k + 1
+    bits = extractor.BitStream.from_bits(rng.random_bits(blocks * n + 50, 7))
     results = on_cpus(lambda: extractor.extract(bits, spec))
     assert_same_bytes([r.bits for r in results], "data", "bit_length")
-    assert results[0].blocks > 3 * chunk
+    assert results[0].blocks == blocks
     assert results[0].bits == extractor.extract_naive(bits, spec).bits
 
 

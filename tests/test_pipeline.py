@@ -118,6 +118,15 @@ class TestFullRun:
         side = json.load(open(os.path.join(outdir, "symbols.bin.meta.json")))
         assert side["bit_length"] == 300_000
 
+    def test_symbols_sidecar_records_the_counts(self, full_run):
+        # N symbols and the largest count, which extract tests the rate on.
+        _, outdir, _ = full_run
+        side = json.load(open(os.path.join(outdir, "symbols.bin.meta.json")))
+        rows = open(os.path.join(outdir, "hist_symbols.csv")).read().splitlines()[2:]
+        counts = [int(row.split(",")[1]) for row in rows]
+        assert side["symbol_count"] == sum(counts) == 30000
+        assert side["max_symbol_count"] == max(counts) == 50
+
     def test_analysis_report(self, full_run):
         cfg, outdir, _ = full_run
         report = json.load(open(os.path.join(outdir, "analysis_report.json")))
@@ -254,15 +263,18 @@ class TestFullRun:
         # now of the symbols.  Schema 13 moved their schema_version, and in
         # the summary the hashes of the JSON reports and the last digits of
         # the gaussian divergences: the tails are math.erfc's and
-        # _gammaincc's, the autocorrelation's transforms numpy.fft's.  These
-        # bytes hold with every dispatched numpy SIMD target on or off.
+        # _gammaincc's, the autocorrelation's transforms numpy.fft's.
+        # Schema 14 moved their schema_version, the symbols' sidecar gained
+        # symbol_count and max_symbol_count, and the summary moved in the
+        # hashes of every file that carries the version.  These bytes hold
+        # with every dispatched numpy SIMD target on or off.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "c6aacb16d89b892178ab6b53ba91879cf86bb451336f1f8419d63450f87b548e")
+            "72d4068c29f6e25c3fc61dd87f2a9f5f4fad74e89a37ae55f89e705aece27455")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "779ee8d21c8c3521cf721bb237a008a5056a935605eb5d0eed376ff0afed7134")
+            "232c872a36321289033f6f08c1bdcc7e126c6816bc33ebd61835ce332f11841a")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "09e83c740cb9576cbb8ec869d093d0244f6813282da1885eab231ac36e6a5df8")
+            "8ab9507b1b4d34358c32d990f300ccfeaee652d45082d833462894b5241f0148")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -447,6 +459,22 @@ class TestStagedExecution:
             fh.write("[2]")
         with pytest.raises(FormatError, match="trace.iqt.meta.json"):
             pipeline.run_pipeline(cfg, ["reconstruct"], outdir)
+
+    @pytest.mark.parametrize("counts", [
+        {"max_symbol_count": 30001}, {"max_symbol_count": -1},
+        {"symbol_count": 3e4}, {"max_symbol_count": True}, {"symbol_count": None}])
+    def test_malformed_symbol_counts_are_a_format_error(self, tmp_path, counts):
+        outdir = str(tmp_path / "run")
+        cfg = make_config()
+        pipeline.run_pipeline(cfg, ["simulate", "reconstruct"], outdir)
+        sidecar = os.path.join(outdir, "symbols.bin.meta.json")
+        meta = json.load(open(sidecar))
+        meta.update(counts)
+        with open(sidecar, "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(FormatError, match="symbol counts"):
+            pipeline.run_pipeline(cfg, ["extract"], outdir)
+        assert not os.path.exists(os.path.join(outdir, "extracted.bin"))
 
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(ParameterError, match="unknown stages: transmogrify"):
@@ -789,6 +817,25 @@ class TestFailedStageWritesNothing:
                     "symbols.bin.meta.json", "trace.iqt", "trace.iqt.meta.json"]
         assert sorted(os.listdir(outdir)) == upstream
         assert self.run(tmp_path, "extract", outdir, **short) == 5
+        assert sorted(os.listdir(outdir)) == upstream
+
+    # A saturated ADC (the quick start's 1 W laser with adc_quantize on)
+    # puts a quarter of the symbols in one bin: the rate claim is refused
+    # before the seed or the extracted bits are kept, on one shot and staged.
+    def test_saturated_adc_fails_the_count_test(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        saturated = {"sample_count = 30000": "sample_count = 20000", **ADC_ON}
+        code = self.run(tmp_path, "simulate,reconstruct,extract,test", outdir, **saturated)
+        assert code == 5
+        assert "min_entropy_rate 0.98" in capsys.readouterr().err
+        upstream = ["analysis_report.json", "hist_channel_i.csv", "hist_channel_q.csv",
+                    "hist_phase.csv", "hist_symbols.csv", "symbols.bin",
+                    "symbols.bin.meta.json", "trace.iqt", "trace.iqt.meta.json"]
+        assert sorted(os.listdir(outdir)) == upstream
+        side = json.load(open(outdir / "symbols.bin.meta.json"))
+        assert side["symbol_count"] == 20000
+        assert side["max_symbol_count"] > 0.2 * 20000
+        assert self.run(tmp_path, "extract", outdir, **saturated) == 5
         assert sorted(os.listdir(outdir)) == upstream
 
     def test_ingest_without_input(self, tmp_path, capsys):
