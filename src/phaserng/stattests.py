@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import TestConfig
 from .errors import ParameterError, SequenceLengthError, check_scalar
-from .extractor import BitStream, bit_array
+from .extractor import _FFT_ERROR_C, BitStream, bit_array
 
 #: The battery's p-value streams, in report order.
 STREAMS = ("monobit", "block-frequency", "runs", "longest-run",
@@ -310,45 +310,127 @@ def approximate_entropy(bits, pattern_bits: int = 10, *,
     return [_gammaincc(2.0 ** (m - 1), chi_sq / 2.0)]
 
 
-def _dft_work(n: int, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(x, spectrum)`` buffers of an n-bit DFT: new, or ``work`` checked."""
+def _dft_split(n: int) -> tuple[int, int]:
+    """(n1, n2) with n = n1 * n2 and n2 the largest divisor of n up to sqrt(n)."""
+    n2 = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+    return n // n2, n2
+
+
+def _dft_work(n: int, work=None) -> tuple[np.ndarray, ...]:
+    """The ``(x, grid, twiddles, mask)`` of an n-bit DFT: new, or ``work`` checked.
+
+    For the split n = n1 * n2 of ``_dft_split``, ``x`` is float64 of length
+    n and the other three have shape (n1 // 2 + 1, n2): ``grid`` is the
+    complex128 spectrum, ``twiddles`` holds w_n^(k1 j2), w_n = e^(-2 pi i / n),
+    whose angle is taken from (k1 j2) mod n in integers, and the boolean
+    ``mask`` picks each k < n // 2 exactly once.  Cell (k1, k2) of the grid
+    holds X[k] for k = k1 + n1 k2.  The mask takes it where k < n // 2, and
+    where 0 < 2 k1 < n1 and n - k < n // 2: that cell stands for n - k,
+    whose residue mod n1 is above n1 // 2, so it is not on the grid, and
+    |X[n - k]| = |X[k]| for real input.  No cell is both.
+    """
+    n1, n2 = _dft_split(n)
+    shape = (n1 // 2 + 1, n2)
     if work is None:
-        return np.empty(n), np.empty(n // 2 + 1, dtype=np.complex128)
+        k1 = np.arange(shape[0], dtype=np.int64)[:, None]
+        j2 = np.arange(n2, dtype=np.int64)
+        turns = k1 * j2
+        turns %= n
+        angle = turns * (-2.0 * math.pi / n)
+        twiddles = np.empty(shape, dtype=np.complex128)
+        np.cos(angle, out=twiddles.real)
+        np.sin(angle, out=twiddles.imag)
+        k = k1 + n1 * j2
+        mask = (k < n // 2) | ((0 < 2 * k1) & (2 * k1 < n1) & (n - k < n // 2))
+        return np.empty(n), np.empty(shape, dtype=np.complex128), twiddles, mask
     try:
-        x, spectrum = work
+        x, grid, twiddles, mask = work
     except (TypeError, ValueError):
-        raise ParameterError("work must be a pair (x, spectrum)") from None
-    for name, arr, dtype, size in (("x", x, np.float64, n),
-                                   ("spectrum", spectrum, np.complex128, n // 2 + 1)):
+        raise ParameterError("work must be a tuple (x, grid, twiddles, mask)") from None
+    for name, arr, dtype, size in (("x", x, np.float64, (n,)),
+                                   ("grid", grid, np.complex128, shape),
+                                   ("twiddles", twiddles, np.complex128, shape),
+                                   ("mask", mask, np.bool_, shape)):
         if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
-                or arr.shape != (size,)):
+                or arr.shape != size or not arr.flags.c_contiguous):
             got = (f"{arr.dtype} {arr.shape}" if isinstance(arr, np.ndarray)
                    else type(arr).__name__)
             raise ParameterError(
-                f"work {name} must be a {np.dtype(dtype).name} array of shape "
-                f"({size},) for {n} bits, got {got}")
-    return x, spectrum
+                f"work {name} must be a C-contiguous {np.dtype(dtype).name} array "
+                f"of shape {size} for {n} bits, got {got}")
+    return x, grid, twiddles, mask
+
+
+def _dft_margin(n: int) -> float:
+    """How far two float64 transforms of n points of +-1 may disagree on any |X_k|.
+
+    Each is within ``_FFT_ERROR_C`` * u * log2(n) * ||X||_2 of the exact
+    spectrum (Higham, Thm 24.2, as in ``extractor``), and ||X||_2 = n for
+    +-1 input (Parseval).
+    """
+    return 2.0 * _FFT_ERROR_C * 2.0 ** -53 * math.log2(n) * n
+
+
+def _rfft_count(b: np.ndarray, x: np.ndarray, grid: np.ndarray,
+                threshold: float) -> int:
+    """The count below ``threshold`` from one n-point ``np.fft.rfft`` of ``b``.
+
+    The n // 2 + 1 coefficients fit in the grid's cells.
+    """
+    n = b.size
+    np.multiply(b, 2.0, out=x)
+    x -= 1.0
+    spectrum = np.fft.rfft(x, out=grid.reshape(-1)[:n // 2 + 1])
+    return int(np.count_nonzero(np.abs(spectrum[:n // 2], out=x[:n // 2]) < threshold))
+
+
+def _dft_count(b: np.ndarray, work: tuple[np.ndarray, ...]) -> int:
+    """How many k < n // 2 have |X_k| below the 95% threshold T.
+
+    The spectrum is a six-step transform (Bailey, "FFTs in external or
+    hierarchical memory", J. Supercomputing 4, 1990) on the grid of the
+    checked ``work``: rffts of length n1 down the columns of x as an
+    n1 x n2 matrix, the twiddles, and ffts of length n2 along the rows, in
+    place.  A prime n has n2 = 1, a single rfft.  The masked moduli are
+    counted below T - d and below T + d, d = ``_dft_margin(n)``.  When the
+    two counts differ, some modulus is too close to T to be sure of the
+    side one n-point rfft puts it on, and the sequence is counted again
+    with that rfft; so the count is always the single transform's.
+    """
+    n = b.size
+    x, grid, twiddles, mask = work
+    threshold = math.sqrt(n * math.log(1.0 / 0.05))
+    np.multiply(b, 2.0, out=x)
+    x -= 1.0
+    np.fft.rfft(x.reshape(-1, grid.shape[1]), axis=0, out=grid)
+    grid *= twiddles
+    np.fft.fft(grid, axis=1, out=grid)
+    moduli = np.abs(grid, out=x[:grid.size].reshape(grid.shape))
+    margin = _dft_margin(n)
+    below = moduli < threshold + margin
+    below &= mask
+    count = int(np.count_nonzero(below))
+    np.less(moduli, threshold - margin, out=below)
+    below &= mask
+    if int(np.count_nonzero(below)) == count:
+        return count
+    return _rfft_count(b, x, grid, threshold)
 
 
 def dft_spectral(bits, *, work=None) -> list[float]:
     """Count of low-magnitude DFT peaks vs the 95% threshold.
 
-    ``work`` may carry the pair ``(x, spectrum)``, float64 of length n and
-    complex128 of length n // 2 + 1, for the call to overwrite instead of
-    allocating its own; a battery passes one pair to every sequence.
+    The count is ``_dft_count``'s, equal to one n-point rfft's.  ``work``
+    may carry the tuple ``_dft_work(n)`` for the call to overwrite its
+    ``x`` and ``grid`` instead of allocating its own and building the
+    twiddles and mask; a battery passes one tuple to every sequence.
     """
     b = _as_bits(bits)
     _require(b, 1000, "dft-spectral")
     n = b.size
-    x, spectrum = _dft_work(n, work)
-    np.multiply(b, 2.0, out=x)
-    x -= 1.0
-    np.fft.rfft(x, out=spectrum)
-    moduli = np.abs(spectrum[:n // 2], out=x[:n // 2])
-    threshold = math.sqrt(n * math.log(1.0 / 0.05))
+    count = _dft_count(b, _dft_work(n, work))
     n0 = 0.95 * n / 2.0
-    n1 = int(np.count_nonzero(moduli < threshold))
-    d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    d = (count - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return [math.erfc(abs(d) / math.sqrt(2.0))]
 
 
@@ -439,9 +521,11 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
     All sequences must have exactly ``config.sequence_bits`` bits.  Two
     lanes share the work: one worker thread runs ``dft_spectral`` on each
     sequence in turn, while the calling thread runs the other tests.  The
-    FFT and numpy release the GIL, so the lanes overlap.  The worker
-    reuses one pair of DFT buffers for every sequence, which is safe
-    because a single worker runs one DFT at a time.  A stream passes
+    FFT and numpy release the GIL, so the lanes overlap.  The worker's
+    first task builds the ``_dft_work`` tuple, twiddles and mask included,
+    while the calling thread starts on the other tests; every DFT then
+    reuses it, which is safe because a single worker runs one DFT at a
+    time.  A stream passes
     when its pass proportion exceeds the 3-sigma bound and its p-values
     look uniform at ``UNIFORMITY_THRESHOLD``.
     """
@@ -456,10 +540,14 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
                 f"found one with {arr.size}")
 
     table = np.empty((len(arrays), len(STREAMS)), dtype=np.float64)
-    work = _dft_work(config.sequence_bits)
     dft_lane = ThreadPoolExecutor(max_workers=1)
     try:
-        dfts = [dft_lane.submit(dft_spectral, arr, work=work) for arr in arrays]
+        work = dft_lane.submit(_dft_work, config.sequence_bits)
+
+        def run_dft(arr: np.ndarray) -> list[float]:
+            return dft_spectral(arr, work=work.result())
+
+        dfts = [dft_lane.submit(run_dft, arr) for arr in arrays]
         for i, arr in enumerate(arrays):
             table[i, :-1] = _all_but_dft(arr, config)
         for i, dft in enumerate(dfts):

@@ -651,9 +651,19 @@ class TestBatteryLanes:
 
 
 def dft_work(n):
-    """A (x, spectrum) pair for an n-bit DFT, filled with NaN as stale data."""
-    return (np.full(n, np.nan),
-            np.full(n // 2 + 1, np.nan, dtype=np.complex128))
+    """``_dft_work(n)`` with x and the grid filled with NaN as stale data."""
+    x, grid, twiddles, mask = st._dft_work(n)
+    x.fill(np.nan)
+    grid.fill(np.nan)
+    return x, grid, twiddles, mask
+
+
+def rfft_count(b):
+    """The DFT test's count below T from one n-point ``scipy.fft.rfft``."""
+    n = b.size
+    spectrum = scipy.fft.rfft(2.0 * b - 1.0)
+    return int(np.count_nonzero(np.abs(spectrum[:n // 2])
+                                < math.sqrt(n * math.log(1.0 / 0.05))))
 
 
 class TestDftBuffers:
@@ -668,14 +678,12 @@ class TestDftBuffers:
 
     @pytest.mark.parametrize("n", [1000, 1001, 123_457, 1_000_000])
     def test_spectrum_matches_scipy_bit_for_bit(self, n):
+        # The p-value reads the spectrum only through its count below T,
+        # and on reused buffers that count is exactly scipy's single rfft's.
         work = dft_work(n)
         for seed in (88, 89, 90):
             b = rng.random_bits(n, seed=seed)
-            st.dft_spectral(b, work=work)
-            oracle = scipy.fft.rfft(2.0 * b - 1.0)
-            np.testing.assert_array_equal(work[1].view(np.uint64),
-                                          oracle.view(np.uint64),
-                                          err_msg=f"seed={seed}")
+            assert st._dft_count(b, work) == rfft_count(b), seed
 
     def test_reused_buffers_trace_less_than_a_byte_per_bit(self):
         n = 1_000_000
@@ -688,21 +696,88 @@ class TestDftBuffers:
             tracemalloc.stop()
         assert peak < n
 
-    @pytest.mark.parametrize("work", [
-        (np.empty(1999), np.empty(1001, dtype=np.complex128)),
-        (np.empty(2000, dtype=np.float32), np.empty(1001, dtype=np.complex128)),
-        (np.empty(2000), np.empty(1000, dtype=np.complex128)),
-        (np.empty(2000), np.empty(1001, dtype=np.complex64)),
-        (np.empty(2000), np.empty(1001)),
-        (np.empty((2000, 1)), np.empty(1001, dtype=np.complex128)),
-        ([0.0] * 2000, np.empty(1001, dtype=np.complex128)),
-        np.empty(2000),
-        42,
+    # 2000 bits split as 50 x 40, so the grid, twiddles and mask are 26 x 40;
+    # the "spectrum" cases give a wrong grid, which holds the spectrum.
+    @pytest.mark.parametrize("slot, bad", [
+        (0, lambda: np.empty(1999)),
+        (0, lambda: np.empty(2000, dtype=np.float32)),
+        (1, lambda: np.empty((25, 40), dtype=np.complex128)),
+        (1, lambda: np.empty((26, 40), dtype=np.complex64)),
+        (1, lambda: np.empty((26, 40))),
+        (0, lambda: np.empty((2000, 1))),
+        (0, lambda: [0.0] * 2000),
+        (None, lambda: np.empty(2000)),
+        (None, lambda: 42),
+        (None, lambda: (np.empty(2000), np.empty(1001, dtype=np.complex128))),
+        (1, lambda: np.empty((26, 80), dtype=np.complex128)[:, ::2]),
+        (2, lambda: np.empty((26, 41), dtype=np.complex128)),
+        (3, lambda: np.ones((26, 40), dtype=np.uint8)),
     ], ids=["x-size", "x-dtype", "spectrum-size", "spectrum-dtype",
-            "spectrum-real", "x-2d", "x-list", "not-a-pair", "not-iterable"])
-    def test_wrong_buffers_are_refused(self, work):
+            "spectrum-real", "x-2d", "x-list", "not-a-pair", "not-iterable",
+            "old-pair", "grid-strided", "twiddles-shape", "mask-dtype"])
+    def test_wrong_buffers_are_refused(self, slot, bad):
+        if slot is None:
+            work = bad()
+        else:
+            work = list(st._dft_work(2000))
+            work[slot] = bad()
         with pytest.raises(ParameterError, match="work"):
             st.dft_spectral(rng.random_bits(2000, seed=92), work=work)
+
+
+class TestSixStepDft:
+    """The six-step spectrum counts exactly what one n-point rfft counts."""
+
+    SPLITS = {1000: (40, 25), 1001: (77, 13), 1024: (32, 32),
+              123_457: (123_457, 1), 300_000: (600, 500),
+              1_000_000: (1000, 1000)}
+
+    @pytest.mark.parametrize("n", list(SPLITS))
+    def test_count_is_the_single_rffts(self, monkeypatch, n):
+        # With the single-transform recount refused, the six-step decides
+        # every one of these counts on its own.
+        def refuse(*args):
+            raise AssertionError("recounted with the single rfft")
+
+        monkeypatch.setattr(st, "_rfft_count", refuse)
+        work = st._dft_work(n)
+        for seed in (93, 94, 95):
+            b = rng.random_bits(n, seed=seed)
+            assert st._dft_count(b, work) == rfft_count(b), seed
+
+    def test_split_is_pinned(self):
+        assert {n: st._dft_split(n) for n in self.SPLITS} == self.SPLITS
+
+    # (n1, n2) = (32, 32), (77, 13), (40, 25), (35, 30), (123457, 1).
+    @pytest.mark.parametrize("n", [1024, 1001, 1000, 1050, 123_457])
+    def test_mask_covers_each_k_once(self, n):
+        n1, n2 = st._dft_split(n)
+        mask = st._dft_work(n)[3]
+        k1, k2 = np.nonzero(mask)
+        k = k1 + n1 * k2
+        mirrored = k >= n // 2
+        assert np.all(n - k[mirrored] < n // 2)
+        assert np.all((0 < 2 * k1[mirrored]) & (2 * k1[mirrored] < n1))
+        stands_for = np.where(mirrored, n - k, k)
+        np.testing.assert_array_equal(np.sort(stands_for), np.arange(n // 2))
+
+    def test_wide_margin_recounts_every_sequence_and_keeps_the_pins(self, monkeypatch):
+        recounts = []
+        real_rfft_count = st._rfft_count
+
+        def rfft_count_spy(*args):
+            recounts.append(1)
+            return real_rfft_count(*args)
+
+        monkeypatch.setattr(st, "_dft_margin", lambda n: math.inf)
+        monkeypatch.setattr(st, "_rfft_count", rfft_count_spy)
+        config = st.TestConfig(sequence_bits=300_000, sequence_count=12)
+        seqs = [rng.random_bits(300_000, seed=2024, stream=i) for i in range(12)]
+        report = st.run_battery(seqs, config)
+        got = {r.name: hashlib.sha256(r.p_values.astype("<f8").tobytes()).hexdigest()
+               for r in report.results}
+        assert got == BATTERY_KNOWN_ANSWERS
+        assert len(recounts) == 12
 
 
 class TestNullCalibration:
