@@ -83,8 +83,8 @@ class Histogram:
 def _pointwise(cdf: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
     """A CDF over arrays from the scalar ``cdf``, applied one point at a
     time with ``math``: numpy's transcendental loops pick their SIMD
-    variant at run time, and the variants differ in the last bit.  The
-    pipeline passes only bin edges, at most ``histogram_bins + 1`` of them."""
+    variant at run time, and the variants differ in the last bit.  The pipeline
+    passes only bin edges, 2^``phase_bits`` + 1 or 2^``adc_bits`` + 1 of them."""
     return lambda x: np.reshape([cdf(v) for v in x.ravel().tolist()], x.shape)
 
 
@@ -93,10 +93,10 @@ class ReferenceLaw:
     """Closed-form reference distribution, described by its CDF alone.
 
     Each constructor (``gaussian``, ``uniform``, ``arcsine``,
-    ``gaussian_fit``) checks its own parameters and binds the law's CDF; a
-    histogram compares with its ``bin_masses``.  The arcsine law with
-    amplitude A is the distribution of A*cos(U) for uniform U, supported
-    on [-A, A].
+    ``gaussian_fit``, ``wrapped_gaussian``) checks its own parameters and
+    binds the law's CDF; a histogram compares with its ``bin_masses``.  The
+    arcsine law with amplitude A is the distribution of A*cos(U) for
+    uniform U, supported on [-A, A].
     """
 
     _cdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -135,6 +135,29 @@ class ReferenceLaw:
         if var <= 0.0:
             raise DegenerateDataError("zero-variance data cannot be gaussian-fitted")
         return cls.gaussian(float(arr.mean()), var)
+
+    @classmethod
+    def wrapped_gaussian(cls, variance: float, centre: float = 0.0) -> "ReferenceLaw":
+        """Gaussian of ``variance`` about ``centre``, wrapped onto [-pi, pi).
+
+        The CDF is G(x) - G(-pi), G(x) the sum over |w| <= W of
+        erf((x - c + 2*pi*w) / sqrt(2*variance)) / 2, c the centre taken onto
+        [-pi, pi] and W = floor(8*sigma / (2*pi)) + 1: a replica left out is
+        over 8 sigma away, so it adds to G a constant that the difference
+        cancels, within 1e-15."""
+        sigma = math.sqrt(check_scalar("variance", variance))
+        centre = float(centre)
+        if not math.isfinite(centre):
+            raise ParameterError(f"wrapped_gaussian centre must be finite, got {centre}")
+        reach = int(8.0 * sigma / (2.0 * math.pi)) + 1
+        shifts = [2.0 * math.pi * w - math.remainder(centre, 2.0 * math.pi)
+                  for w in range(-reach, reach + 1)]
+        scale = sigma * math.sqrt(2.0)
+
+        def g(v: float) -> float:
+            return 0.5 * math.fsum(math.erf((v + s) / scale) for s in shifts)
+        low = g(-math.pi)
+        return cls(_pointwise(lambda v: g(min(max(v, -math.pi), math.pi)) - low))
 
     def cdf(self, x) -> np.ndarray:
         """P(X <= x) at each point of ``x``, float64 in ``x``'s shape."""

@@ -44,13 +44,11 @@ class AnalysisParams:
     """Knobs for the reconstruction/analysis stage."""
 
     phase_bits: int = 10
-    histogram_bins: int = 256
     max_lag: int = 50
     normalize: str = "percentile"     # one of NORMALIZE_METHODS
 
     def __post_init__(self):
         check_fields(self, "phase_bits", bounds=(1, 16))
-        check_fields(self, "histogram_bins", bounds=(2, None))
         check_fields(self, "max_lag", bounds=(1, None))
         check_choice("normalize method", self.normalize, NORMALIZE_METHODS)
 

@@ -16,8 +16,8 @@ Reduced modulo 2*pi onto [-pi, pi) the increment follows the wrapped
 
     f(x) = 1/(sigma*sqrt(2*pi)) * sum_k exp(-(x - 2*k*pi)^2 / (2*sigma^2)).
 
-This module provides the variance law, the wrapped density, the wrapping
-map, and a reproducible generator of time-correlated increment sequences.
+This module provides the variance law, the wrapping map, and a
+reproducible generator of time-correlated increment sequences.
 
 Draw order of :func:`sample_phase_path` (part of the seed contract, schema
 3).  Sample i covers (a_i, b_i] with b_i = i*T_s and a_i = b_i - T_d.  If
@@ -48,10 +48,6 @@ from .errors import ParameterError, check_fields, check_scalar
 
 #: Speed of light in vacuum, m/s (exact by SI definition).
 SPEED_OF_LIGHT = 299_792_458.0
-
-#: Default truncation of the wrapped-Gaussian sum.  Terms with |k| > 10
-#: are below 1e-20 for sigma^2 <= 100.
-DEFAULT_K_MAX = 10
 
 #: Gaps of the merged time grid (one normal each) generated per chunk when
 #: streaming long correlated paths.
@@ -131,31 +127,6 @@ def wrap_phase(x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(wrapped)
     return wrapped
-
-
-def wrapped_gaussian_pdf(x, sigma_sq: float, k_max: int = DEFAULT_K_MAX):
-    """Density on [-pi, pi) of a zero-mean Gaussian wrapped modulo 2*pi.
-
-    Evaluates the shifted-replica sum truncated to |k| <= k_max:
-
-        f(x) = 1/(sigma*sqrt(2*pi)) * sum_{|k| <= k_max}
-               exp(-(x - 2*k*pi)^2 / (2*sigma^2))
-
-    With k_max >= 10 the truncation keeps the integral over [-pi, pi)
-    within 1e-9 of 1 for sigma_sq <= 100; very large variances need a
-    proportionally larger k_max (roughly k_max >= sigma).
-    """
-    sigma_sq = check_scalar("sigma_sq", sigma_sq)
-    k_max = check_scalar("k_max", k_max, bounds=(1, None))
-    arr = np.asarray(x, dtype=np.float64)
-    sigma = np.sqrt(sigma_sq)
-    k = np.arange(-k_max, k_max + 1, dtype=np.float64)
-    shifted = arr[..., np.newaxis] - _TWO_PI * k
-    dens = np.exp(-0.5 * (shifted / sigma) ** 2).sum(axis=-1)
-    dens /= sigma * np.sqrt(_TWO_PI)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(dens)
-    return dens
 
 
 def sample_phase_path(laser: LaserParams, delay_time: float,

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import extractor, optics, phasenoise, reconstruction, traceio
 from .config import ExperimentConfig, TestConfig
-from .errors import DependencyError, FormatError, InsufficientInputError, ParameterError
+from .errors import (DegenerateDataError, DependencyError, FormatError,
+                     InsufficientInputError, ParameterError)
 
 #: Stage name -> one-line help, in canonical run order.  Stage ``s`` runs
 #: ``<s>_stage``, looked up in this module's globals at call time, so a
@@ -47,7 +48,6 @@ ARTIFACTS = {
     "symbols": "symbols.bin",
     "hist_i": "hist_channel_i.csv",
     "hist_q": "hist_channel_q.csv",
-    "hist_phase": "hist_phase.csv",
     "hist_symbols": "hist_symbols.csv",
     "analysis": "analysis_report.json",
     "seed": "toeplitz_seed.bin",
@@ -56,7 +56,7 @@ ARTIFACTS = {
     "summary": "summary.json",
 }
 
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 #: Bit artifacts: packed MSB-first bits whose sidecar records ``bit_length``.
 _BIT_ARTIFACTS = ("symbols", "seed", "extracted")
@@ -236,39 +236,44 @@ def reconstruct_stage(cfg: ExperimentConfig, artifacts: _ArtifactGate) -> StageR
 
 # Not a stage; the name stays because perfbench/tracer.py wraps it by name.
 def analyze_stage(cfg: ExperimentConfig, norm, series, symbols) -> StageResult:
-    """Histograms, min-entropy, divergences and autocorrelation of
-    ``reconstruct_stage``'s normalized trace, phases and symbols, and the
-    largest symbol count, which ``reconstruct_stage`` takes for the
-    symbols' sidecar."""
+    """Min-entropy, divergences and autocorrelation of ``reconstruct_stage``'s
+    normalized trace and symbols, all from three count vectors: each
+    channel's ADC codes on [-1, 1) and the symbols, which bin the phases on
+    [-pi, pi).  Also the largest symbol count, for the symbols' sidecar."""
     from . import analysis
 
-    bins = cfg.analysis.histogram_bins
     digest = cfg.digest
-
     arc = analysis.ReferenceLaw.arcsine(1.0)
     hmin, payloads = {}, {}
     for channel, values, det in (("i", norm.trace.v_i, cfg.detector_i),
                                  ("q", norm.trace.v_q, cfg.detector_q)):
-        code = reconstruction.quantize_uniform(values, det.adc_bits, -1.0, 1.0)
-        hmin[f"channel_{channel}"] = analysis.min_entropy(
-            analysis.symbol_counts(code, 1 << det.adc_bits))
-        hist = analysis.Histogram.from_data(values, bins, (-1.1, 1.1))
-        payloads[f"hist_{channel}"] = _hist_csv(hist, arc, digest)
+        codes = 1 << det.adc_bits
+        counts = analysis.symbol_counts(
+            reconstruction.quantize_uniform(values, det.adc_bits, -1.0, 1.0), codes)
+        hmin[f"channel_{channel}"] = analysis.min_entropy(counts)
+        payloads[f"hist_{channel}"] = _hist_csv(
+            analysis.Histogram(np.linspace(-1.0, 1.0, codes + 1), counts), arc, digest)
     alphabet = 1 << symbols.bits_per_symbol
     sym_counts = analysis.symbol_counts(symbols.symbols, alphabet)
     hmin["phase_symbols"] = analysis.min_entropy(sym_counts)
-
-    uniform = analysis.ReferenceLaw.uniform(-np.pi, np.pi)
-    hist_phase = analysis.Histogram.from_data(series.phases, bins, (-np.pi, np.pi))
-    hist_symbols = analysis.Histogram(
-        bin_edges=np.arange(alphabet + 1, dtype=np.float64), counts=sym_counts)
-    payloads["hist_phase"] = _hist_csv(hist_phase, uniform, digest)
     payloads["hist_symbols"] = _hist_csv(
-        hist_symbols, analysis.ReferenceLaw.uniform(0, alphabet), digest)
+        analysis.Histogram(np.arange(alphabet + 1.0), sym_counts),
+        analysis.ReferenceLaw.uniform(0, alphabet), digest)
 
+    # Mean and (biased) variance of the symbols' bin centres -pi + (k + 1/2)*delta,
+    # from exact integer sums: no float summation order enters.
+    pairs = list(enumerate(sym_counts.tolist()))
+    total, first = len(symbols), sum(c * k for k, c in pairs)
+    spread = total * sum(c * k * k for k, c in pairs) - first * first
+    if spread == 0:
+        raise DegenerateDataError("every symbol is the same: no gaussian fits the phases")
+    delta = 2.0 * np.pi / alphabet
+    fit = analysis.ReferenceLaw.gaussian((2 * first + total) / (2 * total) * delta - np.pi,
+                                         spread / total**2 * delta**2)
+    hist_phase = analysis.Histogram(np.linspace(-np.pi, np.pi, alphabet + 1), sym_counts)
     laws = {"vs_standard_gaussian": analysis.ReferenceLaw.gaussian(0.0, 1.0),
-            "vs_moment_fit_gaussian": analysis.ReferenceLaw.gaussian_fit(series.phases),
-            "vs_uniform": uniform}
+            "vs_moment_fit_gaussian": fit,
+            "vs_uniform": analysis.ReferenceLaw.uniform(-np.pi, np.pi)}
     klds = {name: analysis.kld(hist_phase, law) for name, law in laws.items()}
     autocorr = analysis.autocorrelation(symbols.symbols, cfg.analysis.max_lag)
     warnings = optics.validate_device(cfg.laser, cfg.interferometer, cfg.detector_i,

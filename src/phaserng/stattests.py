@@ -139,12 +139,13 @@ def runs(bits) -> list[float]:
     b = _as_bits(bits)
     _require(b, 10, "runs")
     n = b.size
-    pi = float(b.mean())
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    ones = int(np.count_nonzero(b))
+    if abs(2 * ones - n) >= 4.0 * math.sqrt(n):    # |pi - 1/2| >= 2/sqrt(n)
         return [0.0]
     v = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
-    num = abs(v - 2.0 * n * pi * (1.0 - pi))
-    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    spread = ones * (n - ones)     # n^2 * pi * (1 - pi), the complement's too
+    num = abs(v - 2 * spread / n)
+    den = 2.0 * math.sqrt(2.0 * n) * (spread / (n * n))
     return [math.erfc(num / den)]
 
 

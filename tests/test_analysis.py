@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -116,7 +117,8 @@ class TestReferenceLaw:
     @pytest.mark.parametrize("law", [
         an.ReferenceLaw.gaussian(0.5, 2.0), an.ReferenceLaw.uniform(-1.0, 1.0),
         an.ReferenceLaw.arcsine(1.25), an.ReferenceLaw.gaussian_fit([0.0, 1.0, 3.0]),
-    ], ids=["gaussian", "uniform", "arcsine", "gaussian_fit"])
+        an.ReferenceLaw.wrapped_gaussian(1.5, 2.0),
+    ], ids=["gaussian", "uniform", "arcsine", "gaussian_fit", "wrapped_gaussian"])
     @pytest.mark.parametrize("x", [0.25, [-2.0, 0.0, 0.5], [[-1.0, 0.0, 1.0], [2.0, -0.5, 0.5]]],
                              ids=["scalar", "list", "2-D"])
     def test_cdf_keeps_the_shape_in_float64(self, law, x):
@@ -141,6 +143,55 @@ class TestReferenceLaw:
             an.ReferenceLaw.gaussian_fit([0.0, math.inf])
         with pytest.raises(ParameterError, match="finite"):
             an.ReferenceLaw.gaussian_fit([1.0, math.nan, 2.0])
+
+
+def wrapped_density(x, variance, centre, replicas=20):
+    """Density of N(centre, variance) wrapped onto [-pi, pi), summed over
+    the replicas 2*pi*k away for |k| <= ``replicas``."""
+    shifted = x[..., None] - centre + 2 * np.pi * np.arange(-replicas, replicas + 1)
+    return (np.exp(-shifted ** 2 / (2 * variance)).sum(axis=-1)
+            / math.sqrt(2 * np.pi * variance))
+
+
+class TestWrappedGaussianLaw:
+    @pytest.mark.parametrize("centre", [0.0, 3.0])
+    @pytest.mark.parametrize("variance", [0.03, 1.67, 10.0, 100.0])
+    def test_bin_masses_match_quadrature(self, variance, centre):
+        # 40-node Gauss-Legendre on each of 256 bins, each at most 0.15 sigma wide.
+        edges = np.linspace(-np.pi, np.pi, 257)
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        half = np.diff(edges)[:, None] / 2
+        x = (edges[:-1, None] + edges[1:, None]) / 2 + half * nodes
+        quadrature = (half[:, 0] * (wrapped_density(x, variance, centre) @ weights))
+        masses = an.ReferenceLaw.wrapped_gaussian(variance, centre).bin_masses(edges)
+        assert_allclose(masses, quadrature, rtol=0.0, atol=1e-12)
+
+    def test_centre_is_taken_modulo_two_pi(self):
+        edges = np.linspace(-np.pi, np.pi, 65)
+        masses = an.ReferenceLaw.wrapped_gaussian(0.5, 3.0).bin_masses(edges)
+        assert_allclose(an.ReferenceLaw.wrapped_gaussian(0.5, 3.0 - 4 * np.pi)
+                        .bin_masses(edges), masses, rtol=0.0, atol=1e-14)
+
+    # The innovation bound on 10-bit symbols: the phase diffusion over one
+    # sample period T_s that an adversary who knows the laser's past cannot
+    # predict, variance 2*min(T_s, T_d)/tau_c, centred on a bin centre (the
+    # worst case).  tau_c = 6 ns, T_d = 30 ns, an ideal detector.
+    @pytest.mark.parametrize("sample_rate,bits", [
+        (50e6, 9.901), (64e6, 9.801), (100e6, 9.535), (200e6, 9.043)])
+    def test_innovation_bound_table(self, sample_rate, bits):
+        delta = 2 * np.pi / 1024
+        law = an.ReferenceLaw.wrapped_gaussian(
+            2 * min(1 / sample_rate, 30e-9) / 6e-9, centre=delta / 2)
+        masses = law.bin_masses(np.linspace(-np.pi, np.pi, 1025))
+        assert -math.log2(masses.max()) == pytest.approx(bits, abs=5e-4)
+
+    def test_bytes_pinned(self):
+        # math.erf one edge at a time: the same bytes with every dispatched
+        # numpy SIMD target on or off.
+        masses = an.ReferenceLaw.wrapped_gaussian(10.0 / 6.0, 0.1).bin_masses(
+            np.linspace(-np.pi, np.pi, 1025))
+        assert hashlib.sha256(masses.astype("<f8").tobytes()).hexdigest() == (
+            "68636b718526e78bc5bf416421525e6eab5da948f729bbeaa36beccc1cbfb4d5")
 
 
 class TestMinEntropy:

@@ -68,7 +68,6 @@ bandwidth_limit = 0
 
 [analysis]
 phase_bits = 10
-histogram_bins = 256
 max_lag = 50
 normalize = arcsine-fit
 
@@ -344,19 +343,20 @@ class TestDigestPins:
     # Known answers: the canonical rendering, and so every artifact's
     # config_digest, must not move when the parser is reorganized.  Schema 7
     # moved all three: [extraction] output_bits is gone.  Schema 11 moved
-    # them again: [extraction] mode is gone.
+    # them again: [extraction] mode is gone.  Schema 15 moved them again:
+    # [analysis] histogram_bins is gone.
     def test_minimal(self):
         assert cfg.parse_config(MINIMAL).digest == (
-            "a07711b5bded873f731cb14bb5ae84a98e7cdbeb8f8e21c267d813865e220f45")
+            "cbf4181f9918fecc811ef41d97c18855553dbbe10e59d2cbbf32b8299d216c58")
 
     def test_full(self):
         assert cfg.parse_config(FULL).digest == (
-            "9a53d68f2a9a21b6d0c9f0c71a6b240c0391d13e9317161142ea5249f1df4e67")
+            "f307b13ef0e8ce454168897ce42936968ce6088143db0803d62d04153e0325d5")
 
     def test_readme_quick_start(self):
         block = re.search(r"```ini\n(.*?)```", readme_text(), re.S).group(1)
         assert cfg.parse_config(block).digest == (
-            "47ffc3f70dca5fee2fcd4ad90771501eb8cfcb2facd32c910c8491d2b0675213")
+            "919d199bee994c7848c9498a4066c86afb8c01dae358a80651b1469544cef08e")
 
 
 def test_every_resolved_field_round_trips():

@@ -48,8 +48,8 @@ GUARDED = {
         lambda v: phasenoise.phase_variance(6.0, 1.5, v), False),
     "ReferenceLaw.gaussian.variance": (lambda v: analysis.ReferenceLaw.gaussian(0.0, v), False),
     "ReferenceLaw.arcsine.amplitude": (lambda v: analysis.ReferenceLaw.arcsine(v), False),
-    "wrapped_gaussian_pdf.sigma_sq": (
-        lambda v: phasenoise.wrapped_gaussian_pdf(0.0, v), False),
+    "ReferenceLaw.wrapped_gaussian.variance": (
+        lambda v: analysis.ReferenceLaw.wrapped_gaussian(v), False),
     "sample_phase_path.delay_time": (lambda v: phasenoise.sample_phase_path(
         phasenoise.LaserParams(coherence_time=6e-9), v, 5e-9, 4, seed=0), False),
     "sample_phase_path.sample_period": (lambda v: phasenoise.sample_phase_path(
@@ -77,7 +77,6 @@ def test_every_guarded_scalar_refuses_bad_values(name, value):
 
 # Integer parameter -> (call that passes the value to its guard, lowest valid value).
 INTEGERS = {
-    "histogram_bins": (lambda v: config.AnalysisParams(histogram_bins=v), 2),
     "AnalysisParams.max_lag": (lambda v: config.AnalysisParams(max_lag=v), 1),
     "input_bits": (lambda v: config.ExtractionParams(
         input_bits=v, min_entropy_rate=1.0, epsilon_exponent=0), 1),
@@ -105,8 +104,6 @@ INTEGERS = {
     "standard_normals_range.start": (lambda v: rng.standard_normals_range(v, 4, 0), 0),
     "standard_normals_range.stop": (lambda v: rng.standard_normals_range(2, v, 0), 2),
     "boxcar_decimate.factor": (lambda v: optics.boxcar_decimate(TRACE, v), 1),
-    "wrapped_gaussian_pdf.k_max": (
-        lambda v: phasenoise.wrapped_gaussian_pdf(0.0, 1.0, v), 1),
     "sample_phase_path.count": (
         lambda v: phasenoise.sample_phase_path(LASER, 30e-9, 5e-9, v, seed=0), 1),
 }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from phaserng import analysis
 from phaserng import phasenoise as pn
 from phaserng import rng
 from phaserng.errors import ParameterError
@@ -99,44 +100,56 @@ class TestWrapPhase:
 
 
 class TestWrappedGaussianPdf:
+    """The wrapped law of the delay-line phase difference, through
+    ``analysis.ReferenceLaw.wrapped_gaussian``: its CDF, and its density
+    as a narrow bin's mass over the bin's width."""
+
+    @staticmethod
+    def density(x, sigma_sq, width=1e-3):
+        law = analysis.ReferenceLaw.wrapped_gaussian(sigma_sq)
+        lo = np.maximum(np.asarray(x, dtype=np.float64) - width / 2, -np.pi)
+        return (law.cdf(lo + width) - law.cdf(lo)) / width
+
     @pytest.mark.parametrize("sigma_sq", [0.01, 0.1, 0.6, 1.0, 10.0, 100.0])
     def test_integrates_to_one(self, sigma_sq):
-        # trapezoid over a full period of a smooth periodic function
-        x = np.linspace(-np.pi, np.pi, 8193)
-        f = pn.wrapped_gaussian_pdf(x, sigma_sq, k_max=12)
-        integral = np.trapezoid(f, x)
-        assert integral == pytest.approx(1.0, abs=1e-9)
+        law = analysis.ReferenceLaw.wrapped_gaussian(sigma_sq)
+        assert law.cdf(-np.pi) == 0.0
+        assert law.cdf(np.pi) == pytest.approx(1.0, abs=1e-14)
+        masses = law.bin_masses(np.linspace(-np.pi, np.pi, 8193))
+        assert np.all(masses >= 0.0)
+        assert math.fsum(masses.tolist()) == pytest.approx(1.0, abs=1e-14)
 
     def test_narrow_limit_matches_unwrapped_gaussian(self):
-        # at sigma^2 = 0.01 the k != 0 replicas are negligible
-        assert pn.wrapped_gaussian_pdf(0.0, 0.01) == pytest.approx(
-            1.0 / (0.1 * math.sqrt(2 * math.pi)), rel=1e-12)
-        x = 0.25
-        expected = math.exp(-0.5 * x * x / 0.01) / (0.1 * math.sqrt(2 * math.pi))
-        assert pn.wrapped_gaussian_pdf(x, 0.01) == pytest.approx(expected, rel=1e-9)
+        # at sigma^2 = 0.01 the replicas 2*pi away are 60 sigma out
+        law = analysis.ReferenceLaw.wrapped_gaussian(0.01)
+        for x in (-0.3, -0.05, 0.0, 0.25):
+            assert law.cdf(x) == pytest.approx(
+                0.5 * math.erfc(-x / (0.1 * math.sqrt(2.0))), rel=1e-12)
+        assert self.density(0.0, 0.01, width=1e-4) == pytest.approx(
+            1.0 / (0.1 * math.sqrt(2 * math.pi)), rel=1e-6)
 
     def test_wide_limit_is_uniform(self):
         x = np.linspace(-np.pi, np.pi, 101)
-        f = pn.wrapped_gaussian_pdf(x, 100.0, k_max=60)
-        assert_allclose(f, 1.0 / (2 * np.pi), rtol=1e-10)
+        assert_allclose(analysis.ReferenceLaw.wrapped_gaussian(100.0).cdf(x),
+                        (x + np.pi) / (2 * np.pi), rtol=0.0, atol=1e-14)
 
     def test_symmetric(self):
-        x = np.linspace(0.0, np.pi, 64)
-        assert_allclose(pn.wrapped_gaussian_pdf(x, 0.6),
-                        pn.wrapped_gaussian_pdf(-x, 0.6), rtol=1e-14)
+        masses = analysis.ReferenceLaw.wrapped_gaussian(0.6).bin_masses(
+            np.linspace(-np.pi, np.pi, 129))
+        assert_allclose(masses, masses[::-1], rtol=0.0, atol=1e-15)
 
     def test_percent_level_ripple_at_sigma_sq_ten(self):
         # residual non-uniformity ~ 2*exp(-sigma^2/2) relative
-        peak = pn.wrapped_gaussian_pdf(0.0, 10.0)
-        trough = pn.wrapped_gaussian_pdf(-np.pi, 10.0)
+        peak = self.density(0.0, 10.0)
+        trough = self.density(-np.pi, 10.0)
         ripple = (peak - trough) * 2 * np.pi
         assert ripple == pytest.approx(4 * math.exp(-5.0), rel=1e-3)
 
     def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            pn.wrapped_gaussian_pdf(0.0, 0.0)
-        with pytest.raises(ParameterError):
-            pn.wrapped_gaussian_pdf(0.0, 1.0, k_max=0)
+        with pytest.raises(ParameterError, match="variance"):
+            analysis.ReferenceLaw.wrapped_gaussian(0.0)
+        with pytest.raises(ParameterError, match="centre"):
+            analysis.ReferenceLaw.wrapped_gaussian(1.0, math.nan)
 
 
 def dense_phase_path(laser, delay, period, count, seed):

@@ -5,13 +5,14 @@ import os
 import re
 import shutil
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from phaserng import (cli, config as cfg_mod, extractor, pipeline,
+from phaserng import (analysis, cli, config as cfg_mod, extractor, optics, pipeline,
                       reconstruction, traceio)
-from phaserng.errors import (DependencyError, FormatError,
+from phaserng.errors import (DegenerateDataError, DependencyError, FormatError,
                              InsufficientInputError, ParameterError)
 
 BASE_INI = """\
@@ -146,38 +147,80 @@ class TestFullRun:
         # The report's autocorrelation is of the symbols that extract hashes.
         bits = np.unpackbits(np.fromfile(os.path.join(outdir, "symbols.bin"), np.uint8))
         symbols = bits.reshape(-1, 10) @ (1 << np.arange(9, -1, -1))
-        from phaserng import analysis
         assert report["autocorrelation"] == analysis.autocorrelation(symbols, 20).tolist()
         assert report["timing_messages"] == []     # a sound device
 
     def test_histogram_artifacts(self, full_run):
+        # A channel CSV holds its 2^adc_bits ADC codes on [-1, 1).  The
+        # phases have no CSV of their own: hist_symbols.csv counts them on
+        # quantize_phase's bins.
         cfg, outdir, _ = full_run
-        lines = open(os.path.join(outdir, "hist_phase.csv")).read().splitlines()
-        assert lines[0] == f"# config_digest={cfg.digest}"
-        assert lines[1] == "bin_center,count,reference_density"
-        rows = [line.split(",") for line in lines[2:]]
-        assert len(rows) == 256
-        assert sum(int(r[1]) for r in rows) == 30000
-        assert float(rows[0][2]) == pytest.approx(1 / (2 * math.pi))
+        assert not os.path.exists(os.path.join(outdir, "hist_phase.csv"))
+        for name in ("hist_channel_i.csv", "hist_channel_q.csv"):
+            lines = open(os.path.join(outdir, name)).read().splitlines()
+            assert lines[0] == f"# config_digest={cfg.digest}"
+            assert lines[1] == "bin_center,count,reference_density"
+            rows = [line.split(",") for line in lines[2:]]
+            assert len(rows) == 1024
+            assert sum(int(r[1]) for r in rows) == 30000
+            assert float(rows[0][0]) == -1 + 1 / 1024
         sym_lines = open(os.path.join(outdir, "hist_symbols.csv")).read().splitlines()
         sym_rows = [line.split(",") for line in sym_lines[2:]]
         assert len(sym_rows) == 1024
         assert all(float(r[2]) == 1 / 1024 for r in sym_rows)  # uniform law
 
+    def test_channel_csvs_are_the_adc_code_counts(self, full_run):
+        # One quantization per channel: its CSV holds the counts its
+        # min-entropy is measured on.
+        cfg, outdir, _ = full_run
+        report = json.load(open(os.path.join(outdir, "analysis_report.json")))
+        trace = traceio.read_trace_binary(os.path.join(outdir, "trace.iqt"))
+        norm = reconstruction.normalize_iq(trace, method=cfg.analysis.normalize)
+        for channel, values in (("i", norm.trace.v_i), ("q", norm.trace.v_q)):
+            rows = np.loadtxt(os.path.join(outdir, f"hist_channel_{channel}.csv"),
+                              delimiter=",", skiprows=2)
+            codes = reconstruction.quantize_uniform(values, 10, -1.0, 1.0)
+            np.testing.assert_array_equal(rows[:, 1], np.bincount(codes, minlength=1024))
+            assert (analysis.min_entropy(rows[:, 1].astype(np.int64))
+                    == report["min_entropy_bits"][f"channel_{channel}"])
+
+    def test_klds_are_of_the_symbol_counts_on_the_phase_bins(self, full_run):
+        _, outdir, _ = full_run
+        report = json.load(open(os.path.join(outdir, "analysis_report.json")))
+        rows = np.loadtxt(os.path.join(outdir, "hist_symbols.csv"),
+                          delimiter=",", skiprows=2)
+        counts = rows[:, 1].astype(np.int64)
+        hist = analysis.Histogram(bin_edges=np.linspace(-np.pi, np.pi, 1025),
+                                  counts=counts)
+        # Mean and variance of the bin centres -pi + (k + 1/2)*delta, exactly.
+        k = [Fraction(2 * j + 1, 2) for j in range(1024)]
+        total = int(counts.sum())
+        mean = sum(c * kj for c, kj in zip(counts.tolist(), k)) / total
+        variance = sum(c * (kj - mean) ** 2 for c, kj in zip(counts.tolist(), k)) / total
+        delta = 2 * np.pi / 1024
+        klds = report["kld_bits"]
+        assert klds["vs_uniform"] == analysis.kld(
+            hist, analysis.ReferenceLaw.uniform(-np.pi, np.pi))
+        assert klds["vs_standard_gaussian"] == analysis.kld(
+            hist, analysis.ReferenceLaw.gaussian(0.0, 1.0))
+        # Equal to the bit: the fit minimizes the divergence over gaussians,
+        # so an error in its moments moves the divergence only to second order.
+        assert klds["vs_moment_fit_gaussian"] == analysis.kld(
+            hist, analysis.ReferenceLaw.gaussian(float(mean) * delta - np.pi,
+                                                 float(variance) * delta ** 2))
+
     def test_histogram_reference_is_bin_mass_over_width(self, full_run):
         # count / (total * width) estimates the law's mass in the bin over
-        # the bin's width, so that is the reference column: in the bins
-        # that straddle the arcsine law's support edges at +-1 too.
+        # the bin's width, so that is the reference column: in the edge
+        # codes too, where the arcsine density diverges but its mass is finite.
         _, outdir, _ = full_run
 
         def arcsine(x):
             return 0.5 + math.asin(min(max(x, -1.0), 1.0)) / math.pi
 
-        voltage = np.linspace(-1.1, 1.1, 257)
+        voltage = np.linspace(-1.0, 1.0, 1025)
         laws = {"hist_channel_i.csv": (voltage, arcsine),
                 "hist_channel_q.csv": (voltage, arcsine),
-                "hist_phase.csv": (np.linspace(-math.pi, math.pi, 257),
-                                   lambda x: (x + math.pi) / (2 * math.pi)),
                 "hist_symbols.csv": (np.arange(1025.0), lambda x: x / 1024)}
         for name, (edges, cdf) in laws.items():
             rows = np.loadtxt(os.path.join(outdir, name), delimiter=",", skiprows=2)
@@ -186,10 +229,7 @@ class TestFullRun:
             np.testing.assert_allclose(rows[:, 2], masses / np.diff(edges),
                                        rtol=1e-12, atol=0.0, err_msg=name)
             if edges is voltage:
-                straddling = (np.abs(edges[:-1]) < 1.0) != (np.abs(edges[1:]) < 1.0)
-                assert np.count_nonzero(straddling) == 2
-                assert np.all(rows[straddling, 2] > 2.9), name   # 0.0 at the centre
-                assert np.all(rows[np.abs(rows[:, 0]) > 1.01, 2] == 0.0), name
+                assert rows[0, 2] == rows[-1, 2] == rows[:, 2].max(), name
 
     def test_extract_output(self, full_run):
         _, outdir, summary = full_run
@@ -219,7 +259,9 @@ class TestFullRun:
         # schema 7 (output_bits left the config).  Schema 10 moved only their
         # reference column, to each law's bin mass over the bin width.
         # Schema 11 moved only their config_digest line ([extraction] mode
-        # left the config).
+        # left the config).  Schema 15 moved the channel CSVs to the ADC
+        # codes' counts, and hist_symbols.csv's config_digest line only
+        # ([analysis] histogram_bins left the config); hist_phase.csv is gone.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt")) == (
             "c571b2b37e7acdf7ac2b97f9f19e6e9338e7e60679d29bc0f8f4ec41c4a5f332")
@@ -229,13 +271,11 @@ class TestFullRun:
             "7aee3fac9103ee50711c5a4ba15ff3d15da96732dd0a2b5e5a4daedf030c2ce4")
         hists = {
             "hist_channel_i.csv":
-                "f931576055343c511aa40f24b3cf0a40f942e57980c7552ce1ddfe110b8cca36",
+                "7ce3fc7c27c725adc141ba17cdf439d81a30ed3750016e2de8d3b04e8b66ef37",
             "hist_channel_q.csv":
-                "eda34692af941e587e8627b7dd90a550c6a3699d60ec3b0d5bb40dbce6bc1116",
-            "hist_phase.csv":
-                "41066314e81f5c70d9ed1f8d75ef4abf840ff809e6e65a8330cbd93e71b966c0",
+                "7d72f3b7beec59e11110803bd1434f2bd9f693a6f73d9f7b974d4c7c430d7a59",
             "hist_symbols.csv":
-                "df74af998ff23bacb2957057bbc21915cd87a921ec91c906de640cc524914526",
+                "a8fccd83414cc9a3165aa7f055c5f91468cd10087bd0e626edc52d67eacb6206",
         }
         for name, digest in hists.items():
             assert sha256(os.path.join(outdir, name)) == digest, name
@@ -266,15 +306,18 @@ class TestFullRun:
         # _gammaincc's, the autocorrelation's transforms numpy.fft's.
         # Schema 14 moved their schema_version, the symbols' sidecar gained
         # symbol_count and max_symbol_count, and the summary moved in the
-        # hashes of every file that carries the version.  These bytes hold
-        # with every dispatched numpy SIMD target on or off.
+        # hashes of every file that carries the version.  Schema 15 moved
+        # their schema_version and config_digest, and the summary in the
+        # hashes of every file that carries either, in the divergences, now
+        # of the symbol counts, and in losing hist_phase.csv.  These bytes
+        # hold with every dispatched numpy SIMD target on or off.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "72d4068c29f6e25c3fc61dd87f2a9f5f4fad74e89a37ae55f89e705aece27455")
+            "7c818816c29ab27d03fc329f047abfa3bf2a490db285563befec2a568e74c692")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "232c872a36321289033f6f08c1bdcc7e126c6816bc33ebd61835ce332f11841a")
+            "d443c3506bb086542c70b4cf0603032fa105aec5d82d74b3666ec80070d20023")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "8ab9507b1b4d34358c32d990f300ccfeaee652d45082d833462894b5241f0148")
+            "0856313b0eb462ff5f254e9aa5092dddc4fd4babf958d769441f339208d6cb65")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -287,11 +330,9 @@ class TestFullRun:
 
 class TestHistogramCsv:
     def test_arcsine_bytes_pinned(self):
-        # A fixed histogram on the pipeline's voltage edges.  The arcsine
-        # CDF takes math.asin, so these bytes hold with every dispatched
-        # numpy SIMD target on or off.
-        from phaserng import analysis
-
+        # A fixed histogram on edges that reach past the arcsine law's
+        # support.  The arcsine CDF takes math.asin, so these bytes hold with
+        # every dispatched numpy SIMD target on or off.
         counts = np.arange(256) * 37 % 101
         hist = analysis.Histogram(bin_edges=np.linspace(-1.1, 1.1, 257), counts=counts)
         blob = pipeline._hist_csv(hist, analysis.ReferenceLaw.arcsine(1.0), "0" * 64)
@@ -355,7 +396,7 @@ class TestStagedExecution:
         assert summary["stages"] == ["reconstruct"]
         assert sorted(summary["artifacts"]) == [
             "analysis_report.json", "hist_channel_i.csv", "hist_channel_q.csv",
-            "hist_phase.csv", "hist_symbols.csv", "symbols.bin", "trace.iqt"]
+            "hist_symbols.csv", "symbols.bin", "trace.iqt"]
         out = summary["stage_outputs"]["reconstruct"]
         assert set(out) == {"samples", "sample_rate", "zero_vectors", "amplitude_i",
                             "amplitude_q", "min_entropy_bits", "kld_bits"}
@@ -519,6 +560,21 @@ class TestAnalyzeDescribesItsTrace:
         # Read at detector_i's 10 bits, channel Q would give 4.619 bits.
         assert hmin["channel_q"] == pytest.approx(3.545, abs=1e-3)
         assert hmin["channel_i"] == pytest.approx(4.609, abs=1e-3)
+
+    def test_phases_in_one_symbol_bin_are_refused(self):
+        # Phases that differ but all fall in the 10-bit bin [0, 2*pi/1024):
+        # the symbols' moment fit has no variance.
+        angle = np.linspace(0.001, 0.005, 2000)
+        radius = np.linspace(0.5, 1.0, 2000)
+        trace = optics.IQTrace(v_i=radius * np.cos(angle), v_q=radius * np.sin(angle),
+                               sample_rate=200e6)
+        series = reconstruction.reconstruct_phase(trace)
+        symbols = reconstruction.quantize_phase(series, 10)
+        assert np.ptp(series.phases) > 0.003
+        assert np.unique(symbols.symbols).tolist() == [512]
+        with pytest.raises(DegenerateDataError, match="every symbol is the same"):
+            pipeline.analyze_stage(make_config(), reconstruction.NormalizedIQ(trace, 1.0, 1.0),
+                                   series, symbols)
 
     def test_timing_warning_sees_the_slower_channel(self, tmp_path):
         cfg = make_config(**{"[simulation]":
@@ -813,7 +869,7 @@ class TestFailedStageWritesNothing:
         assert self.run(tmp_path, "simulate,reconstruct,extract", outdir, **short) == 5
         # The earlier stages' artifacts stay; extract left none.
         upstream = ["analysis_report.json", "hist_channel_i.csv", "hist_channel_q.csv",
-                    "hist_phase.csv", "hist_symbols.csv", "symbols.bin",
+                    "hist_symbols.csv", "symbols.bin",
                     "symbols.bin.meta.json", "trace.iqt", "trace.iqt.meta.json"]
         assert sorted(os.listdir(outdir)) == upstream
         assert self.run(tmp_path, "extract", outdir, **short) == 5
@@ -829,7 +885,7 @@ class TestFailedStageWritesNothing:
         assert code == 5
         assert "min_entropy_rate 0.98" in capsys.readouterr().err
         upstream = ["analysis_report.json", "hist_channel_i.csv", "hist_channel_q.csv",
-                    "hist_phase.csv", "hist_symbols.csv", "symbols.bin",
+                    "hist_symbols.csv", "symbols.bin",
                     "symbols.bin.meta.json", "trace.iqt", "trace.iqt.meta.json"]
         assert sorted(os.listdir(outdir)) == upstream
         side = json.load(open(outdir / "symbols.bin.meta.json"))
@@ -939,8 +995,9 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     # Keys that once duplicated coherence_time, the rate that sizes m or the
-    # margin epsilon_exponent sets, fixed the battery's gates, or spelled a
-    # [switches] key in [simulation].
+    # margin epsilon_exponent sets, fixed the battery's gates, spelled a
+    # [switches] key in [simulation], or binned the phases apart from their
+    # symbols.
     @pytest.mark.parametrize("section,line", [
         ("laser", "linewidth = 5e7"),
         ("test", "proportion_mode = fixed"),
@@ -949,6 +1006,7 @@ class TestCli:
         ("extraction", "output_bits = 3920"),
         ("extraction", "mode = ratio"),
         ("simulation", "noise_drift = on"),
+        ("analysis", "histogram_bins = 256"),
     ])
     def test_exit_3_removed_key(self, tmp_path, capsys, section, line):
         config = self.write_config(

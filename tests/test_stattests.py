@@ -47,11 +47,12 @@ MONOBIT_ALL_ONES_100 = 1.523970604832105e-23
 # with the default pattern bits.  The kernels' arithmetic is exact, so
 # any reordering of the battery must reproduce these bit for bit.  Schema
 # 13 moved every stream in its last digits: the tails are ``math.erfc`` and
-# ``_gammaincc``, no longer scipy's.
+# ``_gammaincc``, no longer scipy's.  Schema 15 moved runs in its last
+# digits: pi*(1 - pi) comes from the integer count of ones.
 BATTERY_KNOWN_ANSWERS = {
     "monobit": "c55778208a67f9195654acff47b7b4ae29b97cae24ac0ee3741d0ed5f9cad12c",
     "block-frequency": "3f4850d437ebb16c1ac5eccaa90815fc11c936e41e6d40c59cdfd83947a75930",
-    "runs": "6a93ee253c6adc12c5b37b9e4481e843466ca48962e78531560ec0f139cec214",
+    "runs": "1e71328de1a7cc7eb90497e8a434efe6772459fa7c3a78d510d5bcaab8bcbb3a",
     "longest-run": "bacf1ffd6f97a09320eb6e62ec0f7d27e7965384175fa681c3eecc9eeffda860",
     "cumulative-sums-forward":
         "030b2e31343bf6a703d48dc5199d4f51234228c2f55b0be0c65a57f9f8d5d5aa",
@@ -296,12 +297,13 @@ class TestIndividualBehaviors:
     def test_complement_invariance(self):
         # flipping every bit negates S (|S| unchanged) and keeps both the
         # run count and pi*(1-pi) fixed, so both p-values are bit-exact
-        seq = rng.random_bits(2000, seed=49)
-        comp = (1 - seq).astype(np.uint8)
-        assert st.monobit(seq) == st.monobit(comp)
-        assert st.runs(seq) == st.runs(comp)
         n_runs = lambda b: int(np.count_nonzero(np.diff(b.astype(np.int8)))) + 1
-        assert n_runs(seq) == n_runs(comp)
+        for s in range(200):
+            seq = rng.random_bits(2000, seed=s)
+            comp = (1 - seq).astype(np.uint8)
+            assert st.monobit(seq) == st.monobit(comp), s
+            assert st.runs(seq) == st.runs(comp), s
+            assert n_runs(seq) == n_runs(comp), s
 
 
 class TestKernelOracles:
