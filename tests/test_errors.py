@@ -48,7 +48,8 @@ GUARDED = {
         lambda v: phasenoise.phase_variance(6.0, 1.5, v), False),
     "ReferenceLaw.gaussian.variance": (lambda v: analysis.ReferenceLaw.gaussian(0.0, v), False),
     "ReferenceLaw.arcsine.amplitude": (lambda v: analysis.ReferenceLaw.arcsine(v), False),
-    "ReferenceLaw.wrapped_gaussian.variance": (
+    # The wrapped Gaussian phase density of variance sigma^2, now a ReferenceLaw.
+    "wrapped_gaussian_pdf.sigma_sq": (
         lambda v: analysis.ReferenceLaw.wrapped_gaussian(v), False),
     "sample_phase_path.delay_time": (lambda v: phasenoise.sample_phase_path(
         phasenoise.LaserParams(coherence_time=6e-9), v, 5e-9, 4, seed=0), False),
@@ -64,6 +65,10 @@ GUARDED = {
 }
 
 
+# Rows whose guard names the parameter other than the row's last segment.
+MESSAGE_NAME = {"wrapped_gaussian_pdf.sigma_sq": "variance"}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_every_guarded_scalar_refuses_bad_values(name, value):
@@ -71,7 +76,7 @@ def test_every_guarded_scalar_refuses_bad_values(name, value):
     if value == 0.0 and zero_ok:
         assert call(value) is not None
     else:
-        with pytest.raises(ParameterError, match=name.split(".")[-1]):
+        with pytest.raises(ParameterError, match=MESSAGE_NAME.get(name, name.split(".")[-1])):
             call(value)
 
 
