@@ -309,7 +309,7 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
                 noise *= det.electrical_noise_sigma
                 seg += noise
 
-    # The lanes overlap: numpy and the Philox fills release the GIL.
+    # The lanes overlap: numpy and the SFC64 normal fills release the GIL.
     block = min(count, rng.BLOCK_SIZE)
     rng.map_blocks(lane, [(v_i, np.cos, det_i, rng.STREAM_ELECTRICAL_I, np.empty(block)),
                           (v_q, np.sin, det_q, rng.STREAM_ELECTRICAL_Q, np.empty(block))])

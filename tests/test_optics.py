@@ -305,15 +305,17 @@ class TestTraceBytesPinned:
     The digests were computed with the out-of-place implementation that
     preceded the in-place one; both must give the same bytes.  The
     bandwidth-limited ones were re-pinned when ``_single_pole`` replaced
-    ``scipy.signal.lfilter``.  The intensity noise is large enough that
-    some power draws are clamped.  Since the filter's coefficient and
+    ``scipy.signal.lfilter``.  All were re-pinned at schema 16, when the
+    normal streams moved from Philox to SFC64, and each was checked against
+    the schema-15 code with only its normals' generator swapped.  The
+    intensity noise is large enough that some power draws are clamped.  Since the filter's coefficient and
     tables come from ``math`` and Python floats, the digests hold with
     every dispatched numpy SIMD target on or off.
     """
 
     @pytest.mark.parametrize("drift_mode, digest", [
-        ("fixed", "25b1a4b01a7f8576c5dc97919f8047f8708abb180e369e86157bc7a0e3f0fe16"),
-        ("slow-walk", "56c1dbcc6602fa53c08307094cff0e0799f5b7763b4ccf0c50d2edf4624a2007"),
+        ("fixed", "a76416011856eae5d2f03a9ac8b2de204f818a3b3b247d70d090439f37bd719d"),
+        ("slow-walk", "77743cb5e5b8c67f3d7c606ae3451ed2afec5687f70d1229f320c97da4b8226c"),
     ], ids=["fixed", "slow-walk"])
     def test_all_switch_combinations(self, drift_mode, digest):
         laser = ideal_laser(power=1e-3, intensity_sigma=5e-4)
@@ -341,19 +343,20 @@ class TestTraceBytesPinned:
         return laser, sample_phase_path(laser, T_D30, 5e-9, rng.BLOCK_SIZE + 4099, 3)
 
     # Computed with the whole-array implementation that preceded the
-    # block-by-block lanes (the bandwidth-limited two with ``_single_pole``).
+    # block-by-block lanes (the bandwidth-limited two with ``_single_pole``),
+    # and re-pinned at schema 16 on the SFC64 normals.
     # 2^20 + 4099 samples cross one RNG block boundary, so a wrong
     # filter-state carry or a misaligned noise block changes the bytes.
     @pytest.mark.parametrize("flags, drift_mode, digest", [
         ({}, "fixed",
-         "1b77cd2e3300d3bf54e29be6b486ca4f1b07fdc59674b2483861d9b4348b8229"),
+         "567031f183133bd896a513c1b528a6c4ca2b27e8f9d8aed2a309d6bedb160b33"),
         (dict(intensity=True, electrical=True, drift=True, mismatch=True,
               bandwidth_limit=True), "slow-walk",
-         "174ca5a405dbd31e0f5d6c44452d32b04d98d219d48d75b78da36a1907116ef3"),
+         "591b3250be764fc060b1ba100481c5423578744a21822868420365db5933296d"),
         (dict(electrical=True, bandwidth_limit=True), "fixed",
-         "ffdd051c8936106d033290b277ce7c27540fcdcf1cb4b15ab57444fa9aa4d682"),
+         "8d7b863a85b53fd8d65483fcaeaadb68c68650fc3aa93c7f1de278805becf00e"),
         (dict(intensity=True, drift=True), "slow-walk",
-         "01b580b88903adb98d24ec61917be7d8133ab5f26afe4467d0edd81650c38e70"),
+         "18cdfd317a993c166919a16c86fb8d1817d8eda4733c920a45601c8c63f5cb7a"),
     ], ids=["all-off", "all-on", "bandwidth+electrical", "intensity+drift"])
     def test_across_a_block_boundary(self, long_path, flags, drift_mode, digest):
         laser, path = long_path

@@ -126,7 +126,7 @@ class TestFullRun:
         rows = open(os.path.join(outdir, "hist_symbols.csv")).read().splitlines()[2:]
         counts = [int(row.split(",")[1]) for row in rows]
         assert side["symbol_count"] == sum(counts) == 30000
-        assert side["max_symbol_count"] == max(counts) == 50
+        assert side["max_symbol_count"] == max(counts) == 51
 
     def test_analysis_report(self, full_run):
         cfg, outdir, _ = full_run
@@ -262,25 +262,27 @@ class TestFullRun:
         # left the config).  Schema 15 moved the channel CSVs to the ADC
         # codes' counts, and hist_symbols.csv's config_digest line only
         # ([analysis] histogram_bins left the config); hist_phase.csv is gone.
+        # Schema 16 moved every file but the Toeplitz seed: the normal
+        # streams draw from SFC64, the seed's bits still from Philox.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt")) == (
-            "c571b2b37e7acdf7ac2b97f9f19e6e9338e7e60679d29bc0f8f4ec41c4a5f332")
+            "b081b2a39b5dbb8a53d03b18d4d20d65be2a144e64ec56d151e9513c607f13d8")
         assert sha256(os.path.join(outdir, "toeplitz_seed.bin")) == (
             "6336382d95fa9fac8faeaa0818ea76c81812a51046a0e2208b64af52d94442bf")
         assert sha256(os.path.join(outdir, "extracted.bin")) == (
-            "7aee3fac9103ee50711c5a4ba15ff3d15da96732dd0a2b5e5a4daedf030c2ce4")
+            "b3f32295a255433f542098c124f3afb184f8cbe6755079a14ecb3290664947fa")
         hists = {
             "hist_channel_i.csv":
-                "7ce3fc7c27c725adc141ba17cdf439d81a30ed3750016e2de8d3b04e8b66ef37",
+                "a9b66d490bfceee380556de15650655a453bf29c8fd2958d34e60f27b73266b9",
             "hist_channel_q.csv":
-                "7d72f3b7beec59e11110803bd1434f2bd9f693a6f73d9f7b974d4c7c430d7a59",
+                "33ebf9802ddedeebcadf48f5b27906d8c3e6d8128b968954f399e866bbb27478",
             "hist_symbols.csv":
-                "a8fccd83414cc9a3165aa7f055c5f91468cd10087bd0e626edc52d67eacb6206",
+                "28666b0d18e93e0ddcab0c8a2ab3e7d1042bebcddb2ec307509cfebef159eec0",
         }
         for name, digest in hists.items():
             assert sha256(os.path.join(outdir, name)) == digest, name
         assert sha256(os.path.join(outdir, "symbols.bin")) == (
-            "9a53eb32bc7ef429b3b44743680e62cf7e5f4a9c5151c2a8e2f53a43e9989014")
+            "4a3476d57a2dd19c4e26e59bad8e5de4e968ed0f3cd185bc846c6f121543b9e8")
 
     def test_known_answer_sidecar_and_summary(self, full_run):
         # Pins the sidecar layout (key order included) and the summary's
@@ -309,15 +311,18 @@ class TestFullRun:
         # hashes of every file that carries the version.  Schema 15 moved
         # their schema_version and config_digest, and the summary in the
         # hashes of every file that carries either, in the divergences, now
-        # of the symbol counts, and in losing hist_phase.csv.  These bytes
-        # hold with every dispatched numpy SIMD target on or off.
+        # of the symbol counts, and in losing hist_phase.csv.  Schema 16
+        # moved their schema_version, the symbols' max_symbol_count and
+        # every hash in the summary but the Toeplitz seed's: the normal
+        # streams draw from SFC64.  These bytes hold with every dispatched
+        # numpy SIMD target on or off.
         _, outdir, _ = full_run
         assert sha256(os.path.join(outdir, "trace.iqt.meta.json")) == (
-            "7c818816c29ab27d03fc329f047abfa3bf2a490db285563befec2a568e74c692")
+            "9e218475b11f7cdeb63e04a1c2d2869dc5466e65d2678fced72d56170f19238e")
         assert sha256(os.path.join(outdir, "symbols.bin.meta.json")) == (
-            "d443c3506bb086542c70b4cf0603032fa105aec5d82d74b3666ec80070d20023")
+            "1975c4e5ee19c6857c727403f9c82f584580f9f856ccde9d70cc04661fc43fee")
         assert sha256(os.path.join(outdir, "summary.json")) == (
-            "0856313b0eb462ff5f254e9aa5092dddc4fd4babf958d769441f339208d6cb65")
+            "40f40bb9319b159a4bd186073c2e69a6f245540a1f3366ac24abd770d8dda2d6")
 
     def test_battery_report(self, full_run):
         cfg, outdir, summary = full_run
@@ -557,9 +562,9 @@ class TestAnalyzeDescribesItsTrace:
                              "[simulation]"})
         summary = pipeline.run_pipeline(cfg, ["simulate", "reconstruct"], str(tmp_path))
         hmin = summary["stage_outputs"]["reconstruct"]["min_entropy_bits"]
-        # Read at detector_i's 10 bits, channel Q would give 4.619 bits.
-        assert hmin["channel_q"] == pytest.approx(3.545, abs=1e-3)
-        assert hmin["channel_i"] == pytest.approx(4.609, abs=1e-3)
+        # Read at detector_i's 10 bits, channel Q would give 5.307 bits.
+        assert hmin["channel_q"] == pytest.approx(3.625, abs=1e-3)
+        assert hmin["channel_i"] == pytest.approx(4.159, abs=1e-3)
 
     def test_phases_in_one_symbol_bin_are_refused(self):
         # Phases that differ but all fall in the 10-bit bin [0, 2*pi/1024):

@@ -110,26 +110,34 @@ def test_zero_count():
 
 def test_known_answers_across_a_block_boundary():
     # Seed contract pinned: any change to one draw changes these digests.
-    # Measured with numpy 2.4.6 before the block loops were merged; a numpy
-    # whose Philox, SeedSequence or sampling algorithms changed would change
-    # them as well.
+    # Measured with numpy 2.4.6: the normals on SFC64 (schema 16), the bits
+    # on Philox.  NEP 19 keeps a bit generator's raw stream across numpy
+    # releases but not the algorithms of Generator methods such as
+    # standard_normal or integers, so a numpy that changes one of those (or
+    # SFC64, Philox or SeedSequence) fails this test first.
     def digest(a):
         return hashlib.sha256(a.tobytes()).hexdigest()
     n = rng.BLOCK_SIZE + 7
     assert digest(rng.standard_normals(n, seed=1)) == (
-        "c829aaa8bd8526cbb6eb9c69fcf8f7599dad939ca61c4943b10864735661f87e")
+        "b66ae5ad594874430c69287cb9d48013e5296b841124bcb841544a50d759d1b2")
     assert digest(rng.random_bits(n, seed=1, stream=100)) == (
         "dfd2777f7d96a432e59bb522b8ddebc8688b408fe3af7657db08b3b965de5332")
 
 
-def serial_oracle(start, stop, seed, stream, draw):
+def block_generator(bit_generator, seed, stream, block):
+    """The seed contract's generator of one block, built from numpy alone."""
+    return np.random.Generator(bit_generator(
+        np.random.SeedSequence(seed, spawn_key=(stream, block))))
+
+
+def serial_oracle(start, stop, seed, stream, bit_generator, draw):
     """The stream's draws start:stop as one serial walk over its blocks."""
     first = start // rng.BLOCK_SIZE
-    parts = [draw(rng._block_generator(seed, stream, first), 0)]  # sets the dtype
+    parts = [draw(block_generator(bit_generator, seed, stream, first), 0)]  # sets the dtype
     for block in range(first, -(-stop // rng.BLOCK_SIZE)):
         lo = block * rng.BLOCK_SIZE
         size = min(lo + rng.BLOCK_SIZE, stop) - lo
-        parts.append(draw(rng._block_generator(seed, stream, block), size))
+        parts.append(draw(block_generator(bit_generator, seed, stream, block), size))
     offset = first * rng.BLOCK_SIZE
     return np.concatenate(parts)[start - offset:stop - offset]
 
@@ -140,6 +148,21 @@ def normals(gen, size):
 
 def bits(gen, size):
     return gen.integers(0, 2, size=size, dtype=np.uint8)
+
+
+# Each draw function's generator, checked block by block against numpy
+# itself, so an edit of rng cannot move a stream unseen: the normals come
+# from SFC64, the bits from Philox.
+@pytest.mark.parametrize("seed, stream", [(1, 0), (2**64 - 1, 5)])
+@pytest.mark.parametrize("block", [0, 1])
+def test_each_draw_function_keys_its_own_generator(seed, stream, block):
+    lo = block * rng.BLOCK_SIZE
+    assert_array_equal(
+        rng.standard_normals_range(lo, lo + rng.BLOCK_SIZE, seed, stream),
+        block_generator(np.random.SFC64, seed, stream, block).standard_normal(rng.BLOCK_SIZE))
+    assert_array_equal(
+        rng.random_bits(lo + rng.BLOCK_SIZE, seed, stream)[lo:],
+        bits(block_generator(np.random.Philox, seed, stream, block), rng.BLOCK_SIZE))
 
 
 @pytest.fixture(params=[1, 2, 4], ids=lambda cpus: f"{cpus}cpu")
@@ -166,14 +189,14 @@ def cpus(request, monkeypatch):
 def test_concurrent_normals_equal_the_serial_oracle(cpus, start, stop):
     got = rng.standard_normals_range(start, stop, seed=21, stream=6)
     assert got.dtype == np.float64 and got.size == stop - start
-    assert_array_equal(got, serial_oracle(start, stop, 21, 6, normals))
+    assert_array_equal(got, serial_oracle(start, stop, 21, 6, np.random.SFC64, normals))
 
 
 @pytest.mark.parametrize("count", [0, 3 * rng.BLOCK_SIZE + 5])
 def test_concurrent_bits_equal_the_serial_oracle(cpus, count):
     got = rng.random_bits(count, seed=22, stream=7)
     assert got.dtype == np.uint8 and got.size == count
-    assert_array_equal(got, serial_oracle(0, count, 22, 7, bits))
+    assert_array_equal(got, serial_oracle(0, count, 22, 7, np.random.Philox, bits))
 
 
 @pytest.mark.parametrize("start, stop", [(0, 0), (2345, 7890),
@@ -202,7 +225,7 @@ def test_a_failing_fill_raises_and_leaves_no_thread(cpus):
 
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="fill failed"):
-        rng._blockwise(0, 3 * rng.BLOCK_SIZE + 10, 3, 0, np.float64, draw)
+        rng._blockwise(0, 3 * rng.BLOCK_SIZE + 10, 3, 0, np.random.SFC64, np.float64, draw)
     assert threading.active_count() == before
 
     # With many items queued, the failing first item stops the hand-out:
