@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import sys
 import threading
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,7 +89,11 @@ def cumulative_sums_oracle(b):
 
 
 def pattern_counts_unwindowed(b, m):
-    """``_pattern_counts`` as one doubling pass over the whole sequence."""
+    """Pattern counts by doubling, over the whole unpacked sequence.
+
+    The w-bit codes at i and i + s combine into the (w + s)-bit codes at i,
+    so m bits take ceil(log2 m) passes over uint32 codes.
+    """
     codes = np.concatenate([b, b[:m - 1]]).astype(np.uint32)
     width = 1
     while width < m:
@@ -99,25 +106,64 @@ def pattern_counts_unwindowed(b, m):
 
 
 def cumulative_sums_unwindowed(b):
-    """``cumulative_sums`` as one int32 walk over the whole sequence."""
+    """``cumulative_sums`` as one int32 walk over the whole unpacked sequence."""
     walk = np.cumsum(b.view(np.int8) * 2 - 1, dtype=np.int32)
     low, high, total = min(0, int(walk.min())), max(0, int(walk.max())), int(walk[-1])
     fwd, bwd = max(high, -low), max(total - low, high - total)
     return [st._cusum_p(fwd, b.size), st._cusum_p(bwd, b.size)]
 
 
+def max_run_per_row(blocks):
+    """Longest run of ones in each row of a 0/1 matrix, from the gaps between zeros."""
+    n_rows, width = blocks.shape
+    padded = np.zeros((n_rows, width + 2), dtype=np.uint8)
+    padded[:, 1:-1] = blocks
+    flat = padded.ravel()
+    zero_pos = np.flatnonzero(flat == 0)
+    gaps = np.diff(zero_pos) - 1          # ones between consecutive zeros
+    # Each row begins with its left pad zero at position row*(width+2).
+    row_starts = np.searchsorted(zero_pos[:-1], np.arange(n_rows) * (width + 2))
+    return np.maximum.reduceat(gaps, row_starts)
+
+
 def longest_run_unwindowed(b):
-    """``longest_run`` with every block's longest run found in one call."""
+    """``longest_run`` on unpacked bits, every block's longest run found in one call."""
     for min_bits, block, lo, hi, probs in st._LONGEST_RUN_TABLE:
         if b.size >= min_bits:
             break
     n_blocks = b.size // block
-    lengths = st._max_run_per_row(b[:n_blocks * block].reshape(n_blocks, block))
+    lengths = max_run_per_row(b[:n_blocks * block].reshape(n_blocks, block))
     classes = np.clip(lengths, lo, hi) - lo
     counts = np.bincount(classes, minlength=hi - lo + 1)
     expected = n_blocks * np.asarray(probs)
     chi_sq = float(np.sum((counts - expected) ** 2 / expected))
     return [st._gammaincc(len(probs) / 2.0 - 0.5, chi_sq / 2.0)]
+
+
+def monobit_oracle(b):
+    """``monobit`` on unpacked bits."""
+    s = 2.0 * int(b.sum()) - b.size
+    return [math.erfc(abs(s) / math.sqrt(b.size) / math.sqrt(2.0))]
+
+
+def runs_oracle(b):
+    """``runs`` on unpacked bits, the changes counted between neighbours."""
+    n, ones = b.size, int(np.count_nonzero(b))
+    if abs(2 * ones - n) >= 4.0 * math.sqrt(n):
+        return [0.0]
+    v = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
+    spread = ones * (n - ones)
+    num = abs(v - 2 * spread / n)
+    den = 2.0 * math.sqrt(2.0 * n) * (spread / (n * n))
+    return [math.erfc(num / den)]
+
+
+def block_frequency_oracle(b, block):
+    """``block_frequency`` on unpacked bits, each block's mean taken in float64."""
+    n_blocks = b.size // block
+    pi = b[:n_blocks * block].reshape(n_blocks, block).mean(axis=1)
+    chi_sq = 4.0 * block * float(np.sum((pi - 0.5) ** 2))
+    return [st._gammaincc(n_blocks / 2.0, chi_sq / 2.0)]
 
 
 def longest_run_class_probabilities(block, lo, hi):
@@ -269,7 +315,10 @@ class TestIndividualBehaviors:
     def test_max_run_per_row(self):
         blocks = np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]],
                           dtype=np.uint8)
-        np.testing.assert_array_equal(st._max_run_per_row(blocks), [2, 0, 4])
+        np.testing.assert_array_equal(max_run_per_row(blocks), [2, 0, 4])
+        # The packed kernel on the same rows, each padded with zeros to a byte.
+        packed = np.packbits(blocks, axis=1)
+        np.testing.assert_array_equal(st._longest_runs(packed), [2, 0, 4])
 
     def test_cusum_symmetric_sequence(self):
         # palindromic sequence: forward and backward excursions agree
@@ -357,6 +406,104 @@ class TestKernelOracles:
             st.serial(b, 8, counts=st._pattern_counts(b, 7))   # too narrow
         with pytest.raises(ParameterError):
             st.approximate_entropy(b, 3, counts=st._pattern_counts(b[:-1], 8))
+
+
+def with_runs(b, starts, lengths):
+    """A copy of ``b`` with a run of ones of each length set at each start."""
+    b = b.copy()
+    for start, length in zip(starts, lengths):
+        b[start:start + length] = 1
+    return b
+
+
+class TestPackedKernels:
+    """The packed kernels against the unpacked oracles, at every n mod 8."""
+
+    @pytest.mark.parametrize("r", range(8))
+    def test_counts_and_walk_match_at_each_n_mod_8(self, r):
+        for seed in range(5):
+            b = rng.random_bits(1000 + r, seed=100 + seed, stream=r)
+            assert st.monobit(b) == monobit_oracle(b)
+            assert st.runs(b) == runs_oracle(b)
+            assert st.cumulative_sums(b) == cumulative_sums_unwindowed(b)
+            assert st.cumulative_sums(b) == cumulative_sums_oracle(b)
+        # The walk's maximum, then its minimum, at the last bit of a partial
+        # byte: the alternating head keeps the walk within [0, 1].
+        head = np.resize(np.array([1, 0], dtype=np.uint8), 1000)
+        for tail in (np.ones(r, dtype=np.uint8), np.zeros(r, dtype=np.uint8)):
+            b = np.concatenate([head, tail])
+            assert st.cumulative_sums(b) == cumulative_sums_unwindowed(b)
+            assert st.runs(b) == runs_oracle(b)
+
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_pattern_counts_wrap_at_each_n_mod_8(self, m):
+        for r in range(8):
+            b = rng.random_bits(1000 + r, seed=101, stream=8 * m + r)
+            np.testing.assert_array_equal(st._pattern_counts(b, m),
+                                          pattern_counts_oracle(b, m),
+                                          err_msg=f"m={m} n={b.size}")
+
+    def test_packed_input_reads_its_bytes(self):
+        b = rng.random_bits(4099, seed=102)
+        stream = BitStream.from_bits(b)
+        config = st.TestConfig(sequence_bits=4099, sequence_count=1,
+                               serial_pattern_bits=5, approx_entropy_pattern_bits=3)
+        np.testing.assert_array_equal(st._pattern_counts(stream, 11),
+                                      st._pattern_counts(b, 11))
+        assert st._all_but_dft(stream, config) == st._all_but_dft(b, config)
+
+    @pytest.mark.parametrize("block", [2, 3, 63, 64, 127, 128, 129, 1000])
+    def test_block_frequency_matches_at_any_block(self, block):
+        for r in range(8):
+            b = rng.random_bits(3000 + r, seed=103, stream=r)
+            assert st.block_frequency(b, block) == block_frequency_oracle(b, block), r
+
+    # Rows of M = 8, 128 and 10^4 bits: random, with runs of ones of 1 to
+    # 40 bits set across byte edges (chains of 0xFF bytes from 9 bits on),
+    # runs on both sides of each row edge, and whole rows of ones.
+    @pytest.mark.parametrize("block", [8, 128, 10_000])
+    def test_longest_runs_match_per_row(self, block):
+        gen = np.random.default_rng(block)
+        n_rows = max(64, 200_000 // block)
+        n = n_rows * block
+        b = rng.random_bits(n, seed=104)
+        b = with_runs(b, gen.integers(0, n, n // 50), gen.integers(1, 41, n // 50))
+        edges = np.arange(block, n, block)
+        b = with_runs(b, edges - gen.integers(1, 20, edges.size), gen.integers(1, 40, edges.size))
+        b[:block] = 1
+        b[-2 * block:-block] = 1
+        rows = b.reshape(n_rows, block)
+        np.testing.assert_array_equal(st._longest_runs(np.packbits(rows, axis=1)),
+                                      max_run_per_row(rows))
+
+    # Sequences that pick each block size, with runs of ones across byte and
+    # block edges, and across the edge of the scan's windows at 10^4.
+    @pytest.mark.parametrize("n", [6271, 6272, 749_999, 1_000_003])
+    def test_longest_run_matches_unwindowed(self, n):
+        gen = np.random.default_rng(n)
+        b = rng.random_bits(n, seed=105)
+        b = with_runs(b, gen.integers(0, n, n // 100), gen.integers(1, 41, n // 100))
+        window_edge = 8 * WINDOW // 10_000 * 10_000
+        b[window_edge - 40:window_edge + 40] = 1
+        assert st.longest_run(b) == longest_run_unwindowed(b)
+
+    def test_walk_extremes_at_the_window_edge(self):
+        n = 8 * WINDOW + 4001
+        for fill in (0, 1):
+            b = rng.random_bits(n, seed=106)
+            b[8 * WINDOW - 3000:8 * WINDOW + 3000] = fill
+            assert st.cumulative_sums(b) == cumulative_sums_unwindowed(b)
+
+    @pytest.mark.parametrize("counts", [
+        [2**26 + 1, 2**26 + 1, 1],            # int64 dot: n^2 < 2^63
+        [2**31 + 5, 2**31 + 7, 3],            # Python ints: n^2 >= 2^63
+    ])
+    def test_serial_sum_of_squares_is_exact(self, counts):
+        counts = np.array(counts, dtype=np.int64)
+        n = int(counts.sum())
+        squares = sum(Fraction(int(c)) ** 2 for c in counts)
+        assert Fraction(float(np.sum(counts.astype(np.float64) ** 2))) != squares
+        assert st._psi_sq(counts, n) == counts.size / n * float(squares) - n
 
 
 class TestSequenceLengthFloors:
@@ -651,13 +798,155 @@ class TestBatteryLanes:
         assert len(dft_calls) < config.sequence_count
         assert threading.active_count() == threads
 
+    def test_dft_error_stops_the_seven_test_lane(self, monkeypatch):
+        # The helper's first DFT fails within milliseconds; the seven tests
+        # take 50 ms a sequence, so the calling thread stops long before the
+        # tenth.
+        calls, real_all = [], st._all_but_dft
+
+        def all_but_dft(bits, config):
+            calls.append(1)
+            time.sleep(0.05)
+            return real_all(bits, config)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("dft")
+
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(st, "_all_but_dft", all_but_dft)
+        monkeypatch.setattr(st, "dft_spectral", fail)
+        seqs = [rng.random_bits(2048, seed=87, stream=i) for i in range(10)]
+        with pytest.raises(RuntimeError, match="dft"):
+            st.run_battery(seqs, small_battery_config())
+        assert len(calls) < 10
+
+    @staticmethod
+    def pinned_battery(monkeypatch, gate=None, cpus=2):
+        """The pinned battery's stream hashes, and the threads its DFTs ran on.
+
+        ``gate(real, *args)`` stands in for ``_take_dfts`` when given.
+        """
+        threads, real_dft = [], st.dft_spectral
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+
+        def dft(bits, **kwargs):
+            threads.append(threading.get_ident())
+            return real_dft(bits, **kwargs)
+
+        monkeypatch.setattr(st, "dft_spectral", dft)
+        if gate is not None:
+            real_take = st._take_dfts
+            monkeypatch.setattr(st, "_take_dfts", lambda *args: gate(real_take, *args))
+        config = st.TestConfig(sequence_bits=300_000, sequence_count=12)
+        seqs = [rng.random_bits(300_000, seed=2024, stream=i) for i in range(12)]
+        report = st.run_battery(seqs, config)
+        hashes = {r.name: hashlib.sha256(r.p_values.astype("<f8").tobytes()).hexdigest()
+                  for r in report.results}
+        return hashes, threads
+
+    def test_every_dft_on_the_helper_keeps_the_pins(self, monkeypatch):
+        caller, helper_done = threading.get_ident(), threading.Event()
+
+        def gate(take, *args):
+            if threading.get_ident() == caller:
+                assert helper_done.wait(timeout=60)
+                take(*args)
+            else:
+                try:
+                    take(*args)
+                finally:
+                    helper_done.set()
+
+        hashes, threads = self.pinned_battery(monkeypatch, gate)
+        assert hashes == BATTERY_KNOWN_ANSWERS
+        assert len(threads) == 12 and caller not in threads
+
+    def test_every_dft_on_the_caller_keeps_the_pins(self, monkeypatch):
+        caller, caller_done = threading.get_ident(), threading.Event()
+
+        def gate(take, *args):
+            if threading.get_ident() == caller:
+                try:
+                    take(*args)
+                finally:
+                    caller_done.set()
+            else:
+                assert caller_done.wait(timeout=60)
+                take(*args)
+
+        hashes, threads = self.pinned_battery(monkeypatch, gate)
+        assert hashes == BATTERY_KNOWN_ANSWERS
+        assert threads == [caller] * 12
+
+    def test_one_cpu_runs_every_dft_on_the_caller_and_keeps_the_pins(self, monkeypatch):
+        before = threading.active_count()
+        hashes, threads = self.pinned_battery(monkeypatch, cpus=1)
+        assert hashes == BATTERY_KNOWN_ANSWERS
+        assert threads == [threading.get_ident()] * 12
+        assert threading.active_count() == before
+
+    def test_hand_out_gives_each_dft_once_under_fast_switching(self, monkeypatch):
+        # Thread switches every microsecond: a lost or doubled hand-out would
+        # show as a DFT count other than one per sequence, or as a p-value
+        # table that differs from the one-thread run.
+        calls, real_dft = [], st.dft_spectral
+
+        def dft(bits, **kwargs):
+            calls.append(1)
+            return real_dft(bits, **kwargs)
+
+        config = small_battery_config(count=200)
+        seqs = [rng.random_bits(2048, seed=88, stream=i) for i in range(200)]
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 1)
+        want = st.run_battery(seqs, config).to_dict()
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(st, "dft_spectral", dft)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = st.run_battery(seqs, config).to_dict()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 200
+        assert got == want
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_dft_error_is_raised_and_no_thread_is_left(self, monkeypatch, cpus):
+        # The helper takes no DFT until the caller's lane has failed.
+        caller, caller_done = threading.get_ident(), threading.Event()
+        real_take, real_dft = st._take_dfts, st.dft_spectral
+
+        def take(*args):
+            if threading.get_ident() == caller:
+                try:
+                    real_take(*args)
+                finally:
+                    caller_done.set()
+            else:
+                assert caller_done.wait(timeout=60)
+                real_take(*args)
+
+        def dft(bits, **kwargs):
+            if threading.get_ident() == caller:
+                raise RuntimeError("caller dft")
+            return real_dft(bits, **kwargs)
+
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(st, "_take_dfts", take)
+        monkeypatch.setattr(st, "dft_spectral", dft)
+        seqs = [rng.random_bits(2048, seed=86, stream=i) for i in range(10)]
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller dft"):
+            st.run_battery(seqs, small_battery_config())
+        assert threading.active_count() == threads
+
 
 def dft_work(n):
-    """``_dft_work(n)`` with x and the grid filled with NaN as stale data."""
-    x, grid, twiddles, mask = st._dft_work(n)
-    x.fill(np.nan)
+    """``_dft_work(n)`` with the rows and the grid filled with NaN as stale data."""
+    rows, grid, twiddles, mask = st._dft_work(n)
+    rows.fill(np.nan)
     grid.fill(np.nan)
-    return x, grid, twiddles, mask
+    return rows, grid, twiddles, mask
 
 
 def rfft_count(b):
@@ -698,22 +987,23 @@ class TestDftBuffers:
             tracemalloc.stop()
         assert peak < n
 
-    # 2000 bits split as 50 x 40, so the grid, twiddles and mask are 26 x 40;
-    # the "spectrum" cases give a wrong grid, which holds the spectrum.
+    # 2000 bits split as 50 x 40, so the rows buffer is 40 x 50 and the grid,
+    # twiddles and mask are 40 x 26; the "x" cases give a wrong rows buffer,
+    # and the "spectrum" cases a wrong grid, which holds the spectrum.
     @pytest.mark.parametrize("slot, bad", [
-        (0, lambda: np.empty(1999)),
-        (0, lambda: np.empty(2000, dtype=np.float32)),
-        (1, lambda: np.empty((25, 40), dtype=np.complex128)),
-        (1, lambda: np.empty((26, 40), dtype=np.complex64)),
-        (1, lambda: np.empty((26, 40))),
+        (0, lambda: np.empty((40, 49))),
+        (0, lambda: np.empty((40, 50), dtype=np.float32)),
+        (1, lambda: np.empty((40, 25), dtype=np.complex128)),
+        (1, lambda: np.empty((40, 26), dtype=np.complex64)),
+        (1, lambda: np.empty((40, 26))),
         (0, lambda: np.empty((2000, 1))),
         (0, lambda: [0.0] * 2000),
         (None, lambda: np.empty(2000)),
         (None, lambda: 42),
         (None, lambda: (np.empty(2000), np.empty(1001, dtype=np.complex128))),
-        (1, lambda: np.empty((26, 80), dtype=np.complex128)[:, ::2]),
-        (2, lambda: np.empty((26, 41), dtype=np.complex128)),
-        (3, lambda: np.ones((26, 40), dtype=np.uint8)),
+        (1, lambda: np.empty((40, 52), dtype=np.complex128)[:, ::2]),
+        (2, lambda: np.empty((40, 27), dtype=np.complex128)),
+        (3, lambda: np.ones((40, 26), dtype=np.uint8)),
     ], ids=["x-size", "x-dtype", "spectrum-size", "spectrum-dtype",
             "spectrum-real", "x-2d", "x-list", "not-a-pair", "not-iterable",
             "old-pair", "grid-strided", "twiddles-shape", "mask-dtype"])
@@ -755,7 +1045,7 @@ class TestSixStepDft:
     def test_mask_covers_each_k_once(self, n):
         n1, n2 = st._dft_split(n)
         mask = st._dft_work(n)[3]
-        k1, k2 = np.nonzero(mask)
+        k2, k1 = np.nonzero(mask)
         k = k1 + n1 * k2
         mirrored = k >= n // 2
         assert np.all(n - k[mirrored] < n // 2)
