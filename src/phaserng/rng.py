@@ -23,13 +23,14 @@ blocks apart, and each draw function fixes its own bit generator:
   bits, so a faster generator would gain nothing, and it keeps the bits
   that the battery's seeded references were computed on.
 
-``map_blocks`` is the one thread fan-out of every per-sample kernel (the
-battery keeps its own DFT lane).  Every thread, the caller's included,
-takes the next unstarted item until none remain, so the items spread
-evenly over the usable CPUs.  It fills the blocks of a long draw;
-``optics.simulate_trace`` runs its per-block work and its I and Q lanes
-through it; ``boxcar_decimate``, ``adc_quantize`` and ``normalize_iq`` run
-one lane per channel; the extractor's FFT chunks are its items too.
+``map_blocks`` is the package's one thread fan-out.  Every thread, the
+caller's included, takes the next unstarted item until none remain, so
+the items spread evenly over the usable CPUs.  It fills the blocks of a
+long draw; ``optics.simulate_trace`` runs its per-block work and its I and
+Q lanes through it; ``boxcar_decimate``, ``adc_quantize`` and
+``normalize_iq`` run one lane per channel; the extractor's FFT chunks are
+its items too, and so are the test battery's seven-test pass and each of
+its sequences' DFTs.
 ``map_spans`` hands out the ``SPAN``-long pieces of a kernel whose output
 elements are independent: the reconstruction, the phase quantizer, and
 the phase path's scaling and scatter.  Each item writes only its own slices, so the bytes never depend

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,8 +346,8 @@ def serial(bits, pattern_bits: int = 16, *,
     m = check_scalar("pattern_bits", pattern_bits, bounds=(2, None))
     _require(n, 1 << (m + 2), "serial")
     counts_m = _leading_counts(bits, n, m, counts)
-    counts_m1 = counts_m.reshape(-1, 2).sum(axis=1)
-    counts_m2 = counts_m1.reshape(-1, 2).sum(axis=1)
+    counts_m1 = counts_m[0::2] + counts_m[1::2]
+    counts_m2 = counts_m1[0::2] + counts_m1[1::2]
     psi_m = _psi_sq(counts_m, n)
     psi_m1 = _psi_sq(counts_m1, n)
     psi_m2 = _psi_sq(counts_m2, n)
@@ -373,7 +372,7 @@ def approximate_entropy(bits, pattern_bits: int = 10, *,
         return float(np.sum(c * np.log(c)))
 
     counts_m1 = _leading_counts(bits, n, m + 1, counts)
-    ap_en = phi(counts_m1.reshape(-1, 2).sum(axis=1)) - phi(counts_m1)
+    ap_en = phi(counts_m1[0::2] + counts_m1[1::2]) - phi(counts_m1)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
     return [_gammaincc(2.0 ** (m - 1), chi_sq / 2.0)]
 
@@ -586,42 +585,18 @@ class TestReport:
         }
 
 
-def _take_dfts(arrays: list, table: np.ndarray, hand_out: tuple, work) -> None:
-    """``dft_spectral`` into ``table`` of each sequence ``hand_out`` gives.
-
-    ``hand_out`` is a shared (index iterator, lock, failed event): the next
-    index is taken under the lock until none is left or the event is set,
-    which an error sets.  ``work()`` makes the ``_dft_work`` tuple at the
-    first index.
-    """
-    order, lock, failed = hand_out
-    own = None
-    try:
-        while True:
-            with lock:
-                i = None if failed.is_set() else next(order, None)
-            if i is None:
-                return
-            own = own or work()
-            table[i, -1] = dft_spectral(arrays[i], work=own)[0]
-    except BaseException:
-        failed.set()
-        raise
-
-
 def run_battery(sequences, config: TestConfig) -> TestReport:
     """Run every implemented test over all sequences and gate the results.
 
-    All sequences must have exactly ``config.sequence_bits`` bits.  The
-    calling thread packs each into a ``BitStream`` and runs the seven tests
-    other than ``dft_spectral`` on it, while a helper thread builds the
-    ``_dft_work`` tuple and takes DFTs from a shared index; then the
-    calling thread takes the DFTs still left, on its own rows and grid.
-    The FFT and numpy release the GIL, so the threads overlap.  With one
-    usable CPU the calling thread runs every DFT.  A failure stops the
-    hand-out and propagates once both threads are done.  A stream passes
-    when its pass proportion exceeds the 3-sigma bound and its p-values
-    look uniform at ``UNIFORMITY_THRESHOLD``.
+    All sequences must have exactly ``config.sequence_bits`` bits.  One
+    ``rng.map_blocks`` call runs the items ``None``, the seven tests other
+    than ``dft_spectral`` over every sequence packed in order, and each
+    sequence's index, its DFT: one thread runs the seven tests while the
+    others take DFTs, then all take the DFTs left.  The first DFT builds the
+    ``_dft_work`` tuple; each other thread makes its own rows and grid and
+    shares the twiddles and mask.  A failed DFT also stops the seven tests.
+    A stream passes when its pass proportion exceeds the 3-sigma bound and
+    its p-values look uniform at ``UNIFORMITY_THRESHOLD``.
     """
     arrays = [_as_bits(s) for s in sequences]
     if len(arrays) != config.sequence_count:
@@ -634,31 +609,32 @@ def run_battery(sequences, config: TestConfig) -> TestReport:
                 f"found one with {arr.size}")
 
     table = np.empty((len(arrays), len(STREAMS)), dtype=np.float64)
-    failed = threading.Event()
-    hand_out = (iter(range(len(arrays))), threading.Lock(), failed)
-    built = helper = None
+    dft_failed, lock, own, built = threading.Event(), threading.Lock(), threading.local(), []
 
-    def own_work() -> tuple[np.ndarray, ...]:
-        if built is None:
-            return _dft_work(config.sequence_bits)
-        rows, grid, twiddles, mask = built.result()
+    def work() -> tuple[np.ndarray, ...]:
+        with lock:
+            if not built:
+                built.append(_dft_work(config.sequence_bits))
+                return built[0]
+        rows, grid, twiddles, mask = built[0]
         return np.empty_like(rows), np.empty_like(grid), twiddles, mask
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        if rng._usable_cpus() > 1:
-            built = pool.submit(_dft_work, config.sequence_bits)
-            helper = pool.submit(_take_dfts, arrays, table, hand_out, built.result)
+    def item(i: int | None) -> None:
+        if i is None:
+            for j, arr in enumerate(arrays):
+                if dft_failed.is_set():
+                    return
+                table[j, :-1] = _all_but_dft(BitStream.from_bits(arr), config)
+            return
         try:
-            for i, arr in enumerate(arrays):
-                if failed.is_set():
-                    break
-                table[i, :-1] = _all_but_dft(BitStream.from_bits(arr), config)
+            if not hasattr(own, "work"):
+                own.work = work()
+            table[i, -1] = dft_spectral(arrays[i], work=own.work)[0]
         except BaseException:
-            failed.set()
+            dft_failed.set()
             raise
-        _take_dfts(arrays, table, hand_out, own_work)
-        if helper is not None:
-            helper.result()
+
+    rng.map_blocks(item, [None, *range(len(arrays))])
 
     bound = config.proportion_bound()
     results = []

@@ -7,8 +7,10 @@ last span both run; where an oracle is cheap, the 1-CPU output is also
 checked against the whole-array computation.
 """
 
+import ast
 import inspect
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +184,21 @@ class TestPhasePathScatter:
             written = np.concatenate(changed)
             assert written.size > 0
             assert np.unique(written).size == written.size, "a sample has two writers"
+
+
+def test_only_rng_fans_out_on_concurrent_futures():
+    """``rng.map_blocks`` is the package's one thread hand-out: no other module
+    imports ``concurrent.futures`` or names a ``ThreadPoolExecutor``."""
+    users = set()
+    for path in sorted(Path(rng.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            if any(name and (name.split(".")[0] == "concurrent"
+                             or name == "ThreadPoolExecutor") for name in names):
+                users.add(path.name)
+    assert users == {"rng.py"}

@@ -759,7 +759,12 @@ class TestBatteryKnownAnswers:
 
 
 class TestBatteryLanes:
-    """The DFT lane beside the other seven tests, and what a failure leaves."""
+    """The battery's ``rng.map_blocks`` items, and what a failure leaves.
+
+    The items are ``None``, the seven tests other than the DFT over every
+    sequence, then each sequence's index, its DFT: the thread that takes
+    ``None`` runs the seven tests while the others take DFTs.
+    """
 
     @pytest.mark.parametrize("name", ["dft_spectral", "monobit"])
     def test_lane_error_is_raised_and_no_thread_is_left(self, monkeypatch, name):
@@ -775,7 +780,7 @@ class TestBatteryLanes:
 
     def test_seven_test_lane_error_cancels_pending_dfts(self, monkeypatch):
         # Each DFT waits until monobit has failed, so only the one running
-        # then, and at most one the worker took before the cancel, can run.
+        # then, and at most one taken before the cancel, can run.
         failed, dft_calls = threading.Event(), []
         real_dft = st.dft_spectral
 
@@ -799,9 +804,8 @@ class TestBatteryLanes:
         assert threading.active_count() == threads
 
     def test_dft_error_stops_the_seven_test_lane(self, monkeypatch):
-        # The helper's first DFT fails within milliseconds; the seven tests
-        # take 50 ms a sequence, so the calling thread stops long before the
-        # tenth.
+        # The first DFT fails within milliseconds; the seven tests take
+        # 50 ms a sequence, so their thread stops long before the tenth.
         calls, real_all = [], st._all_but_dft
 
         def all_but_dft(bits, config):
@@ -821,68 +825,92 @@ class TestBatteryLanes:
         assert len(calls) < 10
 
     @staticmethod
-    def pinned_battery(monkeypatch, gate=None, cpus=2):
-        """The pinned battery's stream hashes, and the threads its DFTs ran on.
+    def pinned_battery(monkeypatch, cpus=2, dft_gate=None, seven_gate=None):
+        """The pinned battery's stream hashes, its DFTs' (thread, sequence) in
+        the order taken, and the threads that ran the seven tests.
 
-        ``gate(real, *args)`` stands in for ``_take_dfts`` when given.
+        ``dft_gate(dfts, seven)`` runs after each DFT is recorded and
+        ``seven_gate()`` before the seven tests of each sequence.
         """
-        threads, real_dft = [], st.dft_spectral
-        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
-
-        def dft(bits, **kwargs):
-            threads.append(threading.get_ident())
-            return real_dft(bits, **kwargs)
-
-        monkeypatch.setattr(st, "dft_spectral", dft)
-        if gate is not None:
-            real_take = st._take_dfts
-            monkeypatch.setattr(st, "_take_dfts", lambda *args: gate(real_take, *args))
+        dfts, seven = [], set()
+        real_dft, real_all = st.dft_spectral, st._all_but_dft
         config = st.TestConfig(sequence_bits=300_000, sequence_count=12)
         seqs = [rng.random_bits(300_000, seed=2024, stream=i) for i in range(12)]
+
+        def all_but_dft(bits, config):
+            seven.add(threading.get_ident())
+            if seven_gate is not None:
+                seven_gate()
+            return real_all(bits, config)
+
+        def dft(bits, **kwargs):
+            index = next(i for i, s in enumerate(seqs) if np.shares_memory(s, bits))
+            dfts.append((threading.get_ident(), index))
+            if dft_gate is not None:
+                dft_gate(dfts, seven)
+            return real_dft(bits, **kwargs)
+
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(st, "_all_but_dft", all_but_dft)
+        monkeypatch.setattr(st, "dft_spectral", dft)
         report = st.run_battery(seqs, config)
         hashes = {r.name: hashlib.sha256(r.p_values.astype("<f8").tobytes()).hexdigest()
                   for r in report.results}
-        return hashes, threads
+        return hashes, dfts, seven
 
-    def test_every_dft_on_the_helper_keeps_the_pins(self, monkeypatch):
-        caller, helper_done = threading.get_ident(), threading.Event()
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_every_dft_on_the_helper_keeps_the_pins(self, monkeypatch, cpus):
+        # The seven tests wait until the other threads have taken every DFT,
+        # so each sequence's DFT runs on a thread that runs no seven tests.
+        # Threads switch every microsecond, so on three CPUs the two DFT
+        # threads interleave in the first one's build of the work tuple.
+        all_taken, before = threading.Event(), threading.active_count()
 
-        def gate(take, *args):
-            if threading.get_ident() == caller:
-                assert helper_done.wait(timeout=60)
-                take(*args)
-            else:
-                try:
-                    take(*args)
-                finally:
-                    helper_done.set()
+        def dft_gate(dfts, seven):
+            if len(dfts) == 12:
+                all_taken.set()
 
-        hashes, threads = self.pinned_battery(monkeypatch, gate)
+        def seven_gate():
+            assert all_taken.wait(timeout=60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hashes, dfts, seven = self.pinned_battery(monkeypatch, cpus, dft_gate, seven_gate)
+        finally:
+            sys.setswitchinterval(interval)
+        threads = {thread for thread, _ in dfts}
         assert hashes == BATTERY_KNOWN_ANSWERS
-        assert len(threads) == 12 and caller not in threads
+        assert sorted(index for _, index in dfts) == list(range(12))
+        assert len(seven) == 1 and not seven & threads
+        assert len(threads) <= cpus - 1
+        assert threading.active_count() == before
 
     def test_every_dft_on_the_caller_keeps_the_pins(self, monkeypatch):
-        caller, caller_done = threading.get_ident(), threading.Event()
+        # The first DFT's thread builds the work tuple, then waits until the
+        # thread that ran the seven tests has taken the eleven DFTs left,
+        # each on rows and a grid of its own beside the shared twiddles.
+        rest_taken = threading.Event()
 
-        def gate(take, *args):
-            if threading.get_ident() == caller:
-                try:
-                    take(*args)
-                finally:
-                    caller_done.set()
-            else:
-                assert caller_done.wait(timeout=60)
-                take(*args)
+        def dft_gate(dfts, seven):
+            thread = threading.get_ident()
+            if thread not in seven:
+                assert rest_taken.wait(timeout=60)
+            elif [t for t, _ in dfts].count(thread) == 11:
+                rest_taken.set()
 
-        hashes, threads = self.pinned_battery(monkeypatch, gate)
+        hashes, dfts, seven = self.pinned_battery(monkeypatch, dft_gate=dft_gate)
+        (thread,), others = seven, [t for t, _ in dfts if t not in seven]
         assert hashes == BATTERY_KNOWN_ANSWERS
-        assert threads == [caller] * 12
+        assert sorted(index for _, index in dfts) == list(range(12))
+        assert [t for t, _ in dfts].count(thread) == 11 and len(others) == 1
 
     def test_one_cpu_runs_every_dft_on_the_caller_and_keeps_the_pins(self, monkeypatch):
         before = threading.active_count()
-        hashes, threads = self.pinned_battery(monkeypatch, cpus=1)
+        hashes, dfts, seven = self.pinned_battery(monkeypatch, cpus=1)
         assert hashes == BATTERY_KNOWN_ANSWERS
-        assert threads == [threading.get_ident()] * 12
+        assert dfts == [(threading.get_ident(), i) for i in range(12)]
+        assert seven == {threading.get_ident()}
         assert threading.active_count() == before
 
     def test_hand_out_gives_each_dft_once_under_fast_switching(self, monkeypatch):
@@ -912,27 +940,24 @@ class TestBatteryLanes:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_caller_dft_error_is_raised_and_no_thread_is_left(self, monkeypatch, cpus):
-        # The helper takes no DFT until the caller's lane has failed.
-        caller, caller_done = threading.get_ident(), threading.Event()
-        real_take, real_dft = st._take_dfts, st.dft_spectral
+        # The DFTs of the thread that ran the seven tests fail; any other
+        # thread's DFT waits until one has.
+        seven, failed = set(), threading.Event()
+        real_all, real_dft = st._all_but_dft, st.dft_spectral
 
-        def take(*args):
-            if threading.get_ident() == caller:
-                try:
-                    real_take(*args)
-                finally:
-                    caller_done.set()
-            else:
-                assert caller_done.wait(timeout=60)
-                real_take(*args)
+        def all_but_dft(bits, config):
+            seven.add(threading.get_ident())
+            return real_all(bits, config)
 
         def dft(bits, **kwargs):
-            if threading.get_ident() == caller:
+            if threading.get_ident() in seven:
+                failed.set()
                 raise RuntimeError("caller dft")
+            assert failed.wait(timeout=60)
             return real_dft(bits, **kwargs)
 
         monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(st, "_take_dfts", take)
+        monkeypatch.setattr(st, "_all_but_dft", all_but_dft)
         monkeypatch.setattr(st, "dft_spectral", dft)
         seqs = [rng.random_bits(2048, seed=86, stream=i) for i in range(10)]
         threads = threading.active_count()
@@ -958,7 +983,7 @@ def rfft_count(b):
 
 
 class TestDftBuffers:
-    """``dft_spectral`` on caller-owned buffers, as the battery's DFT lane runs it."""
+    """``dft_spectral`` on caller-owned buffers, as the battery's DFT items run it."""
 
     @pytest.mark.parametrize("n", [1000, 1001, 4096, 100_000])
     def test_reused_buffers_give_the_allocating_p_value(self, n):
