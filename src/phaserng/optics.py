@@ -33,6 +33,19 @@ from .phasenoise import LaserParams, PhasePath, delay_time, phase_variance, wrap
 #: How the classical phase phi_0 evolves when the drift switch is on.
 DRIFT_MODES = ("fixed", "slow-walk")
 
+#: Samples per working buffer of the per-sample kernels: a multiple of the
+#: SIMD width, so a piece's edges split no vector of ``rng.SPAN``'s spans.
+_PIECE = 1 << 14
+
+#: The quantizer's pieces: its passes cost so little per sample that at
+#: ``_PIECE`` samples the calls' own cost doubled its time.
+_LEVEL_PIECE = 1 << 16
+
+
+def _pieces(lo: int, hi: int, size: int = _PIECE):
+    """The (start, stop) pairs that cut ``range(lo, hi)`` every ``size`` samples."""
+    return ((a, min(a + size, hi)) for a in range(lo, hi, size))
+
 
 @dataclass(frozen=True)
 class InterferometerParams:
@@ -192,14 +205,16 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     ``validate_device`` also applies).  Negative instantaneous power draws
     are clamped to zero and counted in ``clamped_samples``.
 
-    The work goes one RNG block of samples at a time.  The head (the phase
-    with its drift, the envelope with its intensity noise, and both gains)
-    runs on ``rng.map_blocks``'s threads, each block drawing straight into
-    its slices of the phase and output arrays; only the slow walk's
-    cumulative sum runs over the whole array.  Then the I and Q chains run
-    as two lanes through ``rng.map_blocks``, concurrently when two CPUs are
-    usable, else one after the other.  The bytes do not depend on the
-    scheduling.
+    The work allocates the two outputs and buffers of ``_PIECE`` samples,
+    nothing of the trace's size.  The head runs one RNG block per
+    ``rng.map_blocks`` item: it writes the phase (before the slow walk's
+    cumulative sum, the one pass over the whole array) into ``v_q`` and the
+    envelope into ``v_i``, drawing the two arm powers piece by piece from
+    the block's generators.  One ``rng.map_spans`` pass then forms both
+    quadratures in place.  Last, the I and Q lanes filter and add their
+    electrical noise, drawn piece by piece, as two ``rng.map_blocks``
+    items, concurrently when two CPUs are usable.  The bytes do not depend
+    on the scheduling.
     """
     count = len(path)
     seed = rng.check_seed(seed)
@@ -215,29 +230,31 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
     gain_i, gain_q = (d.transimpedance * d.responsivity
                       for d in _gain_detectors(det_i, det_q, switches))
     blocks = range(0, count, rng.BLOCK_SIZE)
-    # Each block evaluates, in place on its slices, the whole-array expressions
+    # Each piece evaluates, in place on its slices, the whole-array expressions
     #   phase = ((cumsum(step * n_drift) + (drift_phase - first)) + increments) + static_phase
     #   envelope = sqrt(max(n_s * c_s + p_sig, 0) * max(n_lo * c_lo + p_lo, 0))
     #   v_i = gain_i * envelope * cos(phase), v_q = envelope * gain_q * sin(phase)
     # (without the walk, phase = (increments + drift_phase) + static_phase,
-    # or increments + static_phase with the drift off).  Operands may swap
-    # (IEEE addition and multiplication commute) but nothing is
-    # reassociated, so the bytes are those of the whole-array expressions.
-    phase = np.empty(count)
+    # or increments + static_phase with the drift off; without the intensity
+    # noise, envelope = level).  Operands may swap (IEEE addition and
+    # multiplication commute) but nothing is reassociated, so the bytes are
+    # those of the whole-array expressions.
     v_i = np.empty(count)
     v_q = np.empty(count)
 
     def head(lo: int) -> int:
-        """One block of the phase (before the walk's sum) and of v_i, v_q; its clamp count.
+        """One block of the phase (before the walk's sum) in v_q and of the
+        envelope in v_i; its clamp count.
 
         ``np.maximum(x, 0.0)`` returns x for every x >= +0.0, and p + s*n is
-        never -0.0, so clamping only the blocks that have a negative draw
+        never -0.0, so clamping only the pieces that have a negative draw
         gives the bytes of clamping the whole array.
         """
         hi = min(lo + rng.BLOCK_SIZE, count)
-        ph, env_i, env_q = phase[lo:hi], v_i[lo:hi], v_q[lo:hi]
+        block = lo // rng.BLOCK_SIZE
+        ph = v_q[lo:hi]
         if walk:
-            rng.standard_normals_range(lo, hi, seed, rng.STREAM_DRIFT, out=ph)
+            rng.block_generator(seed, rng.STREAM_DRIFT, block).standard_normal(out=ph)
             ph *= ifm.drift_step
         elif switches.drift:
             np.add(increments[lo:hi], ifm.drift_phase, out=ph)
@@ -245,74 +262,85 @@ def simulate_trace(path: PhasePath, laser: LaserParams, ifm: InterferometerParam
         else:
             np.add(increments[lo:hi], ifm.static_phase, out=ph)
         if not intensity:
-            env_i.fill(gain_i * level)
-            env_q.fill(level * gain_q)
+            v_i[lo:hi].fill(level)
             return 0
         # The source power fluctuation epsilon(t) propagates through each
         # arm with that arm's transmission; the two arm draws are
         # independent but shared between the I and Q channels.
-        eps_s = rng.standard_normals_range(lo, hi, seed, rng.STREAM_INTENSITY_S, out=env_q)
-        eps_s *= k * t * laser.intensity_sigma
-        eps_s += p_sig
-        eps_lo = rng.standard_normals_range(lo, hi, seed, rng.STREAM_INTENSITY_LO, out=env_i)
-        eps_lo *= (1.0 - t) * laser.intensity_sigma
-        eps_lo += p_lo
-        clamped = int(np.count_nonzero((eps_s < 0.0) | (eps_lo < 0.0)))
-        if clamped:
-            np.maximum(eps_s, 0.0, out=eps_s)
-            np.maximum(eps_lo, 0.0, out=eps_lo)
-        eps_s *= eps_lo
-        np.sqrt(eps_s, out=eps_s)
-        np.multiply(gain_i, eps_s, out=env_i)
-        env_q *= gain_q
+        arm_s = rng.block_generator(seed, rng.STREAM_INTENSITY_S, block)
+        arm_lo = rng.block_generator(seed, rng.STREAM_INTENSITY_LO, block)
+        buffer = np.empty(min(_PIECE, hi - lo))
+        clamped = 0
+        for a, b in _pieces(lo, hi):
+            eps_s = arm_s.standard_normal(out=buffer[:b - a])
+            eps_s *= k * t * laser.intensity_sigma
+            eps_s += p_sig
+            eps_lo = arm_lo.standard_normal(out=v_i[a:b])
+            eps_lo *= (1.0 - t) * laser.intensity_sigma
+            eps_lo += p_lo
+            negative = int(np.count_nonzero((eps_s < 0.0) | (eps_lo < 0.0)))
+            if negative:
+                clamped += negative
+                np.maximum(eps_s, 0.0, out=eps_s)
+                np.maximum(eps_lo, 0.0, out=eps_lo)
+            eps_lo *= eps_s
+            np.sqrt(eps_lo, out=eps_lo)
         return clamped
 
     clamped = sum(rng.map_blocks(head, blocks))
     if walk:
-        np.cumsum(phase, out=phase)
-        start = ifm.drift_phase - phase[0]    # the walk starts at drift_phase
+        np.cumsum(v_q, out=v_q)
+        start = ifm.drift_phase - v_q[0]    # the walk starts at drift_phase
 
-        def finish(lo: int) -> None:
-            ph = phase[lo:lo + rng.BLOCK_SIZE]
-            ph += start
-            ph += increments[lo:lo + rng.BLOCK_SIZE]
-            ph += ifm.static_phase
+    def quadratures(span: slice) -> None:
+        """Both channels of one span, in place, through cos and sin pieces."""
+        size = min(_PIECE, span.stop - span.start)
+        cos_piece, sin_piece = np.empty(size), np.empty(size)
+        for a, b in _pieces(span.start, span.stop):
+            ph, env = v_q[a:b], v_i[a:b]
+            if walk:
+                ph += start
+                ph += increments[a:b]
+                ph += ifm.static_phase
+            c = np.cos(ph, out=cos_piece[:b - a])
+            s = np.sin(ph, out=sin_piece[:b - a])
+            np.multiply(env, gain_q, out=ph)
+            ph *= s
+            env *= gain_i
+            env *= c
 
-        rng.map_blocks(finish, blocks)
+    rng.map_spans(quadratures, count)
 
     def lane(channel) -> None:
-        """Finish one channel ``(v, quadrature, det, stream, scratch)`` in
-        place, one RNG block of samples at a time.
+        """Filter one channel ``(v, det, stream)`` in place and add its noise.
 
-        Carrying the filter state across segments and drawing each
-        segment's noise from its own block gives the bytes of the
-        whole-array computation.  The quadrature and the noise go through
-        the lane's one-block ``scratch``, which the calling thread
-        allocated, and the filter works in place, so a lane allocates no
-        block-sized array of its own.  The filter coefficient comes from
-        ``math``: numpy's ``expm1`` picks its SIMD loop at run time, and the
-        loops differ in the last bit.
+        The filter goes one RNG block at a time with its state carried, and
+        each block's noise comes piece by piece from the block's generator,
+        so the bytes are those of the whole-array computation.  The filter
+        coefficient comes from ``math``: numpy's ``expm1`` picks its SIMD
+        loop at run time, and the loops differ in the last bit.
         """
-        v, quadrature, det, stream, scratch = channel
+        v, det, stream = channel
         if switches.bandwidth_limit:
             alpha = -math.expm1(-path.sample_period / det.response_time)
             state = 0.0
         noisy = switches.electrical and det.electrical_noise_sigma > 0.0
+        if noisy:
+            buffer = np.empty(min(_PIECE, count))
         for lo in blocks:
             hi = min(lo + rng.BLOCK_SIZE, count)
-            seg, tmp = v[lo:hi], scratch[:hi - lo]
-            seg *= quadrature(phase[lo:hi], out=tmp)
             if switches.bandwidth_limit:
-                state = _single_pole(seg, alpha, state)
+                state = _single_pole(v[lo:hi], alpha, state)
             if noisy:
-                noise = rng.standard_normals_range(lo, hi, seed, stream, out=tmp)
-                noise *= det.electrical_noise_sigma
-                seg += noise
+                gen = rng.block_generator(seed, stream, lo // rng.BLOCK_SIZE)
+                for a, b in _pieces(lo, hi):
+                    noise = gen.standard_normal(out=buffer[:b - a])
+                    noise *= det.electrical_noise_sigma
+                    v[a:b] += noise
 
     # The lanes overlap: numpy and the SFC64 normal fills release the GIL.
-    block = min(count, rng.BLOCK_SIZE)
-    rng.map_blocks(lane, [(v_i, np.cos, det_i, rng.STREAM_ELECTRICAL_I, np.empty(block)),
-                          (v_q, np.sin, det_q, rng.STREAM_ELECTRICAL_Q, np.empty(block))])
+    rng.map_blocks(lane, [(v_i, det_i, rng.STREAM_ELECTRICAL_I),
+                          (v_q, det_q, rng.STREAM_ELECTRICAL_Q)])
 
     return IQTrace(v_i=v_i, v_q=v_q, sample_rate=1.0 / path.sample_period,
                    clamped_samples=clamped)
@@ -381,19 +409,21 @@ def _level_indices(values: np.ndarray, n_bits: int, lo: float, hi: float,
 def quantize_uniform(values, n_bits: int, lo: float, hi: float) -> np.ndarray:
     """Uniform n-bit quantizer over [lo, hi) with saturation at both ends.
 
-    Runs on ``rng.map_spans``: each span quantizes into its own slices of
-    the float64 levels and the codes.
+    Runs on ``rng.map_spans``: each span has its own float64 levels buffer
+    of ``_LEVEL_PIECE`` samples, through which it quantizes its slice of the
+    codes piece by piece.
     """
     n_bits = check_scalar("n_bits", n_bits, bounds=(1, 16))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ParameterError(f"need finite lo < hi, got {lo}, {hi}")
     arr = np.asarray(values, dtype=np.float64)
     flat = arr.reshape(-1)
-    levels = np.empty(flat.size)
     codes = np.empty(flat.size, dtype=np.uint16)
 
     def span(s: slice) -> None:
-        codes[s] = _level_indices(flat[s], n_bits, lo, hi, levels[s])
+        levels = np.empty(min(_LEVEL_PIECE, s.stop - s.start))
+        for a, b in _pieces(s.start, s.stop, _LEVEL_PIECE):
+            codes[a:b] = _level_indices(flat[a:b], n_bits, lo, hi, levels[:b - a])
 
     rng.map_spans(span, flat.size)
     return codes.reshape(arr.shape)

@@ -50,8 +50,9 @@ from .errors import ParameterError, check_fields, check_scalar
 SPEED_OF_LIGHT = 299_792_458.0
 
 #: Gaps of the merged time grid (one normal each) generated per chunk when
-#: streaming long correlated paths.
-_CHUNK_GRID_STEPS = 1 << 22
+#: streaming long correlated paths: two RNG blocks, so that the chunk's
+#: normals fill on two threads.
+_CHUNK_GRID_STEPS = 2 * rng.BLOCK_SIZE
 
 _TWO_PI = 2.0 * np.pi
 
@@ -140,10 +141,12 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
     correlation max(0, 1 - k*sample_period/delay_time).  Disjoint windows
     are drawn i.i.d.; overlapping ones come from phi drawn exactly at the
     merged window edges (draw order in the module docstring), streamed in
-    chunks of ``_CHUNK_GRID_STEPS`` gaps.  Each chunk's scaling and scatter
-    run on ``rng.map_spans``, partitioned by output sample: a sample's two
-    gaps may lie in different spans of the grid, but only its own span
-    writes it.  The cumulative sum runs over the whole chunk.
+    chunks of ``_CHUNK_GRID_STEPS`` gaps, each dropped before the next is
+    drawn, so the walk allocates its output and one chunk.  Each chunk's
+    scaling and scatter run on ``rng.map_spans``, partitioned by output
+    sample: a sample's two gaps may lie in different spans of the grid, but
+    only its own span writes it.  The cumulative sum runs over the whole
+    chunk.
     """
     count = check_scalar("count", count, bounds=(1, None))
     delay_time = check_scalar("delay_time", delay_time)
@@ -206,5 +209,6 @@ def sample_phase_path(laser: LaserParams, delay_time: float,
             np.cumsum(walk, out=walk)
             carry = walk[-1]
             rng.map_spans(scatter, hi, lo)
+            del walk    # before the next chunk is drawn
 
     return PhasePath(increments=increments, sample_period=sample_period)

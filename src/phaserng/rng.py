@@ -7,8 +7,9 @@ Randomness is always requested through (seed, stream, block) coordinates:
 * ``block``  -- the index of a fixed-size block of draws.
 
 Each (seed, stream, block) triple keys an independent bit generator via
-``numpy.random.SeedSequence(seed, spawn_key=(stream, block))``, so a long
-array of draws is *defined* as the concatenation of its blocks.
+``numpy.random.SeedSequence(seed, spawn_key=(stream, block))``, in
+``block_generator`` alone, so a long array of draws is *defined* as the
+concatenation of its blocks.
 Sequential and windowed generation therefore produce bit-identical
 output, which is what the reproducibility contract requires.  No block
 uses its generator's counter or jumps, so the keying alone keeps the
@@ -26,15 +27,15 @@ blocks apart, and each draw function fixes its own bit generator:
 ``map_blocks`` is the package's one thread fan-out.  Every thread, the
 caller's included, takes the next unstarted item until none remain, so
 the items spread evenly over the usable CPUs.  It fills the blocks of a
-long draw; ``optics.simulate_trace`` runs its per-block work and its I and
+long draw; ``optics.simulate_trace`` runs its per-block head and its I and
 Q lanes through it; ``boxcar_decimate``, ``adc_quantize`` and
 ``normalize_iq`` run one lane per channel; the extractor's FFT chunks are
 its items too, and so are the test battery's seven-test pass and each of
 its sequences' DFTs.
 ``map_spans`` hands out the ``SPAN``-long pieces of a kernel whose output
-elements are independent: the reconstruction, the phase quantizer, and
-the phase path's scaling and scatter.  Each item writes only its own slices, so the bytes never depend
-on the thread count.
+elements are independent: the trace's quadratures, the reconstruction,
+the phase quantizer, and the phase path's scaling and scatter.  Each item
+writes only its own slices, so the bytes never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -126,19 +127,35 @@ def map_spans(work, stop: int, start: int = 0) -> list:
                              for lo in range(start - start % SPAN, stop, SPAN)])
 
 
+def block_generator(seed: int, stream: int, block: int,
+                    bit_generator=None) -> np.random.Generator:
+    """The generator of one block of (seed, stream): ``bit_generator`` (a
+    ``numpy.random`` bit generator class; None is the normals' SFC64) keyed
+    by ``SeedSequence(seed, spawn_key=(stream, block))``.
+
+    Every draw of the package is keyed here.  A block's draws taken in
+    pieces, in order, from one generator are the block's draws, so a
+    caller may consume a block through a small buffer.  (The default is
+    looked up per call: numpy imports ``numpy.random`` on first use, and
+    the battery and the CLI's start-up need none of it.)
+    """
+    bit_generator = bit_generator or np.random.SFC64
+    return np.random.Generator(bit_generator(
+        np.random.SeedSequence(seed, spawn_key=(int(stream), int(block)))))
+
+
 def _blockwise(start: int, stop: int, seed: int, stream: int, bit_generator, dtype,
                draw, out: np.ndarray | None = None) -> np.ndarray:
     """Elements ``start:stop`` of the concatenation of the stream's blocks.
 
-    Each block's generator is ``bit_generator`` (a ``numpy.random`` bit
-    generator class) keyed by (seed, stream, block).  ``draw(gen, out)``
-    fills ``out`` with the first ``out.size`` draws of a block.  Only the
-    blocks overlapping the range are generated, each straight into its own
-    slice of the result except a block that the range starts inside.  The
-    result is ``out`` when given (a C-contiguous array of ``dtype`` and
-    length ``stop - start``), else a new array.  The blocks are filled by
-    ``map_blocks``; every block has its own generator, so the bytes do not
-    depend on the thread count.
+    Each block's generator is ``block_generator(seed, stream, block,
+    bit_generator)``.  ``draw(gen, out)`` fills ``out`` with the first
+    ``out.size`` draws of a block.  Only the blocks overlapping the range
+    are generated, each straight into its own slice of the result except a
+    block that the range starts inside.  The result is ``out`` when given
+    (a C-contiguous array of ``dtype`` and length ``stop - start``), else a
+    new array.  The blocks are filled by ``map_blocks``; every block has
+    its own generator, so the bytes do not depend on the thread count.
     """
     start = check_scalar("start", start, bounds=(0, None))
     stop = check_scalar("stop", stop, bounds=(start, None))
@@ -155,8 +172,7 @@ def _blockwise(start: int, stop: int, seed: int, stream: int, bit_generator, dty
     def fill(block: int) -> None:
         lo = block * BLOCK_SIZE
         hi = min(lo + BLOCK_SIZE, stop)
-        gen = np.random.Generator(bit_generator(
-            np.random.SeedSequence(seed, spawn_key=(int(stream), block))))
+        gen = block_generator(seed, stream, block, bit_generator)
         if lo >= start:
             draw(gen, out[lo - start:hi - start])
         else:

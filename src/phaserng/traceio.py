@@ -61,23 +61,26 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def encode_trace(trace: IQTrace) -> bytes:
-    """Serialize a trace to the binary format.
+def encode_trace(trace: IQTrace) -> bytearray:
+    """Serialize a trace to the binary format, in one buffer.
 
-    A sample beyond float32's range is refused, before the cast that would
-    make it inf and so drop its row when the trace is read back.
+    The header and the interleaved float32 pairs are written straight into
+    the returned ``bytearray``, so the payload exists once.  A sample beyond
+    float32's range is refused, before the cast that would make it inf and
+    so drop its row when the trace is read back.
     """
     peak = max(trace.v_i.max(), -trace.v_i.min(), trace.v_q.max(), -trace.v_q.min())
     if peak > _F32_MAX:
         raise ParameterError(f"trace sample magnitude {peak:.4g} is beyond the "
                              f"float32 range ±{_F32_MAX:.7g}")
     count = trace.v_i.size
-    header = _HEADER.pack(MAGIC, VERSION, 0, 2, trace.adc_bits,
-                          count, trace.sample_rate, trace.fullscale)
-    payload = np.empty(2 * count, dtype="<f4")
+    blob = bytearray(HEADER_SIZE + count * _SAMPLE_PAIR_BYTES)
+    _HEADER.pack_into(blob, 0, MAGIC, VERSION, 0, 2, trace.adc_bits,
+                      count, trace.sample_rate, trace.fullscale)
+    payload = np.frombuffer(blob, dtype="<f4", offset=HEADER_SIZE)
     payload[0::2] = trace.v_i
     payload[1::2] = trace.v_q
-    return header + payload.tobytes()
+    return blob
 
 
 def write_trace_binary(trace: IQTrace, path: str) -> None:

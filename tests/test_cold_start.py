@@ -9,7 +9,8 @@ too, so a bandwidth-limited device loads and simulates without
 in its set-up, a staged ``simulate`` or ``ingest``, and a full
 ``pipeline`` run are each checked.  A fresh process
 per check keeps this test process's own imports, scipy's among them, from
-masking the answer.
+masking the answer.  Importing the CLI or the battery leaves
+``numpy.random`` unloaded too.
 """
 
 import json
@@ -54,11 +55,12 @@ approx_entropy_pattern_bits = 5
 """
 
 
-def loaded_after(code: str, cwd) -> set:
-    """Run ``code`` in a fresh interpreter; return the scipy modules it left loaded."""
-    script = textwrap.dedent(code) + textwrap.dedent("""
+def loaded_after(code: str, cwd, prefix: str = "scipy.") -> set:
+    """Run ``code`` in a fresh interpreter; return the modules named
+    ``prefix``... that it left loaded."""
+    script = textwrap.dedent(code) + textwrap.dedent(f"""
         import json, sys
-        print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -112,6 +114,16 @@ def test_benchmarked_modules_load_scipy_at_import(tmp_path, module, needed):
     set-up; the scipy modules each loads there are exactly ``needed``, now
     none, and neither imports anything lazily inside its timed work."""
     assert loaded_after(f"import {module}", tmp_path) == needed
+
+
+@pytest.mark.parametrize("module", ["phaserng.cli", "phaserng.stattests"])
+def test_import_leaves_numpy_random_out(tmp_path, module):
+    """numpy loads ``numpy.random`` on first use (about 6 MB and 20 ms); the
+    CLI's start-up and the battery's set-up draw nothing, so importing them
+    must not load it."""
+    if loaded_after("import numpy", tmp_path, "numpy.random"):
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert loaded_after(f"import {module}", tmp_path, "numpy.random") == set()
 
 
 def test_ideal_pipeline_leaves_filter_out(tmp_path):

@@ -103,6 +103,23 @@ def test_reconstruct_phase(on_cpus):
     assert results[0].zero_vector_count == 6
 
 
+def test_simulate_trace(on_cpus):
+    # Every switch on, across an RNG block edge: the head's blocks, the
+    # quadratures' spans and the two lanes all fan out.
+    laser = phasenoise.LaserParams(coherence_time=6e-9, mean_power=1e-3,
+                                   intensity_sigma=2e-4)
+    path = phasenoise.sample_phase_path(laser, 7.5 * 2.5e-9, 2.5e-9, rng.BLOCK_SIZE + 12345, 5)
+    geometry = optics.InterferometerParams(delay_length=3.0, drift_mode="slow-walk",
+                                           drift_step=1e-2)
+    d_i = optics.DetectorParams(transimpedance=16e3, electrical_noise_sigma=0.05)
+    d_q = optics.DetectorParams(transimpedance=15e3, electrical_noise_sigma=0.04)
+    switches = optics.NoiseSwitches(intensity=True, electrical=True, drift=True,
+                                    mismatch=True, bandwidth_limit=True)
+    results = on_cpus(lambda: optics.simulate_trace(path, laser, geometry, d_i, d_q,
+                                                    switches, seed=6))
+    assert_same_bytes(results, "v_i", "v_q", "clamped_samples")
+
+
 def test_quantize_uniform(on_cpus):
     values = np.random.default_rng(2).uniform(-4.0, 4.0, COUNT)
     results = on_cpus(lambda: optics.quantize_uniform(values, 10, -np.pi, np.pi))

@@ -473,48 +473,76 @@ class TestLanes:
     ALL_ON = dict(intensity=True, electrical=True, drift=True, mismatch=True,
                   bandwidth_limit=True)
 
-    # The head's streams fail in rng.map_blocks's block fan-out, the
-    # electrical ones in its lane fan-out: on two CPUs one lane fails while
-    # the other may still run, on one CPU the I lane fails before Q starts.
+    # Every stream is keyed in rng.block_generator.  The head's streams fail
+    # in rng.map_blocks's block fan-out, the electrical ones in its lane
+    # fan-out: on two CPUs one lane fails while the other may still run, on
+    # one CPU the I lane fails before Q starts.
     @pytest.mark.parametrize("failing", [
         rng.STREAM_DRIFT, rng.STREAM_INTENSITY_S, rng.STREAM_INTENSITY_LO,
         rng.STREAM_ELECTRICAL_I, rng.STREAM_ELECTRICAL_Q])
     def test_a_failing_lane_raises_and_leaves_no_thread(self, monkeypatch, failing):
-        real = rng.standard_normals_range
+        real = rng.block_generator
 
-        def draw(start, stop, seed, stream=0, **kwargs):
+        def keyed(seed, stream, block, *args):
             if stream == failing:
                 raise RuntimeError(f"stream {stream}")
-            return real(start, stop, seed, stream, **kwargs)
+            return real(seed, stream, block, *args)
 
-        monkeypatch.setattr(rng, "standard_normals_range", draw)
         path = short_path(count=rng.BLOCK_SIZE + 10, seed=4)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"stream {failing}"):
-            optics.simulate_trace(path, ideal_laser(intensity_sigma=1e-4),
-                                  ifm(drift_mode="slow-walk", drift_step=1e-2),
-                                  det(electrical_noise_sigma=0.01),
-                                  det(electrical_noise_sigma=0.01),
-                                  optics.NoiseSwitches(**self.ALL_ON), seed=2)
-        assert threading.active_count() == before
+        monkeypatch.setattr(rng, "block_generator", keyed)
+        for cpus in (1, 2):
+            monkeypatch.setattr(rng, "_usable_cpus", lambda cpus=cpus: cpus)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match=f"stream {failing}"):
+                optics.simulate_trace(path, ideal_laser(intensity_sigma=1e-4),
+                                      ifm(drift_mode="slow-walk", drift_step=1e-2),
+                                      det(electrical_noise_sigma=0.01),
+                                      det(electrical_noise_sigma=0.01),
+                                      optics.NoiseSwitches(**self.ALL_ON), seed=2)
+            assert threading.active_count() == before
 
-    def test_peak_memory_stays_below_the_whole_array_chain(self):
-        # The whole-array chain peaked at 91.6 MiB here; the lanes keep
-        # about one block of temporaries each (76.3 MiB measured).
+
+def traced_peak(work) -> tuple:
+    """``work()``'s result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = work()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestWorkingSet:
+    """The device chain's kernels allocate their outputs and a working set
+    of bounded size, at 2e6 samples.  Before the buffers, ``simulate_trace``
+    peaked at 61.9 MiB (a whole-trace phase and one block of scratch per
+    lane), the walk at 45.8 MiB (its output and two 2^22-gap chunks) and
+    the quantizer at 19.1 MiB (a float64 copy of its input)."""
+
+    COUNT = 2_000_000
+    MIB = 2**20
+
+    def test_simulate_trace_allocates_its_outputs_and_4_mib(self):
         laser = ideal_laser(power=1e-3, intensity_sigma=5e-4)
-        path = sample_phase_path(laser, T_D30, 5e-9, 2_000_000, 3)
-        tracemalloc.start()
-        try:
-            optics.simulate_trace(
-                path, laser, ifm(drift_mode="slow-walk", drift_step=1e-2),
-                det(electrical_noise_sigma=0.05, response_time=2e-9),
-                det(transimpedance=15e3, electrical_noise_sigma=0.04,
-                    response_time=3e-9),
-                optics.NoiseSwitches(**self.ALL_ON), seed=11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 91.6 * 2**20
+        path = sample_phase_path(laser, T_D30, 5e-9, self.COUNT, 3)
+        trace, peak = traced_peak(lambda: optics.simulate_trace(
+            path, laser, ifm(drift_mode="slow-walk", drift_step=1e-2),
+            det(electrical_noise_sigma=0.05, response_time=2e-9),
+            det(transimpedance=15e3, electrical_noise_sigma=0.04, response_time=3e-9),
+            optics.NoiseSwitches(**TestLanes.ALL_ON), seed=11))
+        assert trace.clamped_samples > 0
+        assert peak <= trace.v_i.nbytes + trace.v_q.nbytes + 4 * self.MIB
+
+    def test_correlated_phase_path_allocates_its_output_and_17_mib(self):
+        path, peak = traced_peak(lambda: sample_phase_path(
+            ideal_laser(), 7.3 * 5e-9, 5e-9, self.COUNT, 3))
+        assert peak <= path.increments.nbytes + 17 * self.MIB
+
+    def test_quantize_uniform_allocates_its_codes_and_5_mib(self):
+        values = np.random.default_rng(4).uniform(-4.0, 4.0, self.COUNT)
+        codes, peak = traced_peak(lambda: optics.quantize_uniform(values, 10, -np.pi, np.pi))
+        assert peak <= codes.nbytes + 5 * self.MIB
 
 
 class TestSymmetryAtUniformPhase:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import sys
 import threading
 
@@ -163,6 +164,25 @@ def test_each_draw_function_keys_its_own_generator(seed, stream, block):
     assert_array_equal(
         rng.random_bits(lo + rng.BLOCK_SIZE, seed, stream)[lo:],
         bits(block_generator(np.random.Philox, seed, stream, block), rng.BLOCK_SIZE))
+
+
+# optics draws the intensity arms and the electrical noise through small
+# buffers: pieces taken in order from one block's generator are the block's
+# draws.  The short last block takes one piece of each size.
+@pytest.mark.parametrize("block", [0, 1], ids=["whole-block", "short-last-block"])
+def test_pieces_from_a_block_generator_are_the_block(block):
+    stop = rng.BLOCK_SIZE + 2 * (1 << 14) + 11
+    lo, hi = block * rng.BLOCK_SIZE, min((block + 1) * rng.BLOCK_SIZE, stop)
+    gen = rng.block_generator(9, rng.STREAM_ELECTRICAL_Q, block)
+    sizes = itertools.cycle([1, 7, 1 << 14, (1 << 14) + 3])
+    pieces, left = [], hi - lo
+    while left:
+        piece = np.empty(min(next(sizes), left))
+        gen.standard_normal(out=piece)
+        pieces.append(piece)
+        left -= piece.size
+    assert_array_equal(np.concatenate(pieces),
+                       rng.standard_normals_range(lo, hi, 9, rng.STREAM_ELECTRICAL_Q))
 
 
 @pytest.fixture(params=[1, 2, 4], ids=lambda cpus: f"{cpus}cpu")

@@ -786,7 +786,7 @@ class TestBatteryLanes:
 
         def dft(bits, **kwargs):
             dft_calls.append(1)
-            failed.wait(timeout=30)
+            assert failed.wait(timeout=30)
             return real_dft(bits, **kwargs)
 
         def monobit(bits):
