@@ -24,6 +24,8 @@ from .errors import DegenerateDataError, ParameterError, check_scalar
 #: A power of two, which transforms about five times faster than the
 #: 2*3^8*5 = 65,610 points that chunks of 2^16 samples needed at lag 50.
 _ACF_CHUNK = 1 << 14
+#: Symbols per ``np.bincount`` call in :func:`symbol_counts`.
+_COUNT_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -169,13 +171,18 @@ class ReferenceLaw:
 
 
 def symbol_counts(symbols, alphabet_size: int) -> np.ndarray:
-    """Occurrences of each symbol value in [0, alphabet_size)."""
-    arr = np.asarray(symbols)
+    """Occurrences of each symbol value in [0, alphabet_size), counted
+    ``_COUNT_PIECE`` symbols at a time, so no whole int64 copy is made."""
+    arr = np.asarray(symbols).ravel()
     if arr.size == 0:
         raise ParameterError("symbols must be non-empty")
     if arr.min() < 0 or arr.max() >= alphabet_size:
         raise ParameterError("symbol out of range for alphabet")
-    return np.bincount(arr.ravel().astype(np.int64), minlength=int(alphabet_size))
+    counts = np.zeros(int(alphabet_size), dtype=np.int64)
+    for s in range(0, arr.size, _COUNT_PIECE):
+        counts += np.bincount(arr[s:s + _COUNT_PIECE].astype(np.int64, copy=False),
+                              minlength=counts.size)
+    return counts
 
 
 def min_entropy(counts) -> float:
@@ -233,23 +240,23 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     once.  As max_lag <= C, a pair straddles at most one chunk edge; those
     pairs are the correlation of the max_lag samples before each edge with
     the max_lag after it, from one batched transform whose length is the
-    smallest power of two >= 2 * max_lag.  Memory stays O(C + max_lag)
-    beyond the input.
+    smallest power of two >= 2 * max_lag.  Chunks and edge samples are
+    centred as they are read, zeros past the end adding no pair, so memory
+    stays O(C + max_lag) beyond the input.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("series must be 1-D")
     max_lag = check_scalar("max_lag", max_lag, bounds=(0, x.size - 1))
     count = x.size
+    mean = x.mean()
     chunk = max(_ACF_CHUNK - max_lag, max_lag)
-    # Centred, with max_lag zeros after it: every edge has max_lag samples
-    # on each side, and the zeros add no pair.
-    centred = np.zeros(count + max_lag)
-    np.subtract(x, x.mean(), out=centred[:count])
     nfft = 1 << (chunk + max_lag - 1).bit_length()   # _ACF_CHUNK up to lag 2^13
     power = np.zeros(nfft // 2 + 1)
+    centred = np.empty(chunk)
     for s in range(0, count, chunk):
-        spec = np.fft.rfft(centred[s:s + chunk], nfft)
+        piece = x[s:s + chunk]
+        spec = np.fft.rfft(np.subtract(piece, mean, out=centred[:piece.size]), nfft)
         power += spec.real ** 2
         power += spec.imag ** 2
     acov = np.fft.irfft(power, nfft)[:max_lag + 1]
@@ -262,8 +269,9 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
         cross = np.zeros(nside // 2 + 1, dtype=np.complex128)
         batch = max(1, chunk // max_lag)
         for b in range(0, edges.size, batch):
-            spec = np.fft.rfft(centred[edges[b:b + batch, None] + sides]
-                               .reshape(-1, 2, max_lag), nside)
+            at = edges[b:b + batch, None] + sides
+            rows = np.where(at < count, x.take(at, mode="clip") - mean, 0.0)
+            spec = np.fft.rfft(rows.reshape(-1, 2, max_lag), nside)
             # conj(after) * before from real products, which round alike in every SIMD loop.
             after, before = spec[:, 1], spec[:, 0]
             cross.real += (after.real * before.real + after.imag * before.imag).sum(axis=0)

@@ -10,7 +10,7 @@ float64.  A block's product coefficients are integers in [0, n], so one
 transform row carries k blocks as the base-2^s digits of one integer
 (Kronecker substitution), s = n.bit_length(): k is the most blocks whose
 packed product stays below 2^53 and within the a-priori FFT error bound of
-the 0.25 rounding guard.  A naive O(n*m) dense multiply is kept as the test
+the 0.25 rounding guard.  A naive O(n*m) multiply is kept as the test
 oracle.  Before hashing, the pipeline tests the configured min-entropy
 rate against the largest symbol count (``check_count_claim``).
 """
@@ -107,11 +107,9 @@ class ToeplitzSpec:
         return cls(input_block_bits=n, output_block_bits=m, seed_bits=bits)
 
     def matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix T with T[i, j] = seed[i - j + n - 1] (small n only)."""
+        """0/1 matrix T[i, j] = seed[i - j + n - 1], a read-only view of the seed."""
         n, m = self.input_block_bits, self.output_block_bits
-        i = np.arange(m)[:, None]
-        j = np.arange(n)[None, :]
-        return self.seed_bits[i - j + n - 1]
+        return np.lib.stride_tricks.sliding_window_view(self.seed_bits, n)[:m, ::-1]
 
 
 def derive_params(min_entropy_rate: float, n: int,
@@ -299,17 +297,17 @@ def extract(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
 
 
 def extract_naive(bits: BitStream, spec: ToeplitzSpec) -> ExtractResult:
-    """Reference O(n*m) dense GF(2) multiply; use only at small sizes."""
-    n, m = spec.input_block_bits, spec.output_block_bits
+    """Reference O(n*m) GF(2) multiply: the parity of the columns each block selects."""
+    n = spec.input_block_bits
     if bits.bit_length < n:
         raise InsufficientInputError(
             f"need at least one {n}-bit block, got {bits.bit_length} bits")
     blocks = bits.bit_length // n
     discarded = bits.bit_length - blocks * n
-    matrix = spec.matrix().astype(np.int64)
-    x = bits.to_bits()[:blocks * n].reshape(blocks, n).astype(np.int64)
-    y = (x @ matrix.T) & 1
-    return ExtractResult(bits=BitStream.from_bits(y.astype(np.uint8).ravel()),
+    matrix = spec.matrix()
+    x = bits.to_bits()[:blocks * n].reshape(blocks, n)
+    y = [matrix[:, block == 1].sum(axis=1, dtype=np.int64) & 1 for block in x]
+    return ExtractResult(bits=BitStream.from_bits(np.concatenate(y)),
                          blocks=blocks, discarded_bits=discarded)
 
 

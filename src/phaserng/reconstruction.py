@@ -18,8 +18,8 @@ from .optics import IQTrace, quantize_uniform
 
 _MIN_NORMALIZE_SAMPLES = 1000
 
-#: Amplitude estimators of :func:`normalize_iq`.
-NORMALIZE_METHODS = ("percentile", "arcsine-fit")
+#: Amplitude estimators of :func:`normalize_iq`: the tail-quantile half-spread.
+NORMALIZE_METHODS = ("percentile",)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class NormalizedIQ(NamedTuple):
     amplitude_q: float
 
 
-#: Quantiles of the "percentile" amplitude estimator.
+#: Quantiles of the amplitude estimator.
 _CUTS = np.array((0.001, 0.999))
 #: Strided-subsample size and the subsample rank of each tail bracket.  Rank
 #: 16 of 4096 sits near the 0.4% quantile, so a bracket holds the 0.1% cut
@@ -116,25 +116,12 @@ def _tail_quantiles(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _estimate_amplitude(values: np.ndarray, method: str) -> float:
-    if method == "percentile":
-        lo, hi = _tail_quantiles(values)
-        amplitude = 0.5 * (hi - lo)
-    else:
-        # The arcsine law with amplitude A has variance A^2/2.
-        amplitude = float(np.sqrt(2.0 * np.mean(values * values)))
-    if amplitude <= 0.0:
-        raise DegenerateDataError("channel has no spread; cannot normalize")
-    return float(amplitude)
-
-
 def normalize_iq(trace: IQTrace, method: str = "percentile") -> NormalizedIQ:
     """Scale each channel to unit amplitude.
 
-    Per-channel mean (DC offset) is removed first, then the amplitude is
-    estimated: "percentile" takes half the spread between the 0.1% and
-    99.9% quantiles (robust to noise tails); "arcsine-fit" matches the
-    second moment of the arcsine law (best on clean interference data).
+    Per-channel mean (DC offset) is removed first; the amplitude is half
+    the spread between the 0.1% and 99.9% quantiles of the centred channel
+    (robust to noise tails).  "percentile" is the only ``method``.
     Idempotent up to estimator tolerance.  The channels run as two lanes
     through ``rng.map_blocks``, each with its whole-array mean and
     amplitude, into an array that the calling thread allocated.
@@ -147,7 +134,10 @@ def normalize_iq(trace: IQTrace, method: str = "percentile") -> NormalizedIQ:
     def scale(lane) -> float:
         values, centred = lane
         np.subtract(values, values.mean(), out=centred)
-        amplitude = _estimate_amplitude(centred, method)
+        lo, hi = _tail_quantiles(centred)
+        amplitude = float(0.5 * (hi - lo))
+        if amplitude <= 0.0:
+            raise DegenerateDataError("channel has no spread; cannot normalize")
         centred /= amplitude
         return amplitude
 

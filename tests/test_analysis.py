@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,10 +221,40 @@ class TestMinEntropy:
             an.min_entropy([0, 0])
 
 
+MIB = 2**20
+
+
+def traced_peak(work) -> tuple:
+    """``work()``'s result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = work()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestSymbolCounts:
     def test_counts(self):
         counts = an.symbol_counts([0, 1, 1, 3], 4)
         assert_array_equal(counts, [1, 2, 0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16, np.int64, np.uint64])
+    def test_pieces_add_up_to_one_count(self, dtype):
+        size = 3 * an._COUNT_PIECE + 5
+        symbols = np.random.default_rng(8).integers(0, 200, size).astype(dtype)
+        counts = an.symbol_counts(symbols, 256)
+        assert counts.dtype == np.int64
+        assert_array_equal(counts, np.bincount(symbols.astype(np.int64), minlength=256))
+
+    # An int64 copy of 1e6 symbols alone would take 7.6 MiB.
+    @pytest.mark.parametrize("bits", [10, 16])
+    def test_one_million_symbols_in_2_mib(self, bits):
+        symbols = np.random.default_rng(bits).integers(0, 1 << bits, 1_000_000).astype(np.uint16)
+        counts, peak = traced_peak(lambda: an.symbol_counts(symbols, 1 << bits))
+        assert counts.sum() == symbols.size
+        assert peak < 2 * MIB
 
     def test_range_check(self):
         with pytest.raises(ParameterError):
@@ -335,7 +366,65 @@ def autocorr_direct(x, max_lag):
     return out
 
 
+def autocorrelation_centred_copy(series, max_lag):
+    """``an.autocorrelation`` as it was with a whole centred copy of the
+    series, max_lag zeros after it: the byte oracle of the chunked centring."""
+    x = np.asarray(series, dtype=np.float64)
+    count = x.size
+    chunk = max(an._ACF_CHUNK - max_lag, max_lag)
+    centred = np.zeros(count + max_lag)
+    np.subtract(x, x.mean(), out=centred[:count])
+    nfft = 1 << (chunk + max_lag - 1).bit_length()
+    power = np.zeros(nfft // 2 + 1)
+    for s in range(0, count, chunk):
+        spec = np.fft.rfft(centred[s:s + chunk], nfft)
+        power += spec.real ** 2
+        power += spec.imag ** 2
+    acov = np.fft.irfft(power, nfft)[:max_lag + 1]
+    edges = np.arange(chunk, count, chunk)
+    if max_lag and edges.size:
+        nside = 1 << (2 * max_lag - 1).bit_length()
+        sides = np.arange(-max_lag, max_lag)
+        cross = np.zeros(nside // 2 + 1, dtype=np.complex128)
+        batch = max(1, chunk // max_lag)
+        for b in range(0, edges.size, batch):
+            spec = np.fft.rfft(centred[edges[b:b + batch, None] + sides]
+                               .reshape(-1, 2, max_lag), nside)
+            after, before = spec[:, 1], spec[:, 0]
+            cross.real += (after.real * before.real + after.imag * before.imag).sum(axis=0)
+            cross.imag += (after.real * before.imag - after.imag * before.real).sum(axis=0)
+        acov[1:] += np.fft.irfft(cross, nside)[max_lag - 1::-1]
+    out = acov / acov[0]
+    out[0] = 1.0
+    return out
+
+
 class TestAutocorrelation:
+    # Chunks are 2^14 - 50 = 16334 samples at lag 50: series that end on an
+    # edge, within max_lag before and after one (the last edge row then
+    # reads past the end), and inside a chunk.
+    @pytest.mark.parametrize("size", [3 * 16334, 3 * 16334 - 7, 3 * 16334 + 7,
+                                      3 * 16334 + 5000, 16334 + 1, 1001])
+    def test_bytes_equal_the_centred_copy(self, size):
+        x = np.random.default_rng(size).normal(3.0, 1.0, size)
+        assert an.autocorrelation(x, 50).tobytes() == \
+            autocorrelation_centred_copy(x, 50).tobytes()
+
+    @pytest.mark.parametrize("size, max_lag", [(8 * 10 + 3, 10), (8 * 10 + 9, 10),
+                                               (1001, 0), (100, 99), (97, 8)])
+    def test_bytes_equal_the_centred_copy_at_short_chunks(self, monkeypatch, size, max_lag):
+        monkeypatch.setattr(an, "_ACF_CHUNK", 16)
+        x = np.random.default_rng(size).normal(-2.0, 1.0, size)
+        assert an.autocorrelation(x, max_lag).tobytes() == \
+            autocorrelation_centred_copy(x, max_lag).tobytes()
+
+    # A centred copy of 1e6 samples alone would take 7.6 MiB.
+    def test_one_million_samples_in_2_mib(self):
+        x = np.random.default_rng(6).uniform(-np.pi, np.pi, 1_000_000)
+        r, peak = traced_peak(lambda: an.autocorrelation(x, 50))
+        assert r.size == 51
+        assert peak < 2 * MIB
+
     def test_r0_is_exactly_one(self):
         x = np.random.default_rng(17).normal(size=5000)
         assert an.autocorrelation(x, 20)[0] == 1.0

@@ -69,7 +69,7 @@ bandwidth_limit = 0
 [analysis]
 phase_bits = 10
 max_lag = 50
-normalize = arcsine-fit
+normalize = percentile
 
 [extraction]
 input_bits = 4000
@@ -106,7 +106,6 @@ class TestHappyPath:
         assert c.switches.bandwidth_limit is False
         assert c.simulation.adc_quantize is False
         assert c.simulation.oversample_factor == 2
-        assert c.analysis.normalize == "arcsine-fit"
         assert c.extraction.epsilon_exponent == 0
         assert c.extraction.block_bits == (4000, 3920)
         assert c.test.sequence_count == 100
@@ -235,6 +234,12 @@ class TestStrictness:
                                                  r"integer >= 0, got -1"):
             cfg.parse_config(MINIMAL + "\n[extraction]\nepsilon_exponent = -1\n")
 
+    # The second-moment estimator is retired: its name is refused like any
+    # unknown method.
+    def test_arcsine_fit_is_refused(self):
+        with pytest.raises(ParameterError, match="unknown normalize method 'arcsine-fit'"):
+            cfg.parse_config(MINIMAL + "\n[analysis]\nnormalize = arcsine-fit\n")
+
     # mode = ratio was epsilon_exponent = 0; the key is gone.
     def test_mode_is_an_unknown_key(self):
         with pytest.raises(FormatError, match=r"\[extraction\] has unknown keys: mode"):
@@ -344,14 +349,15 @@ class TestDigestPins:
     # config_digest, must not move when the parser is reorganized.  Schema 7
     # moved all three: [extraction] output_bits is gone.  Schema 11 moved
     # them again: [extraction] mode is gone.  Schema 15 moved them again:
-    # [analysis] histogram_bins is gone.
+    # [analysis] histogram_bins is gone.  FULL's alone moved when the
+    # arcsine-fit estimator was retired: it sets normalize = percentile now.
     def test_minimal(self):
         assert cfg.parse_config(MINIMAL).digest == (
             "cbf4181f9918fecc811ef41d97c18855553dbbe10e59d2cbbf32b8299d216c58")
 
     def test_full(self):
         assert cfg.parse_config(FULL).digest == (
-            "f307b13ef0e8ce454168897ce42936968ce6088143db0803d62d04153e0325d5")
+            "dbbf5eea0cb7ed1d56de54d4c4cae0dd48001e8d0ca49c927dd68d1a5258f0a3")
 
     def test_readme_quick_start(self):
         block = re.search(r"```ini\n(.*?)```", readme_text(), re.S).group(1)

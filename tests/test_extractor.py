@@ -64,6 +64,13 @@ class TestToeplitzSpec:
                                 seed_bits=np.array([1, 0, 0, 1], dtype=np.uint8))
         assert_array_equal(spec.matrix(), [[0, 0, 1], [1, 0, 0]])
 
+    def test_matrix_is_a_read_only_view_of_the_seed(self):
+        spec = ext.ToeplitzSpec.from_rng(4000, 3820, seed=1)
+        t = spec.matrix()
+        assert t.shape == (3820, 4000)
+        assert np.shares_memory(t, spec.seed_bits)
+        assert not t.flags.writeable
+
     def test_matrix_constant_diagonals(self):
         gen = np.random.default_rng(1)
         spec = random_spec(gen, n_max=20, m_max=16)
@@ -283,6 +290,32 @@ class TestExtract:
         fast = ext.extract(x, spec)
         assert fast.bits == ext.extract_naive(x, spec).bits
         assert fast.blocks == 3 and fast.discarded_bits == 17
+
+    def test_oracle_is_the_dense_product(self):
+        gen = np.random.default_rng(12)
+        for _ in range(30):
+            spec = random_spec(gen)
+            n = spec.input_block_bits
+            x = gen.integers(0, 2, (int(gen.integers(1, 4)), n))
+            dense = (x @ spec.matrix().astype(np.int64).T) & 1
+            got = ext.extract_naive(ext.BitStream.from_bits(x.ravel()), spec)
+            assert_array_equal(got.bits.to_bits(), dense.ravel())
+
+    def test_oracle_working_set_bounded_at_default_geometry(self):
+        # An int64 copy of the (3820, 4000) matrix alone would take 117 MiB;
+        # the oracle copies one block's selected columns at a time.
+        spec = ext.ToeplitzSpec.from_rng(4000, 3820, seed=12)
+        x = ext.BitStream.from_bits(
+            np.random.default_rng(12).integers(0, 2, 4 * 4000, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            naive = ext.extract_naive(x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert naive.blocks == 4
+        assert naive.bits == ext.extract(x, spec).bits
 
     def test_inexact_product_raises(self, monkeypatch):
         # The rounding guard: a product off an integer by 0.25 or more is

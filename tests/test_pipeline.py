@@ -1214,6 +1214,8 @@ class TestCli:
         pytest.param("epsilon_exponent = 0", "epsilon_exponent = -1", "epsilon_exponent",
                      id="negative-epsilon_exponent"),
         ("min_entropy_rate = 0.98", "min_entropy_rate = 1.5", "min_entropy_rate"),
+        pytest.param("max_lag = 20", "max_lag = 20\nnormalize = arcsine-fit", "normalize",
+                     id="retired-normalize-method"),
     ])
     def test_exit_2_key_out_of_range(self, tmp_path, capsys, needle, replacement, key):
         config = self.write_config(tmp_path, BASE_INI.replace(needle, replacement))

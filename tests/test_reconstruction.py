@@ -75,23 +75,10 @@ class TestNormalizeIQ:
                               v_q=amp * np.sin(theta) + offset,
                               sample_rate=1.0)
 
-    def test_moment_estimator_exact_on_uniform_grid(self):
-        # mean of cos^2 over a full uniform grid is exactly 1/2
-        out = rec.normalize_iq(self.make_arcsine_trace(amp=0.6),
-                               method="arcsine-fit")
-        assert out.amplitude_i == pytest.approx(0.6, rel=1e-9)
-        assert out.amplitude_q == pytest.approx(0.6, rel=1e-9)
-
     def test_percentile_estimator_close(self):
         out = rec.normalize_iq(self.make_arcsine_trace(amp=0.6),
                                method="percentile")
         assert out.amplitude_i == pytest.approx(0.6, rel=0.01)
-
-    def test_both_estimators_agree_on_clean_data(self):
-        trace = self.make_arcsine_trace(amp=2.5)
-        a = rec.normalize_iq(trace, method="percentile")
-        b = rec.normalize_iq(trace, method="arcsine-fit")
-        assert a.amplitude_i == pytest.approx(b.amplitude_i, rel=0.01)
 
     def test_dc_offset_removed(self):
         out = rec.normalize_iq(self.make_arcsine_trace(offset=3.0))
@@ -99,15 +86,20 @@ class TestNormalizeIQ:
         assert out.amplitude_i == pytest.approx(0.6, rel=0.01)
 
     def test_normalized_channels_have_unit_amplitude(self):
-        out = rec.normalize_iq(self.make_arcsine_trace(amp=7.7),
-                               method="arcsine-fit")
-        assert np.sqrt(2 * np.mean(out.trace.v_i ** 2)) == pytest.approx(
-            1.0, rel=1e-9)
+        out = rec.normalize_iq(self.make_arcsine_trace(amp=7.7))
+        for v in (out.trace.v_i, out.trace.v_q):
+            lo, hi = np.quantile(v, (0.001, 0.999))
+            assert 0.5 * (hi - lo) == pytest.approx(1.0, rel=1e-12)
+            # The 0.1% tails of an arcsine law of amplitude A start within
+            # A * (1 - cos(0.001 * pi)) ~ 5e-6 * A of its edges.
+            assert np.sqrt(2 * np.mean(v ** 2)) == pytest.approx(1.0, rel=1e-5)
 
     def test_idempotent_up_to_tolerance(self):
-        once = rec.normalize_iq(self.make_arcsine_trace(), method="arcsine-fit")
-        twice = rec.normalize_iq(once.trace, method="arcsine-fit")
-        assert twice.amplitude_i == pytest.approx(1.0, rel=1e-9)
+        once = rec.normalize_iq(self.make_arcsine_trace())
+        twice = rec.normalize_iq(once.trace)
+        assert twice.amplitude_i == pytest.approx(1.0, rel=1e-12)
+        assert twice.amplitude_q == pytest.approx(1.0, rel=1e-12)
+        assert_allclose(twice.trace.v_i, once.trace.v_i, rtol=0.0, atol=1e-12)
 
     def test_rejects_short_traces(self):
         theta = np.linspace(-np.pi, np.pi, 999, endpoint=False)
@@ -199,13 +191,15 @@ class TestTailQuantiles:
     def test_constant_channel_is_degenerate(self, n, value):
         values = np.full(n, value)
         assert_tail_quantiles_exact(values)
+        trace = optics.IQTrace(v_i=values, v_q=np.linspace(-1, 1, n), sample_rate=1.0)
         with pytest.raises(DegenerateDataError):
-            rec._estimate_amplitude(values, "percentile")
+            rec.normalize_iq(trace)
 
     def test_estimator_is_half_the_quantile_spread(self):
         values = np.random.default_rng(3).normal(size=100_000)
-        lo, hi = np.quantile(values, (0.001, 0.999))
-        assert rec._estimate_amplitude(values, "percentile") == float(0.5 * (hi - lo))
+        trace = optics.IQTrace(v_i=values, v_q=-values, sample_rate=1.0)
+        lo, hi = np.quantile(values - values.mean(), (0.001, 0.999))
+        assert rec.normalize_iq(trace).amplitude_i == float(0.5 * (hi - lo))
 
 
 class TestQuantizeUniform:
@@ -341,7 +335,7 @@ class TestEndToEnd:
             delay_length=30e-9 * 299792458.0 / 1.5)
         det = optics.DetectorParams(transimpedance=16e3)
         trace = optics.simulate_trace(path, laser, geometry, det, det)
-        normalized = rec.normalize_iq(trace, method="arcsine-fit")
+        normalized = rec.normalize_iq(trace)
         series = rec.reconstruct_phase(normalized.trace)
         expected = wrap_phase(path.increments)
         err = wrap_phase(series.phases - expected)
